@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -303,4 +305,32 @@ func FuzzReadCheckpoint(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestContainerGoldenBytes pins the on-disk bytes of a small fixed NOCK
+// container: any change to the preamble, section framing, or codec
+// encodings changes the hash.
+func TestContainerGoldenBytes(t *testing.T) {
+	var buf bytes.Buffer
+	cw := NewWriter(&buf)
+	var e Enc
+	e.U64(300)
+	e.Int(-7)
+	e.Bool(true)
+	e.F64(math.Pi)
+	e.String("golden")
+	e.U64s([]uint64{5, 3, 1 << 33})
+	e.Bools([]bool{true, false, true})
+	cw.Section(1, e.Bytes())
+	cw.Section(2, nil)
+	e.Reset()
+	e.String(strings.Repeat("x", 200))
+	cw.Section(1<<20, e.Bytes())
+	if err := cw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "c9aa87679668653ac6363b6505a2870f8b2c3a1181729a13d7572514efda0b08"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("NOCK container bytes changed: sha256 %s, want %s", got, want)
+	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -575,3 +576,14 @@ func (idleWorkload) StreamFor(int, uint64) cpu.Stream {
 type idleStream struct{}
 
 func (idleStream) Next() cpu.Instr { return cpu.Instr{Kind: cpu.KindIdle} }
+
+// TestNOC3GoldenBytes pins the on-disk bytes of a small phased recording:
+// container framing, header and index layout, both predictors, and the
+// deflate residuals. A change here invalidates every recorded trace.
+func TestNOC3GoldenBytes(t *testing.T) {
+	data := writeNOC3Bytes(t, MapReducePhased(), 2, 300, 1, 32)
+	const want = "466ab3a1fade4fa28d2be7bd75de4d6c31e2d3db240d95a1d8ed3cda2c009dc6"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("NOC3 bytes changed: sha256 %s, want %s", got, want)
+	}
+}
