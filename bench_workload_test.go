@@ -10,13 +10,13 @@ import (
 
 // This file benchmarks the workload layer: raw per-stream generation
 // cost for every registered workload, and a full Quick-quality chip
-// measurement driven by a recorded capture vs the live synthetic
+// measurement driven by a recorded NOC3 trace vs the live synthetic
 // generator. CI archives the results as BENCH_workload.json so the
 // workload layer's perf trajectory is tracked PR over PR alongside the
 // kernel's.
 
 // BenchmarkWorkloadStream measures stream generation for every
-// registered workload plus a capture replay of the first; ns/op is
+// registered workload plus a NOC3 trace replay of Data Serving; ns/op is
 // ns per generated instruction.
 func BenchmarkWorkloadStream(b *testing.B) {
 	for _, w := range RegisteredWorkloads() {
@@ -29,11 +29,8 @@ func BenchmarkWorkloadStream(b *testing.B) {
 		})
 	}
 	b.Run("Capture-Replay", func(b *testing.B) {
-		cap, err := workload.Record(workload.Synth(workload.DataServing), 1, 4096, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := cap.StreamFor(0, 1)
+		tf := recordTrace(b, workload.Synth(workload.DataServing), 1, 4096, 1)
+		st := tf.StreamFor(0, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st.Next()
@@ -41,12 +38,26 @@ func BenchmarkWorkloadStream(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceFormat compares the two trace container formats on the
-// same 16-core Quick-length recording: decode cost (ns/op is ns per
-// replayed instruction) and on-disk compression ratio (in-memory stream
-// bytes over file bytes, reported as compress-x). NOC2 decodes once up
-// front and replays from memory; NOC3 decodes blocks as replay reaches
-// them, so its ns/op includes steady-state block decode.
+// recordTrace records w to a NOC3 trace under b's temp dir and opens it.
+func recordTrace(b *testing.B, w Workload, cores, perCore int, seed uint64) *TraceFile {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "bench.noctrace")
+	if err := RecordTraceFile(path, w, cores, perCore, seed); err != nil {
+		b.Fatal(err)
+	}
+	tf, err := workload.OpenTraceFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { tf.Close() })
+	return tf
+}
+
+// BenchmarkTraceFormat measures the NOC3 trace container on a 16-core
+// Quick-length recording: decode cost (ns/op is ns per replayed
+// instruction, including steady-state block decode) and on-disk
+// compression ratio (in-memory stream bytes over file bytes, reported as
+// compress-x).
 func BenchmarkTraceFormat(b *testing.B) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
@@ -55,16 +66,7 @@ func BenchmarkTraceFormat(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
-	noc2 := filepath.Join(dir, "bench2.noctrace")
-	noc3 := filepath.Join(dir, "bench3.noctrace")
-	cap, err := RecordWorkload(src, cfg.Cores, perCore, cfg.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := cap.Save(noc2); err != nil {
-		b.Fatal(err)
-	}
+	noc3 := filepath.Join(b.TempDir(), "bench3.noctrace")
 	if err := RecordTraceFile(noc3, src, cfg.Cores, perCore, cfg.Seed); err != nil {
 		b.Fatal(err)
 	}
@@ -77,24 +79,6 @@ func BenchmarkTraceFormat(b *testing.B) {
 		b.ReportMetric(rawBytes/float64(st.Size()), "compress-x")
 	}
 
-	b.Run("noc2-decode", func(b *testing.B) {
-		total := int64(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c, err := LoadCapture(noc2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := c.StreamFor(0, 1)
-			for k := 0; k < perCore; k++ {
-				st.Next()
-			}
-			total += int64(perCore)
-		}
-		b.StopTimer()
-		compressX(b, noc2)
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/instr")
-	})
 	b.Run("noc3-decode", func(b *testing.B) {
 		total := int64(0)
 		b.ResetTimer()
@@ -118,8 +102,8 @@ func BenchmarkTraceFormat(b *testing.B) {
 
 // BenchmarkWorkloadQuick compares a Quick-quality 16-core mesh
 // measurement driven synthetically against the same measurement driven
-// by a non-wrapping recorded capture (the ns/simcycle gap is the cost
-// — or saving — of replay on the full simulation path).
+// by a non-wrapping NOC3 trace (the ns/simcycle gap is the cost — or
+// saving — of replay on the full simulation path).
 func BenchmarkWorkloadQuick(b *testing.B) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
@@ -145,14 +129,11 @@ func BenchmarkWorkloadQuick(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cap, err := RecordWorkload(src, cfg.Cores, int(Quick.Warmup+Quick.Window)*3, cfg.Seed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tf := recordTrace(b, src, cfg.Cores, int(Quick.Warmup+Quick.Window)*3, cfg.Seed)
 		b.ResetTimer()
 		var res Result
 		for i := 0; i < b.N; i++ {
-			res = RunWorkload(cfg, cap, Quick)
+			res = RunWorkload(cfg, tf, Quick)
 		}
 		report(b, res)
 	})

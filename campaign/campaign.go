@@ -45,7 +45,7 @@ import (
 const ManifestVersion = 1
 
 // Decode caps: corrupt or hostile campaign files must produce clean
-// errors, not multi-gigabyte allocations (the ReadTrace/ReadCapture
+// errors, not multi-gigabyte allocations (the ReadCapture/NOC3 reader
 // hardening contract, applied to the campaign formats).
 const (
 	maxManifestBytes  = 64 << 20 // manifest.json (a point encodes to ~1KB)

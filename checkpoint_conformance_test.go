@@ -147,9 +147,7 @@ func TestCheckpointShardedConformance(t *testing.T) {
 // trace snapshots and restores mid-trace bit-identically — the (block,
 // offset) stream cursors serialize, the restore seeks each core's block
 // from its keyframe, and the window after the snapshot is
-// cycle-for-cycle identical to the donor. The NOC2 capture of the same
-// recording is held to the same contract, proving cursor semantics are
-// format-independent.
+// cycle-for-cycle identical to the donor.
 func TestCheckpointNOC3TraceConformance(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
@@ -158,36 +156,18 @@ func TestCheckpointNOC3TraceConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	noc3 := filepath.Join(dir, "mrc.noctrace")
+	noc3 := filepath.Join(t.TempDir(), "mrc.noctrace")
 	if err := workload.RecordFile(noc3, src, cfg.Cores, perCore, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
-	cap, err := workload.Record(src, cfg.Cores, perCore, cfg.Seed)
+	w, err := workload.LoadTrace(noc3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		w    workload.Workload
-	}{
-		{"noc2", cap},
-		{"noc3", mustLoadTrace(t, noc3)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			donor, snap, _ := warmSnapshot(t, cfg, tc.w, 1, confQ.Warmup)
-			verifyRestore(t, donor, snap, cfg, tc.w, 1, confQ.Window)
-		})
-	}
-}
-
-func mustLoadTrace(t *testing.T, path string) workload.Workload {
-	t.Helper()
-	w, err := workload.LoadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
+	t.Run("noc3", func(t *testing.T) {
+		donor, snap, _ := warmSnapshot(t, cfg, w, 1, confQ.Warmup)
+		verifyRestore(t, donor, snap, cfg, w, 1, confQ.Window)
+	})
 }
 
 // TestCheckpointOpenSystemConformance: the open-system request lifecycle

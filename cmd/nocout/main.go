@@ -1,7 +1,8 @@
 // Command nocout runs one CMP configuration — or a sweep of interconnect
 // designs crossed with workloads and memory hierarchies — and prints the
 // measured metrics, as text or as a machine-readable Report (-json). It
-// can also record a workload capture for later "trace:<path>" replay.
+// can also record a workload to a NOC3 trace for later "trace:<path>"
+// replay.
 //
 // Usage:
 //
@@ -85,9 +86,8 @@ func run() error {
 	offeredLoads := flag.String("offered-loads", "", "comma-separated open-system arrival rates (requests per 1000 cycles per core) to sweep, e.g. 0.5,2,8")
 	jsonOut := flag.Bool("json", false, "emit the structured Report as JSON")
 	csvOut := flag.Bool("csv", false, "emit the structured Report as CSV")
-	recordTrace := flag.String("record-trace", "", "record the workload to this capture file and exit (replay with -workload trace:<path>)")
+	recordTrace := flag.String("record-trace", "", "record the workload to this NOC3 trace file and exit (replay with -workload trace:<path>)")
 	recordInstrs := flag.Int("record-instrs", 96000, "instructions per core to record with -record-trace (96k covers a quick-quality run)")
-	recordFormat := flag.String("record-format", "noc3", "container format for -record-trace: noc3 (streaming, bounded-memory) | noc2 (legacy monolithic)")
 	traceInfo := flag.String("trace-info", "", "print a trace file's header, section, and compression metadata (NOC2 or NOC3), then exit")
 	traceConvert := flag.String("trace-convert", "", "upgrade this NOC2 capture to a NOC3 container at the positional output path, then exit (replay is bit-identical)")
 	campaignDir := flag.String("campaign", "", "run as a resumable campaign worker over this shared directory (created from the sweep flags; an existing campaign is resumed/joined as-is)")
@@ -161,7 +161,7 @@ func run() error {
 				aliases := append([]string{strings.ToLower(w.Name())}, w.Aliases()...)
 				fmt.Printf("  %-22s max cores: %-3d  aliases: %s\n", w.Name(), w.MaxCores(), strings.Join(aliases, ", "))
 			}
-			fmt.Println("plus trace:<path> to replay a capture recorded with -record-trace")
+			fmt.Println("plus trace:<path> to replay a trace recorded with -record-trace")
 			fmt.Println("plus opensys:<k=v,...> for open-system traffic over any base workload")
 			fmt.Println("  keys: arrival=poisson|mmpp|burst, base, rate (req/kcycle/core), size (instrs),")
 			fmt.Println("        queue, ratio, dwell-hi, dwell-lo (mmpp), hurst, peak (burst),")
@@ -283,28 +283,14 @@ func run() error {
 		if len(ws) != 1 {
 			return fmt.Errorf("-record-trace captures exactly one workload, got %d", len(ws))
 		}
-		format := strings.ToUpper(*recordFormat)
-		switch strings.ToLower(*recordFormat) {
-		case "noc3":
-			// The streaming recorder: blocks are encoded and flushed as the
-			// source produces them, so recording memory is O(cores × block)
-			// however long the trace is.
-			if err := nocout.RecordTraceFile(*recordTrace, ws[0], *cores, *recordInstrs, *seed); err != nil {
-				return err
-			}
-		case "noc2":
-			cap, err := nocout.RecordWorkload(ws[0], *cores, *recordInstrs, *seed)
-			if err != nil {
-				return err
-			}
-			if err := cap.Save(*recordTrace); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("-record-format %q: want noc3 or noc2", *recordFormat)
+		// The streaming recorder: blocks are encoded and flushed as the
+		// source produces them, so recording memory is O(cores × block)
+		// however long the trace is.
+		if err := nocout.RecordTraceFile(*recordTrace, ws[0], *cores, *recordInstrs, *seed); err != nil {
+			return err
 		}
-		fmt.Printf("recorded %s: %d cores x %d instructions (seed %d) -> %s (%s)\n",
-			ws[0].Name(), *cores, *recordInstrs, *seed, *recordTrace, format)
+		fmt.Printf("recorded %s: %d cores x %d instructions (seed %d) -> %s (NOC3)\n",
+			ws[0].Name(), *cores, *recordInstrs, *seed, *recordTrace)
 		fmt.Printf("replay with: -workload trace:%s\n", *recordTrace)
 		return nil
 	}

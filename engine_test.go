@@ -3,6 +3,7 @@ package nocout
 import (
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -92,20 +93,25 @@ func TestSweepWorkloadNameCollision(t *testing.T) {
 		t.Fatalf("same-calibration dedup failed: %d points, want 1", sw.Len())
 	}
 
-	// ...but a *different* workload under a taken name (a capture
-	// replays under its source's name) must not silently vanish.
+	// ...but a *different* workload under a taken name (a trace replays
+	// under its source's name) must not silently vanish.
 	ws, err := ParseWorkload("Web Search")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap, err := RecordWorkload(ws, 2, 50, 1) // short: looping, not equivalent
+	path := filepath.Join(t.TempDir(), "ws.noctrace")
+	if err := RecordTraceFile(path, ws, 2, 50, 1); err != nil { // short: looping, not equivalent
+		t.Fatal(err)
+	}
+	tf, err := LoadTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer tf.(*TraceFile).Close()
 	_, err = NewExperiment(
 		WithDesigns(Mesh),
 		WithWorkloads("Web Search"),
-		WithWorkloadValues(cap),
+		WithWorkloadValues(tf),
 	).Sweep()
 	if err == nil || !strings.Contains(err.Error(), "Web Search") {
 		t.Fatalf("name collision must be a hard error, got %v", err)

@@ -76,17 +76,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	capture, err := nocout.RecordWorkload(ws, cfg.Cores, int(nocout.Quick.Warmup+nocout.Quick.Window)*3, cfg.Seed)
-	if err != nil {
-		return err
-	}
 	dir, err := os.MkdirTemp("", "nocout-trace")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "websearch.noctrace")
-	if err := capture.Save(path); err != nil {
+	if err := nocout.RecordTraceFile(path, ws, cfg.Cores, int(nocout.Quick.Warmup+nocout.Quick.Window)*3, cfg.Seed); err != nil {
 		return err
 	}
 

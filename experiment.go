@@ -155,7 +155,7 @@ func WithWorkloads(names ...string) Option {
 }
 
 // WithWorkloadValues adds constructed Workload values — an unregistered
-// Mix, a loaded Capture, a user implementation — to the sweep after any
+// Mix, a loaded TraceFile, a user implementation — to the sweep after any
 // named ones.
 func WithWorkloadValues(ws ...Workload) Option {
 	return func(e *Experiment) { e.workloadVals = append(e.workloadVals, ws...) }

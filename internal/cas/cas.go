@@ -35,12 +35,22 @@ func ValidKey(prefix, s string) bool {
 // rename, so readers never observe a partial entry and concurrent
 // writers of identical content are safe.
 func WriteFileAtomic(path string, data []byte) error {
+	return WriteFileFunc(path, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// WriteFileFunc is WriteFileAtomic for content streamed by fill into the
+// temp file: path is replaced only when fill and the close both succeed,
+// so a failed write leaves an existing file untouched and creates none.
+func WriteFileFunc(path string, fill func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(data)
+	werr := fill(tmp)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

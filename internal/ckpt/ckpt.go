@@ -1,7 +1,9 @@
 // Package ckpt is the checkpoint serialization substrate: a compact
 // binary codec (varints, zigzag deltas, bit-exact floats, packed bitsets)
 // plus a sectioned container format with per-section CRC integrity and an
-// allocation-capped strict reader.
+// allocation-capped strict reader. The section framing is the repo's only
+// one: the NOC3 trace container (internal/workload) writes and reads its
+// sections through the same Writer and ReadSection.
 //
 // The package is deliberately leaf-level (stdlib only) so every component
 // package — sim, cache, cpu, coherence, mem, noc, topo, workload, opensys,
@@ -23,10 +25,12 @@
 //	  crc32   4 bytes LE (IEEE, over the payload)
 //	  payload length bytes
 //
-// Sections end at EOF; trailing garbage after a well-formed section is an
-// error. The reader parses only headers up front — payloads stay raw
-// subslices of the input and are CRC-verified lazily when a section is
-// opened, so inspecting a checkpoint's index touches no section body.
+// Other formats reuse the framing under their own magic and version
+// (NewContainerWriter, ReadSection). In a checkpoint, sections end at
+// EOF; trailing garbage after a well-formed section is an error. The
+// reader parses only headers up front — payloads stay raw subslices of
+// the input and are CRC-verified lazily when a section is opened, so
+// inspecting a checkpoint's index touches no section body.
 //
 // # Strictness
 //
@@ -115,6 +119,9 @@ func (e *Enc) Bool(v bool) {
 func (e *Enc) F64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
+
+// Raw appends b verbatim, with no length prefix.
+func (e *Enc) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
 // String appends a length-prefixed string.
 func (e *Enc) String(s string) {
@@ -247,6 +254,20 @@ func (d *Dec) F64() float64 {
 	return math.Float64frombits(v)
 }
 
+// Raw reads n verbatim bytes, returned as a view into the payload.
+func (d *Dec) Raw(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n < 0 || n > d.Remaining() {
+		d.fail("raw span of %d bytes exceeds %d remaining bytes", n, d.Remaining())
+		return nil
+	}
+	b := d.b[d.off : d.off+n]
+	d.off += n
+	return b
+}
+
 // String reads a length-prefixed string.
 func (d *Dec) String() string {
 	n := d.U64()
@@ -330,17 +351,20 @@ func (s *Section) Len() int { return len(s.payload) }
 // Writer streams a container to an io.Writer.
 type Writer struct {
 	w   io.Writer
+	off int64
 	err error
 	hdr []byte
 }
 
-// NewWriter writes the container preamble and returns the writer.
-func NewWriter(w io.Writer) *Writer {
+// NewWriter writes the checkpoint preamble and returns the writer.
+func NewWriter(w io.Writer) *Writer { return NewContainerWriter(w, magic, Version) }
+
+// NewContainerWriter writes the preamble of a container format built on
+// this framing — the format's magic constant and version — and returns
+// the writer.
+func NewContainerWriter(w io.Writer, magic [4]byte, version uint64) *Writer {
 	cw := &Writer{w: w}
-	var buf []byte
-	buf = append(buf, magic[:]...)
-	buf = binary.AppendUvarint(buf, Version)
-	cw.write(buf)
+	cw.write(binary.AppendUvarint(magic[:], version))
 	return cw
 }
 
@@ -348,8 +372,17 @@ func (cw *Writer) write(b []byte) {
 	if cw.err != nil {
 		return
 	}
-	_, cw.err = cw.w.Write(b)
+	n, err := cw.w.Write(b)
+	cw.off += int64(n)
+	cw.err = err
 }
+
+// Offset returns the bytes written so far: the file offset at which the
+// next section begins.
+func (cw *Writer) Offset() int64 { return cw.off }
+
+// Raw writes b outside any section (a format's fixed trailer).
+func (cw *Writer) Raw(b []byte) { cw.write(b) }
 
 // Section appends one section (header, CRC, payload). The payload is
 // written immediately; callers may reuse the encoder afterwards.
@@ -413,21 +446,11 @@ func Parse(data []byte) (*Container, error) {
 		if len(c.sections) >= maxSections {
 			return nil, fmt.Errorf("ckpt: more than %d sections", maxSections)
 		}
-		kind, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("ckpt: truncated section kind at offset %d", off)
+		kind, length, crc, n, err := sectionHeader(data[off:])
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: %w in section at offset %d", err, off)
 		}
 		off += n
-		length, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("ckpt: truncated section length at offset %d", off)
-		}
-		off += n
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("ckpt: truncated section CRC at offset %d", off)
-		}
-		crc := binary.LittleEndian.Uint32(data[off:])
-		off += 4
 		if length > uint64(len(data)-off) {
 			return nil, fmt.Errorf("ckpt: section kind %d claims %d bytes with %d remaining", kind, length, len(data)-off)
 		}
@@ -439,6 +462,49 @@ func Parse(data []byte) (*Container, error) {
 		off += int(length)
 	}
 	return c, nil
+}
+
+// sectionHeader decodes the section header at the start of b — kind,
+// payload length, CRC — and returns the header's size in bytes. It is the
+// one section-header decoder, shared by Parse and ReadSection.
+func sectionHeader(b []byte) (kind, length uint64, crc uint32, n int, err error) {
+	kind, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, 0, 0, 0, errors.New("truncated section kind")
+	}
+	n = k
+	length, k = binary.Uvarint(b[n:])
+	if k <= 0 {
+		return 0, 0, 0, 0, errors.New("truncated section length")
+	}
+	n += k
+	if len(b)-n < 4 {
+		return 0, 0, 0, 0, errors.New("truncated section CRC")
+	}
+	return kind, length, binary.LittleEndian.Uint32(b[n:]), n + 4, nil
+}
+
+// ReadSection reads the span of r at off into buf, which must be sized
+// to hold exactly one section, verifies the section's CRC, and returns
+// its kind and payload (a view into buf). Formats that index their
+// sections — NOC3's trailing block index — read them one at a time
+// through it instead of parsing a whole container.
+func ReadSection(r io.ReaderAt, off int64, buf []byte) (kind uint64, payload []byte, err error) {
+	if _, err := r.ReadAt(buf, off); err != nil {
+		return 0, nil, fmt.Errorf("ckpt: reading section at offset %d: %w", off, err)
+	}
+	kind, length, crc, n, err := sectionHeader(buf)
+	if err != nil {
+		return 0, nil, fmt.Errorf("ckpt: %w in section at offset %d", err, off)
+	}
+	payload = buf[n:]
+	if length != uint64(len(payload)) {
+		return 0, nil, fmt.Errorf("ckpt: section at offset %d claims %d payload bytes, span has %d", off, length, len(payload))
+	}
+	if got := crc32.ChecksumIEEE(payload); got != crc {
+		return 0, nil, fmt.Errorf("ckpt: section at offset %d CRC mismatch: stored %08x, computed %08x", off, crc, got)
+	}
+	return kind, payload, nil
 }
 
 // Len returns the section count.

@@ -108,7 +108,7 @@ func TestDecStickyError(t *testing.T) {
 func TestDecHostileLengths(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<50)
 	cases := map[string]func(*Dec){
-		"string": func(d *Dec) { d.String() },
+		"string": func(d *Dec) { _ = d.String() },
 		"count":  func(d *Dec) { d.Count() },
 		"u64s":   func(d *Dec) { d.U64s() },
 		"bools":  func(d *Dec) { d.Bools() },
@@ -298,7 +298,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 			for d.Err() == nil && d.Remaining() > 0 {
 				d.U64()
 				d.Bool()
-				d.String()
+				_ = d.String()
 				d.U64s()
 				d.Bools()
 				d.F64()
@@ -332,5 +332,50 @@ func TestContainerGoldenBytes(t *testing.T) {
 	const want = "c9aa87679668653ac6363b6505a2870f8b2c3a1181729a13d7572514efda0b08"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("NOCK container bytes changed: sha256 %s, want %s", got, want)
+	}
+}
+
+// TestReadSection drives the single-section reader other container
+// formats index into: a section read back by its recorded offset and
+// span round-trips kind and payload, Raw bytes pass through verbatim, and
+// a wrong span or a flipped payload byte is an error.
+func TestReadSection(t *testing.T) {
+	var buf bytes.Buffer
+	cw := NewContainerWriter(&buf, [4]byte{'T', 'E', 'S', 'T'}, 3)
+	var e Enc
+	e.U64(42)
+	e.Raw([]byte("raw"))
+	start := cw.Offset()
+	cw.Section(7, e.Bytes())
+	end := cw.Offset()
+	cw.Raw([]byte("tail"))
+	if err := cw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if string(data[:4]) != "TEST" || data[4] != 3 || string(data[end:]) != "tail" {
+		t.Fatalf("preamble or raw tail misplaced: %q", data)
+	}
+
+	r := bytes.NewReader(data)
+	kind, payload, err := ReadSection(r, start, make([]byte, end-start))
+	if err != nil || kind != 7 {
+		t.Fatalf("ReadSection = (%d, %v)", kind, err)
+	}
+	d := NewDec(payload)
+	if v, raw := d.U64(), d.Raw(3); v != 42 || string(raw) != "raw" || d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("payload decoded to %d %q (err %v, %d left)", v, raw, d.Err(), d.Remaining())
+	}
+	if d.Raw(1); d.Err() == nil {
+		t.Fatal("Raw past the payload must fail")
+	}
+
+	if _, _, err := ReadSection(r, start, make([]byte, end-start+1)); err == nil {
+		t.Fatal("a span longer than the section must fail")
+	}
+	bad := append([]byte(nil), data...)
+	bad[end-1] ^= 0xFF
+	if _, _, err := ReadSection(bytes.NewReader(bad), start, make([]byte, end-start)); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("flipped payload byte: err %v, want a CRC mismatch", err)
 	}
 }

@@ -1,7 +1,8 @@
 // Package stats provides the measurement machinery used by the evaluation
 // harness: running mean/variance, confidence intervals, geometric means and
-// latency histograms. It replaces the paper's SimFlex statistical sampling
-// with warm-up + measurement windows over multiple seeds.
+// the mergeable log-bucketed latency histogram LogHist. It replaces the
+// paper's SimFlex statistical sampling with warm-up + measurement windows
+// over multiple seeds.
 package stats
 
 import (
@@ -89,69 +90,6 @@ func GeoMean(xs []float64) float64 {
 	}
 	return math.Exp(s / float64(len(xs)))
 }
-
-// Histogram is a fixed-bucket latency histogram with overflow tracking.
-type Histogram struct {
-	BucketWidth int64
-	buckets     []int64
-	overflow    int64
-	total       int64
-	sum         int64
-}
-
-// NewHistogram returns a histogram with n buckets of the given width.
-func NewHistogram(n int, width int64) *Histogram {
-	if n < 1 || width < 1 {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{BucketWidth: width, buckets: make([]int64, n)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(v int64) {
-	h.total++
-	h.sum += v
-	i := v / h.BucketWidth
-	if i < 0 {
-		i = 0
-	}
-	if int(i) >= len(h.buckets) {
-		h.overflow++
-		return
-	}
-	h.buckets[i]++
-}
-
-// Count returns the number of recorded values.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Mean returns the mean of recorded values.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Percentile returns an upper bound for the p-quantile (0 < p <= 1) using
-// bucket upper edges; overflow values report the overflow boundary.
-func (h *Histogram) Percentile(p float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(p * float64(h.total)))
-	var acc int64
-	for i, c := range h.buckets {
-		acc += c
-		if acc >= target {
-			return int64(i+1) * h.BucketWidth
-		}
-	}
-	return int64(len(h.buckets)) * h.BucketWidth
-}
-
-// Median is Percentile(0.5).
-func (h *Histogram) Median() int64 { return h.Percentile(0.5) }
 
 // NormalizeTo divides each value by base[i] and returns the ratios; it is
 // the helper behind every "normalized to mesh" figure.

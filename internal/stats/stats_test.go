@@ -87,42 +87,6 @@ func TestGeoMean(t *testing.T) {
 	GeoMean([]float64{1, 0})
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 5) // buckets [0,5) [5,10) ... [45,50)
-	for v := int64(0); v < 100; v++ {
-		h.Add(v)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if m := h.Mean(); math.Abs(m-49.5) > 1e-9 {
-		t.Fatalf("Mean = %v", m)
-	}
-	// Half of the values (50..99) overflowed; the median bound is the
-	// overflow boundary.
-	if got := h.Median(); got != 50 {
-		t.Fatalf("Median = %d, want 50", got)
-	}
-	if p := h.Percentile(0.25); p != 25 {
-		t.Fatalf("P25 = %d, want 25", p)
-	}
-}
-
-func TestHistogramPercentileMonotonic(t *testing.T) {
-	h := NewHistogram(64, 2)
-	for v := int64(0); v < 1000; v++ {
-		h.Add(v % 100)
-	}
-	prev := int64(0)
-	for _, p := range []float64{0.1, 0.3, 0.5, 0.7, 0.9, 0.99} {
-		cur := h.Percentile(p)
-		if cur < prev {
-			t.Fatalf("percentiles not monotonic at %v: %d < %d", p, cur, prev)
-		}
-		prev = cur
-	}
-}
-
 func TestNormalizeTo(t *testing.T) {
 	got := NormalizeTo([]float64{2, 6}, []float64{2, 3})
 	if got[0] != 1 || got[1] != 2 {

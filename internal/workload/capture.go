@@ -7,25 +7,21 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"nocout/internal/cpu"
 )
 
-// This file provides whole-chip workload capture and replay (the NOC2
-// format): Record drains every core's stream from any Workload into a
-// Capture, which serializes to a compact varint file and itself
-// implements Workload — so a capture replays through Run, sweeps, and
-// the CLI via the "trace:<path>" scheme, reproducing the recorded
-// workload's behaviour exactly (same seed, same per-core pipeline
-// parameters, same prewarm layout, same instruction streams).
+// This file reads the legacy NOC2 whole-chip capture format. NOC2 is
+// read-and-convert only: ReadCapture decodes a file, and LoadTrace and
+// ConvertFile re-encode it as NOC3, so every trace replays through the
+// one NOC3 cursor. The canonical NOC2 encoding (noc2Enc) survives as the
+// definition of a recording's fingerprint.
 //
 // Format: the "NOC2" magic, a header (source name, recording seed,
 // software scalability limit, shared instruction/hot regions), then one
 // block per core: member name, pipeline parameters, local region, and
-// the instruction records in the NOC1 encoding (kind uvarint, iaddr
-// varint delta, daddr uvarint for loads/stores; the delta baseline
-// resets per core).
+// the instruction records (kind uvarint, iaddr varint delta, daddr
+// uvarint for loads/stores; the delta baseline resets per core).
 
 // captureMagic identifies the multi-core capture format.
 var captureMagic = [4]byte{'N', 'O', 'C', '2'}
@@ -36,6 +32,7 @@ const (
 	maxCaptureCores  = 1 << 12 // 4096 recorded cores
 	maxCaptureName   = 1 << 10 // name/member strings
 	maxCaptureRegion = 1 << 31 // 2GB per prewarm region (builtins are MBs)
+	maxTrace         = 1 << 28 // 256M instructions per core
 )
 
 // CoreCapture is one core's recorded stream and identity.
@@ -52,19 +49,11 @@ type CoreCapture struct {
 	Instrs []cpu.Instr
 }
 
-// Capture is a whole-chip workload recording. It implements Workload
-// (and MemberMapper), replaying each recorded core's stream verbatim —
-// and looping when a run outlasts the recording, so replays stay
-// deterministic at any quality (an exact reproduction additionally needs
-// the recording to cover the run: record at least
-// (warmup+window)×fetch-width instructions per core).
+// Capture is a decoded NOC2 recording, the input to ConvertNOC3.
 type Capture struct {
-	// Source is the recorded workload's name; the replay reports it as
-	// its own Name so a sufficient capture reproduces the source's
-	// Result bit for bit.
+	// Source is the recorded workload's name.
 	Source string
-	// Seed is the seed the streams were recorded at (provenance; replay
-	// is exact when the run's seed matches).
+	// Seed is the seed the streams were recorded at.
 	Seed uint64
 	// ScaleLimit is the recorded workload's MaxCores.
 	ScaleLimit int
@@ -74,185 +63,8 @@ type Capture struct {
 	Cores []CoreCapture
 }
 
-// Record captures cores×perCore instructions from w at the given seed.
-// The decoder's sanity caps are enforced here too, so anything Record
-// accepts is guaranteed to read back.
-func Record(w Workload, cores, perCore int, seed uint64) (*Capture, error) {
-	if cores < 1 || cores > maxCaptureCores {
-		return nil, fmt.Errorf("workload: Record needs 1..%d cores, got %d", maxCaptureCores, cores)
-	}
-	if perCore < 1 || perCore > maxTrace {
-		return nil, fmt.Errorf("workload: Record needs 1..%d instructions per core, got %d", maxTrace, perCore)
-	}
-	if len(w.Name()) > maxCaptureName {
-		return nil, fmt.Errorf("workload: name %.32q... exceeds the %d-byte capture cap", w.Name(), maxCaptureName)
-	}
-	lay := w.Layout()
-	if lay.Instr.Size > maxCaptureRegion || lay.Hot.Size > maxCaptureRegion {
-		return nil, fmt.Errorf("workload: shared region exceeds the %d-byte capture cap", maxCaptureRegion)
-	}
-	// Clamp the recorded limit to the recorded core count: replay can
-	// never drive more cores than were captured, and an Unlimited-wrapped
-	// source would otherwise store a limit the decoder's sanity cap
-	// rejects, making the file unreadable.
-	limit := w.MaxCores()
-	if limit > cores {
-		limit = cores
-	}
-	c := &Capture{
-		Source:     w.Name(),
-		Seed:       seed,
-		ScaleLimit: limit,
-		Instr:      lay.Instr,
-		Hot:        lay.Hot,
-		Cores:      make([]CoreCapture, cores),
-	}
-	for i := 0; i < cores; i++ {
-		member, _ := MemberNameOf(w, i)
-		if len(member) > maxCaptureName {
-			return nil, fmt.Errorf("workload: core %d member name %.32q... exceeds the %d-byte capture cap", i, member, maxCaptureName)
-		}
-		cp := w.CoreParams(i, seed)
-		cp.Seed = 0
-		st := w.StreamFor(i, seed)
-		local := lay.Local(i)
-		if local.Size > maxCaptureRegion {
-			return nil, fmt.Errorf("workload: core %d local region exceeds the %d-byte capture cap", i, maxCaptureRegion)
-		}
-		cc := CoreCapture{Member: member, Params: cp, Local: local, Instrs: make([]cpu.Instr, perCore)}
-		for k := range cc.Instrs {
-			in := st.Next()
-			if in.Kind > cpu.KindStore {
-				// KindIdle (and anything beyond) has no record encoding; a
-				// capture of it would be unreadable, so refuse up front.
-				return nil, fmt.Errorf("workload: core %d record %d has kind %d; only ALU/load/store streams are recordable", i, k, in.Kind)
-			}
-			cc.Instrs[k] = in
-		}
-		c.Cores[i] = cc
-	}
-	return c, nil
-}
-
-// --- Workload implementation -----------------------------------------------
-
-// core maps a chip core to a recorded one; chips wider than the
-// recording reuse streams modulo the recorded count (only reachable when
-// the scalability clamp is lifted).
-func (c *Capture) core(coreID int) *CoreCapture { return &c.Cores[coreID%len(c.Cores)] }
-
-// Name implements Workload; a capture replays under its source's name.
-func (c *Capture) Name() string { return c.Source }
-
-// Aliases implements Workload; captures are addressed as "trace:<path>",
-// not registered.
-func (c *Capture) Aliases() []string { return nil }
-
-// MaxCores implements Workload: the recorded software limit, further
-// clamped to the recorded core count.
-func (c *Capture) MaxCores() int {
-	limit := c.ScaleLimit
-	if limit <= 0 || limit > len(c.Cores) {
-		limit = len(c.Cores)
-	}
-	return limit
-}
-
-// CoreParams implements Workload with the recorded pipeline knobs.
-func (c *Capture) CoreParams(coreID int, seed uint64) cpu.Params {
-	cp := c.core(coreID).Params
-	cp.Seed = seed
-	return cp
-}
-
-// StreamFor implements Workload, replaying the recorded stream in a loop.
-// The seed does not alter a replay — the trace is the trace.
-func (c *Capture) StreamFor(coreID int, seed uint64) cpu.Stream {
-	return &coreReplay{instrs: c.core(coreID).Instrs}
-}
-
-// MemberName implements MemberMapper with the recorded attribution.
-func (c *Capture) MemberName(coreID int) string { return c.core(coreID).Member }
-
-// Layout implements Workload with the recorded regions.
-func (c *Capture) Layout() Layout {
-	return Layout{
-		Instr: c.Instr,
-		Hot:   c.Hot,
-		Local: func(core int) Region { return c.core(core).Local },
-	}
-}
-
-// coreReplay replays one recorded stream, looping at the end.
-type coreReplay struct {
-	instrs []cpu.Instr
-	i      int
-}
-
-// Next implements cpu.Stream.
-func (r *coreReplay) Next() cpu.Instr {
-	in := r.instrs[r.i]
-	r.i++
-	if r.i == len(r.instrs) {
-		r.i = 0
-	}
-	return in
-}
-
-// --- serialization ----------------------------------------------------------
-
-// Write serializes the capture in the NOC2 format. Captures the decoder
-// would reject — over the core, name, or stream caps — are refused
-// rather than written unreadably.
-func (c *Capture) Write(w io.Writer) error {
-	if len(c.Cores) == 0 {
-		return errors.New("workload: refusing to write a capture with no cores")
-	}
-	if len(c.Cores) > maxCaptureCores {
-		return fmt.Errorf("workload: capture has %d cores, cap is %d", len(c.Cores), maxCaptureCores)
-	}
-	if len(c.Source) > maxCaptureName {
-		return fmt.Errorf("workload: source name exceeds the %d-byte cap", maxCaptureName)
-	}
-	if c.ScaleLimit < 0 || c.ScaleLimit > maxCaptureCores {
-		return fmt.Errorf("workload: scale limit %d is outside 0..%d", c.ScaleLimit, maxCaptureCores)
-	}
-	if c.Instr.Size > maxCaptureRegion || c.Hot.Size > maxCaptureRegion {
-		return fmt.Errorf("workload: shared region exceeds the %d-byte cap", maxCaptureRegion)
-	}
-	for i := range c.Cores {
-		if len(c.Cores[i].Member) > maxCaptureName {
-			return fmt.Errorf("workload: core %d member name exceeds the %d-byte cap", i, maxCaptureName)
-		}
-		if len(c.Cores[i].Instrs) > maxTrace {
-			return fmt.Errorf("workload: core %d stream exceeds the %d-instruction cap", i, maxTrace)
-		}
-		if c.Cores[i].Local.Size > maxCaptureRegion {
-			return fmt.Errorf("workload: core %d local region exceeds the %d-byte cap", i, maxCaptureRegion)
-		}
-	}
-	bw := bufio.NewWriter(w)
-	enc := &noc2Enc{w: bw}
-	enc.header(c.header(), len(c.Cores))
-	for i := range c.Cores {
-		cc := &c.Cores[i]
-		if len(cc.Instrs) == 0 {
-			return fmt.Errorf("workload: core %d has an empty stream", i)
-		}
-		enc.coreHeader(coreMeta{Member: cc.Member, Params: cc.Params, Local: cc.Local, Total: len(cc.Instrs)})
-		prev := int64(0)
-		for _, in := range cc.Instrs {
-			enc.instr(in, &prev)
-		}
-	}
-	if enc.err != nil {
-		return enc.err
-	}
-	return bw.Flush()
-}
-
 // captureHeader is the NOC2 header before the per-core blocks; the NOC3
-// container carries the identical fields, so both writers share it.
+// container carries the identical fields.
 type captureHeader struct {
 	Source     string
 	Seed       uint64
@@ -274,12 +86,10 @@ func (c *Capture) header() captureHeader {
 	return captureHeader{Source: c.Source, Seed: c.Seed, ScaleLimit: c.ScaleLimit, Instr: c.Instr, Hot: c.Hot}
 }
 
-// noc2Enc emits the canonical NOC2 byte stream with a sticky error. It is
-// the single producer of those bytes: Capture.Write streams it to a file,
-// and the NOC3 recorder streams it into a SHA-256 so a recording's
-// fingerprint is the hash of its canonical NOC2 encoding without ever
-// materializing that encoding (fingerprints stay identical across the two
-// container formats).
+// noc2Enc emits the canonical NOC2 byte stream with a sticky error. The
+// NOC3 writer streams it into a SHA-256, so a recording's fingerprint is
+// the hash of its canonical NOC2 encoding without ever materializing that
+// encoding (fingerprints stay identical across the two container formats).
 type noc2Enc struct {
 	w   io.Writer
 	err error
@@ -337,8 +147,8 @@ func (e *noc2Enc) coreHeader(m coreMeta) {
 	e.putU(uint64(m.Total))
 }
 
-// instr emits one NOC1-encoded record, threading the per-core delta
-// baseline through prev.
+// instr emits one record, threading the per-core delta baseline through
+// prev.
 func (e *noc2Enc) instr(in cpu.Instr, prev *int64) {
 	e.putU(uint64(in.Kind))
 	e.putI(int64(in.IAddr) - *prev)
@@ -348,10 +158,10 @@ func (e *noc2Enc) instr(in cpu.Instr, prev *int64) {
 	}
 }
 
-// ReadCapture decodes a capture written by Write. Corrupt or truncated
-// inputs produce errors, never panics or unbounded allocations, and the
-// decoded pipeline parameters are validated so a replayed chip cannot be
-// built from garbage.
+// ReadCapture decodes a NOC2 capture. Corrupt or truncated inputs produce
+// errors, never panics or unbounded allocations, and the decoded pipeline
+// parameters are validated so a replayed chip cannot be built from
+// garbage.
 func ReadCapture(r io.Reader) (*Capture, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -359,7 +169,7 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 		return nil, fmt.Errorf("workload: reading capture header: %w", err)
 	}
 	if magic != captureMagic {
-		return nil, errors.New("workload: not a NOC2 capture (record one with Record or nocout -record-trace)")
+		return nil, errors.New("workload: not a NOC2 capture")
 	}
 	getU := func(what string) (uint64, error) {
 		v, err := binary.ReadUvarint(br)
@@ -470,6 +280,39 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 	return c, nil
 }
 
+// readRecords decodes n instruction records (kind uvarint, iaddr varint
+// delta, daddr uvarint for loads/stores). The slice grows as records
+// arrive — a corrupt header claiming a huge n cannot force a huge
+// allocation; it fails at the first missing record instead.
+func readRecords(br *bufio.Reader, n uint64) ([]cpu.Instr, error) {
+	instrs := make([]cpu.Instr, 0, min(n, 1<<16))
+	prev := int64(0)
+	for i := uint64(0); i < n; i++ {
+		kind, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("record %d kind: %w", i, err)
+		}
+		if kind > uint64(cpu.KindStore) {
+			return nil, fmt.Errorf("record %d has invalid kind %d", i, kind)
+		}
+		delta, err := binary.ReadVarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("record %d iaddr: %w", i, err)
+		}
+		prev += delta
+		in := cpu.Instr{Kind: cpu.InstrKind(kind), IAddr: uint64(prev)}
+		if in.Kind != cpu.KindALU {
+			d, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, fmt.Errorf("record %d daddr: %w", i, err)
+			}
+			in.DAddr = d
+		}
+		instrs = append(instrs, in)
+	}
+	return instrs, nil
+}
+
 // validCoreParams rejects decoded pipeline parameters the cpu model would
 // panic on (cpu.New's constructor contract).
 func validCoreParams(core int, p cpu.Params) error {
@@ -484,33 +327,4 @@ func validCoreParams(core int, p cpu.Params) error {
 		return fmt.Errorf("workload: core %d has implausible dep chance %v", core, p.DepChance)
 	}
 	return nil
-}
-
-// Save writes the capture to a file.
-func (c *Capture) Save(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return c.Write(f)
-}
-
-// LoadCapture reads a capture file; it is how the "trace:<path>" workload
-// scheme resolves.
-func LoadCapture(path string) (*Capture, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	defer f.Close()
-	c, err := ReadCapture(f)
-	if err != nil {
-		return nil, fmt.Errorf("workload: capture %s: %w", path, err)
-	}
-	return c, nil
 }

@@ -3,71 +3,91 @@ package workload
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"nocout/internal/cpu"
 )
 
+// writeNOC2 is the test-only NOC2 writer: it records w through
+// recordMeta and the canonical noc2Enc, producing the bytes ReadCapture
+// accepts (and whose SHA-256 is the recording's fingerprint).
+func writeNOC2(t testing.TB, w Workload, cores, perCore int, seed uint64) []byte {
+	t.Helper()
+	hdr, metas, err := recordMeta(w, cores, perCore, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	enc := &noc2Enc{w: &buf}
+	enc.header(hdr, len(metas))
+	for i, m := range metas {
+		enc.coreHeader(m)
+		st := w.StreamFor(i, seed)
+		prev := int64(0)
+		for k := 0; k < m.Total; k++ {
+			enc.instr(st.Next(), &prev)
+		}
+	}
+	if enc.err != nil {
+		t.Fatal(enc.err)
+	}
+	return buf.Bytes()
+}
+
+// writeNOC2File writes a NOC2 recording of w to a fresh temp file and
+// returns its path.
+func writeNOC2File(t testing.TB, w Workload, cores, perCore int, seed uint64) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "noc2.noctrace")
+	if err := os.WriteFile(path, writeNOC2(t, w, cores, perCore, seed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestCaptureRoundTrip(t *testing.T) {
 	src := ConsolidatedMix() // heterogeneous: exercises per-core params + members
-	cap, err := Record(src, 4, 2000, 17)
+	cap, err := ReadCapture(bytes.NewReader(writeNOC2(t, src, 4, 2000, 17)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cap.Source != "Consolidated" || cap.Seed != 17 || len(cap.Cores) != 4 {
 		t.Fatalf("capture header %+v", cap)
 	}
-
-	var buf bytes.Buffer
-	if err := cap.Write(&buf); err != nil {
-		t.Fatal(err)
+	lay := src.Layout()
+	if cap.Instr != lay.Instr || cap.Hot != lay.Hot {
+		t.Fatalf("shared regions: %+v/%+v != %+v/%+v", cap.Instr, cap.Hot, lay.Instr, lay.Hot)
 	}
-	back, err := ReadCapture(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cap, back) {
-		t.Fatal("capture did not round-trip bit-identically")
-	}
-
-	// The replay reproduces the recorded streams and attribution.
-	for core := 0; core < 4; core++ {
+	for core := range cap.Cores {
+		cc := &cap.Cores[core]
 		ref := src.StreamFor(core, 17)
-		st := back.StreamFor(core, 99) // replay ignores the seed
-		for i := 0; i < 2000; i++ {
-			if got, want := st.Next(), ref.Next(); got != want {
+		for i, got := range cc.Instrs {
+			if want := ref.Next(); got != want {
 				t.Fatalf("core %d record %d: %+v != %+v", core, i, got, want)
 			}
 		}
-		if back.MemberName(core) != src.MemberName(core) {
-			t.Fatalf("core %d member %q != %q", core, back.MemberName(core), src.MemberName(core))
+		if cc.Member != src.MemberName(core) {
+			t.Fatalf("core %d member %q != %q", core, cc.Member, src.MemberName(core))
 		}
-		cp, want := back.CoreParams(core, 5), src.CoreParams(core, 5)
-		if cp != want {
-			t.Fatalf("core %d params %+v != %+v", core, cp, want)
+		want := src.CoreParams(core, 17)
+		want.Seed = 0
+		if cc.Params != want {
+			t.Fatalf("core %d params %+v != %+v", core, cc.Params, want)
 		}
-	}
-
-	// Layout survives: shared regions and per-core locals.
-	lay, ref := back.Layout(), src.Layout()
-	if lay.Instr != ref.Instr || lay.Hot != ref.Hot {
-		t.Fatalf("shared regions: %+v/%+v != %+v/%+v", lay.Instr, lay.Hot, ref.Instr, ref.Hot)
-	}
-	for core := 0; core < 4; core++ {
-		if lay.Local(core) != ref.Local(core) {
-			t.Fatalf("core %d local region %+v != %+v", core, lay.Local(core), ref.Local(core))
+		if cc.Local != lay.Local(core) {
+			t.Fatalf("core %d local region %+v != %+v", core, cc.Local, lay.Local(core))
 		}
 	}
 }
 
 func TestCaptureReplayLoops(t *testing.T) {
-	cap, err := Record(Synth(WebSearch), 1, 50, 1)
+	w, err := LoadTrace(writeNOC2File(t, Synth(WebSearch), 1, 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := cap.StreamFor(0, 1)
+	st := w.StreamFor(0, 1)
 	var first [50]cpu.Instr
 	for i := range first {
 		first[i] = st.Next()
@@ -82,20 +102,20 @@ func TestCaptureReplayLoops(t *testing.T) {
 }
 
 func TestCaptureMaxCoresClamp(t *testing.T) {
-	cap, err := Record(Synth(DataServing), 4, 10, 1) // source scales to 64
+	cap, err := LoadTrace(writeNOC2File(t, Synth(DataServing), 4, 10, 1)) // source scales to 64
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cap.MaxCores() != 4 {
 		t.Fatalf("MaxCores = %d, must clamp to the 4 recorded cores", cap.MaxCores())
 	}
-	// A 2-core source recorded onto more cores keeps its software limit.
-	ws, err := Record(Synth(WebSearch), 32, 10, 1) // source scales to 16
+	// A 16-core source recorded onto more cores keeps its software limit.
+	ws, err := LoadTrace(writeNOC2File(t, Synth(WebSearch), 32, 10, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.ScaleLimit != 16 || ws.MaxCores() != 16 {
-		t.Fatalf("scale limit = %d, MaxCores = %d, want 16", ws.ScaleLimit, ws.MaxCores())
+	if ws.MaxCores() != 16 {
+		t.Fatalf("MaxCores = %d, want 16", ws.MaxCores())
 	}
 	// Cores beyond the recording reuse streams modulo the recorded count.
 	a, b := cap.StreamFor(6, 1), cap.StreamFor(2, 1)
@@ -109,73 +129,66 @@ func TestCaptureMaxCoresClamp(t *testing.T) {
 func TestCaptureOfUnlimitedWorkloadRoundTrips(t *testing.T) {
 	// An Unlimited-wrapped source reports MaxInt; the recording must
 	// clamp the stored limit so the file stays decodable.
-	cap, err := Record(Unlimited(Synth(WebSearch)), 4, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap.ScaleLimit != 4 {
-		t.Fatalf("recorded scale limit = %d, want the 4 recorded cores", cap.ScaleLimit)
-	}
-	var buf bytes.Buffer
-	if err := cap.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCapture(&buf)
+	back, err := ReadCapture(bytes.NewReader(writeNOC2(t, Unlimited(Synth(WebSearch)), 4, 20, 1)))
 	if err != nil {
 		t.Fatalf("capture of an unlimited workload must decode: %v", err)
 	}
-	if back.MaxCores() != 4 {
-		t.Fatalf("MaxCores = %d", back.MaxCores())
+	if back.ScaleLimit != 4 {
+		t.Fatalf("recorded scale limit = %d, want the 4 recorded cores", back.ScaleLimit)
 	}
 }
 
+// TestCaptureSaveLoad: a NOC2 file on disk converts to the same NOC3
+// bytes a direct recording writes, and a missing input is an error.
 func TestCaptureSaveLoad(t *testing.T) {
-	cap, err := Record(Synth(SATSolver), 2, 100, 3)
+	dir := t.TempDir()
+	noc2 := writeNOC2File(t, Synth(SATSolver), 2, 100, 3)
+	noc3 := filepath.Join(dir, "sat3.noctrace")
+	if err := ConvertFile(noc2, noc3); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(noc3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sat.noctrace")
-	if err := cap.Save(path); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got, writeNOC3Bytes(t, Synth(SATSolver), 2, 100, 3, 0)) {
+		t.Fatal("converted file differs from a direct recording")
 	}
-	back, err := LoadCapture(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cap, back) {
-		t.Fatal("file round-trip lost data")
-	}
-	if _, err := LoadCapture(filepath.Join(t.TempDir(), "missing.noctrace")); err == nil {
+	if err := ConvertFile(filepath.Join(dir, "missing.noctrace"), noc3); err == nil {
 		t.Fatal("missing file must error")
 	}
 }
 
 func TestRecordValidation(t *testing.T) {
-	if _, err := Record(Synth(DataServing), 0, 10, 1); err == nil {
+	if err := WriteNOC3(discardWriter{}, Synth(DataServing), 0, 10, 1, 0); err == nil {
 		t.Fatal("zero cores must error")
 	}
-	if _, err := Record(Synth(DataServing), 1, 0, 1); err == nil {
+	if err := WriteNOC3(discardWriter{}, Synth(DataServing), 1, 0, 1, 0); err == nil {
 		t.Fatal("zero instructions must error")
 	}
-	if err := (&Capture{}).Write(&bytes.Buffer{}); err == nil {
-		t.Fatal("writing an empty capture must error")
+	if err := WriteNOC3(discardWriter{}, Synth(DataServing), 1, 10, 1, maxBlockLen+1); err == nil {
+		t.Fatal("an oversized block length must error")
 	}
+}
+
+// nanParams records its base with a NaN base CPI, a parameter block the
+// reader must refuse.
+type nanParams struct{ Workload }
+
+func (w nanParams) CoreParams(coreID int, seed uint64) cpu.Params {
+	p := w.Workload.CoreParams(coreID, seed)
+	p.BaseCPI = math.NaN()
+	return p
 }
 
 // TestReadCaptureRejectsCorruption drives the decoder through the main
 // corruption classes: wrong magic, truncation at every byte boundary,
 // and implausible decoded pipeline parameters. None may panic.
 func TestReadCaptureRejectsCorruption(t *testing.T) {
-	cap, err := Record(Synth(MapReduceW), 2, 50, 1)
-	if err != nil {
+	valid := writeNOC2(t, Synth(MapReduceW), 2, 50, 1)
+	if _, err := ReadCapture(bytes.NewReader(valid)); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := cap.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-
 	if _, err := ReadCapture(bytes.NewReader([]byte("NOC1....."))); err == nil {
 		t.Fatal("NOC1 magic must be rejected by the capture reader")
 	}
@@ -185,16 +198,10 @@ func TestReadCaptureRejectsCorruption(t *testing.T) {
 		}
 	}
 
-	// Corrupt the recorded BaseCPI to NaN: the decoder must reject the
-	// parameters rather than hand the cpu model a panic.
-	bad := *cap
-	bad.Cores = append([]CoreCapture(nil), cap.Cores...)
-	bad.Cores[0].Params.BaseCPI = math.NaN()
-	buf.Reset()
-	if err := bad.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCapture(&buf); err == nil {
+	// A NaN BaseCPI must be rejected rather than hand the cpu model a
+	// panic.
+	bad := writeNOC2(t, nanParams{Synth(MapReduceW)}, 2, 50, 1)
+	if _, err := ReadCapture(bytes.NewReader(bad)); err == nil {
 		t.Fatal("NaN base CPI must be rejected")
 	}
 }

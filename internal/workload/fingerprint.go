@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -28,8 +26,8 @@ type Fingerprinter interface {
 
 // Fingerprint returns w's behavioral fingerprint. The builtin families
 // fingerprint structurally — a Synthetic by its calibration block, a Mix
-// by its members and assignment, a Phased by its schedule, a Capture by
-// a hash of its canonical NOC2 encoding — and decorators prefix the
+// by its members and assignment, a Phased by its schedule, a trace by
+// the hash of its canonical NOC2 encoding — and decorators prefix the
 // wrapped fingerprint. Unknown implementations must provide
 // Fingerprinter; a bare name is not identity enough for a shared cache,
 // so they are an error rather than a silent alias hazard.
@@ -66,22 +64,12 @@ func Fingerprint(w Workload) ([]byte, error) {
 			return nil, err
 		}
 		return append([]byte("phased:"), b...), nil
-	case *Capture:
-		// The NOC2 encoding is canonical (varint streams in core order),
-		// so its hash identifies the recording's full content — renaming
-		// or moving the file does not change the key, re-recording does.
-		var buf bytes.Buffer
-		if err := t.Write(&buf); err != nil {
-			return nil, fmt.Errorf("workload: fingerprinting capture %q: %w", t.Source, err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		return []byte("capture:" + hex.EncodeToString(sum[:])), nil
 	case *TraceFile:
-		// A NOC3 trace stores the SHA-256 of its canonical NOC2 encoding,
-		// computed while recording — so the same recording fingerprints
-		// identically in either container format and every
-		// content-addressed cache (Point.Key, checkpoint prefixes)
-		// survives a format conversion.
+		// A trace stores the SHA-256 of its canonical NOC2 encoding
+		// (varint streams in core order), computed while recording — so
+		// the hash identifies the recording's full content whichever
+		// container holds it: renaming, moving, or converting the file
+		// does not change the key, re-recording does.
 		fp := t.Fingerprint()
 		return []byte("capture:" + hex.EncodeToString(fp[:])), nil
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // Trace inspection: TraceInfo summarizes either container format for the
@@ -59,55 +58,44 @@ func (ti *TraceInfo) CompressionRatio() float64 {
 
 // InspectTrace reads a trace file's metadata in either format. NOC3 files
 // are inspected from their header and index sections alone (no block
-// decode); NOC2 files must be decoded whole, as ever.
+// decode); NOC2 files must be decoded whole, and report no section
+// accounting.
 func InspectTrace(path string) (*TraceInfo, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	w, err := LoadTrace(path)
+	t, err := loadTrace(path)
 	if err != nil {
 		return nil, err
 	}
-	ti := &TraceInfo{Path: path, FileBytes: st.Size()}
-	switch t := w.(type) {
-	case *TraceFile:
-		defer t.Close()
-		ti.Format = "NOC3"
-		ti.Source = t.hdr.Source
-		ti.Seed = t.hdr.Seed
-		ti.ScaleLimit = t.hdr.ScaleLimit
-		ti.Cores = len(t.cores)
-		for i := range t.cores {
-			ti.Instrs += int64(t.cores[i].meta.Total)
-		}
-		fp := t.Fingerprint()
-		ti.Fingerprint = hex.EncodeToString(fp[:])
-		ti.BlockLen = t.blockLen
-		ti.Blocks = t.stats.Blocks
-		ti.PredPrev = t.stats.PredPrev
-		ti.PredPhase = t.stats.PredPhase
-		ti.HeaderSectionB = t.headerSz
-		ti.IndexSectionB = t.indexSz
-		ti.BlockSectionB = t.stats.BlockSectionBytes
-		ti.RawResidualBytes = t.stats.RawResidualBytes
-	case *Capture:
-		ti.Format = "NOC2"
-		ti.Source = t.Source
-		ti.Seed = t.Seed
-		ti.ScaleLimit = t.ScaleLimit
-		ti.Cores = len(t.Cores)
-		for i := range t.Cores {
-			ti.Instrs += int64(len(t.Cores[i].Instrs))
-		}
-		fp, err := Fingerprint(t)
-		if err != nil {
-			return nil, err
-		}
-		ti.Fingerprint = strings.TrimPrefix(string(fp), "capture:")
-	default:
-		return nil, fmt.Errorf("workload: %s: unrecognized trace type %T", path, w)
+	defer t.Close()
+	fp := t.Fingerprint()
+	ti := &TraceInfo{
+		Path:        path,
+		Format:      "NOC3",
+		FileBytes:   st.Size(),
+		Source:      t.hdr.Source,
+		Seed:        t.hdr.Seed,
+		ScaleLimit:  t.hdr.ScaleLimit,
+		Cores:       len(t.cores),
+		Fingerprint: hex.EncodeToString(fp[:]),
 	}
+	for i := range t.cores {
+		ti.Instrs += int64(t.cores[i].meta.Total)
+	}
+	if t.noc2 {
+		ti.Format = "NOC2"
+		return ti, nil
+	}
+	ti.BlockLen = t.blockLen
+	ti.Blocks = t.stats.Blocks
+	ti.PredPrev = t.stats.PredPrev
+	ti.PredPhase = t.stats.PredPhase
+	ti.HeaderSectionB = t.headerSz
+	ti.IndexSectionB = t.indexSz
+	ti.BlockSectionB = t.stats.BlockSectionBytes
+	ti.RawResidualBytes = t.stats.RawResidualBytes
 	return ti, nil
 }
 

@@ -15,9 +15,11 @@ import (
 //
 // # Container layout
 //
-// NOC3 borrows internal/ckpt's NOCK section discipline (kind, length,
-// CRC32, payload) and adds a trailing index + fixed trailer so a reader
-// can seek straight to any block:
+// NOC3 is framed by internal/ckpt — its sections are written by a
+// ckpt.Writer under the NOC3 magic, read back one at a time by
+// ckpt.ReadSection, and their payloads use the ckpt.Enc/Dec codec — and
+// adds a trailing index + fixed trailer so a reader can seek straight to
+// any block:
 //
 //	magic    "NOC3"  (4 bytes)
 //	version  uvarint (currently 1)

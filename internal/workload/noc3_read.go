@@ -7,11 +7,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 
+	"nocout/internal/ckpt"
 	"nocout/internal/cpu"
 )
 
@@ -62,6 +62,7 @@ type TraceFile struct {
 	r      io.ReaderAt
 	size   int64
 	closer io.Closer
+	noc2   bool // converted in memory from a NOC2 capture file
 
 	hdr      captureHeader
 	blockLen int
@@ -114,24 +115,59 @@ func (t *TraceFile) Close() error {
 // errNotNOC3 marks inputs without the NOC3 magic.
 var errNotNOC3 = errors.New("not a NOC3 trace")
 
+// ErrNotTrace marks a file that is neither trace container format.
+var ErrNotTrace = errors.New("not a trace file (want a NOC3 or NOC2 container)")
+
 // LoadTrace opens a trace file in either container format — it is how
-// the "trace:<path>" workload scheme resolves. NOC3 files open as a lazy
-// TraceFile (O(block) replay memory); NOC2 files load whole through the
-// compatibility reader, exactly as before the NOC3 format existed.
+// the "trace:<path>" workload scheme resolves. Every trace replays as a
+// *TraceFile: NOC3 files open lazily (O(block) replay memory); NOC2 files
+// are decoded, converted to NOC3 in memory, and replayed from there.
 func LoadTrace(path string) (Workload, error) {
+	t, err := loadTrace(path)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// loadTrace sniffs path's magic and opens it as a TraceFile.
+func loadTrace(path string) (*TraceFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
+	defer f.Close()
 	var magic [4]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	f.Close()
-	if rerr == nil && magic == noc3Magic {
-		return OpenTraceFile(path)
+	// A file shorter than the magic is simply not a trace.
+	if _, err := io.ReadFull(f, magic[:]); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
-	// Anything else — including short files — goes to the NOC2 reader,
-	// whose errors name the format expectations.
-	return LoadCapture(path)
+	switch magic {
+	case noc3Magic:
+		return OpenTraceFile(path)
+	case captureMagic:
+		// Re-encode the capture as an in-memory NOC3 container, so it
+		// replays through the same cursor as a native recording and
+		// carries the same fingerprint.
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, fmt.Errorf("workload: %w", err)
+		}
+		c, err := ReadCapture(f)
+		if err != nil {
+			return nil, fmt.Errorf("workload: capture %s: %w", path, err)
+		}
+		var buf bytes.Buffer
+		if err := ConvertNOC3(&buf, c, 0); err != nil {
+			return nil, fmt.Errorf("workload: capture %s: %w", path, err)
+		}
+		t, err := ParseTraceBytes(buf.Bytes())
+		if err != nil {
+			return nil, fmt.Errorf("workload: capture %s: %w", path, err)
+		}
+		t.path, t.noc2 = path, true
+		return t, nil
+	}
+	return nil, fmt.Errorf("workload: %s: %w", path, ErrNotTrace)
 }
 
 // newTraceFile parses and validates the container structure: trailer,
@@ -184,7 +220,7 @@ func newTraceFile(r io.ReaderAt, size int64) (*TraceFile, error) {
 	}
 
 	t := &TraceFile{r: r, size: size, indexSz: int(indexSpan)}
-	idx, err := readSectionSpan(r, indexOff, int(indexSpan), noc3SecIndex)
+	idx, err := readSection(r, indexOff, make([]byte, indexSpan), noc3SecIndex)
 	if err != nil {
 		return nil, fmt.Errorf("index section: %w", err)
 	}
@@ -201,7 +237,7 @@ func newTraceFile(r io.ReaderAt, size int64) (*TraceFile, error) {
 		return nil, fmt.Errorf("header section of %d bytes (cap %d)", headerSpan, maxHeaderSectionBytes)
 	}
 	t.headerSz = int(headerSpan)
-	hp, err := readSectionSpan(r, sectionsStart, int(headerSpan), noc3SecHeader)
+	hp, err := readSection(r, sectionsStart, make([]byte, headerSpan), noc3SecHeader)
 	if err != nil {
 		return nil, fmt.Errorf("header section: %w", err)
 	}
@@ -239,49 +275,17 @@ func newTraceFile(r io.ReaderAt, size int64) (*TraceFile, error) {
 	return t, nil
 }
 
-// readSectionSpan reads a span known to hold exactly one section of the
-// given kind, verifies its CRC, and returns the payload.
-func readSectionSpan(r io.ReaderAt, off int64, span int, wantKind uint64) ([]byte, error) {
-	buf := make([]byte, span)
-	if _, err := r.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	payload, kind, err := parseSection(buf)
+// readSection reads the section of the wanted kind filling buf's span
+// at off, CRC-checked by the shared ckpt framing.
+func readSection(r io.ReaderAt, off int64, buf []byte, want uint64) ([]byte, error) {
+	kind, payload, err := ckpt.ReadSection(r, off, buf)
 	if err != nil {
 		return nil, err
 	}
-	if kind != wantKind {
-		return nil, fmt.Errorf("section kind %d, want %d", kind, wantKind)
+	if kind != want {
+		return nil, fmt.Errorf("section kind %d, want %d", kind, want)
 	}
 	return payload, nil
-}
-
-// parseSection decodes one complete section from buf (which must contain
-// exactly the section, no more) and CRC-verifies the payload.
-func parseSection(buf []byte) (payload []byte, kind uint64, err error) {
-	kind, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, 0, errors.New("truncated section kind")
-	}
-	off := n
-	length, n := binary.Uvarint(buf[off:])
-	if n <= 0 {
-		return nil, 0, errors.New("truncated section length")
-	}
-	off += n
-	if len(buf)-off < 4 {
-		return nil, 0, errors.New("truncated section CRC")
-	}
-	crc := binary.LittleEndian.Uint32(buf[off:])
-	off += 4
-	if length != uint64(len(buf)-off) {
-		return nil, 0, fmt.Errorf("section claims %d payload bytes, span has %d", length, len(buf)-off)
-	}
-	payload = buf[off:]
-	if got := crc32.ChecksumIEEE(payload); got != crc {
-		return nil, 0, fmt.Errorf("section CRC mismatch: stored %08x, computed %08x", crc, got)
-	}
-	return payload, kind, nil
 }
 
 // parseIndex decodes the index payload: fingerprint, block refs, and the
@@ -290,32 +294,35 @@ func (t *TraceFile) parseIndex(p []byte) ([]blockRef, error) {
 	if len(p) < sha256.Size {
 		return nil, errors.New("truncated fingerprint")
 	}
-	copy(t.fp[:], p)
-	d := varReader{b: p[sha256.Size:]}
-	nblocks := d.u64("block count")
-	if nblocks > uint64(len(d.b))/2+1 {
-		return nil, fmt.Errorf("block count %d exceeds what %d bytes can index", nblocks, len(d.b))
+	d := ckpt.NewDec(p)
+	copy(t.fp[:], d.Raw(sha256.Size))
+	nblocks := d.U64()
+	if d.Err() == nil && nblocks > uint64(d.Remaining())/2+1 {
+		return nil, fmt.Errorf("block count %d exceeds what %d bytes can index", nblocks, d.Remaining())
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	refs := make([]blockRef, nblocks)
 	for i := range refs {
-		off := d.u64("block offset")
-		size := d.u64("block size")
-		if d.err != nil {
-			return nil, d.err
+		off := d.U64()
+		size := d.U64()
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
 		if off > uint64(t.size) || size > maxBlockSectionBytes {
 			return nil, fmt.Errorf("block %d entry (%d, %d) out of range", i, off, size)
 		}
 		refs[i] = blockRef{off: int64(off), size: int(size)}
 	}
-	t.stats.RawResidualBytes = d.u64("raw bytes")
-	t.stats.PredPrev = d.u64("predictor-0 count")
-	t.stats.PredPhase = d.u64("predictor-1 count")
-	if d.err != nil {
-		return nil, d.err
+	t.stats.RawResidualBytes = d.U64()
+	t.stats.PredPrev = d.U64()
+	t.stats.PredPhase = d.U64()
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%d trailing index bytes", len(d.b))
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("%d trailing index bytes", d.Remaining())
 	}
 	if t.stats.PredPrev+t.stats.PredPhase != nblocks {
 		return nil, fmt.Errorf("predictor counts %d+%d disagree with %d blocks", t.stats.PredPrev, t.stats.PredPhase, nblocks)
@@ -329,16 +336,16 @@ func (t *TraceFile) parseIndex(p []byte) ([]blockRef, error) {
 // parseHeader decodes the header payload into the capture identity and
 // per-core geometry (block refs sized but not yet located).
 func (t *TraceFile) parseHeader(p []byte) error {
-	d := varReader{b: p}
-	t.hdr.Source = d.str("source name", maxCaptureName)
-	t.hdr.Seed = d.u64("seed")
-	limit := d.u64("scale limit")
-	t.hdr.Instr = d.region("instr region")
-	t.hdr.Hot = d.region("hot region")
-	blockLen := d.u64("block length")
-	nCores := d.u64("core count")
-	if d.err != nil {
-		return d.err
+	d := ckpt.NewDec(p)
+	t.hdr.Source = decodeName(d, "source name")
+	t.hdr.Seed = d.U64()
+	limit := d.U64()
+	t.hdr.Instr = decodeRegion(d, "instr region")
+	t.hdr.Hot = decodeRegion(d, "hot region")
+	blockLen := d.U64()
+	nCores := d.U64()
+	if err := d.Err(); err != nil {
+		return err
 	}
 	if limit > maxCaptureCores {
 		return fmt.Errorf("scale limit %d exceeds cap", limit)
@@ -354,15 +361,15 @@ func (t *TraceFile) parseHeader(p []byte) error {
 	t.cores = make([]traceCore, nCores)
 	for i := range t.cores {
 		m := &t.cores[i].meta
-		m.Member = d.str(fmt.Sprintf("core %d member", i), maxCaptureName)
-		m.Params.Width = int(d.u64(fmt.Sprintf("core %d width", i)))
-		m.Params.ROB = int(d.u64(fmt.Sprintf("core %d rob", i)))
-		m.Params.BaseCPI = f64frombits(d.u64(fmt.Sprintf("core %d base cpi", i)))
-		m.Params.DepChance = f64frombits(d.u64(fmt.Sprintf("core %d dep chance", i)))
-		m.Local = d.region(fmt.Sprintf("core %d local region", i))
-		total := d.u64(fmt.Sprintf("core %d stream length", i))
-		if d.err != nil {
-			return d.err
+		m.Member = decodeName(d, "member")
+		m.Params.Width = int(d.U64())
+		m.Params.ROB = int(d.U64())
+		m.Params.BaseCPI = math.Float64frombits(d.U64())
+		m.Params.DepChance = math.Float64frombits(d.U64())
+		m.Local = decodeRegion(d, "local region")
+		total := d.U64()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("core %d: %w", i, err)
 		}
 		if err := validCoreParams(i, m.Params); err != nil {
 			return err
@@ -373,56 +380,30 @@ func (t *TraceFile) parseHeader(p []byte) error {
 		m.Total = int(total)
 		t.cores[i].blocks = make([]blockRef, (m.Total+t.blockLen-1)/t.blockLen)
 	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%d trailing header bytes", len(d.b))
+	if d.Remaining() != 0 {
+		return fmt.Errorf("%d trailing header bytes", d.Remaining())
 	}
 	return nil
 }
 
-// varReader is a tiny sticky-error varint cursor for section payloads.
-type varReader struct {
-	b   []byte
-	err error
-}
-
-func (d *varReader) u64(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = fmt.Errorf("truncated or malformed %s", what)
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *varReader) str(what string, maxLen uint64) string {
-	n := d.u64(what + " length")
-	if d.err != nil {
+// decodeName reads a header string, holding it to the capture name cap.
+func decodeName(d *ckpt.Dec, what string) string {
+	s := d.String()
+	if len(s) > maxCaptureName {
+		d.Corrupt("%s length %d exceeds cap", what, len(s))
 		return ""
 	}
-	if n > maxLen {
-		d.err = fmt.Errorf("%s length %d exceeds cap", what, n)
-		return ""
-	}
-	if n > uint64(len(d.b)) {
-		d.err = fmt.Errorf("truncated %s", what)
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
 	return s
 }
 
-func (d *varReader) region(what string) Region {
-	base := d.u64(what + " base")
-	size := d.u64(what + " size")
-	if d.err == nil && size > maxCaptureRegion {
-		d.err = fmt.Errorf("%s size %d exceeds cap", what, size)
+// decodeRegion reads a header region, holding its size to the prewarm
+// region cap.
+func decodeRegion(d *ckpt.Dec, what string) Region {
+	r := Region{Base: d.U64(), Size: d.U64()}
+	if r.Size > maxCaptureRegion {
+		d.Corrupt("%s size %d exceeds cap", what, r.Size)
 	}
-	return Region{Base: base, Size: size}
+	return r
 }
 
 // --- block geometry ---------------------------------------------------------
@@ -446,32 +427,18 @@ func (t *TraceFile) loadBlock(c, b int, prevIA []uint64, sect, resid *[]byte, in
 	if cap(*sect) < ref.size {
 		*sect = make([]byte, ref.size)
 	}
-	buf := (*sect)[:ref.size]
-	if _, err := t.r.ReadAt(buf, ref.off); err != nil {
-		return fmt.Errorf("reading block section: %w", err)
-	}
-	payload, kind, err := parseSection(buf)
+	payload, err := readSection(t.r, ref.off, (*sect)[:ref.size], noc3SecBlock)
 	if err != nil {
 		return err
 	}
-	if kind != noc3SecBlock {
-		return fmt.Errorf("section kind %d, want %d", kind, noc3SecBlock)
-	}
-	d := varReader{b: payload}
-	core := d.u64("block core")
-	idx := d.u64("block index")
-	if d.err == nil && len(d.b) == 0 {
-		d.err = errors.New("truncated block predictor")
-	}
-	if d.err != nil {
-		return d.err
-	}
-	pred := d.b[0]
-	d.b = d.b[1:]
-	count := d.u64("block record count")
-	rawLen := d.u64("block residual length")
-	if d.err != nil {
-		return d.err
+	d := ckpt.NewDec(payload)
+	core := d.U64()
+	idx := d.U64()
+	pred := d.U64()
+	count := d.U64()
+	rawLen := d.U64()
+	if err := d.Err(); err != nil {
+		return err
 	}
 	if core != uint64(c) || idx != uint64(b) {
 		return fmt.Errorf("block identifies as core %d block %d, indexed as core %d block %d", core, idx, c, b)
@@ -495,9 +462,10 @@ func (t *TraceFile) loadBlock(c, b int, prevIA []uint64, sect, resid *[]byte, in
 		*resid = make([]byte, rawLen)
 	}
 	rb := (*resid)[:rawLen]
+	comp := d.Raw(d.Remaining())
 	if *fr == nil {
-		*fr = flate.NewReader(bytes.NewReader(d.b))
-	} else if err := (*fr).(flate.Resetter).Reset(bytes.NewReader(d.b), nil); err != nil {
+		*fr = flate.NewReader(bytes.NewReader(comp))
+	} else if err := (*fr).(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
 		return err
 	}
 	if _, err := io.ReadFull(*fr, rb); err != nil {
@@ -507,7 +475,7 @@ func (t *TraceFile) loadBlock(c, b int, prevIA []uint64, sect, resid *[]byte, in
 	if n, err := (*fr).Read(one[:]); n != 0 || (err != nil && err != io.EOF) {
 		return errors.New("compressed residuals longer than declared")
 	}
-	if err := decodeBlockResiduals(rb, pred, prevIA, instrs, ia); err != nil {
+	if err := decodeBlockResiduals(rb, byte(pred), prevIA, instrs, ia); err != nil {
 		return err
 	}
 	return nil
@@ -534,7 +502,9 @@ func (t *TraceFile) Verify() error {
 
 // --- Workload implementation ------------------------------------------------
 
-// core maps a chip core to a recorded one, like Capture.core.
+// core maps a chip core to a recorded one; chips wider than the recording
+// reuse streams modulo the recorded count (only reachable when the
+// scalability clamp is lifted).
 func (t *TraceFile) core(coreID int) *traceCore { return &t.cores[coreID%len(t.cores)] }
 
 // Name implements Workload; a trace replays under its source's name.
@@ -689,5 +659,3 @@ func (r *blockReplay) Next() cpu.Instr {
 	}
 	return in
 }
-
-func f64frombits(v uint64) float64 { return math.Float64frombits(v) }

@@ -3,11 +3,13 @@ package workload
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"nocout/internal/ckpt"
@@ -108,18 +110,17 @@ func TestNOC3MaxCoresClamp(t *testing.T) {
 }
 
 // TestNOC3FingerprintMatchesNOC2 is the cache-survival guarantee: the
-// same recording fingerprints identically whether it lives in a NOC2
-// capture, a streamed NOC3 recording, or a converted NOC3 file — so
-// Point.Key and checkpoint prefixes are format-agnostic.
+// fingerprint is the SHA-256 of the recording's canonical NOC2 bytes,
+// whether it lives in a streamed NOC3 recording or a converted NOC2
+// capture — so Point.Key and checkpoint prefixes are format-agnostic.
 func TestNOC3FingerprintMatchesNOC2(t *testing.T) {
 	src := ConsolidatedMix()
 	const cores, perCore, seed = 3, 700, 9
 
-	cap, err := Record(src, cores, perCore, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpNOC2, err := Fingerprint(cap)
+	noc2 := writeNOC2(t, src, cores, perCore, seed)
+	sum := sha256.Sum256(noc2)
+	fpNOC2 := []byte(fmt.Sprintf("capture:%x", sum))
+	cap, err := ReadCapture(bytes.NewReader(noc2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,16 +234,9 @@ func TestNOC3PhasePredictorWins(t *testing.T) {
 		t.Fatalf("predictor split %d phase / %d prev, want 28 / 4", st.PredPhase, st.PredPrev)
 	}
 
-	cap, err := Record(periodic{period: blockLen}, 1, blockLen*32, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var noc2 bytes.Buffer
-	if err := cap.Write(&noc2); err != nil {
-		t.Fatal(err)
-	}
-	if len(data) >= noc2.Len() {
-		t.Fatalf("NOC3 (%d bytes) did not beat NOC2 (%d bytes) on a periodic stream", len(data), noc2.Len())
+	noc2 := writeNOC2(t, periodic{period: blockLen}, 1, blockLen*32, 1)
+	if len(data) >= len(noc2) {
+		t.Fatalf("NOC3 (%d bytes) did not beat NOC2 (%d bytes) on a periodic stream", len(data), len(noc2))
 	}
 }
 
@@ -448,31 +442,24 @@ func TestNOC3CursorSaveRestore(t *testing.T) {
 }
 
 // TestLoadTraceDispatch: the "trace:" scheme must open both container
-// formats transparently and reject junk with a useful error.
+// formats as a *TraceFile and reject anything else with one named error.
 func TestLoadTraceDispatch(t *testing.T) {
 	dir := t.TempDir()
 
-	cap, err := Record(Synth(SATSolver), 2, 100, 3)
+	noc2 := writeNOC2File(t, Synth(SATSolver), 2, 100, 3)
+	w2, err := LoadTrace(noc2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noc2 := filepath.Join(dir, "sat2.noctrace")
-	if err := cap.Save(noc2); err != nil {
-		t.Fatal(err)
-	}
-	w, err := LoadTrace(noc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := w.(*Capture); !ok {
-		t.Fatalf("NOC2 file loaded as %T", w)
+	if _, ok := w2.(*TraceFile); !ok {
+		t.Fatalf("NOC2 file loaded as %T", w2)
 	}
 
 	noc3 := filepath.Join(dir, "sat3.noctrace")
 	if err := RecordFile(noc3, Synth(SATSolver), 2, 100, 3); err != nil {
 		t.Fatal(err)
 	}
-	w, err = LoadTrace(noc3)
+	w, err := LoadTrace(noc3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,33 +474,130 @@ func TestLoadTraceDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := pw.StreamFor(1, 1), cap.StreamFor(1, 1)
+	a, b := pw.StreamFor(1, 1), w2.StreamFor(1, 1)
 	for i := 0; i < 100; i++ {
 		if a.Next() != b.Next() {
 			t.Fatal("trace: scheme replay diverged from the NOC2 capture")
 		}
 	}
 
+	for name, body := range map[string]string{"junk": "neither format", "empty": "", "short": "NO"} {
+		path := filepath.Join(dir, name+".noctrace")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadTrace(path)
+		if !errors.Is(err, ErrNotTrace) {
+			t.Fatalf("%s file: error %v, want ErrNotTrace", name, err)
+		}
+		msg := err.Error()
+		if strings.Count(msg, path) != 1 || !strings.Contains(msg, "NOC3") || !strings.Contains(msg, "NOC2") {
+			t.Fatalf("%s file: error %q must name the path once and both formats", name, msg)
+		}
+	}
+}
+
+// TestLoadTraceNOC2: a NOC2 file loads as a TraceFile indistinguishable
+// from a direct NOC3 recording of the same source — streams, pipeline
+// parameters, layout, member attribution, scalability, and fingerprint.
+func TestLoadTraceNOC2(t *testing.T) {
+	src := ConsolidatedMix()
+	const cores, perCore, seed = 4, 600, 11
+	dir := t.TempDir()
+	w2, err := LoadTrace(writeNOC2File(t, src, cores, perCore, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noc3 := filepath.Join(dir, "direct.noctrace")
+	if err := RecordFile(noc3, src, cores, perCore, seed); err != nil {
+		t.Fatal(err)
+	}
+	w3, err := LoadTrace(noc3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.(*TraceFile).Close()
+
+	if w2.Name() != w3.Name() || w2.MaxCores() != w3.MaxCores() {
+		t.Fatalf("identity %q/%d != %q/%d", w2.Name(), w2.MaxCores(), w3.Name(), w3.MaxCores())
+	}
+	l2, l3 := w2.Layout(), w3.Layout()
+	if l2.Instr != l3.Instr || l2.Hot != l3.Hot {
+		t.Fatalf("shared regions %+v/%+v != %+v/%+v", l2.Instr, l2.Hot, l3.Instr, l3.Hot)
+	}
+	for core := 0; core < cores; core++ {
+		if w2.CoreParams(core, 5) != w3.CoreParams(core, 5) || l2.Local(core) != l3.Local(core) {
+			t.Fatalf("core %d params or local region differ", core)
+		}
+		m2, _ := MemberNameOf(w2, core)
+		m3, _ := MemberNameOf(w3, core)
+		if m2 != m3 {
+			t.Fatalf("core %d member %q != %q", core, m2, m3)
+		}
+		a, b := w2.StreamFor(core, 1), w3.StreamFor(core, 1)
+		for i := 0; i < 2*perCore; i++ {
+			if x, y := a.Next(), b.Next(); x != y {
+				t.Fatalf("core %d record %d: %+v != %+v", core, i, x, y)
+			}
+		}
+	}
+	f2, err := Fingerprint(w2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f3, err := Fingerprint(w3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f2, f3) {
+		t.Fatalf("fingerprint %s != %s", f2, f3)
+	}
+}
+
+// TestFailedWriteKeepsFile: a recording or conversion that fails leaves
+// an existing file byte-identical and creates no new file.
+func TestFailedWriteKeepsFile(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.noctrace")
+	if err := RecordFile(good, Synth(WebSearch), 4, 2000, 1); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
 	junk := filepath.Join(dir, "junk.noctrace")
 	if err := os.WriteFile(junk, []byte("neither format"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTrace(junk); err == nil {
-		t.Fatal("junk file must error")
+	fresh := filepath.Join(dir, "fresh.noctrace")
+	for _, path := range []string{good, fresh} {
+		for name, fail := range map[string]func() error{
+			"zero instructions": func() error { return RecordFile(path, Synth(WebSearch), 4, 0, 1) },
+			"idle stream":       func() error { return RecordFile(path, idleWorkload{}, 1, 10, 1) },
+			"junk conversion":   func() error { return ConvertFile(junk, path) },
+		} {
+			if err := fail(); err == nil {
+				t.Fatalf("%s into %s: want an error", name, path)
+			}
+		}
+	}
+	if got, err := os.ReadFile(good); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("failed writes changed the existing trace (err %v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("failed writes left files behind: %v", entries)
 	}
 }
 
 // TestInspectTrace covers the -trace-info plumbing for both formats.
 func TestInspectTrace(t *testing.T) {
 	dir := t.TempDir()
-	cap, err := Record(Synth(WebSearch), 2, 300, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noc2 := filepath.Join(dir, "ws2.noctrace")
-	if err := cap.Save(noc2); err != nil {
-		t.Fatal(err)
-	}
+	noc2 := writeNOC2File(t, Synth(WebSearch), 2, 300, 3)
 	noc3 := filepath.Join(dir, "ws3.noctrace")
 	if err := ConvertFile(noc2, noc3); err != nil {
 		t.Fatal(err)
@@ -539,6 +623,9 @@ func TestInspectTrace(t *testing.T) {
 	if i3.Blocks == 0 || i3.BlockLen != DefaultBlockLen || i3.IndexSectionB == 0 || i3.HeaderSectionB == 0 {
 		t.Fatalf("NOC3 section accounting empty: %+v", i3)
 	}
+	if i2.Blocks != 0 || i2.BlockSectionB != 0 {
+		t.Fatalf("NOC2 file reports NOC3 section accounting: %+v", i2)
+	}
 	var text bytes.Buffer
 	i3.WriteText(&text)
 	if !bytes.Contains(text.Bytes(), []byte("NOC3")) {
@@ -547,14 +634,10 @@ func TestInspectTrace(t *testing.T) {
 }
 
 // TestNOC3RecordRejectsIdle: open-system streams answer KindIdle, which
-// has no record encoding; the streaming recorder must refuse it like
-// Record does.
+// has no record encoding; the recorder must refuse it.
 func TestNOC3RecordRejectsIdle(t *testing.T) {
 	if err := WriteNOC3(discardWriter{}, idleWorkload{}, 1, 10, 1, 0); err == nil {
 		t.Fatal("recording a KindIdle stream must error")
-	}
-	if _, err := Record(idleWorkload{}, 1, 10, 1); err == nil {
-		t.Fatal("Record of a KindIdle stream must error")
 	}
 }
 

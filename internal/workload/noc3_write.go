@@ -8,11 +8,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 
+	"nocout/internal/cas"
+	"nocout/internal/ckpt"
 	"nocout/internal/cpu"
 )
 
@@ -22,12 +23,10 @@ import (
 // hashing the canonical NOC2 encoding as it goes so the recording's
 // behavioral fingerprint is identical in either format.
 
-// noc3Writer streams one container to w. All buffers are reused across
-// blocks and cores.
+// noc3Writer streams one container through a ckpt.Writer. All buffers
+// are reused across blocks and cores.
 type noc3Writer struct {
-	w        io.Writer
-	off      int64 // bytes written so far (section offsets for the index)
-	err      error
+	cw       *ckpt.Writer
 	blockLen int
 
 	// Per-file accumulation for the index section.
@@ -41,73 +40,48 @@ type noc3Writer struct {
 
 	// Scratch.
 	enc     blockEnc
-	payload []byte
-	hdr     []byte
+	payload ckpt.Enc
 	comp    bytes.Buffer
 	fw      *flate.Writer
 }
 
-func (w *noc3Writer) write(b []byte) {
-	if w.err != nil {
-		return
-	}
-	n, err := w.w.Write(b)
-	w.off += int64(n)
-	w.err = err
-}
-
-// section emits one NOCK-style section and returns its file offset and
-// total size.
-func (w *noc3Writer) section(kind uint64, payload []byte) (off int64, size int) {
-	off = w.off
-	w.hdr = w.hdr[:0]
-	w.hdr = binary.AppendUvarint(w.hdr, kind)
-	w.hdr = binary.AppendUvarint(w.hdr, uint64(len(payload)))
-	w.hdr = binary.LittleEndian.AppendUint32(w.hdr, crc32.ChecksumIEEE(payload))
-	size = len(w.hdr) + len(payload)
-	w.write(w.hdr)
-	w.write(payload)
-	return off, size
-}
-
-// begin writes the magic, version, and header section, and primes the
-// NOC2 hash with the equivalent NOC2 header.
+// begin writes the preamble and header section, and primes the NOC2 hash
+// with the equivalent NOC2 header. Header floats are uvarints of their
+// bits and counts are uvarints, as in NOC2.
 func (w *noc3Writer) begin(h captureHeader, cores []coreMeta) {
-	w.write(noc3Magic[:])
-	var v [binary.MaxVarintLen64]byte
-	w.write(v[:binary.PutUvarint(v[:], noc3Version)])
-
-	p := w.payload[:0]
-	p = appendString(p, h.Source)
-	p = binary.AppendUvarint(p, h.Seed)
-	p = binary.AppendUvarint(p, uint64(h.ScaleLimit))
-	p = appendRegion(p, h.Instr)
-	p = appendRegion(p, h.Hot)
-	p = binary.AppendUvarint(p, uint64(w.blockLen))
-	p = binary.AppendUvarint(p, uint64(len(cores)))
+	p := &w.payload
+	p.String(h.Source)
+	p.U64(h.Seed)
+	p.U64(uint64(h.ScaleLimit))
+	p.U64(h.Instr.Base)
+	p.U64(h.Instr.Size)
+	p.U64(h.Hot.Base)
+	p.U64(h.Hot.Size)
+	p.U64(uint64(w.blockLen))
+	p.U64(uint64(len(cores)))
 	for _, m := range cores {
-		p = appendString(p, m.Member)
-		p = binary.AppendUvarint(p, uint64(m.Params.Width))
-		p = binary.AppendUvarint(p, uint64(m.Params.ROB))
-		p = binary.AppendUvarint(p, f64bits(m.Params.BaseCPI))
-		p = binary.AppendUvarint(p, f64bits(m.Params.DepChance))
-		p = appendRegion(p, m.Local)
-		p = binary.AppendUvarint(p, uint64(m.Total))
+		p.String(m.Member)
+		p.U64(uint64(m.Params.Width))
+		p.U64(uint64(m.Params.ROB))
+		p.U64(math.Float64bits(m.Params.BaseCPI))
+		p.U64(math.Float64bits(m.Params.DepChance))
+		p.U64(m.Local.Base)
+		p.U64(m.Local.Size)
+		p.U64(uint64(m.Total))
 	}
-	w.payload = p
-	w.section(noc3SecHeader, p)
+	w.cw.Section(noc3SecHeader, p.Bytes())
 
 	w.fp = sha256.New()
 	n2 := &noc2Enc{w: w.fp}
 	n2.header(h, len(cores))
 }
 
-// coreBlocks drains total instructions from next into blocks for one
+// coreBlocks drains m.Total instructions from next into blocks for one
 // core, writing each as its own section and feeding the NOC2 hash. The
 // iaddr scratch slices rotate between current and previous block.
-func (w *noc3Writer) coreBlocks(core int, m coreMeta, next func() (cpu.Instr, error), buf []cpu.Instr, curIA, prevIA []uint64) error {
-	if w.err != nil {
-		return w.err
+func (w *noc3Writer) coreBlocks(core int, m coreMeta, next func() cpu.Instr, buf []cpu.Instr, curIA, prevIA []uint64) error {
+	if err := w.cw.Err(); err != nil {
+		return err
 	}
 	n2 := &noc2Enc{w: w.fp}
 	n2.coreHeader(m)
@@ -117,10 +91,7 @@ func (w *noc3Writer) coreBlocks(core int, m coreMeta, next func() (cpu.Instr, er
 		count := min(w.blockLen, m.Total-done)
 		block := buf[:count]
 		for i := range block {
-			in, err := next()
-			if err != nil {
-				return err
-			}
+			in := next()
 			if in.Kind > cpu.KindStore {
 				return fmt.Errorf("workload: core %d record %d has kind %d; only ALU/load/store streams are recordable", core, done+i, in.Kind)
 			}
@@ -151,17 +122,18 @@ func (w *noc3Writer) coreBlocks(core int, m coreMeta, next func() (cpu.Instr, er
 			return err
 		}
 
-		p := w.payload[:0]
-		p = binary.AppendUvarint(p, uint64(core))
-		p = binary.AppendUvarint(p, uint64(idx))
-		p = append(p, pred)
-		p = binary.AppendUvarint(p, uint64(count))
-		p = binary.AppendUvarint(p, uint64(len(resid)))
-		p = append(p, w.comp.Bytes()...)
-		w.payload = p
-		off, size := w.section(noc3SecBlock, p)
+		p := &w.payload
+		p.Reset()
+		p.U64(uint64(core))
+		p.U64(uint64(idx))
+		p.U64(uint64(pred)) // predictor ids are < 0x80: one byte
+		p.U64(uint64(count))
+		p.U64(uint64(len(resid)))
+		p.Raw(w.comp.Bytes())
+		off := w.cw.Offset()
+		w.cw.Section(noc3SecBlock, p.Bytes())
 		w.offsets = append(w.offsets, uint64(off))
-		w.sizes = append(w.sizes, uint64(size))
+		w.sizes = append(w.sizes, uint64(w.cw.Offset()-off))
 
 		curIA, prevIA = prevIA, curIA
 		havePrev = true
@@ -169,56 +141,67 @@ func (w *noc3Writer) coreBlocks(core int, m coreMeta, next func() (cpu.Instr, er
 	if n2.err != nil {
 		return n2.err
 	}
-	return w.err
+	return w.cw.Err()
 }
 
 // finish writes the index section and trailer.
 func (w *noc3Writer) finish() error {
-	if w.err != nil {
-		return w.err
+	if err := w.cw.Err(); err != nil {
+		return err
 	}
-	p := w.payload[:0]
-	p = w.fp.Sum(p)
-	p = binary.AppendUvarint(p, uint64(len(w.offsets)))
+	p := &w.payload
+	p.Reset()
+	p.Raw(w.fp.Sum(nil))
+	p.U64(uint64(len(w.offsets)))
 	for i := range w.offsets {
-		p = binary.AppendUvarint(p, w.offsets[i])
-		p = binary.AppendUvarint(p, w.sizes[i])
+		p.U64(w.offsets[i])
+		p.U64(w.sizes[i])
 	}
-	p = binary.AppendUvarint(p, w.rawBytes)
-	p = binary.AppendUvarint(p, w.predCount[predPrev])
-	p = binary.AppendUvarint(p, w.predCount[predPhase])
-	w.payload = p
-	indexOff, _ := w.section(noc3SecIndex, p)
+	p.U64(w.rawBytes)
+	p.U64(w.predCount[predPrev])
+	p.U64(w.predCount[predPhase])
+	indexOff := w.cw.Offset()
+	w.cw.Section(noc3SecIndex, p.Bytes())
 
 	var tr [noc3TrailerBytes]byte
 	binary.LittleEndian.PutUint64(tr[:8], uint64(indexOff))
 	copy(tr[8:], noc3TrailerMagic[:])
-	w.write(tr[:])
-	return w.err
+	w.cw.Raw(tr[:])
+	return w.cw.Err()
 }
 
-func appendString(p []byte, s string) []byte {
-	p = binary.AppendUvarint(p, uint64(len(s)))
-	return append(p, s...)
+// writeNOC3 streams a whole container to dst: the header, then each
+// core's blocks drawn from stream(core), then the index and trailer.
+// blockLen <= 0 selects DefaultBlockLen.
+func writeNOC3(dst io.Writer, h captureHeader, metas []coreMeta, blockLen int, stream func(core int) func() cpu.Instr) error {
+	if blockLen <= 0 {
+		blockLen = DefaultBlockLen
+	}
+	if blockLen > maxBlockLen {
+		return fmt.Errorf("workload: block length %d exceeds the %d cap", blockLen, maxBlockLen)
+	}
+	nw := &noc3Writer{cw: ckpt.NewContainerWriter(dst, noc3Magic, noc3Version), blockLen: blockLen}
+	nw.begin(h, metas)
+	buf := make([]cpu.Instr, blockLen)
+	curIA := make([]uint64, blockLen)
+	prevIA := make([]uint64, blockLen)
+	for i, m := range metas {
+		if err := nw.coreBlocks(i, m, stream(i), buf, curIA, prevIA); err != nil {
+			return err
+		}
+	}
+	return nw.finish()
 }
 
-func appendRegion(p []byte, r Region) []byte {
-	p = binary.AppendUvarint(p, r.Base)
-	return binary.AppendUvarint(p, r.Size)
-}
-
-func f64bits(v float64) uint64 { return math.Float64bits(v) }
-
-// recordMeta validates w and assembles the header and per-core metadata
-// exactly as Record does, so a streamed NOC3 recording and an in-memory
-// NOC2 capture of the same (workload, cores, perCore, seed) agree on
-// every header byte — and therefore on the fingerprint.
+// recordMeta validates a recording of w and assembles its header and
+// per-core metadata. It is the only recording validator: anything it
+// accepts encodes within the reader's caps.
 func recordMeta(w Workload, cores, perCore int, seed uint64) (captureHeader, []coreMeta, error) {
 	if cores < 1 || cores > maxCaptureCores {
-		return captureHeader{}, nil, fmt.Errorf("workload: Record needs 1..%d cores, got %d", maxCaptureCores, cores)
+		return captureHeader{}, nil, fmt.Errorf("workload: recording needs 1..%d cores, got %d", maxCaptureCores, cores)
 	}
 	if perCore < 1 || perCore > maxTrace {
-		return captureHeader{}, nil, fmt.Errorf("workload: Record needs 1..%d instructions per core, got %d", maxTrace, perCore)
+		return captureHeader{}, nil, fmt.Errorf("workload: recording needs 1..%d instructions per core, got %d", maxTrace, perCore)
 	}
 	if len(w.Name()) > maxCaptureName {
 		return captureHeader{}, nil, fmt.Errorf("workload: name %.32q... exceeds the %d-byte capture cap", w.Name(), maxCaptureName)
@@ -227,10 +210,11 @@ func recordMeta(w Workload, cores, perCore int, seed uint64) (captureHeader, []c
 	if lay.Instr.Size > maxCaptureRegion || lay.Hot.Size > maxCaptureRegion {
 		return captureHeader{}, nil, fmt.Errorf("workload: shared region exceeds the %d-byte capture cap", maxCaptureRegion)
 	}
-	limit := w.MaxCores()
-	if limit > cores {
-		limit = cores
-	}
+	// Clamp the recorded limit to the recorded core count: replay can
+	// never drive more cores than were captured, and an Unlimited-wrapped
+	// source would otherwise store a limit the reader's sanity cap
+	// rejects, making the file unreadable.
+	limit := min(w.MaxCores(), cores)
 	hdr := captureHeader{Source: w.Name(), Seed: seed, ScaleLimit: limit, Instr: lay.Instr, Hot: lay.Hot}
 	metas := make([]coreMeta, cores)
 	for i := range metas {
@@ -259,102 +243,65 @@ func WriteNOC3(dst io.Writer, w Workload, cores, perCore int, seed uint64, block
 	if err != nil {
 		return err
 	}
-	if blockLen <= 0 {
-		blockLen = DefaultBlockLen
-	}
-	if blockLen > maxBlockLen {
-		return fmt.Errorf("workload: block length %d exceeds the %d cap", blockLen, maxBlockLen)
-	}
-	nw := &noc3Writer{w: dst, blockLen: blockLen}
-	nw.begin(hdr, metas)
-	buf := make([]cpu.Instr, blockLen)
-	curIA := make([]uint64, blockLen)
-	prevIA := make([]uint64, blockLen)
-	for i, m := range metas {
-		st := w.StreamFor(i, seed)
-		next := func() (cpu.Instr, error) { return st.Next(), nil }
-		if err := nw.coreBlocks(i, m, next, buf, curIA, prevIA); err != nil {
-			return err
-		}
-	}
-	return nw.finish()
+	return writeNOC3(dst, hdr, metas, blockLen, func(core int) func() cpu.Instr {
+		return w.StreamFor(core, seed).Next
+	})
 }
 
 // RecordFile records cores×perCore instructions from w at the given seed
 // into a NOC3 trace file at path — the bounded-memory recording path the
 // CLI's -record-trace uses. Replay it anywhere a workload name is
-// accepted via "trace:<path>".
-func RecordFile(path string, w Workload, cores, perCore int, seed uint64) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := WriteNOC3(bw, w, cores, perCore, seed, 0); err != nil {
-		return err
-	}
-	return bw.Flush()
+// accepted via "trace:<path>". A failed recording leaves an existing file
+// at path untouched.
+func RecordFile(path string, w Workload, cores, perCore int, seed uint64) error {
+	return writeTraceFile(path, func(dst io.Writer) error {
+		return WriteNOC3(dst, w, cores, perCore, seed, 0)
+	})
 }
 
-// ConvertNOC3 re-encodes a decoded NOC2 capture as a NOC3 container. The
-// converted trace replays bit-identically (same streams, same header
-// identity) and fingerprints identically (the hash is computed over the
-// capture's canonical NOC2 encoding either way).
+// ConvertNOC3 re-encodes a NOC2 capture decoded by ReadCapture as a NOC3
+// container. The converted trace replays bit-identically (same streams,
+// same header identity) and fingerprints identically (the hash is
+// computed over the capture's canonical NOC2 encoding either way).
 func ConvertNOC3(dst io.Writer, c *Capture, blockLen int) error {
-	// Reuse Write's refusal set: anything Write would reject is equally
-	// unreadable as NOC3 input.
-	if err := c.Write(io.Discard); err != nil {
-		return err
-	}
-	if blockLen <= 0 {
-		blockLen = DefaultBlockLen
-	}
-	if blockLen > maxBlockLen {
-		return fmt.Errorf("workload: block length %d exceeds the %d cap", blockLen, maxBlockLen)
-	}
-	nw := &noc3Writer{w: dst, blockLen: blockLen}
 	metas := make([]coreMeta, len(c.Cores))
 	for i := range c.Cores {
 		cc := &c.Cores[i]
 		metas[i] = coreMeta{Member: cc.Member, Params: cc.Params, Local: cc.Local, Total: len(cc.Instrs)}
 	}
-	nw.begin(c.header(), metas)
-	buf := make([]cpu.Instr, blockLen)
-	curIA := make([]uint64, blockLen)
-	prevIA := make([]uint64, blockLen)
-	for i, m := range metas {
-		instrs, k := c.Cores[i].Instrs, 0
-		next := func() (cpu.Instr, error) { in := instrs[k]; k++; return in, nil }
-		if err := nw.coreBlocks(i, m, next, buf, curIA, prevIA); err != nil {
-			return err
-		}
-	}
-	return nw.finish()
+	return writeNOC3(dst, c.header(), metas, blockLen, func(core int) func() cpu.Instr {
+		instrs, k := c.Cores[core].Instrs, 0
+		return func() cpu.Instr { in := instrs[k]; k++; return in }
+	})
 }
 
-// ConvertFile upgrades a NOC2 capture file to a NOC3 trace file.
-func ConvertFile(in, out string) (err error) {
-	c, err := LoadCapture(in)
+// ConvertFile upgrades a NOC2 capture file to a NOC3 trace file. A failed
+// conversion leaves an existing file at out untouched.
+func ConvertFile(in, out string) error {
+	f, err := os.Open(in)
 	if err != nil {
-		return err
+		return fmt.Errorf("workload: %w", err)
 	}
-	f, err := os.Create(out)
+	defer f.Close()
+	c, err := ReadCapture(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("workload: capture %s: %w", in, err)
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
+	return writeTraceFile(out, func(dst io.Writer) error { return ConvertNOC3(dst, c, 0) })
+}
+
+// writeTraceFile streams fill's output to path through a buffered
+// same-directory temp file, renamed into place only on success. Traces
+// are world-readable, like a file from os.Create under the usual umask.
+func writeTraceFile(path string, fill func(io.Writer) error) error {
+	return cas.WriteFileFunc(path, func(f *os.File) error {
+		if err := f.Chmod(0o644); err != nil {
+			return err
 		}
-	}()
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := ConvertNOC3(bw, c, 0); err != nil {
-		return err
-	}
-	return bw.Flush()
+		bw := bufio.NewWriterSize(f, 1<<16)
+		if err := fill(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 }

@@ -109,7 +109,7 @@ func Names() []string {
 	return names
 }
 
-// TraceScheme prefixes a capture file path to form a workload name that
+// TraceScheme prefixes a trace file path to form a workload name that
 // Parse resolves by loading the file: "trace:/path/to/ws.noctrace".
 const TraceScheme = "trace:"
 
@@ -156,7 +156,7 @@ func MustRegisterScheme(name string, fn func(spec string) (Workload, error)) {
 
 // Parse resolves a workload from any registered spelling — names and
 // aliases, case-insensitively ("data-serving", "websearch", "WEB Search")
-// — loads a recorded capture via the "trace:<path>" scheme, or hands
+// — loads a recorded trace via the "trace:<path>" scheme, or hands
 // "<scheme>:<spec>" names to their registered scheme (e.g.
 // "opensys:arrival=poisson,...").
 func Parse(s string) (Workload, error) {

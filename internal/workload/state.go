@@ -3,10 +3,10 @@ package workload
 import "nocout/internal/ckpt"
 
 // Checkpoint serialization of the stream cursors. A stream's identity
-// (its Params, trace, or capture) is structural — the restoring chip
-// rebuilds streams from the workload spec — so only the position state
-// travels: program counter, run/phase countdowns, the recent-jump set,
-// replay indices, and RNG positions.
+// (its Params or trace) is structural — the restoring chip rebuilds
+// streams from the workload spec — so only the position state travels:
+// program counter, run/phase countdowns, the recent-jump set, trace
+// (block, offset) cursors, and RNG positions.
 
 // SaveState implements ckpt.Saver.
 func (g *Generator) SaveState(e *ckpt.Enc) {
@@ -66,22 +66,6 @@ func (s *phasedStream) LoadState(d *ckpt.Dec) {
 	}
 }
 
-// SaveState implements ckpt.Saver.
-func (r *replay) SaveState(e *ckpt.Enc) { e.Int(r.i) }
-
-// LoadState implements ckpt.Loader.
-func (r *replay) LoadState(d *ckpt.Dec) {
-	i := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if i < 0 || i >= len(r.t.Instrs) {
-		d.Corrupt("trace cursor %d out of range (%d instructions)", i, len(r.t.Instrs))
-		return
-	}
-	r.i = i
-}
-
 // SaveState implements ckpt.Saver: a NOC3 replay cursor serializes as a
 // (block, offset) pair, so a restore seeks the trace file instead of
 // re-reading the stream — O(keyframeEvery × block) work wherever the
@@ -111,20 +95,4 @@ func (r *blockReplay) LoadState(d *ckpt.Dec) {
 	if err := r.seek(blk, off); err != nil {
 		d.Corrupt("seeking trace to (%d, %d): %v", blk, off, err)
 	}
-}
-
-// SaveState implements ckpt.Saver.
-func (r *coreReplay) SaveState(e *ckpt.Enc) { e.Int(r.i) }
-
-// LoadState implements ckpt.Loader.
-func (r *coreReplay) LoadState(d *ckpt.Dec) {
-	i := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if i < 0 || i >= len(r.instrs) {
-		d.Corrupt("capture cursor %d out of range (%d instructions)", i, len(r.instrs))
-		return
-	}
-	r.i = i
 }

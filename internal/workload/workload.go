@@ -6,8 +6,8 @@
 //
 //   - Synthetic (this file): the six CloudSuite scale-out workloads the
 //     paper evaluates (§5.3);
-//   - Capture (capture.go): recorded traces replayed verbatim, loaded
-//     through the "trace:<path>" scheme;
+//   - Trace (noc3_read.go): recorded NOC3 traces replayed verbatim,
+//     loaded through the "trace:<path>" scheme;
 //   - Mix (mix.go): multiprogrammed per-core member assignment;
 //   - Phased (phased.go): deterministic time-varying phase schedules.
 //

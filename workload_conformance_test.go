@@ -12,8 +12,8 @@ import (
 // This file is the cross-workload conformance suite: every registered
 // workload — builtin synthetic, the Mix/Phased examples, and anything
 // added through RegisterWorkload — is held to the same behavioral
-// contract, and the trace facility is proven end to end (a capture of a
-// builtin reproduces the builtin's Result exactly through Run, a sweep,
+// contract, and the trace facility is proven end to end (a recording of
+// a builtin reproduces the builtin's Result exactly through Run, a sweep,
 // and the "trace:<path>" scheme).
 
 // TestWorkloadRegistryComplete pins the registered workload space: the
@@ -204,16 +204,15 @@ func TestMixPerMemberBreakdown(t *testing.T) {
 	}
 }
 
-// TestTraceReplayReproducesBuiltin is the trace acceptance contract: a
-// capture recorded from a builtin workload, saved to disk, and resolved
-// through the "trace:<path>" scheme reproduces the builtin's
-// Quick-quality Result bit for bit — through Run and through a
-// NewExperiment sweep (the CLI resolves through the same ParseWorkload
-// path).
-func TestTraceReplayReproducesBuiltin(t *testing.T) {
+// TestNOC3TraceReplayReproducesBuiltin is the trace acceptance contract:
+// a workload recorded to a NOC3 trace and resolved through the
+// "trace:<path>" scheme reproduces the builtin's Quick-quality Result bit
+// for bit — through Run and through a NewExperiment sweep (the CLI
+// resolves through the same ParseWorkload path). O(block) replay changes
+// memory behaviour, never measurements.
+func TestNOC3TraceReplayReproducesBuiltin(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
-
 	// A quick-quality run steps Warmup+Window cycles and fetch consumes
 	// at most 3 instructions per cycle, so this recording never wraps.
 	perCore := int(Quick.Warmup+Quick.Window) * 3
@@ -221,12 +220,8 @@ func TestTraceReplayReproducesBuiltin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap, err := RecordWorkload(src, cfg.Cores, perCore, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "mrc.noctrace")
-	if err := cap.Save(path); err != nil {
+	if err := RecordTraceFile(path, src, cfg.Cores, perCore, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,77 +253,6 @@ func TestTraceReplayReproducesBuiltin(t *testing.T) {
 	}
 }
 
-// TestNOC3TraceReplayReproducesBuiltin is the NOC3 acceptance contract:
-// a workload recorded straight to the streaming container, a NOC2
-// capture converted to NOC3, and the original NOC2 file all resolve
-// through "trace:<path>" and reproduce the builtin's Quick-quality
-// Result bit for bit — O(block) replay changes memory behaviour, never
-// measurements.
-func TestNOC3TraceReplayReproducesBuiltin(t *testing.T) {
-	cfg := DefaultConfig(Mesh)
-	cfg.Cores = 16
-	perCore := int(Quick.Warmup+Quick.Window) * 3
-	src, err := ParseWorkload("MapReduce-C")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-
-	noc2 := filepath.Join(dir, "mrc2.noctrace")
-	cap, err := RecordWorkload(src, cfg.Cores, perCore, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cap.Save(noc2); err != nil {
-		t.Fatal(err)
-	}
-	noc3 := filepath.Join(dir, "mrc3.noctrace")
-	if err := RecordTraceFile(noc3, src, cfg.Cores, perCore, cfg.Seed); err != nil {
-		t.Fatal(err)
-	}
-	conv := filepath.Join(dir, "mrc3conv.noctrace")
-	if err := ConvertTrace(noc2, conv); err != nil {
-		t.Fatal(err)
-	}
-
-	want, err := Run(cfg, "MapReduce-C", Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{noc2, noc3, conv} {
-		got, err := Run(cfg, "trace:"+path, Quick)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("replay of %s diverged from the builtin:\nbuiltin %+v\nreplay  %+v", path, want, got)
-		}
-	}
-
-	// The formats fingerprint identically, so a Point's content key — and
-	// with it every campaign/checkpoint cache entry — survives a NOC2 ->
-	// NOC3 migration.
-	w2, err := LoadTrace(noc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w3, err := LoadTrace(noc3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp2, err := FingerprintWorkload(w2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp3, err := FingerprintWorkload(w3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(fp2) != string(fp3) {
-		t.Fatalf("fingerprints diverge across formats:\n%s\n%s", fp2, fp3)
-	}
-}
-
 // TestNOC3TraceReplayPreservesMixBreakdown: a NOC3 recording of a
 // heterogeneous workload replays with the recorded member attribution.
 func TestNOC3TraceReplayPreservesMixBreakdown(t *testing.T) {
@@ -351,30 +275,6 @@ func TestNOC3TraceReplayPreservesMixBreakdown(t *testing.T) {
 	got := RunWorkload(cfg, tf, confQ)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("NOC3 mix replay diverged:\nlive   %+v\nreplay %+v", want, got)
-	}
-	if len(got.PerWorkloadIPC) != 3 {
-		t.Fatalf("replayed breakdown = %v", got.PerWorkloadIPC)
-	}
-}
-
-// TestTraceReplayPreservesMixBreakdown: a capture of a heterogeneous
-// workload replays with the recorded member attribution.
-func TestTraceReplayPreservesMixBreakdown(t *testing.T) {
-	cfg := DefaultConfig(Mesh)
-	cfg.Cores = 8
-	mix, err := ParseWorkload("Consolidated")
-	if err != nil {
-		t.Fatal(err)
-	}
-	perCore := int(confQ.Warmup+confQ.Window) * 3
-	cap, err := RecordWorkload(mix, cfg.Cores, perCore, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RunWorkload(cfg, mix, confQ)
-	got := RunWorkload(cfg, cap, confQ)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("mix capture replay diverged:\nlive   %+v\nreplay %+v", want, got)
 	}
 	if len(got.PerWorkloadIPC) != 3 {
 		t.Fatalf("replayed breakdown = %v", got.PerWorkloadIPC)
