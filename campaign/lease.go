@@ -9,7 +9,7 @@ import (
 
 // Leaser partitions a campaign's points across worker processes with
 // per-key claim files in a shared directory, delegating to the shared
-// cas lease protocol (O_CREATE|O_EXCL claims, rename-arbitrated steal of
+// cas lease protocol (exclusive hard-linked claims, rename-arbitrated steal of
 // expired claims). Leasing is purely an anti-duplication optimization:
 // points are deterministic and the store is idempotent, so the worst
 // case of any race is two workers computing the same point and storing

@@ -70,7 +70,8 @@ func WriteFileFunc(path string, fill func(*os.File) error) error {
 // per-key claim files in a shared directory. The two primitives are both
 // atomic on a local filesystem:
 //
-//   - acquire: O_CREATE|O_EXCL — exactly one process creates the claim;
+//   - acquire: hard link of a complete temp claim — exactly one process
+//     creates the claim, and no process ever sees it half-written;
 //   - steal:   rename of an expired claim — exactly one process wins the
 //     rename, removes the stale file, and retries the exclusive create.
 //
@@ -124,23 +125,16 @@ func (l *Leaser) Acquire(key string) (release func(), ok bool, err error) {
 		ttl = DefaultTTL
 	}
 	path := filepath.Join(l.Dir, key+".lease")
+	body, err := json.Marshal(claim{Owner: l.Owner, Expires: time.Now().Add(ttl).UnixNano()})
+	if err != nil {
+		return nil, false, err
+	}
 	// Two attempts: the first may find an expired claim and steal it;
 	// the second then races the exclusive create. Losing both means
 	// another live worker owns the key this pass.
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		err := createExclusive(path, body)
 		if err == nil {
-			body, merr := json.Marshal(claim{Owner: l.Owner, Expires: time.Now().Add(ttl).UnixNano()})
-			if merr == nil {
-				_, merr = f.Write(body)
-			}
-			if cerr := f.Close(); merr == nil {
-				merr = cerr
-			}
-			if merr != nil {
-				os.Remove(path)
-				return nil, false, merr
-			}
 			return func() { l.release(path) }, true, nil
 		}
 		if !os.IsExist(err) {
@@ -170,6 +164,27 @@ func (l *Leaser) Acquire(key string) (release func(), ok bool, err error) {
 		os.Remove(stale)
 	}
 	return nil, false, nil
+}
+
+// createExclusive creates path holding body, failing with an fs.ErrExist
+// error if path already exists. The body is written to a temp file first
+// and hard-linked into place, so the claim appears complete: a racer
+// never reads a half-written claim, mistakes it for a corrupt one, and
+// steals it from its live owner.
+func createExclusive(path string, body []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".claim-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	_, werr := tmp.Write(body)
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return werr
+	}
+	return os.Link(tmp.Name(), path)
 }
 
 // release removes our claim, if it is still ours: an expired claim may

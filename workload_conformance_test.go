@@ -204,13 +204,12 @@ func TestMixPerMemberBreakdown(t *testing.T) {
 	}
 }
 
-// TestNOC3TraceReplayReproducesBuiltin is the trace acceptance contract:
-// a workload recorded to a NOC3 trace and resolved through the
+// TestTraceReplayReproducesBuiltin is the trace acceptance contract: a
+// workload recorded to a trace file and resolved through the
 // "trace:<path>" scheme reproduces the builtin's Quick-quality Result bit
 // for bit — through Run and through a NewExperiment sweep (the CLI
-// resolves through the same ParseWorkload path). O(block) replay changes
-// memory behaviour, never measurements.
-func TestNOC3TraceReplayReproducesBuiltin(t *testing.T) {
+// resolves through the same ParseWorkload path).
+func TestTraceReplayReproducesBuiltin(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
 	// A quick-quality run steps Warmup+Window cycles and fetch consumes
@@ -250,6 +249,96 @@ func TestNOC3TraceReplayReproducesBuiltin(t *testing.T) {
 	swept := rep.MustGet("Mesh", "MapReduce-C", 0)
 	if !reflect.DeepEqual(want, swept) {
 		t.Fatalf("sweep replay diverged from the builtin:\nbuiltin %+v\nreplay  %+v", want, swept)
+	}
+}
+
+// TestNOC3TraceReplayReproducesBuiltin is the NOC3 container contract: a
+// recording streams into a NOC3 file, LoadTrace opens it as a
+// *TraceFile, and O(block) replay reproduces the live workload's Result
+// bit for bit — it changes memory behaviour, never measurements.
+// Recording is deterministic, so two recordings of the same source
+// fingerprint identically and share every content-addressed cache entry.
+func TestNOC3TraceReplayReproducesBuiltin(t *testing.T) {
+	cfg := DefaultConfig(Mesh)
+	cfg.Cores = 16
+	perCore := int(Quick.Warmup+Quick.Window) * 3
+	src, err := ParseWorkload("MapReduce-C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var fps [][]byte
+	for _, name := range []string{"a.noctrace", "b.noctrace"} {
+		path := filepath.Join(dir, name)
+		if err := RecordTraceFile(path, src, cfg.Cores, perCore, cfg.Seed); err != nil {
+			t.Fatal(err)
+		}
+		info, err := InspectTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Format != "NOC3" {
+			t.Fatalf("RecordTraceFile wrote %s, want NOC3", info.Format)
+		}
+		w, err := LoadTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf, ok := w.(*TraceFile)
+		if !ok {
+			t.Fatalf("LoadTrace returned %T, want *TraceFile", w)
+		}
+		defer tf.Close()
+		fp, err := FingerprintWorkload(tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, fp)
+	}
+	if string(fps[0]) != string(fps[1]) {
+		t.Fatalf("two recordings of one source fingerprint differently:\n%s\n%s", fps[0], fps[1])
+	}
+
+	tf, err := LoadTrace(filepath.Join(dir, "a.noctrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tf.(*TraceFile).Close()
+	want := RunWorkload(cfg, src, Quick)
+	got := RunWorkload(cfg, tf, Quick)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("NOC3 replay diverged from the live workload:\nlive   %+v\nreplay %+v", want, got)
+	}
+}
+
+// TestTraceReplayPreservesMixBreakdown: a trace of a heterogeneous
+// workload, run by name through "trace:<path>", reports the same
+// per-member breakdown as the builtin mix.
+func TestTraceReplayPreservesMixBreakdown(t *testing.T) {
+	cfg := DefaultConfig(Mesh)
+	cfg.Cores = 8
+	mix, err := ParseWorkload("Consolidated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCore := int(confQ.Warmup+confQ.Window) * 3
+	path := filepath.Join(t.TempDir(), "mix.noctrace")
+	if err := RecordTraceFile(path, mix, cfg.Cores, perCore, cfg.Seed); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(cfg, "Consolidated", confQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(cfg, "trace:"+path, confQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("mix trace replay diverged:\nlive   %+v\nreplay %+v", want, got)
+	}
+	if len(got.PerWorkloadIPC) != 3 {
+		t.Fatalf("replayed breakdown = %v", got.PerWorkloadIPC)
 	}
 }
 
