@@ -405,27 +405,15 @@ func run() error {
 		ckpts = st
 	}
 
-	var rep *nocout.Report
-	if *keepGoing {
-		// KeepGoing records a broken point's error in its report row and
-		// finishes the rest of the sweep instead of aborting.
-		sw, err := exp.Sweep()
-		if err != nil {
-			return err
-		}
-		rep, err = (&nocout.Runner{KeepGoing: true, Checkpoints: ckpts}).Run(ctx, sw)
-		if err != nil {
-			return err
-		}
-	} else {
-		sw, err := exp.Sweep()
-		if err != nil {
-			return err
-		}
-		rep, err = (&nocout.Runner{Checkpoints: ckpts}).Run(ctx, sw)
-		if err != nil {
-			return err
-		}
+	sw, err := exp.Sweep()
+	if err != nil {
+		return err
+	}
+	// KeepGoing records a broken point's error in its report row and
+	// finishes the rest of the sweep instead of aborting.
+	rep, err := (&nocout.Runner{KeepGoing: *keepGoing, Checkpoints: ckpts}).Run(ctx, sw)
+	if err != nil {
+		return err
 	}
 
 	if *jsonOut {

@@ -258,9 +258,9 @@ func Figure8() Figure8Result {
 	return Figure8Result{
 		Designs: []string{"Mesh", "Flattened Butterfly", "NOC-Out"},
 		Breakdowns: []physic.Breakdown{
-			physic.MeshArea(64, 8, 128),
-			physic.FBflyArea(64, 8, 128),
-			physic.NOCOutTotalArea(core.DefaultConfig(), 128),
+			Area(DefaultConfig(Mesh)),
+			Area(DefaultConfig(FBfly)),
+			Area(DefaultConfig(NOCOut)),
 		},
 	}
 }

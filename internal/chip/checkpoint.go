@@ -325,10 +325,6 @@ func (c *Chip) loadContainer(cont *ckpt.Container) error {
 	// counters through the same path Warmup uses, then move the clock and
 	// re-arm every component for the cycle after the snapshot.
 	c.resetMeasurementStats()
-	if c.Shard != nil {
-		c.Shard.RestoreAt(cycle)
-	} else {
-		c.Engine.RestoreAt(cycle)
-	}
+	c.clock().RestoreAt(cycle)
 	return nil
 }

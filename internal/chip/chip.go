@@ -349,42 +349,31 @@ func (c *Chip) registerSharded(rn *noc.RouterNetwork) {
 	}
 }
 
-// step advances the chip n cycles through whichever kernel it was built
-// with; flush settles the lazily-accounted counters of sleeping components
-// in every domain. Both are safe only between steps.
-func (c *Chip) step(n sim.Cycle) {
+// clock returns the kernel the chip was built with: the Sharded
+// coordinator of a multi-domain chip, else its Engine. It reads the fields
+// on every call, so a harness that swaps Engine after build is honoured.
+// Stepping, flushing and restoring are safe only between steps.
+func (c *Chip) clock() sim.Clock {
 	if c.Shard != nil {
-		c.Shard.Step(n)
-		return
+		return c.Shard
 	}
-	c.Engine.Step(n)
+	return c.Engine
 }
 
 // FlushAll settles lazy accounting across all domains (Engine.Flush on a
 // single-domain chip). Exposed for tests that hash mid-run state.
-func (c *Chip) FlushAll() {
-	if c.Shard != nil {
-		c.Shard.Flush()
-		return
-	}
-	c.Engine.Flush()
-}
+func (c *Chip) FlushAll() { c.clock().Flush() }
 
 // NowCycle returns the chip-wide clock: all domains agree on it whenever
 // the chip is not mid-step.
-func (c *Chip) NowCycle() sim.Cycle {
-	if c.Shard != nil {
-		return c.Shard.Now()
-	}
-	return c.Engine.Now()
-}
+func (c *Chip) NowCycle() sim.Cycle { return c.clock().Now() }
 
 // --- measurement ------------------------------------------------------------
 
 // Warmup runs n cycles and clears all measurement counters, leaving caches,
 // predictors-of-sorts and queues warm (the SimFlex-style methodology).
 func (c *Chip) Warmup(n sim.Cycle) {
-	c.step(n)
+	c.clock().Step(n)
 	// Sleeping components account stall/utilization counters lazily; settle
 	// them against the warm-up before zeroing.
 	c.FlushAll()
@@ -415,7 +404,7 @@ func (c *Chip) resetMeasurementStats() {
 }
 
 // Run advances the measurement window by n cycles.
-func (c *Chip) Run(n sim.Cycle) { c.step(n) }
+func (c *Chip) Run(n sim.Cycle) { c.clock().Step(n) }
 
 // Metrics summarizes a finished measurement window.
 type Metrics struct {

@@ -86,7 +86,7 @@ var (
 )
 
 func init() {
-	for _, o := range []Organization{meshOrg{}, fbflyOrg{}, nocoutOrg{}, idealOrg{}} {
+	for _, o := range []Organization{meshOrg, fbflyOrg, nocoutOrg{}, idealOrg{}} {
 		if _, err := RegisterOrganization(o); err != nil {
 			panic(err)
 		}

@@ -18,10 +18,10 @@ func (s stubOrg) Name() string          { return s.name }
 func (s stubOrg) Aliases() []string     { return s.aliases }
 func (s stubOrg) DefaultConfig() Config { return Table1Config() }
 func (s stubOrg) Build(cfg Config) *Fabric {
-	return meshOrg{}.Build(cfg)
+	return meshOrg.Build(cfg)
 }
 func (s stubOrg) AreaModel(cfg Config) (physic.Breakdown, physic.BufferKind) {
-	return meshOrg{}.AreaModel(cfg)
+	return meshOrg.AreaModel(cfg)
 }
 
 // resetRegistry snapshots the global registry and restores it on cleanup,

@@ -15,45 +15,63 @@ import (
 // init; extension designs (torus, cmesh, crossbar) live in the public
 // package and register through the same API.
 
-// --- Mesh (Figure 2) --------------------------------------------------------
+// --- Router-based tiled fabrics (Figures 2 and 3, and extensions) ----------
 
-type meshOrg struct{}
+// TiledNet builds a tiled fabric's router network on plan, with the
+// memory channels attached at the aux tiles (none for the area model) and
+// links linkBits wide.
+type TiledNet func(plan topo.Floorplan, aux []noc.NodeID, linkBits int) *noc.RouterNetwork
 
-func (meshOrg) Name() string          { return "Mesh" }
-func (meshOrg) Aliases() []string     { return nil }
-func (meshOrg) DefaultConfig() Config { return Table1Config() }
+// tiledOrg is the Organization of every router-based tiled fabric: a
+// TiledFloorplan chip whose network comes from net and whose buffers are
+// built from kind cells.
+type tiledOrg struct {
+	name    string
+	aliases []string
+	net     TiledNet
+	kind    physic.BufferKind
+}
 
-func (meshOrg) Build(cfg Config) *Fabric {
+// Tiled returns the organization of a router-based tiled fabric: one core,
+// LLC slice and router port per tile (TiledFabric), with its area taken
+// from the routers net builds without memory-channel ports.
+func Tiled(name string, aliases []string, net TiledNet, kind physic.BufferKind) Organization {
+	return tiledOrg{name: name, aliases: aliases, net: net, kind: kind}
+}
+
+func (o tiledOrg) Name() string        { return o.name }
+func (o tiledOrg) Aliases() []string   { return o.aliases }
+func (tiledOrg) DefaultConfig() Config { return Table1Config() }
+
+func (o tiledOrg) Build(cfg Config) *Fabric {
 	plan := topo.TiledFloorplan(cfg.Cores, float64(cfg.LLCMB))
+	rn := o.net(plan, topo.MCTiles(plan, cfg.MemChannels), cfg.LinkBits)
+	return TiledFabric(cfg, plan, rn, rn.Routers)
+}
+
+func (o tiledOrg) AreaModel(cfg Config) (physic.Breakdown, physic.BufferKind) {
+	plan := topo.TiledFloorplan(cfg.Cores, float64(cfg.LLCMB))
+	return physic.RoutersArea(o.net(plan, nil, cfg.LinkBits).Routers, cfg.LinkBits, o.kind), o.kind
+}
+
+// The paper's tiled baselines: the mesh (Figure 2) and the flattened
+// butterfly (Figure 3), whose deep per-distance buffers make SRAM cells
+// the right circuit (§5.2).
+var (
+	meshOrg  = Tiled("Mesh", nil, meshNet, physic.FlipFlop)
+	fbflyOrg = Tiled("Flattened Butterfly", []string{"fbfly", "flattened-butterfly"}, fbflyNet, physic.SRAM)
+)
+
+func meshNet(plan topo.Floorplan, aux []noc.NodeID, _ int) *noc.RouterNetwork {
 	p := topo.DefaultMeshParams(plan)
-	p.AuxTiles = topo.MCTiles(plan, cfg.MemChannels)
-	rn := topo.NewMesh(p)
-	return TiledFabric(cfg, plan, rn, rn.Routers)
+	p.AuxTiles = aux
+	return topo.NewMesh(p)
 }
 
-func (meshOrg) AreaModel(cfg Config) (physic.Breakdown, physic.BufferKind) {
-	return physic.MeshArea(cfg.Cores, float64(cfg.LLCMB), cfg.LinkBits), physic.FlipFlop
-}
-
-// --- Flattened Butterfly (Figure 3) -----------------------------------------
-
-type fbflyOrg struct{}
-
-func (fbflyOrg) Name() string          { return "Flattened Butterfly" }
-func (fbflyOrg) Aliases() []string     { return []string{"fbfly", "flattened-butterfly"} }
-func (fbflyOrg) DefaultConfig() Config { return Table1Config() }
-
-func (fbflyOrg) Build(cfg Config) *Fabric {
-	plan := topo.TiledFloorplan(cfg.Cores, float64(cfg.LLCMB))
+func fbflyNet(plan topo.Floorplan, aux []noc.NodeID, _ int) *noc.RouterNetwork {
 	p := topo.DefaultFBflyParams(plan)
-	p.AuxTiles = topo.MCTiles(plan, cfg.MemChannels)
-	rn := topo.NewFBfly(p)
-	return TiledFabric(cfg, plan, rn, rn.Routers)
-}
-
-func (fbflyOrg) AreaModel(cfg Config) (physic.Breakdown, physic.BufferKind) {
-	// Deep per-distance buffers make SRAM cells the right circuit (§5.2).
-	return physic.FBflyArea(cfg.Cores, float64(cfg.LLCMB), cfg.LinkBits), physic.SRAM
+	p.AuxTiles = aux
+	return topo.NewFBfly(p)
 }
 
 // --- Ideal (Figure 1's wire-only fabric) ------------------------------------

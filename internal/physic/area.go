@@ -11,7 +11,6 @@ import (
 	"nocout/internal/core"
 	"nocout/internal/noc"
 	"nocout/internal/tech"
-	"nocout/internal/topo"
 )
 
 // BufferKind selects the buffer circuit: flip-flops for shallow queues
@@ -80,22 +79,6 @@ func RoutersArea(routers []*noc.Router, linkBits int, kind BufferKind) Breakdown
 	return b
 }
 
-// MeshArea returns the NoC area of the Table 1 tiled mesh.
-func MeshArea(cores int, llcMB float64, linkBits int) Breakdown {
-	plan := topo.TiledFloorplan(cores, llcMB)
-	p := topo.DefaultMeshParams(plan)
-	n := topo.NewMesh(p)
-	return RoutersArea(n.Routers, linkBits, FlipFlop)
-}
-
-// FBflyArea returns the NoC area of the Table 1 flattened butterfly.
-func FBflyArea(cores int, llcMB float64, linkBits int) Breakdown {
-	plan := topo.TiledFloorplan(cores, llcMB)
-	p := topo.DefaultFBflyParams(plan)
-	n := topo.NewFBfly(p)
-	return RoutersArea(n.Routers, linkBits, SRAM)
-}
-
 // NOCOutArea returns the NOC-Out interconnect area split into its three
 // networks (reduction trees, dispersion trees, LLC flattened butterfly),
 // matching §6.2's accounting.
@@ -111,25 +94,6 @@ func NOCOutArea(cfg core.Config, linkBits int) (red, disp, llc Breakdown) {
 func NOCOutTotalArea(cfg core.Config, linkBits int) Breakdown {
 	r, d, l := NOCOutArea(cfg, linkBits)
 	return r.Add(d).Add(l)
-}
-
-// TorusArea returns the NoC area of the folded 2-D torus: mesh-class
-// routers with deeper ring buffers (bubble flow control) and a link budget
-// of two tile pitches per hop.
-func TorusArea(cores int, llcMB float64, linkBits int) Breakdown {
-	plan := topo.TiledFloorplan(cores, llcMB)
-	p := topo.DefaultTorusParams(plan)
-	p.MaxPktFlits = noc.FlitsFor(64, linkBits)
-	n := topo.NewTorus(p)
-	return RoutersArea(n.Routers, linkBits, FlipFlop)
-}
-
-// CMeshArea returns the NoC area of the 4:1 concentrated mesh: a quarter
-// of the mesh's routers at higher radix, with links at twice the pitch.
-func CMeshArea(cores int, llcMB float64, linkBits int) Breakdown {
-	plan := topo.TiledFloorplan(cores, llcMB)
-	n := topo.NewCMesh(topo.DefaultCMeshParams(plan))
-	return RoutersArea(n.Routers, linkBits, FlipFlop)
 }
 
 // LLCPhysical models a memory hierarchy's on-die contribution: the LLC
@@ -151,13 +115,4 @@ func LLCPhysical(llcMB float64, banks, cores int) (storageMM2, dirMM2, leakageW 
 	dirMM2 += float64(banks) * 0.02 // per-bank sequencer/pipeline control
 	leakageW = tech.LeakageWPerMM2 * (storageMM2 + dirMM2)
 	return storageMM2, dirMM2, leakageW
-}
-
-// CrossbarArea returns the NoC area of the central crossbar: one switch
-// whose matrix grows quadratically with the tile count (§2.2), plus the
-// die-spanning spokes to every tile.
-func CrossbarArea(cores int, llcMB float64, linkBits int) Breakdown {
-	plan := topo.TiledFloorplan(cores, llcMB)
-	n := topo.NewCrossbar(topo.DefaultCrossbarParams(plan))
-	return RoutersArea(n.Routers, linkBits, FlipFlop)
 }

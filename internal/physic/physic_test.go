@@ -5,11 +5,40 @@ import (
 
 	"nocout/internal/core"
 	"nocout/internal/noc"
+	"nocout/internal/topo"
 )
 
+// area models a default tiled fabric of cores tiles (8 MB LLC) the way the
+// tiled organizations do: its routers without memory-channel ports.
+func area(net func(topo.Floorplan) *noc.RouterNetwork, cores, linkBits int, kind BufferKind) Breakdown {
+	return RoutersArea(net(topo.TiledFloorplan(cores, 8)).Routers, linkBits, kind)
+}
+
+func meshNet(plan topo.Floorplan) *noc.RouterNetwork {
+	return topo.NewMesh(topo.DefaultMeshParams(plan))
+}
+
+func cmeshNet(plan topo.Floorplan) *noc.RouterNetwork {
+	p := topo.DefaultMeshParams(plan)
+	p.Block = 2
+	return topo.NewMesh(p)
+}
+
+func fbflyNet(plan topo.Floorplan) *noc.RouterNetwork {
+	return topo.NewFBfly(topo.DefaultFBflyParams(plan))
+}
+
+func torusNet(plan topo.Floorplan) *noc.RouterNetwork {
+	return topo.NewTorus(topo.DefaultTorusParams(plan))
+}
+
+func crossbarNet(plan topo.Floorplan) *noc.RouterNetwork {
+	return topo.NewCrossbar(topo.DefaultCrossbarParams(plan))
+}
+
 func TestFigure8AreaAnchors(t *testing.T) {
-	mesh := MeshArea(64, 8, 128)
-	fbfly := FBflyArea(64, 8, 128)
+	mesh := area(meshNet, 64, 128, FlipFlop)
+	fbfly := area(fbflyNet, 64, 128, SRAM)
 	nocout := NOCOutTotalArea(core.DefaultConfig(), 128)
 
 	within := func(name string, got, lo, hi float64) {
@@ -58,7 +87,7 @@ func TestNOCOutAreaComposition(t *testing.T) {
 }
 
 func TestFBflyBreakdownLinkDominated(t *testing.T) {
-	f := FBflyArea(64, 8, 128)
+	f := area(fbflyNet, 64, 128, SRAM)
 	// The paper attributes fbfly's footprint to its link budget and
 	// many-ported routers.
 	if f.Links < f.Buffers {
@@ -72,7 +101,7 @@ func TestFBflyBreakdownLinkDominated(t *testing.T) {
 func TestAreaScalesWithWidth(t *testing.T) {
 	prev := 0.0
 	for _, w := range []int{32, 64, 128, 256} {
-		a := MeshArea(64, 8, w).Total()
+		a := area(meshNet, 64, w, FlipFlop).Total()
 		if a <= prev {
 			t.Fatalf("area must grow with link width: %.2f at %d bits after %.2f", a, w, prev)
 		}
@@ -81,10 +110,10 @@ func TestAreaScalesWithWidth(t *testing.T) {
 }
 
 func TestExtendedDesignAreas(t *testing.T) {
-	mesh := MeshArea(64, 8, 128)
-	torus := TorusArea(64, 8, 128)
-	cmesh := CMeshArea(64, 8, 128)
-	xbar := CrossbarArea(64, 8, 128)
+	mesh := area(meshNet, 64, 128, FlipFlop)
+	torus := area(torusNet, 64, 128, FlipFlop)
+	cmesh := area(cmeshNet, 64, 128, FlipFlop)
+	xbar := area(crossbarNet, 64, 128, FlipFlop)
 	for _, c := range []struct {
 		name string
 		b    Breakdown
@@ -114,15 +143,15 @@ func TestExtendedDesignAreas(t *testing.T) {
 }
 
 func TestCrossbarAreaGrowsSuperlinearly(t *testing.T) {
-	a16 := CrossbarArea(16, 8, 128)
-	a64 := CrossbarArea(64, 8, 128)
+	a16 := area(crossbarNet, 16, 128, FlipFlop)
+	a64 := area(crossbarNet, 64, 128, FlipFlop)
 	if ratio := a64.Crossbar / a16.Crossbar; ratio < 10 {
 		t.Fatalf("central switch should grow quadratically with tiles: 64c/16c = %.1f", ratio)
 	}
 }
 
 func TestPowerModel(t *testing.T) {
-	area := MeshArea(64, 8, 128)
+	area := area(meshNet, 64, 128, FlipFlop)
 	idle := NetworkPower(noc.Stats{}, nil, 10000, 128, area)
 	if idle.LinkW != 0 || idle.RouterW != 0 {
 		t.Fatal("idle network should dissipate only leakage")

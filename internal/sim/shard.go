@@ -63,12 +63,13 @@ type Sharded struct {
 	windowEnd Cycle
 }
 
-// NewSharded returns a coordinator over the domain engines. inEdges[d]
-// lists the staged pipes consumed by domain d; lookahead is the minimum
-// delay over all staged pipes (clamped to at least 1).
+// NewSharded returns a coordinator over two or more domain engines (a
+// single domain is just its Engine). inEdges[d] lists the staged pipes
+// consumed by domain d; lookahead is the minimum delay over all staged
+// pipes (clamped to at least 1).
 func NewSharded(doms []*Engine, inEdges [][]CrossStage, lookahead Cycle) *Sharded {
-	if len(doms) == 0 {
-		panic("sim: NewSharded needs at least one domain")
+	if len(doms) < 2 {
+		panic("sim: NewSharded needs at least two domains")
 	}
 	if len(inEdges) != len(doms) {
 		panic("sim: NewSharded in-edge lists must match domains")
@@ -111,19 +112,6 @@ func (s *Sharded) Flush() {
 // round of the next Step.
 func (s *Sharded) Step(n Cycle) {
 	target := s.now + n
-	if len(s.doms) == 1 {
-		// Degenerate single-domain sharding: no barriers, but staged
-		// self-edges (if any) still need committing.
-		for s.now < target {
-			for _, cp := range s.in[0] {
-				cp.CommitStaged()
-			}
-			w := s.window(target, 0)
-			s.doms[0].Step(w - s.now)
-			s.now = w
-		}
-		return
-	}
 	var wg sync.WaitGroup
 	for d := range s.doms {
 		wg.Add(1)
@@ -136,12 +124,6 @@ func (s *Sharded) Step(n Cycle) {
 // window computes the round's window end from the published horizons.
 // Called by exactly one goroutine per round (the barrier's last arriver).
 func (s *Sharded) window(target Cycle, minN Cycle) Cycle {
-	if minN == 0 { // single-domain fast path: read the engine directly
-		var ok bool
-		if minN, ok = s.doms[0].NextArmed(); !ok {
-			minN = NeverWake
-		}
-	}
 	if minN >= target {
 		return target
 	}
@@ -170,9 +152,6 @@ func (s *Sharded) runDomain(d int, target Cycle, wg *sync.WaitGroup) {
 				if v < minN {
 					minN = v
 				}
-			}
-			if minN == 0 {
-				minN = 1 // never trip window's single-domain path
 			}
 			s.windowEnd = s.window(target, minN)
 		})

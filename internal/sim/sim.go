@@ -112,6 +112,21 @@ type Flusher interface {
 	Flush(now Cycle)
 }
 
+// Clock is the stepping surface shared by the two kernels: one Engine,
+// or a Sharded coordinator over several. A chip drives whichever it was
+// built with through it.
+type Clock interface {
+	Step(n Cycle)
+	Flush()
+	Now() Cycle
+	RestoreAt(at Cycle)
+}
+
+var (
+	_ Clock = (*Engine)(nil)
+	_ Clock = (*Sharded)(nil)
+)
+
 // wakeEntry is one armed (cycle, component) pair in the calendar.
 type wakeEntry struct {
 	at  Cycle

@@ -42,152 +42,64 @@ func FBflyLinkDelay(dist, tilesPerCycle int) sim.Cycle {
 func NewFBfly(p FBflyParams) *noc.RouterNetwork {
 	plan := p.Plan
 	n := plan.NumTiles()
-	rn := noc.NewRouterNetwork(fmt.Sprintf("fbfly%dx%d", plan.Cols, plan.Rows), n+len(p.AuxTiles))
-	routers := make([]*noc.Router, n)
+	t := newTiled(fmt.Sprintf("fbfly%dx%d", plan.Cols, plan.Rows), n, n, p.AuxTiles)
 
-	// rowOut[i][x'] / colOut[i][y'] give output port indices toward column
-	// x' / row y'; -1 for self. Inputs are created pairwise with outputs so
-	// indices coincide.
-	rowOut := make([][]int, n)
-	colOut := make([][]int, n)
-	localOut := make([]int, n)
-	localIn := make([]int, n)
-
+	// rowIn/rowOut[i][x'] and colIn/colOut[i][y'] are router i's port
+	// indices toward column x' / row y'; -1 for self.
+	rowIn, rowOut := make([][]int, n), make([][]int, n)
+	colIn, colOut := make([][]int, n), make([][]int, n)
+	ports := func(r *noc.Router, in, out []int, at int, dim string) {
+		for to := range out {
+			in[to], out[to] = -1, -1
+			if to == at {
+				continue
+			}
+			depth := int(FBflyLinkDelay(abs(to-at), p.TilesPerCycle)) + p.BufSlack
+			name := fmt.Sprintf("%s%d", dim, to)
+			in[to] = r.AddIn(name, depth)
+			out[to] = r.AddOut(name)
+		}
+	}
 	for i := 0; i < n; i++ {
 		id := noc.NodeID(i)
 		x, y := plan.Coord(id)
 		r := noc.NewRouter(id, fmt.Sprintf("fbfly.r%d_%d", x, y), p.PipeDelay, nil)
-		rowOut[i] = make([]int, plan.Cols)
-		colOut[i] = make([]int, plan.Rows)
-		for tx := 0; tx < plan.Cols; tx++ {
-			rowOut[i][tx] = -1
-			if tx == x {
-				continue
-			}
-			dist := abs(tx - x)
-			depth := int(FBflyLinkDelay(dist, p.TilesPerCycle)) + p.BufSlack
-			r.AddIn(fmt.Sprintf("x%d", tx), depth)
-			rowOut[i][tx] = r.AddOut(fmt.Sprintf("x%d", tx))
-		}
-		for ty := 0; ty < plan.Rows; ty++ {
-			colOut[i][ty] = -1
-			if ty == y {
-				continue
-			}
-			dist := abs(ty - y)
-			depth := int(FBflyLinkDelay(dist, p.TilesPerCycle)) + p.BufSlack
-			r.AddIn(fmt.Sprintf("y%d", ty), depth)
-			colOut[i][ty] = r.AddOut(fmt.Sprintf("y%d", ty))
-		}
-		localIn[i] = r.AddIn("local", p.BufSlack)
-		localOut[i] = r.AddOut("local")
-		routers[i] = r
+		t.routers[i] = r
+		rowIn[i], rowOut[i] = make([]int, plan.Cols), make([]int, plan.Cols)
+		colIn[i], colOut[i] = make([]int, plan.Rows), make([]int, plan.Rows)
+		ports(r, rowIn[i], rowOut[i], x, "x")
+		ports(r, colIn[i], colOut[i], y, "y")
+		t.local(i, i, "local", p.BufSlack)
 	}
+	t.addAux(p.BufSlack)
 
-	// Auxiliary endpoints on dedicated ports.
-	auxOut := make(map[int]map[int]int)
-	auxIn := make(map[int]map[int]int)
-	for k, tile := range p.AuxTiles {
-		r := routers[int(tile)]
-		if auxOut[int(tile)] == nil {
-			auxOut[int(tile)] = map[int]int{}
-			auxIn[int(tile)] = map[int]int{}
+	// Routing: X dimension first, then Y — at most 2 hops.
+	t.route(func(from, to int) int {
+		fx, _ := plan.Coord(noc.NodeID(from))
+		tx, ty := plan.Coord(noc.NodeID(to))
+		if tx != fx {
+			return rowOut[from][tx]
 		}
-		auxIn[int(tile)][k] = r.AddIn(fmt.Sprintf("aux%d", k), p.BufSlack)
-		auxOut[int(tile)][k] = r.AddOut(fmt.Sprintf("aux%d", k))
-	}
+		return colOut[from][ty]
+	})
 
-	// Routing: X dimension first, then Y, then eject — at most 2 hops.
-	for i := 0; i < n; i++ {
-		i := i
-		x, y := plan.Coord(noc.NodeID(i))
-		routers[i].SetRoute(func(pk *noc.Packet) int {
-			dst := pk.Dst
-			if int(dst) >= n {
-				k := int(dst) - n
-				tile := p.AuxTiles[k]
-				if int(tile) == i {
-					return auxOut[i][k]
-				}
-				dst = tile
-			}
-			dx, dy := plan.Coord(dst)
-			switch {
-			case dx != x:
-				return rowOut[i][dx]
-			case dy != y:
-				return colOut[i][dy]
-			default:
-				return localOut[i]
-			}
-		})
+	// Wire each pair once, from the lower coordinate: router i at position
+	// a and router j at position b > a along one dimension.
+	rs := t.routers
+	link := func(i, j, a, b int, in, out [][]int, pitch float64) {
+		delay := FBflyLinkDelay(b-a, p.TilesPerCycle)
+		lenMM := float64(b-a) * pitch
+		noc.Connect(rs[i], out[i][b], rs[j], in[j][a], delay, lenMM)
+		noc.Connect(rs[j], out[j][a], rs[i], in[i][b], delay, lenMM)
 	}
-
-	// Input port indices mirror output construction order: row ports for
-	// every tx != x (ascending), then column ports for every ty != y, then
-	// local.
-	inRow := func(i, tx int) int {
-		x, _ := plan.Coord(noc.NodeID(i))
-		idx := 0
-		for t := 0; t < plan.Cols; t++ {
-			if t == x {
-				continue
-			}
-			if t == tx {
-				return idx
-			}
-			idx++
-		}
-		panic("topo: fbfly row input not found")
-	}
-	inCol := func(i, ty int) int {
-		x, y := plan.Coord(noc.NodeID(i))
-		_ = x
-		idx := plan.Cols - 1
-		for t := 0; t < plan.Rows; t++ {
-			if t == y {
-				continue
-			}
-			if t == ty {
-				return idx
-			}
-			idx++
-		}
-		panic("topo: fbfly col input not found")
-	}
-
 	for i := 0; i < n; i++ {
 		x, y := plan.Coord(noc.NodeID(i))
-		// Row links toward higher x (the reverse direction is wired from
-		// the peer's iteration).
 		for tx := x + 1; tx < plan.Cols; tx++ {
-			j := int(plan.Node(tx, y))
-			dist := tx - x
-			delay := FBflyLinkDelay(dist, p.TilesPerCycle)
-			lenMM := float64(dist) * plan.TileW
-			noc.Connect(routers[i], rowOut[i][tx], routers[j], inRow(j, x), delay, lenMM)
-			noc.Connect(routers[j], rowOut[j][x], routers[i], inRow(i, tx), delay, lenMM)
+			link(i, int(plan.Node(tx, y)), x, tx, rowIn, rowOut, plan.TileW)
 		}
 		for ty := y + 1; ty < plan.Rows; ty++ {
-			j := int(plan.Node(x, ty))
-			dist := ty - y
-			delay := FBflyLinkDelay(dist, p.TilesPerCycle)
-			lenMM := float64(dist) * plan.TileH
-			noc.Connect(routers[i], colOut[i][ty], routers[j], inCol(j, y), delay, lenMM)
-			noc.Connect(routers[j], colOut[j][y], routers[i], inCol(i, ty), delay, lenMM)
+			link(i, int(plan.Node(x, ty)), y, ty, colIn, colOut, plan.TileH)
 		}
 	}
-
-	for i := 0; i < n; i++ {
-		ni := noc.NewNI(noc.NodeID(i), rn.StatsRef())
-		noc.ConnectNI(ni, routers[i], localIn[i], localOut[i], 1, 1, p.EjectBuf)
-		rn.NIs[i] = ni
-	}
-	for k, tile := range p.AuxTiles {
-		ni := noc.NewNI(noc.NodeID(n+k), rn.StatsRef())
-		noc.ConnectNI(ni, routers[int(tile)], auxIn[int(tile)][k], auxOut[int(tile)][k], 1, 1, p.EjectBuf)
-		rn.NIs[n+k] = ni
-	}
-	rn.Routers = routers
-	return rn
+	return t.attach(p.EjectBuf)
 }

@@ -1,8 +1,17 @@
 // Package topo builds the conventional interconnect organizations the paper
-// evaluates against: the tiled mesh (Figure 2), the richly connected
-// flattened butterfly (Figure 3), and the idealized wire-delay-only fabric
-// used in Figure 1. It also owns the chip floorplan geometry that converts
-// tile positions into wire lengths and cycles.
+// evaluates against, and the idealized wire-delay-only fabric used in
+// Figure 1 (NewIdeal). The router-based tiled fabrics have five builders:
+//
+//   - NewMesh: the tiled mesh of Figure 2 and, with MeshParams.Block 2,
+//     the 4:1 concentrated mesh (CMesh);
+//   - NewFBfly: the richly connected flattened butterfly of Figure 3;
+//   - NewTorus: the folded 2-D torus;
+//   - NewCrossbar: the §2.2 central crossbar.
+//
+// Mesh, torus and flattened butterfly share one skeleton (tiled.go) for
+// aux ports, routing and NI attachment. The package also owns the chip
+// floorplan geometry that converts tile positions into wire lengths and
+// cycles.
 package topo
 
 import (

@@ -7,29 +7,36 @@ import (
 	"nocout/internal/sim"
 )
 
-// MeshParams configures the baseline tiled mesh of §5.1: 5-port routers,
-// 3 VCs/port, 5 flits/VC, 2-stage speculative pipeline, 1-cycle links —
-// 3 cycles per hop at zero load.
+// MeshParams configures the XY grid fabrics: the baseline tiled mesh of
+// §5.1 (5-port routers, 3 VCs/port, 5 flits/VC, 2-stage speculative
+// pipeline, 1-cycle links — 3 cycles per hop at zero load) and its
+// concentrated variant, where a Block×Block square of tiles shares one
+// router. A 4:1 CMesh (Block 2) needs only 16 routers for 64 tiles, at
+// twice the link pitch and higher radix — the classic CMP compromise
+// between the mesh's per-tile routers and the flattened butterfly's wire
+// budget.
 type MeshParams struct {
 	Plan      Floorplan
+	Block     int       // tiles per router side: 1 = mesh, 2 = 4:1 CMesh
 	BufFlits  int       // flits per VC per input port (default 5)
 	PipeDelay sim.Cycle // router pipeline (default 2)
 	LinkDelay sim.Cycle // per-hop link traversal (default 1)
 	EjectBuf  int       // NI eject buffering per VC (default 8)
 
 	// AuxTiles attaches auxiliary endpoints (memory controllers and other
-	// off-die interfaces) through dedicated router ports. The k-th entry
-	// is the tile whose router hosts aux node NumTiles+k.
+	// off-die interfaces) through dedicated ports on the router serving
+	// the tile. The k-th entry hosts aux node NumTiles+k.
 	AuxTiles []noc.NodeID
 }
 
-// DefaultMeshParams returns the Table 1 mesh configuration on plan.
+// DefaultMeshParams returns the Table 1 mesh configuration on plan; set
+// Block to 2 for the concentrated mesh.
 func DefaultMeshParams(plan Floorplan) MeshParams {
-	return MeshParams{Plan: plan, BufFlits: 5, PipeDelay: 2, LinkDelay: 1, EjectBuf: 8}
+	return MeshParams{Plan: plan, Block: 1, BufFlits: 5, PipeDelay: 2, LinkDelay: 1, EjectBuf: 8}
 }
 
 // Mesh port layout: outputs/inputs 0..3 are N, E, S, W (present only when
-// the neighbour exists), and the last is the local/NI port.
+// the neighbour exists), then one local port per served tile.
 const (
 	dirN = iota
 	dirE
@@ -37,126 +44,80 @@ const (
 	dirW
 )
 
-// NewMesh builds a 2-D mesh with XY dimension-order routing.
+// NewMesh builds the grid with XY dimension-order routing over its
+// routers. Tiles keep their floorplan NodeIDs; tile (x, y) attaches to
+// router (x/Block, y/Block), in row-major order within the block.
 func NewMesh(p MeshParams) *noc.RouterNetwork {
-	plan := p.Plan
-	n := plan.NumTiles()
-	rn := noc.NewRouterNetwork(fmt.Sprintf("mesh%dx%d", plan.Cols, plan.Rows), n+len(p.AuxTiles))
-	routers := make([]*noc.Router, n)
-	// outIdx[node][dir] is the output-port index for that direction;
-	// -1 when the neighbour does not exist. Local port index is stored at
-	// localOut[node].
-	outIdx := make([][4]int, n)
-	localOut := make([]int, n)
-	localInPort := make([]int, n)
-
-	for i := 0; i < n; i++ {
-		id := noc.NodeID(i)
-		x, y := plan.Coord(id)
-		r := noc.NewRouter(id, fmt.Sprintf("mesh.r%d_%d", x, y), p.PipeDelay, nil)
-		for d := 0; d < 4; d++ {
-			outIdx[i][d] = -1
-		}
-		for d, ok := range meshNeighbors(plan, x, y) {
-			if !ok {
-				continue
-			}
-			r.AddIn(dirName(d), p.BufFlits)
-			outIdx[i][d] = r.AddOut(dirName(d))
-		}
-		localInPort[i] = r.AddIn("local", p.BufFlits)
-		localOut[i] = r.AddOut("local")
-		routers[i] = r
+	plan, b := p.Plan, p.Block
+	if b < 1 || plan.Cols%b != 0 || plan.Rows%b != 0 {
+		panic(fmt.Sprintf("topo: %dx%d tiles do not split into %dx%d router blocks", plan.Cols, plan.Rows, b, b))
 	}
-
-	// Auxiliary endpoints: dedicated ports on their host routers.
-	auxOut := make(map[int]map[int]int) // router -> aux index -> out port
-	auxIn := make(map[int]map[int]int)
-	for k, tile := range p.AuxTiles {
-		r := routers[int(tile)]
-		if auxOut[int(tile)] == nil {
-			auxOut[int(tile)] = map[int]int{}
-			auxIn[int(tile)] = map[int]int{}
-		}
-		auxIn[int(tile)][k] = r.AddIn(fmt.Sprintf("aux%d", k), p.BufFlits)
-		auxOut[int(tile)][k] = r.AddOut(fmt.Sprintf("aux%d", k))
+	kind := "mesh"
+	if b > 1 {
+		kind = "cmesh"
 	}
+	// The router grid reuses Floorplan geometry at b times the tile pitch.
+	grid := Floorplan{Cols: plan.Cols / b, Rows: plan.Rows / b, TileW: float64(b) * plan.TileW, TileH: float64(b) * plan.TileH}
+	nr := grid.NumTiles()
+	t := newTiled(fmt.Sprintf("%s%dx%d", kind, grid.Cols, grid.Rows), plan.NumTiles(), nr, p.AuxTiles)
+	// in/out[i][dir] are router i's port indices per direction; -1 when
+	// the neighbour does not exist.
+	in := make([][4]int, nr)
+	out := make([][4]int, nr)
 
-	// Routing: X first, then Y, then eject (aux nodes route toward their
-	// host tile, then out the dedicated port).
-	for i := 0; i < n; i++ {
-		i := i
-		x, y := plan.Coord(noc.NodeID(i))
-		routers[i].SetRoute(func(pk *noc.Packet) int {
-			dst := pk.Dst
-			if int(dst) >= n {
-				k := int(dst) - n
-				tile := p.AuxTiles[k]
-				if int(tile) == i {
-					return auxOut[i][k]
-				}
-				dst = tile
-			}
-			dx, dy := plan.Coord(dst)
-			switch {
-			case dx > x:
-				return outIdx[i][dirE]
-			case dx < x:
-				return outIdx[i][dirW]
-			case dy > y:
-				return outIdx[i][dirS]
-			case dy < y:
-				return outIdx[i][dirN]
-			default:
-				return localOut[i]
-			}
-		})
-	}
-
-	// Wire neighbouring routers. Input-port indices mirror output-port
-	// construction order, so recompute them the same way.
-	inIdx := make([][4]int, n)
-	for i := 0; i < n; i++ {
-		x, y := plan.Coord(noc.NodeID(i))
-		idx := 0
-		for d := 0; d < 4; d++ {
-			inIdx[i][d] = -1
-			if meshNeighbors(plan, x, y)[d] {
-				inIdx[i][d] = idx
-				idx++
+	for i := 0; i < nr; i++ {
+		x, y := grid.Coord(noc.NodeID(i))
+		r := noc.NewRouter(noc.NodeID(i), fmt.Sprintf("%s.r%d_%d", kind, x, y), p.PipeDelay, nil)
+		t.routers[i] = r
+		for d, ok := range meshNeighbors(grid, x, y) {
+			in[i][d], out[i][d] = -1, -1
+			if ok {
+				in[i][d] = r.AddIn(dirName(d), p.BufFlits)
+				out[i][d] = r.AddOut(dirName(d))
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		x, y := plan.Coord(noc.NodeID(i))
-		if outIdx[i][dirE] >= 0 {
-			j := int(plan.Node(x+1, y))
-			lenMM := plan.TileW
-			noc.Connect(routers[i], outIdx[i][dirE], routers[j], inIdx[j][dirW], p.LinkDelay, lenMM)
-			noc.Connect(routers[j], outIdx[j][dirW], routers[i], inIdx[i][dirE], p.LinkDelay, lenMM)
-		}
-		if outIdx[i][dirS] >= 0 {
-			j := int(plan.Node(x, y+1))
-			lenMM := plan.TileH
-			noc.Connect(routers[i], outIdx[i][dirS], routers[j], inIdx[j][dirN], p.LinkDelay, lenMM)
-			noc.Connect(routers[j], outIdx[j][dirN], routers[i], inIdx[i][dirS], p.LinkDelay, lenMM)
+		for k := 0; k < b*b; k++ {
+			name := "local"
+			if b > 1 {
+				name = fmt.Sprintf("c%d", k)
+			}
+			t.local(int(plan.Node(x*b+k%b, y*b+k/b)), i, name, p.BufFlits)
 		}
 	}
+	t.addAux(p.BufFlits)
 
-	// NIs on the local ports.
-	for i := 0; i < n; i++ {
-		ni := noc.NewNI(noc.NodeID(i), rn.StatsRef())
-		localIn := localInPort[i]
-		noc.ConnectNI(ni, routers[i], localIn, localOut[i], 1, 1, p.EjectBuf)
-		rn.NIs[i] = ni
+	// Routing: X first over the router grid, then Y.
+	t.route(func(from, to int) int {
+		fx, fy := grid.Coord(noc.NodeID(from))
+		tx, ty := grid.Coord(noc.NodeID(to))
+		switch {
+		case tx > fx:
+			return out[from][dirE]
+		case tx < fx:
+			return out[from][dirW]
+		case ty > fy:
+			return out[from][dirS]
+		default:
+			return out[from][dirN]
+		}
+	})
+
+	// Wire neighbouring routers at the grid pitch.
+	rs := t.routers
+	for i := 0; i < nr; i++ {
+		x, y := grid.Coord(noc.NodeID(i))
+		if out[i][dirE] >= 0 {
+			j := int(grid.Node(x+1, y))
+			noc.Connect(rs[i], out[i][dirE], rs[j], in[j][dirW], p.LinkDelay, grid.TileW)
+			noc.Connect(rs[j], out[j][dirW], rs[i], in[i][dirE], p.LinkDelay, grid.TileW)
+		}
+		if out[i][dirS] >= 0 {
+			j := int(grid.Node(x, y+1))
+			noc.Connect(rs[i], out[i][dirS], rs[j], in[j][dirN], p.LinkDelay, grid.TileH)
+			noc.Connect(rs[j], out[j][dirN], rs[i], in[i][dirS], p.LinkDelay, grid.TileH)
+		}
 	}
-	for k, tile := range p.AuxTiles {
-		ni := noc.NewNI(noc.NodeID(n+k), rn.StatsRef())
-		noc.ConnectNI(ni, routers[int(tile)], auxIn[int(tile)][k], auxOut[int(tile)][k], 1, 1, p.EjectBuf)
-		rn.NIs[n+k] = ni
-	}
-	rn.Routers = routers
-	return rn
+	return t.attach(p.EjectBuf)
 }
 
 // meshNeighbors reports which of N,E,S,W neighbours exist at (x, y).

@@ -64,70 +64,37 @@ func NewTorus(p TorusParams) *noc.RouterNetwork {
 	if p.BufFlits < 2*p.MaxPktFlits {
 		panic("topo: torus ring buffers must hold two maximum packets (bubble flow control)")
 	}
-	rn := noc.NewRouterNetwork(fmt.Sprintf("torus%dx%d", plan.Cols, plan.Rows), n+len(p.AuxTiles))
-	routers := make([]*noc.Router, n)
-	inDir := make([][]int, n)  // inDir[i][d] = input-port index receiving direction-d traffic
-	outDir := make([][]int, n) // outDir[i][d] = output-port index sending direction-d traffic
-	localIn := make([]int, n)
-	localOut := make([]int, n)
+	t := newTiled(fmt.Sprintf("torus%dx%d", plan.Cols, plan.Rows), n, n, p.AuxTiles)
+	inDir := make([][torusDirs]int, n)  // inDir[i][d] = input-port index receiving direction-d traffic
+	outDir := make([][torusDirs]int, n) // outDir[i][d] = output-port index sending direction-d traffic
 
 	dirName := [...]string{"px", "nx", "py", "ny"}
 	for i := 0; i < n; i++ {
 		id := noc.NodeID(i)
 		x, y := plan.Coord(id)
 		r := noc.NewRouter(id, fmt.Sprintf("torus.r%d_%d", x, y), p.PipeDelay, nil)
-		inDir[i] = make([]int, torusDirs)
-		outDir[i] = make([]int, torusDirs)
+		t.routers[i] = r
 		for d := 0; d < torusDirs; d++ {
 			inDir[i][d] = r.AddIn(dirName[d], p.BufFlits)
 			outDir[i][d] = r.AddOut(dirName[d])
 		}
-		localIn[i] = r.AddIn("local", p.BufFlits)
-		localOut[i] = r.AddOut("local")
-		routers[i] = r
+		t.local(i, i, "local", p.BufFlits)
 	}
+	t.addAux(p.BufFlits)
 
-	// Auxiliary endpoints: dedicated ports on their host routers.
-	auxOut := make(map[int]map[int]int)
-	auxIn := make(map[int]map[int]int)
-	for k, tile := range p.AuxTiles {
-		r := routers[int(tile)]
-		if auxOut[int(tile)] == nil {
-			auxOut[int(tile)] = map[int]int{}
-			auxIn[int(tile)] = map[int]int{}
+	// Routing: X ring first, then Y ring.
+	t.route(func(from, to int) int {
+		fx, fy := plan.Coord(noc.NodeID(from))
+		tx, ty := plan.Coord(noc.NodeID(to))
+		if tx != fx {
+			return outDir[from][ringDir(fx, tx, plan.Cols, torusPosX, torusNegX)]
 		}
-		auxIn[int(tile)][k] = r.AddIn(fmt.Sprintf("aux%d", k), p.BufFlits)
-		auxOut[int(tile)][k] = r.AddOut(fmt.Sprintf("aux%d", k))
-	}
-
-	// Routing: X ring first, then Y ring, then eject.
-	for i := 0; i < n; i++ {
-		i := i
-		x, y := plan.Coord(noc.NodeID(i))
-		routers[i].SetRoute(func(pk *noc.Packet) int {
-			dst := pk.Dst
-			if int(dst) >= n {
-				k := int(dst) - n
-				tile := p.AuxTiles[k]
-				if int(tile) == i {
-					return auxOut[i][k]
-				}
-				dst = tile
-			}
-			dx, dy := plan.Coord(dst)
-			switch {
-			case dx != x:
-				return outDir[i][ringDir(x, dx, plan.Cols, torusPosX, torusNegX)]
-			case dy != y:
-				return outDir[i][ringDir(y, dy, plan.Rows, torusPosY, torusNegY)]
-			default:
-				return localOut[i]
-			}
-		})
-	}
+		return outDir[from][ringDir(fy, ty, plan.Rows, torusPosY, torusNegY)]
+	})
 
 	// Wire the rings. A folded layout makes every link — including the
 	// wraps — span two tile pitches.
+	routers := t.routers
 	for i := 0; i < n; i++ {
 		x, y := plan.Coord(noc.NodeID(i))
 		ex := int(plan.Node((x+1)%plan.Cols, y))
@@ -158,20 +125,7 @@ func NewTorus(p TorusParams) *noc.RouterNetwork {
 			return size + p.MaxPktFlits // ring entry: leave a max-packet bubble
 		})
 	}
-
-	// NIs on the local ports.
-	for i := 0; i < n; i++ {
-		ni := noc.NewNI(noc.NodeID(i), rn.StatsRef())
-		noc.ConnectNI(ni, routers[i], localIn[i], localOut[i], 1, 1, p.EjectBuf)
-		rn.NIs[i] = ni
-	}
-	for k, tile := range p.AuxTiles {
-		ni := noc.NewNI(noc.NodeID(n+k), rn.StatsRef())
-		noc.ConnectNI(ni, routers[int(tile)], auxIn[int(tile)][k], auxOut[int(tile)][k], 1, 1, p.EjectBuf)
-		rn.NIs[n+k] = ni
-	}
-	rn.Routers = routers
-	return rn
+	return t.attach(p.EjectBuf)
 }
 
 // ringDir picks the travel direction from ring position at to position to

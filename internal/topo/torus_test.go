@@ -90,7 +90,9 @@ func TestTorusAuxEndpoints(t *testing.T) {
 
 func TestCMeshConcentratesRouting(t *testing.T) {
 	plan := TiledFloorplan(64, 8)
-	cm := NewCMesh(DefaultCMeshParams(plan))
+	mp := DefaultMeshParams(plan)
+	mp.Block = 2
+	cm := NewMesh(mp)
 	if len(cm.Routers) != 16 {
 		t.Fatalf("cmesh routers = %d, want 16 (4:1 concentration)", len(cm.Routers))
 	}
@@ -109,9 +111,10 @@ func TestCMeshConcentratesRouting(t *testing.T) {
 
 func TestCMeshDeliversAllPairsWithAux(t *testing.T) {
 	plan := TiledFloorplan(16, 8)
-	p := DefaultCMeshParams(plan)
+	p := DefaultMeshParams(plan)
+	p.Block = 2
 	p.AuxTiles = MCTiles(plan, 4)
-	cm := NewCMesh(p)
+	cm := NewMesh(p)
 	e := sim.NewEngine()
 	e.Register(cm)
 	delivered := 0

@@ -439,7 +439,7 @@ func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, d
 					Design:      cfg.Design,
 					Workload:    w.Name(),
 					ActiveCores: m.ActiveCores,
-					NoCPower:    powerOf(c, scfg, int64(q.Window)),
+					NoCPower:    powerOf(c, int64(q.Window)),
 				}
 				if cfg.Hierarchy != chip.SharedNUCA {
 					o.res.Hierarchy = cfg.Hierarchy.String()
@@ -501,8 +501,10 @@ func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, d
 }
 
 // powerOf computes the run's NoC power with the design's area and buffer
-// technology.
-func powerOf(c *chip.Chip, cfg Config, cycles int64) physic.Power {
+// technology, at the configuration the chip resolved and simulated (a
+// zero LinkBits, for one, runs at the chip's 128-bit default).
+func powerOf(c *chip.Chip, cycles int64) physic.Power {
+	cfg := c.Cfg
 	area, kind, err := AreaModel(cfg)
 	if err != nil {
 		// chip.New resolved the same organization to build c, so this is

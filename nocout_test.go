@@ -27,6 +27,31 @@ func TestRunFacade(t *testing.T) {
 	}
 }
 
+// TestPowerUsesResolvedLinkBits: a zero LinkBits simulates at the chip's
+// 128-bit default, so the reported NoC power must be the 128-bit power
+// too, not a 0-bit area model's (which is near zero for the mesh and
+// panics for the torus, whose bubble thresholds need a packet size).
+func TestPowerUsesResolvedLinkBits(t *testing.T) {
+	q := Quality{Warmup: 1000, Window: 2000, Seeds: 1}
+	for _, d := range []Design{Mesh, Torus} {
+		cfg := DefaultConfig(d)
+		cfg.Cores = 16
+		want, err := Run(cfg, "Data Serving", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.LinkBits = 0
+		got, err := Run(cfg, "Data Serving", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.AggIPC != want.AggIPC || got.NoCPower != want.NoCPower {
+			t.Errorf("%v at LinkBits 0: IPC %v, power %+v; want the 128-bit IPC %v, power %+v",
+				d, got.AggIPC, got.NoCPower, want.AggIPC, want.NoCPower)
+		}
+	}
+}
+
 func TestRunUnknownWorkload(t *testing.T) {
 	if _, err := Run(DefaultConfig(Mesh), "Quake", tiny); err == nil {
 		t.Fatal("unknown workload must error")
