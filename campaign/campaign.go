@@ -83,6 +83,9 @@ func (m *Manifest) Validate() error {
 	if len(m.Keys) != len(m.Points) {
 		return fmt.Errorf("campaign: manifest has %d keys for %d points", len(m.Keys), len(m.Points))
 	}
+	if err := m.Quality.Validate(); err != nil {
+		return fmt.Errorf("campaign: manifest: %w", err)
+	}
 	seen := make(map[string]bool, len(m.Keys))
 	for i, k := range m.Keys {
 		if !ValidKey(k) {

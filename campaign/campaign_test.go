@@ -250,6 +250,32 @@ func TestCreateVerifiesIdentity(t *testing.T) {
 	}
 }
 
+// TestManifestRejectsNegativeQuality: a sweep built by hand with a
+// negative window creates no campaign, and a manifest carrying one does
+// not open.
+func TestManifestRejectsNegativeQuality(t *testing.T) {
+	sw := testSweep(t)
+	sw.Quality.Window = -1
+	dir := t.TempDir()
+	if _, err := campaign.Create(dir, sw); !errors.Is(err, nocout.ErrBadQuality) {
+		t.Fatalf("Create with a negative window = %v, want ErrBadQuality", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a rejected sweep must write no manifest (stat: %v)", err)
+	}
+
+	good := t.TempDir()
+	c, err := campaign.Create(good, testSweep(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := c.Manifest()
+	man.Quality.Warmup = -6000
+	if err := man.Validate(); !errors.Is(err, nocout.ErrBadQuality) {
+		t.Fatalf("manifest with a negative warmup validates as %v, want ErrBadQuality", err)
+	}
+}
+
 // TestLeaser exercises the claim-file protocol directly: exclusive
 // acquisition, denial while live, owner-checked release, and stealing
 // after expiry.

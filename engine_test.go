@@ -3,6 +3,7 @@ package nocout
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -59,6 +60,24 @@ func TestSweepErrors(t *testing.T) {
 	_, err := NewExperiment(WithDesigns(Mesh), WithWorkloads("Quake")).Sweep()
 	if err == nil || !strings.Contains(err.Error(), "Quake") {
 		t.Fatalf("unknown workload error = %v", err)
+	}
+}
+
+// TestSweepRejectsNegativeQuality pins the named error for a warmup or
+// window below zero, which would otherwise reach the kernel as a
+// negative Step.
+func TestSweepRejectsNegativeQuality(t *testing.T) {
+	for _, q := range []Quality{
+		{Warmup: -1, Window: 100, Seeds: 1},
+		{Warmup: 100, Window: -5, Seeds: 1},
+	} {
+		_, err := NewExperiment(WithDesigns(Mesh), WithWorkloads("SAT Solver"), WithQuality(q)).Sweep()
+		if !errors.Is(err, ErrBadQuality) {
+			t.Fatalf("quality %+v: Sweep error = %v, want ErrBadQuality", q, err)
+		}
+	}
+	if _, err := NewExperiment(WithDesigns(Mesh), WithWorkloads("SAT Solver"), WithQuality(Quality{Seeds: 1})).Sweep(); err != nil {
+		t.Fatalf("zero-length quality must still expand: %v", err)
 	}
 }
 

@@ -242,6 +242,9 @@ func (e *Experiment) Sweep() (Sweep, error) {
 	if len(e.variants) == 0 {
 		return Sweep{}, fmt.Errorf("nocout: experiment has no variants; use WithDesigns or WithVariant")
 	}
+	if err := e.quality.Validate(); err != nil {
+		return Sweep{}, err
+	}
 	variants, err := e.expandHierarchies()
 	if err != nil {
 		return Sweep{}, err

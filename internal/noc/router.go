@@ -50,6 +50,7 @@ type Router struct {
 	allCands []Cand // cached round-robin candidate cross product
 	numVCs   int    // implemented VCs (area accounting); 0 = NumClasses
 	flits    int64  // flits routed through this router (energy accounting)
+	buffered int    // flits held in input VCs: enqueue adds, a grant removes, LoadState recounts
 	headRoom HeadRoomFunc
 
 	// flitsFolded marks how much of flits has been drained into the
@@ -101,6 +102,12 @@ type InPort struct {
 	vcs       [NumClasses]flitRing
 	in        *sim.Pipe[Flit]
 	creditOut *sim.Pipe[Credit]
+
+	// outPort caches the validated output port of the packet at the front
+	// of each VC (-1 until it is routed). Routing is a pure function of
+	// the packet, so it is computed once per packet and forgotten when
+	// the packet's tail is granted.
+	outPort [NumClasses]int
 }
 
 // flitRing is a fixed-capacity flit FIFO. The credit protocol bounds VC
@@ -155,6 +162,7 @@ func (r *Router) AddIn(name string, capacity int) int {
 	ip := &InPort{name: name, cap: capacity}
 	for c := range ip.vcs {
 		ip.vcs[c].buf = make([]Flit, capacity)
+		ip.outPort[c] = -1
 	}
 	r.ins = append(r.ins, ip)
 	return len(r.ins) - 1
@@ -246,6 +254,9 @@ func (r *Router) Tick(now sim.Cycle) {
 		if op.creditIn == nil {
 			continue
 		}
+		if at, ok := op.creditIn.NextAt(); !ok || at > now {
+			continue // nothing due: skip the Pop loop
+		}
 		for {
 			c, ok := op.creditIn.Pop(now)
 			if !ok {
@@ -258,19 +269,28 @@ func (r *Router) Tick(now sim.Cycle) {
 		if ip.in == nil {
 			continue
 		}
+		if at, ok := ip.in.NextAt(); !ok || at > now {
+			continue
+		}
 		for {
 			f, ok := ip.in.Pop(now)
 			if !ok {
 				break
 			}
-			vc := f.Pkt.Class
-			if ip.vcs[vc].len() >= ip.cap {
-				panic(fmt.Sprintf("noc: %s input %s VC %v overflow (credit protocol violated)", r.Name, ip.name, vc))
-			}
-			ip.vcs[vc].push(f)
+			r.enqueue(ip, f)
 		}
 	}
 	r.allocate(now)
+}
+
+// enqueue buffers flit f in its class's VC at input ip.
+func (r *Router) enqueue(ip *InPort, f Flit) {
+	vc := f.Pkt.Class
+	if ip.vcs[vc].len() >= ip.cap {
+		panic(fmt.Sprintf("noc: %s input %s VC %v overflow (credit protocol violated)", r.Name, ip.name, vc))
+	}
+	ip.vcs[vc].push(f)
+	r.buffered++
 }
 
 // BindWaker implements sim.WakeBinder: every input flit pipe becomes a wake
@@ -295,13 +315,11 @@ func (r *Router) BindWaker(w sim.Waker) {
 // indefinitely (NeverWake) when its inputs are dry — the input pipes are
 // its wake sources.
 func (r *Router) NextWake(now sim.Cycle) sim.Cycle {
+	if r.buffered > 0 {
+		return now + 1
+	}
 	next := sim.NeverWake
 	for _, ip := range r.ins {
-		for c := range ip.vcs {
-			if ip.vcs[c].len() > 0 {
-				return now + 1
-			}
-		}
 		if ip.in != nil {
 			if at, ok := ip.in.NextAt(); ok && at < next {
 				next = at
@@ -313,6 +331,9 @@ func (r *Router) NextWake(now sim.Cycle) sim.Cycle {
 
 // allocate performs switch allocation for one cycle.
 func (r *Router) allocate(now sim.Cycle) {
+	if r.buffered == 0 {
+		return
+	}
 	// The scratch masks are sized to the actual radix (the central
 	// crossbar has a port per tile; a mesh router has at most 9).
 	if len(r.inUsed) != len(r.ins) {
@@ -340,27 +361,29 @@ func (r *Router) allocate(now sim.Cycle) {
 		// diverge between the scheduled and naive kernels.
 		start = int(((now-1)%sim.Cycle(n) + sim.Cycle(n)) % sim.Cycle(n))
 	}
-	for k := 0; k < n; k++ {
-		cd := cands[(start+k)%n]
+	for k, i := 0, start; k < n; k, i = k+1, i+1 {
+		if i == n {
+			i = 0
+		}
+		cd := cands[i]
 		if inUsed[cd.Port] {
 			continue
 		}
 		ip := r.ins[cd.Port]
-		if ip.vcs[cd.VC].len() == 0 {
+		q := &ip.vcs[cd.VC]
+		if q.len() == 0 {
 			continue
 		}
-		f := ip.vcs[cd.VC].front()
-		out := r.route(f.Pkt)
-		if out < 0 || out >= len(r.outs) {
-			panic(fmt.Sprintf("noc: %s route(%d->%d) = invalid port %d", r.Name, f.Pkt.Src, f.Pkt.Dst, out))
+		f := q.front()
+		out := ip.outPort[cd.VC]
+		if out < 0 {
+			out = r.routeOf(f.Pkt)
+			ip.outPort[cd.VC] = out
 		}
 		if outUsed[out] {
 			continue
 		}
 		op := r.outs[out]
-		if op.link == nil {
-			panic(fmt.Sprintf("noc: %s output %s not connected", r.Name, op.name))
-		}
 		// Packet atomicity: an output VC is owned by one packet from head
 		// to tail.
 		need := 1
@@ -382,7 +405,8 @@ func (r *Router) allocate(now sim.Cycle) {
 			continue
 		}
 		// Grant.
-		ip.vcs[cd.VC].pop()
+		q.pop()
+		r.buffered--
 		op.credits[cd.VC]--
 		if f.Head() {
 			op.owner[cd.VC] = f.Pkt
@@ -390,6 +414,7 @@ func (r *Router) allocate(now sim.Cycle) {
 		}
 		if f.Tail() {
 			op.owner[cd.VC] = nil
+			ip.outPort[cd.VC] = -1
 		}
 		op.link.Push(now, f)
 		if ip.creditOut != nil {
@@ -400,6 +425,19 @@ func (r *Router) allocate(now sim.Cycle) {
 		inUsed[cd.Port] = true
 		outUsed[out] = true
 	}
+}
+
+// routeOf returns packet p's output port, panicking on a route to a port
+// that does not exist or is not connected.
+func (r *Router) routeOf(p *Packet) int {
+	out := r.route(p)
+	if out < 0 || out >= len(r.outs) {
+		panic(fmt.Sprintf("noc: %s route(%d->%d) = invalid port %d", r.Name, p.Src, p.Dst, out))
+	}
+	if r.outs[out].link == nil {
+		panic(fmt.Sprintf("noc: %s output %s not connected", r.Name, r.outs[out].name))
+	}
+	return out
 }
 
 // candidates returns the arbitration order for this cycle: the static

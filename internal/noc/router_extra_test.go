@@ -1,8 +1,10 @@
 package noc
 
 import (
+	"reflect"
 	"testing"
 
+	"nocout/internal/ckpt"
 	"nocout/internal/sim"
 )
 
@@ -126,5 +128,143 @@ func TestClassString(t *testing.T) {
 	}
 	if Class(9).String() == "" {
 		t.Fatal("unknown class should still format")
+	}
+}
+
+// forkNet is NIs 0 and 3 → r0 → r1, where r1 ejects to NI 1 or NI 2 by
+// destination. The two injectors contend for r0's one output, and
+// two-flit buffers spread multi-flit packets across both routers, so
+// VCs hold flits, empty and refill mid-packet.
+func forkNet() *RouterNetwork {
+	rn := NewRouterNetwork("fork", 4)
+	r0 := NewRouter(100, "r0", 1, func(p *Packet) int { return 0 })
+	r0.AddIn("in0", 2)
+	r0.AddIn("in3", 2)
+	r0.AddOut("out")
+	r1 := NewRouter(101, "r1", 1, func(p *Packet) int { return int(p.Dst) - 1 })
+	r1.AddIn("in", 2)
+	r1.AddOut("to1")
+	r1.AddOut("to2")
+	Connect(r0, 0, r1, 0, 1, 1.0)
+	for in, n := range []NodeID{0, 3} {
+		ni := NewNI(n, rn.StatsRef())
+		ConnectNIInject(ni, r0, in, 1)
+		rn.NIs[n] = ni
+	}
+	for d := 1; d <= 2; d++ {
+		ni := NewNI(NodeID(d), rn.StatsRef())
+		ConnectNIEject(ni, r1, d-1, 1, 8)
+		rn.NIs[d] = ni
+	}
+	rn.Routers = []*Router{r0, r1}
+	return rn
+}
+
+// TestRouterBufferedAndRouteCache checks, after every cycle of saturated
+// multi-flit traffic, that each router's buffered count equals its VC
+// occupancy and that each cached output port is its front packet's
+// route. Snapshots taken along the run must then replay the original
+// run's deliveries both in a fresh network and in the original one
+// rewound from a later cycle, whose counts and caches LoadState must
+// reset.
+func TestRouterBufferedAndRouteCache(t *testing.T) {
+	check := func(rn *RouterNetwork, now sim.Cycle) {
+		t.Helper()
+		for _, r := range rn.Routers {
+			n := 0
+			for _, ip := range r.ins {
+				for c := range ip.vcs {
+					q := &ip.vcs[c]
+					n += q.len()
+					if out := ip.outPort[c]; out >= 0 && q.len() > 0 && out != r.route(q.front().Pkt) {
+						t.Fatalf("cycle %d: %s VC %d caches port %d for a packet routed to %d", now, r.Name, c, out, r.route(q.front().Pkt))
+					}
+				}
+			}
+			if r.buffered != n {
+				t.Fatalf("cycle %d: %s buffered = %d, VCs hold %d", now, r.Name, r.buffered, n)
+			}
+		}
+	}
+	type delivery struct {
+		ID uint64
+		At sim.Cycle
+	}
+	const packets = 60
+	// build returns an idle network recording deliveries into got; load
+	// queues the traffic on it.
+	build := func(got *[]delivery) (*RouterNetwork, *sim.Engine) {
+		rn := forkNet()
+		for _, d := range []NodeID{1, 2} {
+			rn.SetDeliver(d, func(now sim.Cycle, p *Packet) { *got = append(*got, delivery{p.ID, now}) })
+		}
+		e := sim.NewEngine()
+		e.Register(rn)
+		return rn, e
+	}
+	load := func(rn *RouterNetwork) {
+		for i := 0; i < packets; i++ {
+			src := NodeID(0)
+			if i%3 == 0 {
+				src = 3
+			}
+			rn.Send(0, &Packet{ID: uint64(i), Class: Class(i % NumClasses), Src: src, Dst: NodeID(1 + i%2), Size: 1 + i%5})
+		}
+	}
+	run := func(rn *RouterNetwork, e *sim.Engine, until sim.Cycle) {
+		for e.Now() < until {
+			e.Step(1)
+			check(rn, e.Now())
+		}
+	}
+	restore := func(rn *RouterNetwork, e *sim.Engine, snap []byte, at sim.Cycle) {
+		d := ckpt.NewDec(snap)
+		rn.LoadState(d, func(*ckpt.Dec) any { return nil })
+		if d.Err() != nil {
+			t.Fatal(d.Err())
+		}
+		check(rn, at)
+		e.RestoreAt(at)
+	}
+
+	const end = 600
+	var ref []delivery
+	rn, e := build(&ref)
+	load(rn)
+	snaps := map[sim.Cycle][]byte{}
+	delivered := map[sim.Cycle]int{}
+	held := 0
+	for at := sim.Cycle(10); at < 100; at += 7 {
+		run(rn, e, at)
+		var enc ckpt.Enc
+		rn.SaveState(&enc, func(*ckpt.Enc, any) {})
+		snaps[at], delivered[at] = enc.Bytes(), len(ref)
+		held += rn.Routers[0].buffered + rn.Routers[1].buffered
+	}
+	run(rn, e, end)
+	if len(ref) != packets || held == 0 {
+		t.Fatalf("%d of %d packets delivered, %d flits held at snapshots; want all, and some", len(ref), packets, held)
+	}
+
+	for at, snap := range snaps {
+		want := ref[delivered[at]:]
+		var fresh []delivery
+		rn, e := build(&fresh)
+		restore(rn, e, snap, at)
+		run(rn, e, end)
+
+		var rewound []delivery
+		rn, e = build(&rewound)
+		load(rn)
+		run(rn, e, at+9)
+		rewound = rewound[:0]
+		restore(rn, e, snap, at)
+		run(rn, e, end)
+
+		for name, got := range map[string][]delivery{"fresh": fresh, "rewound": rewound} {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("snapshot at %d, %s restore delivered %v, original %v", at, name, got, want)
+			}
+		}
 	}
 }

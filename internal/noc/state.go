@@ -275,9 +275,11 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 	for _, r := range rn.Routers {
 		r.flits = d.I64()
 		r.flitsFolded = r.flits
+		r.buffered = 0
 		for _, ip := range r.ins {
 			for c := range ip.vcs {
 				q := &ip.vcs[c]
+				ip.outPort[c] = -1
 				cnt := d.Count()
 				if d.Err() != nil {
 					return
@@ -288,6 +290,7 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 				}
 				q.head = 0
 				q.n = cnt
+				r.buffered += cnt
 				for i := range q.buf {
 					q.buf[i] = Flit{}
 				}

@@ -6,7 +6,7 @@ type Lesser[T any] interface {
 	Less(T) bool
 }
 
-// MinHeap is a binary min-heap shared by the engine's wake calendar and
+// MinHeap is a binary min-heap shared by the engine's far wake arms and
 // any component that schedules its own future work (the Ideal fabric's
 // delivery calendar). The zero value is an empty heap.
 type MinHeap[T Lesser[T]] struct {

@@ -106,11 +106,14 @@ func (s *Sharded) Flush() {
 	}
 }
 
-// Step advances every domain by n cycles under the horizon protocol.
-// Entries still staged when the target is reached stay staged — their
-// delivery cycles are beyond the target — and are committed by the first
-// round of the next Step.
+// Step advances every domain by n cycles under the horizon protocol; n <= 0
+// is a no-op, as for Engine.Step. Entries still staged when the target is
+// reached stay staged — their delivery cycles are beyond the target — and
+// are committed by the first round of the next Step.
 func (s *Sharded) Step(n Cycle) {
+	if n <= 0 {
+		return
+	}
 	target := s.now + n
 	var wg sync.WaitGroup
 	for d := range s.doms {

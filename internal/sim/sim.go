@@ -15,10 +15,12 @@
 // # The scheduled kernel
 //
 // By default the Engine does not tick every component every cycle. Each
-// registered component is armed in a wake calendar (a min-heap keyed by
-// cycle); Step advances the clock in jumps to the next armed cycle and,
-// within a cycle, ticks only the armed components — still in registration
-// order. Three contracts make the skipping invisible:
+// registered component is armed in a wake calendar: a timing wheel of 64
+// per-cycle bitsets over registration indices, so arming and dispatch are
+// O(1), with a min-heap holding the rare arms 64 or more cycles ahead.
+// Step advances the clock in jumps to the next armed cycle and, within a
+// cycle, ticks only the armed components — still in registration order.
+// Three contracts make the skipping invisible:
 //
 //   - A component implementing Sleeper reports, after each Tick, the next
 //     cycle at which it can possibly do work. The report must account for
@@ -39,7 +41,10 @@
 // conformance suite asserts state-hash equality between the two.
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Cycle is a simulation timestamp in clock cycles.
 type Cycle int64
@@ -127,18 +132,19 @@ var (
 	_ Clock = (*Sharded)(nil)
 )
 
-// wakeEntry is one armed (cycle, component) pair in the calendar.
+// wheelSlots is the timing wheel's span in cycles, one bit of the
+// occupancy word per slot. Arms less than a span ahead sit on the wheel;
+// later ones wait in the far heap until they come within it.
+const wheelSlots = 64
+
+// slotOf returns the wheel slot holding arms for cycle c.
+func slotOf(c Cycle) int { return int(c & (wheelSlots - 1)) }
+
+// wakeEntry is one far arm (cycle, component) in the overflow heap.
 type wakeEntry struct {
 	at  Cycle
 	idx int
 }
-
-// activeMark is the wakeAt sentinel for components in the active set: they
-// tick every cycle without touching the calendar heap, so the heap only
-// pays for genuine sleep/wake transitions. Real arms are always >= 1, so
-// the sentinel also invalidates any stale heap entries left from before
-// the component went active.
-const activeMark Cycle = 0
 
 // Engine drives a set of Tickers with a shared clock.
 type Engine struct {
@@ -146,18 +152,21 @@ type Engine struct {
 	tickers []Ticker
 	sleeper []Sleeper // parallel to tickers; nil for plain tickers
 
-	naive  bool               // tick everything every cycle (conformance mode)
-	wakeAt []Cycle            // earliest armed cycle per component (NeverWake = none)
-	heap   MinHeap[wakeEntry] // calendar on (at, idx); may hold stale entries
+	naive bool // tick everything every cycle (conformance mode)
 
-	// The active set: components currently ticking every cycle, sorted by
-	// registration index. Membership is wakeAt[idx] == activeMark (which
-	// also serves as the live filter for lazy removal); nActive counts
-	// live members.
-	active  []int
-	joins   []int // components that went active this cycle (ascending)
-	scratch []int // double buffer for compacting active
-	nActive int
+	// The wake calendar. wakeAt holds the one cycle each component is
+	// armed for (NeverWake = none) and is the single source of truth. An
+	// arm less than wheelSlots cycles ahead is one bit on the wheel: slot
+	// slotOf(at) is a bitset over registration indices, words uint64s at
+	// wheel[slot*words:]. Every wheel bit lies in [now, now+wheelSlots),
+	// so a slot names exactly one cycle; occ marks the non-empty slots.
+	// Later arms wait in far, which may hold stale entries that are
+	// validated against wakeAt.
+	wakeAt []Cycle
+	wheel  []uint64
+	words  int
+	occ    uint64
+	far    MinHeap[wakeEntry]
 
 	inCycle bool // a cycle is being processed
 	cursor  int  // index currently being ticked within the cycle
@@ -186,10 +195,23 @@ func (e *Engine) add(t Ticker) {
 	s, _ := t.(Sleeper)
 	e.sleeper = append(e.sleeper, s)
 	e.wakeAt = append(e.wakeAt, NeverWake)
+	if idx%64 == 0 {
+		e.growWheel()
+	}
 	if b, ok := t.(WakeBinder); ok {
 		b.BindWaker(&engineWaker{e: e, idx: idx})
 	}
 	e.arm(idx, e.now+1)
+}
+
+// growWheel widens every slot's bitset by one word, keeping its bits.
+func (e *Engine) growWheel() {
+	words := e.words + 1
+	wheel := make([]uint64, wheelSlots*words)
+	for s := 0; s < wheelSlots; s++ {
+		copy(wheel[s*words:], e.wheel[s*e.words:(s+1)*e.words])
+	}
+	e.wheel, e.words = wheel, words
 }
 
 // SetScheduled selects between the scheduled kernel (the default) and the
@@ -202,16 +224,22 @@ func (e *Engine) SetScheduled(on bool) {
 	}
 	e.naive = !on
 	if on {
-		e.heap.Clear()
-		e.active = e.active[:0]
-		e.joins = e.joins[:0]
-		e.nActive = 0
-		for i := range e.wakeAt {
-			e.wakeAt[i] = NeverWake
-		}
-		for i := range e.tickers {
-			e.arm(i, e.now+1)
-		}
+		e.rearmAll()
+	}
+}
+
+// rearmAll empties the calendar and arms every component for the next
+// cycle; SetScheduled and RestoreAt share it.
+func (e *Engine) rearmAll() {
+	clear(e.wheel)
+	e.occ = 0
+	e.far.Clear()
+	e.inCycle = false
+	for i := range e.wakeAt {
+		e.wakeAt[i] = NeverWake
+	}
+	for i := range e.tickers {
+		e.arm(i, e.now+1)
 	}
 }
 
@@ -220,13 +248,6 @@ func (e *Engine) Scheduled() bool { return !e.naive }
 
 // Now returns the current cycle (the last cycle that was ticked).
 func (e *Engine) Now() Cycle { return e.now }
-
-// NextArmed returns the earliest cycle at which any component of this
-// engine is armed to do work, and false when the calendar is empty (every
-// component sleeps until an external wake). The Sharded coordinator uses
-// it as the domain's published horizon: the domain provably performs no
-// pushes before this cycle.
-func (e *Engine) NextArmed() (Cycle, bool) { return e.nextArmed() }
 
 // Flush brings every lazily-accounted component (sim.Flusher) up to date at
 // the current cycle. Call it before reading statistics that are sampled per
@@ -239,10 +260,14 @@ func (e *Engine) Flush() {
 	}
 }
 
-// Step advances the simulation by n cycles. The scheduled kernel jumps the
-// clock between armed cycles; cycles on which every component sleeps are
-// skipped entirely (they are provably side-effect free).
+// Step advances the simulation by n cycles; n <= 0 is a no-op, so the
+// clock never runs backwards. The scheduled kernel jumps the clock between
+// armed cycles; cycles on which every component sleeps are skipped
+// entirely (they are provably side-effect free).
 func (e *Engine) Step(n Cycle) {
+	if n <= 0 {
+		return
+	}
 	target := e.now + n
 	if e.naive {
 		for e.now < target {
@@ -252,7 +277,7 @@ func (e *Engine) Step(n Cycle) {
 		return
 	}
 	for {
-		at, ok := e.nextArmed()
+		at, ok := e.NextArmed()
 		if !ok || at > target {
 			e.now = target
 			return
@@ -283,7 +308,7 @@ func (e *Engine) RunUntil(cond func() bool, limit Cycle) bool {
 			e.now++
 			e.tickAll()
 		} else {
-			at, ok := e.nextArmed()
+			at, ok := e.NextArmed()
 			if !ok || at > target {
 				e.now = target
 				return cond() // the clock moved; cond may read it
@@ -305,131 +330,79 @@ func (e *Engine) tickAll() {
 	}
 }
 
-// nextArmed returns the earliest armed cycle, discarding stale heap
-// entries. A non-empty active set always means work next cycle.
-func (e *Engine) nextArmed() (Cycle, bool) {
-	if e.nActive > 0 {
-		return e.now + 1, true
+// NextArmed returns the earliest cycle at which any component of this
+// engine is armed to do work, and false when the calendar is empty (every
+// component sleeps until an external wake): the first occupied wheel slot
+// after now, or the earliest live far entry if that is sooner. Stale far
+// entries met on the way are discarded. The Sharded coordinator uses it
+// as the domain's published horizon: the domain provably performs no
+// pushes before this cycle.
+func (e *Engine) NextArmed() (Cycle, bool) {
+	at, ok := NeverWake, false
+	if e.occ != 0 {
+		d := bits.TrailingZeros64(bits.RotateLeft64(e.occ, -slotOf(e.now+1)))
+		at, ok = e.now+1+Cycle(d), true
 	}
-	for e.heap.Len() > 0 {
-		top := e.heap.Min()
+	for e.far.Len() > 0 {
+		top := e.far.Min()
 		if e.wakeAt[top.idx] != top.at {
-			e.heap.Pop() // superseded by an earlier arm or already ticked
+			e.far.Pop() // superseded by an earlier arm or already ticked
 			continue
 		}
-		return top.at, true
+		if top.at < at {
+			at, ok = top.at, true
+		}
+		break
 	}
-	return 0, false
+	return at, ok
 }
 
-// runCycle ticks every component due at e.now in registration order,
-// merging the sorted active set with the calendar's due entries. Wakes
-// raised during the cycle for components whose turn has not passed yet
-// join the same cycle; all others land on a later cycle.
+// runCycle ticks every component armed for e.now in registration order,
+// after moving far arms that have come within the wheel's span onto it.
+// Each word of the slot is re-read after every tick, so a wake raised
+// during the cycle for a component whose turn has not passed yet joins
+// the same cycle; all others land on a later cycle.
 func (e *Engine) runCycle() {
+	for e.far.Len() > 0 && e.far.Min().at < e.now+wheelSlots {
+		if top := e.far.Pop(); e.wakeAt[top.idx] == top.at {
+			e.set(top.idx, top.at)
+		}
+	}
+	s := slotOf(e.now)
+	slot := e.wheel[s*e.words : (s+1)*e.words]
 	e.inCycle = true
-	ai := 0
-	for {
-		// Next live heap candidate due this cycle.
-		hIdx := -1
-		for e.heap.Len() > 0 && e.heap.Min().at == e.now {
-			if e.wakeAt[e.heap.Min().idx] != e.now {
-				e.heap.Pop()
-				continue
-			}
-			hIdx = e.heap.Min().idx
-			break
-		}
-		// Next live active candidate.
-		aIdx := -1
-		for ai < len(e.active) {
-			if e.wakeAt[e.active[ai]] != activeMark {
-				ai++ // deactivated on an earlier cycle; lazily dropped
-				continue
-			}
-			aIdx = e.active[ai]
-			break
-		}
-		var idx int
-		switch {
-		case aIdx < 0 && hIdx < 0:
-			e.compactActive()
-			e.inCycle = false
-			e.cursor = -1
-			return
-		case aIdx >= 0 && (hIdx < 0 || aIdx < hIdx):
-			idx = aIdx
-			ai++
-		default:
-			idx = hIdx
-			e.heap.Pop()
-			e.wakeAt[idx] = NeverWake // arms during the tick register
-		}
-		e.cursor = idx
-		e.tickers[idx].Tick(e.now)
-		rep := e.now + 1
-		if s := e.sleeper[idx]; s != nil {
-			rep = s.NextWake(e.now)
-		}
-		if rep <= e.now+1 {
-			// Ticking every cycle: keep (or put) it in the active set.
-			if e.wakeAt[idx] != activeMark {
-				e.wakeAt[idx] = activeMark
-				e.nActive++
-				e.joins = append(e.joins, idx)
-			}
-		} else {
-			if e.wakeAt[idx] == activeMark {
-				e.nActive--
-			}
+	for w := range slot {
+		for slot[w] != 0 {
+			b := bits.TrailingZeros64(slot[w])
+			slot[w] &^= 1 << b
+			idx := w<<6 | b
+			e.cursor = idx
 			e.wakeAt[idx] = NeverWake
+			e.tickers[idx].Tick(e.now)
+			rep := e.now + 1
+			if sl := e.sleeper[idx]; sl != nil {
+				rep = sl.NextWake(e.now)
+			}
+			// The report supersedes arms raised during the component's
+			// own tick.
+			if at := e.wakeAt[idx]; at != NeverWake {
+				e.unset(idx, at)
+				e.wakeAt[idx] = NeverWake
+			}
 			e.arm(idx, rep)
 		}
 	}
-}
-
-// compactActive folds this cycle's joins into the active list and drops
-// deactivated members, keeping it sorted by registration index. joins is
-// already ascending because ticks run in index order.
-func (e *Engine) compactActive() {
-	if len(e.joins) == 0 {
-		// Cheap path: drop stale members in place only if any exist.
-		if e.nActive == len(e.active) {
-			return
-		}
-		live := e.active[:0]
-		for _, idx := range e.active {
-			if e.wakeAt[idx] == activeMark {
-				live = append(live, idx)
-			}
-		}
-		e.active = live
-		return
-	}
-	out := e.scratch[:0]
-	ji := 0
-	for _, idx := range e.active {
-		if e.wakeAt[idx] != activeMark {
-			continue
-		}
-		for ji < len(e.joins) && e.joins[ji] < idx {
-			out = append(out, e.joins[ji])
-			ji++
-		}
-		out = append(out, idx)
-	}
-	out = append(out, e.joins[ji:]...)
-	e.scratch = e.active[:0]
-	e.active = out
-	e.joins = e.joins[:0]
+	e.occ &^= 1 << s
+	e.inCycle = false
 }
 
 // arm schedules component idx to tick at cycle at. Values not in the strict
 // future are clamped to the earliest cycle consistent with the naive
-// kernel's registration-order semantics (see Waker). Arms for active-set
-// members are redundant (they tick every cycle) and ignored.
+// kernel's registration-order semantics (see Waker). A component holds one
+// arm, its earliest: a sooner arm replaces a later one, a later arm is
+// ignored.
 func (e *Engine) arm(idx int, at Cycle) {
-	if e.naive || at == NeverWake || e.wakeAt[idx] == activeMark {
+	if e.naive || at == NeverWake {
 		return
 	}
 	if at <= e.now {
@@ -439,10 +412,40 @@ func (e *Engine) arm(idx int, at Cycle) {
 			at = e.now + 1
 		}
 	}
-	if at < e.wakeAt[idx] {
-		e.wakeAt[idx] = at
-		e.heap.Push(wakeEntry{at: at, idx: idx})
+	old := e.wakeAt[idx]
+	if at >= old {
+		return
 	}
+	if old != NeverWake {
+		e.unset(idx, old) // a far arm has no bit; its heap entry goes stale
+	}
+	e.wakeAt[idx] = at
+	if at-e.now < wheelSlots {
+		e.set(idx, at)
+	} else {
+		e.far.Push(wakeEntry{at: at, idx: idx})
+	}
+}
+
+// set puts component idx's bit in the wheel slot for cycle at.
+func (e *Engine) set(idx int, at Cycle) {
+	s := slotOf(at)
+	e.wheel[s*e.words+idx>>6] |= 1 << (idx & 63)
+	e.occ |= 1 << s
+}
+
+// unset clears component idx's bit in the wheel slot for cycle at, and
+// the slot's occupancy bit once the slot is empty.
+func (e *Engine) unset(idx int, at Cycle) {
+	s := slotOf(at)
+	slot := e.wheel[s*e.words : (s+1)*e.words]
+	slot[idx>>6] &^= 1 << (idx & 63)
+	for _, w := range slot {
+		if w != 0 {
+			return
+		}
+	}
+	e.occ &^= 1 << s
 }
 
 // engineWaker is the Waker handed to a component's wake sources.

@@ -106,18 +106,7 @@ func (r *RNG) SetState(s uint64) {
 // their restored state; the arming itself reads nothing from them.
 func (e *Engine) RestoreAt(at Cycle) {
 	e.now = at
-	e.heap.Clear()
-	e.active = e.active[:0]
-	e.joins = e.joins[:0]
-	e.nActive = 0
-	e.inCycle = false
-	e.cursor = 0
-	for i := range e.wakeAt {
-		e.wakeAt[i] = NeverWake
-	}
-	for i := range e.tickers {
-		e.arm(i, at+1)
-	}
+	e.rearmAll()
 }
 
 // RestoreAt moves the coordinator and every domain engine to the

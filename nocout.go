@@ -80,6 +80,7 @@ package nocout
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -127,6 +128,19 @@ type Quality struct {
 	Warmup sim.Cycle `json:"warmup"`
 	Window sim.Cycle `json:"window"`
 	Seeds  int       `json:"seeds"`
+}
+
+// ErrBadQuality is the error Quality.Validate wraps: a warmup or window
+// below zero cycles.
+var ErrBadQuality = errors.New("nocout: quality warmup and window must be non-negative")
+
+// Validate reports, wrapping ErrBadQuality, a Quality no run can use.
+// Experiment.Sweep and campaign manifests apply it.
+func (q Quality) Validate() error {
+	if q.Warmup < 0 || q.Window < 0 {
+		return fmt.Errorf("%w (warmup %d, window %d)", ErrBadQuality, q.Warmup, q.Window)
+	}
+	return nil
 }
 
 // Standard effort levels. Quick is suitable for tests and benchmarks; Full
