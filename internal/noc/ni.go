@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"fmt"
 
 	"nocout/internal/sim"
@@ -52,14 +53,9 @@ func ConnectNI(ni *NI, r *Router, in, out int, injDelay, ejDelay sim.Cycle, ejec
 func ConnectNIInject(ni *NI, r *Router, in int, injDelay sim.Cycle) {
 	inj := sim.NewPipe[Flit](fmt.Sprintf("ni%d->%s", ni.Node, r.Name), injDelay)
 	injCr := sim.NewPipe[Credit](fmt.Sprintf("%s->ni%d.credit", r.Name, ni.Node), 1)
-	ip := r.ins[in]
-	ip.in = inj
-	ip.creditOut = injCr
-	ni.out.link = inj
-	ni.out.creditIn = injCr
-	for c := range ni.out.credits {
-		ni.out.credits[c] = ip.cap
-	}
+	ni.out.name = "inject"
+	ni.out.wire(inj, injCr, r.ins[in], r.ins[in].cap)
+	r.feed(in, inj, injCr)
 }
 
 // ConnectNIEject wires only the NI's eject side to router output port out.
@@ -69,12 +65,7 @@ func ConnectNIEject(ni *NI, r *Router, out int, ejDelay sim.Cycle, ejectBuf int)
 	}
 	ej := sim.NewPipe[Flit](fmt.Sprintf("%s->ni%d", r.Name, ni.Node), r.PipeDelay+ejDelay)
 	ejCr := sim.NewPipe[Credit](fmt.Sprintf("ni%d->%s.credit", ni.Node, r.Name), 1)
-	op := r.outs[out]
-	op.link = ej
-	op.creditIn = ejCr
-	for c := range op.credits {
-		op.credits[c] = ejectBuf
-	}
+	r.outs[out].wire(ej, ejCr, nil, ejectBuf)
 	ni.eject = ej
 	ni.ejectCredit = ejCr
 }
@@ -98,17 +89,10 @@ func (ni *NI) Pending() int {
 	return n
 }
 
-// Tick drains credits and ejected flits, then injects at most one flit.
+// Tick delivers the flits ejected by now, returning their credits at
+// once, then injects at most one flit. Inject-side credits are drained
+// only when a class waiting to inject has none left.
 func (ni *NI) Tick(now sim.Cycle) {
-	if ni.out.creditIn != nil {
-		for {
-			c, ok := ni.out.creditIn.Pop(now)
-			if !ok {
-				break
-			}
-			ni.out.credits[c.VC]++
-		}
-	}
 	if ni.eject != nil {
 		for {
 			f, ok := ni.eject.Pop(now)
@@ -135,9 +119,10 @@ func (ni *NI) Tick(now sim.Cycle) {
 
 // BindWaker implements sim.WakeBinder: the inject queues and the eject
 // pipe become wake sources. Inject-side credit returns are not wake events
-// for the same reason as the router's (they enable no work while the
-// inject queues are empty, and a non-empty inject queue keeps the NI
-// awake). The NI must be fully connected before registration.
+// for the same reason as the router's: they enable no work while the
+// inject queues are empty, a non-empty inject queue keeps the NI awake,
+// and inject drains them when it runs out. The NI must be fully connected
+// before registration.
 func (ni *NI) BindWaker(w sim.Waker) {
 	for c := range ni.injectQ {
 		ni.injectQ[c].SetWaker(w)
@@ -148,8 +133,8 @@ func (ni *NI) BindWaker(w sim.Waker) {
 }
 
 // NextWake implements sim.Sleeper: awake every cycle while packets wait to
-// inject (injection may be credit-gated, and credits drain at tick start),
-// asleep until the next in-flight ejecting flit otherwise.
+// inject (injection may be credit-gated, and returned credits wake no
+// one), asleep until the next in-flight ejecting flit otherwise.
 func (ni *NI) NextWake(now sim.Cycle) sim.Cycle {
 	for c := range ni.injectQ {
 		if ni.injectQ[c].Len() > 0 {
@@ -173,8 +158,14 @@ func (ni *NI) inject(now sim.Cycle) {
 	for k := 0; k < NumClasses; k++ {
 		c := Class((ni.rr + k) % NumClasses)
 		p, ok := ni.injectQ[c].Peek()
-		if !ok || ni.out.credits[c] <= 0 {
+		if !ok {
 			continue
+		}
+		if ni.out.credits[c] <= 0 {
+			ni.out.drainCredits(now)
+			if ni.out.credits[c] <= 0 {
+				continue
+			}
 		}
 		seq := ni.nextSeq[c]
 		ni.out.link.Push(now, Flit{Pkt: p, Seq: seq})
@@ -282,6 +273,56 @@ func (rn *RouterNetwork) Tick(now sim.Cycle) {
 			ni.Tick(now)
 		}
 	}
+}
+
+// ErrCreditConservation is wrapped by CheckCredits when a link's credits
+// do not add up to its downstream buffering.
+var ErrCreditConservation = errors.New("noc: credit conservation violated")
+
+// CheckCredits verifies credit conservation on every wired link, router to
+// router and at both NI ends: for each output and VC, the credits the
+// sender holds, plus the credits returning on the credit pipe, plus the
+// flits buffered in the downstream VC (none at an NI's eject side, which
+// consumes on arrival), plus the flits in flight on the link, must equal
+// the downstream buffer capacity. A lost or double-counted credit breaks
+// the sum within a cycle. It must only run while no domain is stepping.
+func (rn *RouterNetwork) CheckCredits() error {
+	for _, r := range rn.Routers {
+		for _, op := range r.outs {
+			if err := op.checkCredits(r.Name); err != nil {
+				return err
+			}
+		}
+	}
+	for _, ni := range rn.NIs {
+		if ni != nil {
+			if err := ni.out.checkCredits(fmt.Sprintf("ni%d", ni.Node)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkCredits checks one output's credit sum; sender names its owner.
+func (op *OutPort) checkCredits(sender string) error {
+	if op.link == nil {
+		return nil
+	}
+	var returning, inFlight [NumClasses]int
+	op.creditIn.Each(func(_ sim.Cycle, c Credit) { returning[c.VC]++ })
+	op.link.Each(func(_ sim.Cycle, f Flit) { inFlight[f.Pkt.Class]++ })
+	for vc := range op.credits {
+		held := 0
+		if op.down != nil {
+			held = op.down.vcs[vc].len()
+		}
+		if sum := op.credits[vc] + returning[vc] + held + inFlight[vc]; sum != op.downCap {
+			return fmt.Errorf("%w: %s output %s VC %v: credits %d + returning %d + buffered %d + in flight %d = %d, downstream capacity %d",
+				ErrCreditConservation, sender, op.name, Class(vc), op.credits[vc], returning[vc], held, inFlight[vc], sum, op.downCap)
+		}
+	}
+	return nil
 }
 
 // RegisterInto implements sim.Registrar: instead of ticking the whole

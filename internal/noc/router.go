@@ -2,12 +2,14 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nocout/internal/sim"
 )
 
 // RouteFunc selects the output-port index a packet should take from a
-// router. It must be a pure function of the packet's destination.
+// router. It must be a pure function of the packet's destination: the
+// router routes each destination once and remembers the port.
 type RouteFunc func(p *Packet) int
 
 // HeadRoomFunc returns the minimum downstream credits a head flit needs to
@@ -38,6 +40,12 @@ type Cand struct {
 //   - NOC-Out LLC routers: 3-cycle pipeline with extra tree ports
 //   - reduction/dispersion tree nodes: 2 in / 1 out (or 1 in / 2 out),
 //     zero-cycle pipeline with 1-cycle links and static priority
+//
+// A tick costs the flits and credits it moves, not the router's radix:
+// Tick visits only input ports with flits in flight (the due set),
+// allocation walks only non-empty VCs (the occupancy set), credits are
+// drained only when one decides a grant, and routes are looked up per
+// destination.
 type Router struct {
 	ID        NodeID
 	Name      string
@@ -46,12 +54,21 @@ type Router struct {
 	ins      []*InPort
 	outs     []*OutPort
 	route    RouteFunc
-	prio     []Cand // static arbitration order; nil means round-robin
-	allCands []Cand // cached round-robin candidate cross product
-	numVCs   int    // implemented VCs (area accounting); 0 = NumClasses
-	flits    int64  // flits routed through this router (energy accounting)
-	buffered int    // flits held in input VCs: enqueue adds, a grant removes, LoadState recounts
+	memo     []int32  // validated output port per destination; -1 until routed
+	prio     []Cand   // static arbitration order; nil means round-robin
+	covered  []uint64 // candidates prio lists, by index port*NumClasses+vc
+	numVCs   int      // implemented VCs (area accounting); 0 = NumClasses
+	flits    int64    // flits routed through this router (energy accounting)
+	buffered int      // flits held in input VCs: enqueue adds, a grant removes, LoadState recounts
 	headRoom HeadRoomFunc
+
+	// due marks the input ports whose flit pipe holds a flit: the pipe's
+	// dueMark sets the bit on every push and Tick clears it once the pipe
+	// is empty. occ marks the non-empty input VCs by candidate index
+	// port*NumClasses+vc: enqueue sets the bit and the grant that empties
+	// the VC clears it. LoadState recomputes both.
+	due, occ []uint64
+	waker    sim.Waker // engine wake handle the dueMarks forward to
 
 	// flitsFolded marks how much of flits has been drained into the
 	// network-wide Stats; see RouterNetwork.fold. Hot-path accounting is
@@ -59,7 +76,9 @@ type Router struct {
 	// routers concurrently without contention or ordering sensitivity.
 	flitsFolded int64
 
-	inUsed, outUsed []bool // per-cycle allocation scratch, sized to the radix
+	// inUsed and outUsed hold the cycle of each port's last grant; a port
+	// whose stamp is now has already moved its one flit this cycle.
+	inUsed, outUsed []sim.Cycle
 }
 
 // NewRouter returns a router with no ports. Ports are added with AddIn /
@@ -68,14 +87,26 @@ func NewRouter(id NodeID, name string, pipeDelay sim.Cycle, route RouteFunc) *Ro
 	return &Router{ID: id, Name: name, PipeDelay: pipeDelay, route: route}
 }
 
-// SetPriority installs a static arbitration order (highest first) covering
-// every (port, class) pair that can hold traffic. Pairs not listed never win
-// arbitration, so the list must be exhaustive for the router's traffic.
-func (r *Router) SetPriority(order []Cand) { r.prio = order }
+// SetPriority installs a static arbitration order (highest first) over the
+// input ports added so far. Pairs not listed never win arbitration, so the
+// list must cover every (port, class) pair that can hold traffic: a flit
+// landing on an uncovered VC panics instead of wedging the router, and an
+// entry naming a port that does not exist panics here.
+func (r *Router) SetPriority(order []Cand) {
+	covered := make([]uint64, words(len(r.ins)*NumClasses))
+	for _, cd := range order {
+		if cd.Port < 0 || cd.Port >= len(r.ins) || cd.VC >= NumClasses {
+			panic(fmt.Sprintf("noc: %s priority entry (port %d, class %v) names no input VC of its %d ports", r.Name, cd.Port, cd.VC, len(r.ins)))
+		}
+		setBit(covered, cd.Port*NumClasses+int(cd.VC))
+	}
+	r.prio, r.covered = order, covered
+}
 
 // SetRoute replaces the routing function (used by builders that need the
-// router allocated before the topology-wide tables exist).
-func (r *Router) SetRoute(f RouteFunc) { r.route = f }
+// router allocated before the topology-wide tables exist) and forgets the
+// routes already looked up.
+func (r *Router) SetRoute(f RouteFunc) { r.route, r.memo = f, nil }
 
 // SetHeadRoom installs a head-flit credit-threshold policy (see
 // HeadRoomFunc). Body flits are unaffected: once a head wins its output VC
@@ -102,12 +133,6 @@ type InPort struct {
 	vcs       [NumClasses]flitRing
 	in        *sim.Pipe[Flit]
 	creditOut *sim.Pipe[Credit]
-
-	// outPort caches the validated output port of the packet at the front
-	// of each VC (-1 until it is routed). Routing is a pure function of
-	// the packet, so it is computed once per packet and forgotten when
-	// the packet's tail is granted.
-	outPort [NumClasses]int
 }
 
 // flitRing is a fixed-capacity flit FIFO. The credit protocol bounds VC
@@ -125,14 +150,24 @@ type flitRing struct {
 func (q *flitRing) len() int    { return q.n }
 func (q *flitRing) front() Flit { return q.buf[q.head] }
 
+// push and pop wrap with a compare instead of a modulo: the ring never
+// holds more than len(buf) flits, so an index overruns by less than one
+// lap.
 func (q *flitRing) push(f Flit) {
-	q.buf[(q.head+q.n)%len(q.buf)] = f
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = f
 	q.n++
 }
 
 func (q *flitRing) pop() {
 	q.buf[q.head] = Flit{} // drop the packet reference for GC
-	q.head = (q.head + 1) % len(q.buf)
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
 	q.n--
 }
 
@@ -145,12 +180,41 @@ type OutPort struct {
 	owner    [NumClasses]*Packet
 	lengthMM float64
 
+	// down is the router input the link feeds (nil for an NI's eject
+	// side) and downCap its per-VC buffering, recorded at wiring for
+	// CheckCredits.
+	down    *InPort
+	downCap int
+
 	// sent counts flits pushed onto this link; sentFolded marks how much
 	// has been drained into Stats.FlitLinkMM. Folding computes
 	// lengthMM * Δsent in a fixed port order, so the floating-point sum is
 	// a pure function of flit movement — identical across kernels — rather
 	// than of the order concurrent routers would update a shared counter.
 	sent, sentFolded int64
+}
+
+// wire records the downstream end of the port's link and starts it with
+// a full buffer of credits per VC.
+func (op *OutPort) wire(link *sim.Pipe[Flit], creditIn *sim.Pipe[Credit], down *InPort, capacity int) {
+	op.link, op.creditIn, op.down, op.downCap = link, creditIn, down, capacity
+	for c := range op.credits {
+		op.credits[c] = capacity
+	}
+}
+
+// drainCredits adds every credit returned by cycle now to the per-VC
+// counts. Credits gate grants and wake nothing, so a port drains them only
+// when a grant needs more than it holds: a drain at now sees exactly the
+// due credits a drain at tick start would have seen.
+func (op *OutPort) drainCredits(now sim.Cycle) {
+	for {
+		c, ok := op.creditIn.Pop(now)
+		if !ok {
+			return
+		}
+		op.credits[c.VC]++
+	}
 }
 
 // AddIn appends an input port with the given per-VC buffer capacity and
@@ -162,15 +226,18 @@ func (r *Router) AddIn(name string, capacity int) int {
 	ip := &InPort{name: name, cap: capacity}
 	for c := range ip.vcs {
 		ip.vcs[c].buf = make([]Flit, capacity)
-		ip.outPort[c] = -1
 	}
 	r.ins = append(r.ins, ip)
+	r.inUsed = append(r.inUsed, 0)
+	r.due = growBits(r.due, len(r.ins))
+	r.occ = growBits(r.occ, len(r.ins)*NumClasses)
 	return len(r.ins) - 1
 }
 
 // AddOut appends an output port and returns its index.
 func (r *Router) AddOut(name string) int {
 	r.outs = append(r.outs, &OutPort{name: name})
+	r.outUsed = append(r.outUsed, 0)
 	return len(r.outs) - 1
 }
 
@@ -235,93 +302,108 @@ func Connect(a *Router, out int, b *Router, in int, linkDelay sim.Cycle, lengthM
 	name := fmt.Sprintf("%s.%s->%s.%s", a.Name, a.outs[out].name, b.Name, b.ins[in].name)
 	flits := sim.NewPipe[Flit](name, a.PipeDelay+linkDelay)
 	credits := sim.NewPipe[Credit](name+".credit", 1)
-	op, ip := a.outs[out], b.ins[in]
-	op.link = flits
-	op.creditIn = credits
+	op := a.outs[out]
+	op.wire(flits, credits, b.ins[in], b.ins[in].cap)
 	op.lengthMM = lengthMM
-	for c := range op.credits {
-		op.credits[c] = ip.cap
-	}
-	ip.in = flits
-	ip.creditOut = credits
+	b.feed(in, flits, credits)
 }
 
-// Tick advances the router one cycle: drain returned credits, accept
-// arriving flits, then perform switch allocation (one flit per input and per
-// output per cycle, packet-atomic per output VC, credit-gated).
-func (r *Router) Tick(now sim.Cycle) {
-	for _, op := range r.outs {
-		if op.creditIn == nil {
-			continue
-		}
-		if at, ok := op.creditIn.NextAt(); !ok || at > now {
-			continue // nothing due: skip the Pop loop
-		}
-		for {
-			c, ok := op.creditIn.Pop(now)
-			if !ok {
-				break
-			}
-			op.credits[c.VC]++
-		}
+// feed makes flits the flit pipe of input port in, returning its credits
+// on credits. The pipe's waker is the port's dueMark, installed here
+// rather than in BindWaker so that a router ticked directly (a TickFunc,
+// RouterNetwork.Tick) still sees arrivals.
+func (r *Router) feed(in int, flits *sim.Pipe[Flit], credits *sim.Pipe[Credit]) {
+	ip := r.ins[in]
+	ip.in, ip.creditOut = flits, credits
+	flits.SetWaker(dueMark{r: r, port: in})
+}
+
+// dueMark is the waker of a router input's flit pipe: it marks the port
+// due, then forwards the wake to the router's engine, if it has one. A
+// staged cross-domain pipe raises it from CommitStaged, which runs in the
+// consuming router's domain.
+type dueMark struct {
+	r    *Router
+	port int
+}
+
+// Wake implements sim.Waker.
+func (m dueMark) Wake(at sim.Cycle) {
+	setBit(m.r.due, m.port)
+	if m.r.waker != nil {
+		m.r.waker.Wake(at)
 	}
-	for _, ip := range r.ins {
-		if ip.in == nil {
-			continue
-		}
-		if at, ok := ip.in.NextAt(); !ok || at > now {
-			continue
-		}
-		for {
-			f, ok := ip.in.Pop(now)
-			if !ok {
-				break
+}
+
+// Tick advances the router one cycle: accept the flits arriving on due
+// input ports, then perform switch allocation (one flit per input and per
+// output per cycle, packet-atomic per output VC, credit-gated). Ports with
+// no flit in flight are not visited, and returned credits stay in their
+// pipes until a grant needs them.
+func (r *Router) Tick(now sim.Cycle) {
+	for w, word := range r.due {
+		for word != 0 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			in := r.ins[p].in
+			if at, ok := in.NextAt(); ok && at <= now {
+				for {
+					f, ok := in.Pop(now)
+					if !ok {
+						break
+					}
+					r.enqueue(p, f)
+				}
 			}
-			r.enqueue(ip, f)
+			if in.Len() == 0 {
+				clearBit(r.due, p)
+			}
 		}
 	}
 	r.allocate(now)
 }
 
-// enqueue buffers flit f in its class's VC at input ip.
-func (r *Router) enqueue(ip *InPort, f Flit) {
+// enqueue buffers flit f in its class's VC at input port p.
+func (r *Router) enqueue(p int, f Flit) {
+	ip := r.ins[p]
 	vc := f.Pkt.Class
-	if ip.vcs[vc].len() >= ip.cap {
+	i := p*NumClasses + int(vc)
+	if r.prio != nil && !hasBit(r.covered, i) {
+		panic(fmt.Sprintf("noc: %s input %s class %v is missing from the static priority order, so its flits could never be granted", r.Name, ip.name, vc))
+	}
+	q := &ip.vcs[vc]
+	if q.len() >= ip.cap {
 		panic(fmt.Sprintf("noc: %s input %s VC %v overflow (credit protocol violated)", r.Name, ip.name, vc))
 	}
-	ip.vcs[vc].push(f)
+	q.push(f)
+	setBit(r.occ, i)
 	r.buffered++
 }
 
-// BindWaker implements sim.WakeBinder: every input flit pipe becomes a wake
-// source, so a quiescent router is re-armed the moment traffic is pushed
-// toward it. Credit-return pipes are deliberately not wake sources: a
-// returned credit enables no work on its own, and pending credits are
-// drained in bulk at the start of the next flit-driven tick, giving the
-// allocator exactly the credit view the naive kernel would have. All links
-// must be connected before the router is registered with the engine.
-func (r *Router) BindWaker(w sim.Waker) {
-	for _, ip := range r.ins {
-		if ip.in != nil {
-			ip.in.SetWaker(w)
-		}
-	}
-}
+// BindWaker implements sim.WakeBinder: the dueMarks Connect installed on
+// the input flit pipes forward to w, so a quiescent router is re-armed the
+// moment traffic is pushed toward it. Credit-return pipes are deliberately
+// not wake sources: a returned credit enables no work on its own, and a
+// grant that needs credits drains them from the pipe on the spot. All
+// links must be connected before the router is registered with the engine.
+func (r *Router) BindWaker(w sim.Waker) { r.waker = w }
 
 // NextWake implements sim.Sleeper. A router holding buffered flits must
 // keep arbitrating every cycle (it may be credit-blocked, and the blocking
-// credit arrives on a pipe it drains at tick start); an empty router sleeps
-// until the earliest in-flight flit on any input link can arrive, and
-// indefinitely (NeverWake) when its inputs are dry — the input pipes are
-// its wake sources.
+// credit arrives on a pipe that wakes no one); an empty router sleeps until
+// the earliest in-flight flit on a due input port can arrive, and
+// indefinitely (NeverWake) when no port is due — the input pipes' marks
+// are its wake sources.
 func (r *Router) NextWake(now sim.Cycle) sim.Cycle {
 	if r.buffered > 0 {
 		return now + 1
 	}
 	next := sim.NeverWake
-	for _, ip := range r.ins {
-		if ip.in != nil {
-			if at, ok := ip.in.NextAt(); ok && at < next {
+	for w, word := range r.due {
+		for word != 0 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if at, ok := r.ins[p].in.NextAt(); ok && at < next {
 				next = at
 			}
 		}
@@ -329,107 +411,123 @@ func (r *Router) NextWake(now sim.Cycle) sim.Cycle {
 	return next
 }
 
-// allocate performs switch allocation for one cycle.
+// allocate performs switch allocation for one cycle, offering each
+// non-empty VC to try in arbitration order.
 func (r *Router) allocate(now sim.Cycle) {
 	if r.buffered == 0 {
 		return
 	}
-	// The scratch masks are sized to the actual radix (the central
-	// crossbar has a port per tile; a mesh router has at most 9).
-	if len(r.inUsed) != len(r.ins) {
-		r.inUsed = make([]bool, len(r.ins))
-	} else {
-		clear(r.inUsed)
-	}
-	if len(r.outUsed) != len(r.outs) {
-		r.outUsed = make([]bool, len(r.outs))
-	} else {
-		clear(r.outUsed)
-	}
-	inUsed, outUsed := r.inUsed, r.outUsed
-	cands := r.candidates()
-	n := len(cands)
-	if n == 0 {
+	if r.prio != nil {
+		for _, cd := range r.prio {
+			if hasBit(r.occ, cd.Port*NumClasses+int(cd.VC)) {
+				r.try(now, cd.Port, cd.VC)
+			}
+		}
 		return
 	}
-	start := 0
-	if r.prio == nil {
-		// Rotating arbitration. The rotation is a pure function of the
-		// clock (one position per cycle, first tick at cycle 1 starting at
-		// 0), so a router that slept through idle cycles arbitrates exactly
-		// as if it had been ticked every cycle — a stateful pointer would
-		// diverge between the scheduled and naive kernels.
-		start = int(((now-1)%sim.Cycle(n) + sim.Cycle(n)) % sim.Cycle(n))
+	// Rotating arbitration over the candidates port*NumClasses+vc. The
+	// rotation is a pure function of the clock (one position per cycle,
+	// first tick at cycle 1 starting at 0), so a router that slept through
+	// idle cycles arbitrates exactly as if it had been ticked every cycle
+	// — a stateful pointer would diverge between the scheduled and naive
+	// kernels. The walk visits the occupied candidates from start upward,
+	// then wraps to those below it.
+	n := sim.Cycle(len(r.ins) * NumClasses)
+	start := int(((now-1)%n + n) % n)
+	w0, below := start>>6, uint64(1)<<(start&63)-1
+	r.tryWord(now, w0, r.occ[w0]&^below)
+	for w := w0 + 1; w < len(r.occ); w++ {
+		r.tryWord(now, w, r.occ[w])
 	}
-	for k, i := 0, start; k < n; k, i = k+1, i+1 {
-		if i == n {
-			i = 0
-		}
-		cd := cands[i]
-		if inUsed[cd.Port] {
-			continue
-		}
-		ip := r.ins[cd.Port]
-		q := &ip.vcs[cd.VC]
-		if q.len() == 0 {
-			continue
-		}
-		f := q.front()
-		out := ip.outPort[cd.VC]
-		if out < 0 {
-			out = r.routeOf(f.Pkt)
-			ip.outPort[cd.VC] = out
-		}
-		if outUsed[out] {
-			continue
-		}
-		op := r.outs[out]
-		// Packet atomicity: an output VC is owned by one packet from head
-		// to tail.
-		need := 1
-		if own := op.owner[cd.VC]; own != nil {
-			if own != f.Pkt {
-				continue
-			}
-		} else {
-			if !f.Head() {
-				continue // only a head flit may claim a free VC
-			}
-			if r.headRoom != nil {
-				if n := r.headRoom(cd.Port, out, f.Pkt.Size); n > need {
-					need = n
-				}
-			}
-		}
-		if op.credits[cd.VC] < need {
-			continue
-		}
-		// Grant.
-		q.pop()
-		r.buffered--
-		op.credits[cd.VC]--
-		if f.Head() {
-			op.owner[cd.VC] = f.Pkt
-			f.Pkt.hops++
-		}
-		if f.Tail() {
-			op.owner[cd.VC] = nil
-			ip.outPort[cd.VC] = -1
-		}
-		op.link.Push(now, f)
-		if ip.creditOut != nil {
-			ip.creditOut.Push(now, Credit{VC: cd.VC})
-		}
-		r.flits++
-		op.sent++
-		inUsed[cd.Port] = true
-		outUsed[out] = true
+	for w := 0; w < w0; w++ {
+		r.tryWord(now, w, r.occ[w])
+	}
+	r.tryWord(now, w0, r.occ[w0]&below)
+}
+
+// tryWord offers the candidates set in word, word w of the occupancy set,
+// to try in ascending order.
+func (r *Router) tryWord(now sim.Cycle, w int, word uint64) {
+	for word != 0 {
+		i := w<<6 | bits.TrailingZeros64(word)
+		word &= word - 1
+		r.try(now, i/NumClasses, Class(i%NumClasses))
 	}
 }
 
+// try grants the front flit of input port p's non-empty VC vc if neither
+// the input nor the flit's output has granted this cycle, the packet may
+// use the output VC, and the downstream buffer has room.
+func (r *Router) try(now sim.Cycle, p int, vc Class) {
+	if r.inUsed[p] == now {
+		return
+	}
+	ip := r.ins[p]
+	q := &ip.vcs[vc]
+	f := q.front()
+	out := r.routeOf(f.Pkt)
+	if r.outUsed[out] == now {
+		return
+	}
+	op := r.outs[out]
+	// Packet atomicity: an output VC is owned by one packet from head to
+	// tail.
+	need := 1
+	if own := op.owner[vc]; own != nil {
+		if own != f.Pkt {
+			return
+		}
+	} else {
+		if !f.Head() {
+			return // only a head flit may claim a free VC
+		}
+		if r.headRoom != nil {
+			if n := r.headRoom(p, out, f.Pkt.Size); n > need {
+				need = n
+			}
+		}
+	}
+	if op.credits[vc] < need {
+		op.drainCredits(now)
+		if op.credits[vc] < need {
+			return
+		}
+	}
+	// Grant.
+	q.pop()
+	if q.len() == 0 {
+		clearBit(r.occ, p*NumClasses+int(vc))
+	}
+	r.buffered--
+	op.credits[vc]--
+	if f.Head() {
+		op.owner[vc] = f.Pkt
+		f.Pkt.hops++
+	}
+	if f.Tail() {
+		op.owner[vc] = nil
+	}
+	op.link.Push(now, f)
+	if ip.creditOut != nil {
+		ip.creditOut.Push(now, Credit{VC: vc})
+	}
+	r.flits++
+	op.sent++
+	r.inUsed[p] = now
+	r.outUsed[out] = now
+}
+
 // routeOf returns packet p's output port, panicking on a route to a port
-// that does not exist or is not connected.
+// that does not exist or is not connected. Routes are a pure function of
+// the destination, so each destination is routed and validated once and
+// its port remembered in memo.
 func (r *Router) routeOf(p *Packet) int {
+	d := int(p.Dst)
+	if uint(d) < uint(len(r.memo)) {
+		if out := r.memo[d]; out >= 0 {
+			return int(out)
+		}
+	}
 	out := r.route(p)
 	if out < 0 || out >= len(r.outs) {
 		panic(fmt.Sprintf("noc: %s route(%d->%d) = invalid port %d", r.Name, p.Src, p.Dst, out))
@@ -437,22 +535,56 @@ func (r *Router) routeOf(p *Packet) int {
 	if r.outs[out].link == nil {
 		panic(fmt.Sprintf("noc: %s output %s not connected", r.Name, r.outs[out].name))
 	}
+	if d >= len(r.memo) {
+		// One allocation reaches d and at least doubles the memo, so
+		// rising destinations regrow it only logarithmically often.
+		m := make([]int32, max(d+1, 2*len(r.memo)))
+		for i := copy(m, r.memo); i < len(m); i++ {
+			m[i] = -1
+		}
+		r.memo = m
+	}
+	r.memo[d] = int32(out)
 	return out
 }
 
-// candidates returns the arbitration order for this cycle: the static
-// priority list if configured, otherwise every (port, VC) pair.
-func (r *Router) candidates() []Cand {
-	if r.prio != nil {
-		return r.prio
-	}
-	// Build once and cache: the full cross product is static.
-	if r.allCands == nil {
-		for i := range r.ins {
-			for c := Class(0); c < NumClasses; c++ {
-				r.allCands = append(r.allCands, Cand{Port: i, VC: c})
+// resync rebuilds the bookkeeping a checkpoint does not carry from the
+// restored VCs and pipes: the buffered count, the occupancy set and the due
+// set (Pipe.LoadState raises no wakes). It also forgets the last-grant
+// stamps, which a rewound clock would otherwise read as grants made this
+// cycle.
+func (r *Router) resync() {
+	r.buffered = 0
+	clear(r.due)
+	clear(r.occ)
+	clear(r.inUsed)
+	clear(r.outUsed)
+	for p, ip := range r.ins {
+		for c := range ip.vcs {
+			if n := ip.vcs[c].len(); n > 0 {
+				r.buffered += n
+				setBit(r.occ, p*NumClasses+c)
 			}
 		}
+		if ip.in != nil && ip.in.Len() > 0 {
+			setBit(r.due, p)
+		}
 	}
-	return r.allCands
 }
+
+// words returns the number of 64-bit words a bitset of n bits needs.
+func words(n int) int { return (n + 63) >> 6 }
+
+// growBits extends bitset s to hold n bits.
+func growBits(s []uint64, n int) []uint64 {
+	for len(s) < words(n) {
+		s = append(s, 0)
+	}
+	return s
+}
+
+func setBit(s []uint64, i int)   { s[i>>6] |= 1 << (i & 63) }
+func clearBit(s []uint64, i int) { s[i>>6] &^= 1 << (i & 63) }
+
+// hasBit reports whether bit i is set; bits beyond the set read as clear.
+func hasBit(s []uint64, i int) bool { return i>>6 < len(s) && s[i>>6]&(1<<(i&63)) != 0 }

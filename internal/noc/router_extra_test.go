@@ -1,7 +1,10 @@
 package noc
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nocout/internal/ckpt"
@@ -161,28 +164,38 @@ func forkNet() *RouterNetwork {
 }
 
 // TestRouterBufferedAndRouteCache checks, after every cycle of saturated
-// multi-flit traffic, that each router's buffered count equals its VC
-// occupancy and that each cached output port is its front packet's
-// route. Snapshots taken along the run must then replay the original
-// run's deliveries both in a fresh network and in the original one
-// rewound from a later cycle, whose counts and caches LoadState must
-// reset.
+// multi-flit traffic, the state each router derives from its VCs and
+// pipes: the buffered count equals the VC occupancy, the occupancy bits
+// mark exactly the non-empty VCs, the due bits mark exactly the input
+// pipes with flits in flight, and every remembered route is the
+// destination's route. Snapshots taken along the run must then replay
+// the original run's deliveries both in a fresh network and in the
+// original one rewound from a later cycle, whose derived state and
+// last-grant stamps LoadState must reset.
 func TestRouterBufferedAndRouteCache(t *testing.T) {
 	check := func(rn *RouterNetwork, now sim.Cycle) {
 		t.Helper()
 		for _, r := range rn.Routers {
 			n := 0
-			for _, ip := range r.ins {
+			for p, ip := range r.ins {
 				for c := range ip.vcs {
 					q := &ip.vcs[c]
 					n += q.len()
-					if out := ip.outPort[c]; out >= 0 && q.len() > 0 && out != r.route(q.front().Pkt) {
-						t.Fatalf("cycle %d: %s VC %d caches port %d for a packet routed to %d", now, r.Name, c, out, r.route(q.front().Pkt))
+					if occ := hasBit(r.occ, p*NumClasses+c); occ != (q.len() > 0) {
+						t.Fatalf("cycle %d: %s input %d VC %d holds %d flits but occupancy bit is %v", now, r.Name, p, c, q.len(), occ)
 					}
+				}
+				if due := hasBit(r.due, p); due != (ip.in.Len() > 0) {
+					t.Fatalf("cycle %d: %s input %d has %d flits in flight but due bit %v", now, r.Name, p, ip.in.Len(), due)
 				}
 			}
 			if r.buffered != n {
 				t.Fatalf("cycle %d: %s buffered = %d, VCs hold %d", now, r.Name, r.buffered, n)
+			}
+			for d, out := range r.memo {
+				if want := r.route(&Packet{Dst: NodeID(d)}); out >= 0 && int(out) != want {
+					t.Fatalf("cycle %d: %s remembers port %d for destination %d, routed to %d", now, r.Name, out, d, want)
+				}
 			}
 		}
 	}
@@ -264,6 +277,108 @@ func TestRouterBufferedAndRouteCache(t *testing.T) {
 		for name, got := range map[string][]delivery{"fresh": fresh, "rewound": rewound} {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("snapshot at %d, %s restore delivered %v, original %v", at, name, got, want)
+			}
+		}
+	}
+}
+
+// panicMessage runs f and returns the value it panicked with, if any.
+func panicMessage(f func()) (msg string, panicked bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			msg, panicked = fmt.Sprint(v), true
+		}
+	}()
+	f()
+	return "", false
+}
+
+// A flit on a VC the static priority order leaves out could never be
+// granted: the router would hold it, stay awake and wedge its link
+// silently. It must panic instead, naming the router, port and class.
+func TestStaticPriorityUncoveredVCPanics(t *testing.T) {
+	r := NewRouter(0, "tree", 0, func(p *Packet) int { return 0 })
+	r.AddIn("net", 2)
+	r.AddOut("down")
+	r.SetPriority([]Cand{{Port: 0, VC: ClassResp}, {Port: 0, VC: ClassSnoop}})
+	src, dst := NewNI(0, nil), NewNI(1, nil)
+	ConnectNIInject(src, r, 0, 1)
+	ConnectNIEject(dst, r, 0, 1, 4)
+	dst.SetDeliver(func(sim.Cycle, *Packet) {})
+	src.Send(0, &Packet{ID: 1, Class: ClassResp, Src: 0, Dst: 1, Size: 1})
+	src.Send(0, &Packet{ID: 2, Class: ClassReq, Src: 0, Dst: 1, Size: 1})
+	e := sim.NewEngine()
+	e.Register(r, src, dst)
+	msg, panicked := panicMessage(func() { e.Step(50) })
+	if !panicked {
+		t.Fatalf("a request flit on a VC missing from the priority order was accepted and never granted (%d flits held)", r.buffered)
+	}
+	for _, want := range []string{"tree", "net", "req", "priority"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not name %q", msg, want)
+		}
+	}
+}
+
+// SetPriority must reject an entry naming an input port the router does
+// not have, instead of failing at the first allocation that reaches it.
+func TestSetPriorityRejectsMissingPort(t *testing.T) {
+	r := NewRouter(0, "tree", 0, func(p *Packet) int { return 0 })
+	r.AddIn("net", 2)
+	r.AddIn("local", 2)
+	r.AddOut("down")
+	msg, panicked := panicMessage(func() {
+		r.SetPriority([]Cand{{Port: 0, VC: ClassResp}, {Port: 2, VC: ClassResp}})
+	})
+	if !panicked || !strings.Contains(msg, "tree") || !strings.Contains(msg, "port 2") {
+		t.Fatalf("SetPriority with a missing port: panicked %v, message %q", panicked, msg)
+	}
+}
+
+// CheckCredits must name the link, VC and terms of a broken credit sum,
+// for router links and both NI ends, on a network with traffic in flight.
+func TestCheckCreditsNamesTheBrokenLink(t *testing.T) {
+	running := func() *RouterNetwork {
+		rn := forkNet()
+		for _, d := range []NodeID{1, 2} {
+			rn.SetDeliver(d, func(sim.Cycle, *Packet) {})
+		}
+		e := sim.NewEngine()
+		e.Register(rn)
+		for i := 0; i < 20; i++ {
+			rn.Send(0, &Packet{ID: uint64(i), Class: Class(i % NumClasses), Src: NodeID(3 * (i % 2)), Dst: NodeID(1 + i%2), Size: 1 + i%4})
+		}
+		for e.Now() < 12 {
+			e.Step(1)
+			if err := rn.CheckCredits(); err != nil {
+				t.Fatalf("cycle %d: %v", e.Now(), err)
+			}
+		}
+		return rn
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(rn *RouterNetwork)
+		want  []string
+	}{
+		{"lost router credit", func(rn *RouterNetwork) { rn.Routers[0].outs[0].credits[ClassResp]-- },
+			[]string{"r0 output out VC resp", "capacity 2"}},
+		{"double-counted return", func(rn *RouterNetwork) { rn.Routers[0].outs[0].creditIn.Push(12, Credit{VC: ClassReq}) },
+			[]string{"r0 output out VC req", "returning"}},
+		{"NI inject side", func(rn *RouterNetwork) { rn.NIs[3].out.credits[ClassSnoop]++ },
+			[]string{"ni3 output inject VC snoop"}},
+		{"NI eject side", func(rn *RouterNetwork) { rn.Routers[1].outs[1].credits[ClassReq]-- },
+			[]string{"r1 output to2 VC req", "capacity 8"}},
+	} {
+		rn := running()
+		tc.spoil(rn)
+		err := rn.CheckCredits()
+		if !errors.Is(err, ErrCreditConservation) {
+			t.Fatalf("%s: CheckCredits = %v, want ErrCreditConservation", tc.name, err)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s: %q does not name %q", tc.name, err, w)
 			}
 		}
 	}

@@ -231,7 +231,9 @@ func (rn *RouterNetwork) SaveState(e *ckpt.Enc, put PayloadEnc) {
 }
 
 // LoadState is the inverse of SaveState; get decodes each payload. The
-// network must be freshly built with the donor's topology.
+// network must be built with the donor's topology. Each router's derived
+// state — its buffered count, occupancy and due sets and last-grant
+// stamps — is rebuilt from the restored buffers and pipes.
 func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 	n := d.Count()
 	if d.Err() != nil {
@@ -275,11 +277,9 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 	for _, r := range rn.Routers {
 		r.flits = d.I64()
 		r.flitsFolded = r.flits
-		r.buffered = 0
 		for _, ip := range r.ins {
 			for c := range ip.vcs {
 				q := &ip.vcs[c]
-				ip.outPort[c] = -1
 				cnt := d.Count()
 				if d.Err() != nil {
 					return
@@ -290,7 +290,6 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 				}
 				q.head = 0
 				q.n = cnt
-				r.buffered += cnt
 				for i := range q.buf {
 					q.buf[i] = Flit{}
 				}
@@ -322,6 +321,7 @@ func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
 		if d.Err() != nil {
 			return
 		}
+		r.resync()
 	}
 
 	s := &rn.stats
