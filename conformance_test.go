@@ -130,31 +130,75 @@ func TestKernelConformance(t *testing.T) {
 			t.Parallel()
 			cfg := DefaultConfig(d)
 			cfg.Cores = 16
-
-			build := func(scheduled bool) *chip.Chip {
-				c := chip.New(cfg, w)
-				c.Engine.SetScheduled(scheduled)
-				c.PrewarmCaches()
-				return c
-			}
-			sched, naive := build(true), build(false)
-			if !sched.Engine.Scheduled() || naive.Engine.Scheduled() {
-				t.Fatal("kernel mode not applied")
-			}
-
-			total := confQ.Warmup + confQ.Window
-			for cy := sim.Cycle(1); cy <= total; cy++ {
-				sched.Engine.Step(1)
-				naive.Engine.Step(1)
-				if hs, hn := sched.StateHash(), naive.StateHash(); hs != hn {
-					t.Fatalf("state hash diverged at cycle %d: scheduled %#x naive %#x", cy, hs, hn)
-				}
-			}
-			ms, mn := sched.Metrics(), naive.Metrics()
-			if !reflect.DeepEqual(ms, mn) {
-				t.Fatalf("final metrics diverged:\nscheduled %+v\nnaive     %+v", ms, mn)
-			}
+			lockstepKernels(t, cfg, w, confQ.Warmup+confQ.Window)
 		})
+	}
+}
+
+// lockstepKernels builds cfg's chip on the scheduled and on the naive
+// kernel, steps both one cycle at a time for cycles cycles, fails on the
+// first cycle whose state hashes differ or on differing final Metrics,
+// and returns the final Metrics.
+func lockstepKernels(t *testing.T, cfg Config, w workload.Workload, cycles sim.Cycle) chip.Metrics {
+	t.Helper()
+	build := func(scheduled bool) *chip.Chip {
+		c := chip.New(cfg, w)
+		c.Engine.SetScheduled(scheduled)
+		c.PrewarmCaches()
+		return c
+	}
+	s, n := build(true), build(false)
+	if !s.Engine.Scheduled() || n.Engine.Scheduled() {
+		t.Fatal("kernel mode not applied")
+	}
+	for cy := sim.Cycle(1); cy <= cycles; cy++ {
+		s.Engine.Step(1)
+		n.Engine.Step(1)
+		if hs, hn := s.StateHash(), n.StateHash(); hs != hn {
+			t.Fatalf("state hash diverged at cycle %d: scheduled %#x naive %#x", cy, hs, hn)
+		}
+	}
+	ms, mn := s.Metrics(), n.Metrics()
+	if !reflect.DeepEqual(ms, mn) {
+		t.Fatalf("final metrics diverged:\nscheduled %+v\nnaive     %+v", ms, mn)
+	}
+	return ms
+}
+
+// TestKernelConformanceOpenSystem holds the kernel oracle on open-system
+// traffic, where an idle core sleeps until its stream's next arrival: at
+// low load every core sleeps and wakes many times in 20k cycles, through
+// bursts, a whole zero-rate phase, and drops at a two-deep queue. State
+// hashes must match the naive kernel's on every cycle, and the final
+// Metrics, request latencies included, must be identical.
+func TestKernelConformanceOpenSystem(t *testing.T) {
+	const cycles = 20000
+	for _, c := range []struct{ name, spec string }{
+		{"poisson", "opensys:arrival=poisson,base=data-serving,rate=0.5"},
+		{"mmpp", "opensys:arrival=mmpp,base=data-serving,rate=0.5"},
+		{"burst", "opensys:arrival=burst,base=data-serving,rate=0.5"},
+		{"phases", "opensys:arrival=poisson,base=data-serving,rate=1,phases=1.5x4000;0x4000"},
+		{"hotspot", "opensys:arrival=poisson,base=data-serving,rate=2,queue=2,skew=hotspot"},
+	} {
+		w, err := workload.Parse(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []Design{Mesh, NOCOut} {
+			t.Run(c.name+"/"+d.String(), func(t *testing.T) {
+				t.Parallel()
+				cfg := DefaultConfig(d)
+				cfg.Cores = 16
+				// Metrics.Open is the request lifecycle ReqLatency reports.
+				rs := reqLatencyOf(lockstepKernels(t, cfg, w, cycles).Open)
+				if rs == nil || rs.Completed < 16 {
+					t.Fatalf("too little request flow to exercise sleeping cores: %+v", rs)
+				}
+				if c.name == "hotspot" && rs.Dropped == 0 {
+					t.Fatalf("hotspot at queue=2 dropped nothing: %+v", rs)
+				}
+			})
+		}
 	}
 }
 

@@ -32,8 +32,9 @@ const (
 	KindStore
 	// KindIdle is an open-system stream's "no work pending" answer: fetch
 	// consumes nothing this cycle — no I-side access, no ROB entry, no
-	// committed instruction — and polls the stream again next cycle. Closed
-	// -loop streams never emit it, so their pipelines are untouched.
+	// committed instruction. A core with an empty window then sleeps until
+	// the stream's IdleUntil cycle instead of asking again every cycle.
+	// Closed-loop streams never emit it, so their pipelines are untouched.
 	KindIdle
 )
 
@@ -60,9 +61,17 @@ type Stream interface {
 // core fetches via NextAt when its stream implements this; NextAt is
 // called at most once per pipeline slot and only on cycles fetch can make
 // progress, so implementations see a non-decreasing clock.
+//
+// IdleUntil is asked after a tick whose fetch got KindIdle: it returns the
+// first cycle at which NextAt can answer anything else (sim.NeverWake for
+// never), and a value at or before the current cycle for "cannot tell".
+// A core with an empty window sleeps until that cycle, so NextAt is not
+// called on the idle cycles before it; a call there must therefore have
+// no side effect.
 type TimedStream interface {
 	Stream
 	NextAt(now sim.Cycle) Instr
+	IdleUntil() sim.Cycle
 }
 
 // RetireObserver is a Stream that wants commit-time notification: the
@@ -193,16 +202,20 @@ func (c *Core) Enabled() bool { return c.enabled }
 func (c *Core) ResetStats() { c.Stats = Stats{} }
 
 // BindWaker implements sim.WakeBinder; the L1 fill listener is the core's
-// only wake source (a quiescent core is, by construction, waiting on a
-// fill).
+// only wake source. A core blocked on a fill is re-armed by it; an idle
+// open-system core also arms itself for its stream's next arrival through
+// NextWake, and a fill during that sleep (a store miss completing) wakes
+// it early.
 func (c *Core) BindWaker(w sim.Waker) { c.waker = w }
 
-// NextWake implements sim.Sleeper. A core is quiescent exactly when no
-// pipeline stage can make progress without an L1 fill: fetch is blocked
+// NextWake implements sim.Sleeper. A core is quiescent until an L1 fill
+// when no pipeline stage can progress without one: fetch is blocked
 // (I-miss stall, a serializing load, or a full ROB) and commit is blocked
 // (the window head waits on a miss, or the window is empty). Every such
 // state has an outstanding MSHR, so the fill listener is guaranteed to
-// re-arm the core.
+// re-arm the core. A timed core whose window is empty, with no
+// instruction held for retry, last fetched KindIdle: it sleeps until its
+// stream's IdleUntil cycle, on which NextAt first answers work.
 func (c *Core) NextWake(now sim.Cycle) sim.Cycle {
 	if !c.enabled {
 		return sim.NeverWake
@@ -211,6 +224,13 @@ func (c *Core) NextWake(now sim.Cycle) sim.Cycle {
 	commitBlocked := c.headBlocked() || c.count == 0
 	if fetchBlocked && commitBlocked {
 		return sim.NeverWake
+	}
+	// An empty window here has fetch unblocked (the case above caught the
+	// rest); a held retry is MSHR back-pressure, retried every cycle.
+	if c.timed != nil && c.count == 0 && !c.haveRetry {
+		if at := c.timed.IdleUntil(); at > now {
+			return at
+		}
 	}
 	return now + 1
 }
@@ -223,8 +243,10 @@ func (c *Core) headBlocked() bool {
 // syncTo accounts the idle cycles in (c.lastSeen, upto] that the scheduled
 // kernel never ticked, replicating bit-for-bit what Tick would have done in
 // each: a cycle count, the commit-credit accrual, and the stall
-// attribution — all against the frozen blocked-on-fill state. It must run
-// before any state mutation (a fill, or the body of a live Tick).
+// attribution — all against the state frozen at the last tick, either
+// blocked on a fill or idle on an empty stream (nothing to commit, a
+// KindIdle fetch, no stall to attribute). It must run before any state
+// mutation (a fill, or the body of a live Tick).
 func (c *Core) syncTo(upto sim.Cycle) {
 	if upto <= c.lastSeen {
 		return
@@ -350,7 +372,7 @@ func (c *Core) fetch(now sim.Cycle) {
 			in = c.stream.Next()
 		}
 		if in.Kind == KindIdle {
-			// No work pending: consume nothing, poll again next cycle.
+			// No work pending: consume nothing (NextWake may sleep).
 			return
 		}
 		// Instruction-side access on line changes.

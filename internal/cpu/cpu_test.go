@@ -13,10 +13,12 @@ type fakeL1 struct {
 	outcome func(line uint64, kind coherence.AccessKind) coherence.Outcome
 	fill    func(now sim.Cycle, line uint64, instr, write bool)
 	log     []coherence.AccessKind
+	at      []sim.Cycle // cycle of each logged access
 }
 
 func (f *fakeL1) Access(now sim.Cycle, line uint64, kind coherence.AccessKind) coherence.Outcome {
 	f.log = append(f.log, kind)
+	f.at = append(f.at, now)
 	return f.outcome(line, kind)
 }
 

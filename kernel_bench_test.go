@@ -134,6 +134,43 @@ func BenchmarkKernelChip(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelOpenLow measures a 16-core NOC-Out chip serving
+// open-system Data Serving requests at 0.5 per kcycle per core, on both
+// kernels at bench quality. Most cycles are idle: the routers sleep, and
+// each idle core sleeps until its stream's next arrival. Chip
+// construction and cache prewarming are outside the timer, so
+// ns/simcycle and allocs/op are the simulation's alone.
+func BenchmarkKernelOpenLow(b *testing.B) {
+	w, err := workload.Parse("opensys:arrival=poisson,base=data-serving,rate=0.5")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(NOCOut)
+	cfg.Cores = 16
+	for _, m := range []struct {
+		name      string
+		scheduled bool
+	}{{"naive", false}, {"scheduled", true}} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := chip.New(cfg, w)
+				c.Engine.SetScheduled(m.scheduled)
+				c.PrewarmCaches()
+				b.StartTimer()
+				c.Warmup(benchQ.Warmup)
+				c.Run(benchQ.Window)
+				if mt := c.Metrics(); mt.Open == nil || mt.Open.Completed == 0 {
+					b.Fatalf("no requests completed: %+v", mt)
+				}
+			}
+			simCycles := int64(benchQ.Warmup+benchQ.Window) * int64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simCycles), "ns/simcycle")
+		})
+	}
+}
+
 // BenchmarkKernelSharded measures the conservative parallel kernel's
 // steady state on the full 64-core NOC-Out chip (Web Search) at 1, 2, 4,
 // and 8 domains. Construction and warm-up are excluded (ResetTimer), so

@@ -198,6 +198,7 @@ func New(cfg Config) (*Open, error) {
 	if cfg.Peak <= 1 || cfg.Peak >= 2 {
 		return nil, fmt.Errorf("opensys: burst peak %v must lie in (1, 2)", cfg.Peak)
 	}
+	live := len(cfg.Phases) == 0
 	for i, p := range cfg.Phases {
 		if p.Mult < 0 || math.IsNaN(p.Mult) || math.IsInf(p.Mult, 0) {
 			return nil, fmt.Errorf("opensys: phase %d multiplier %v must be finite and non-negative", i, p.Mult)
@@ -205,6 +206,12 @@ func New(cfg Config) (*Open, error) {
 		if p.Cycles < 1 {
 			return nil, fmt.Errorf("opensys: phase %d length %d must be at least 1 cycle", i, p.Cycles)
 		}
+		live = live || p.Mult > 0
+	}
+	if !live {
+		// The arrival engine would search the schedule forever for a
+		// piece with a positive rate.
+		return nil, fmt.Errorf("opensys: phases %q have no positive multiplier, so no request would ever arrive", phasesSpec(cfg.Phases))
 	}
 	if cfg.Skew == "" {
 		cfg.Skew = "uniform"

@@ -71,6 +71,38 @@ func TestParseRejects(t *testing.T) {
 			t.Errorf("Parse(%q) accepted an invalid spec", bad)
 		}
 	}
+	// Errors that must name what is wrong: a schedule under which no
+	// request ever arrives (the arrival engine would spin forever), and an
+	// explicit zero that New would otherwise read as "use the default".
+	for _, c := range []struct{ spec, want string }{
+		{"opensys:rate=1,phases=0x1000", `"0x1000"`},
+		{"opensys:phases=0x100;0x200", `"0x100;0x200"`},
+		{"opensys:rate=0", "rate"},
+		{"opensys:rate=0.0", "rate"},
+		{"opensys:rate=-0", "rate"},
+		{"opensys:size=0", "size"},
+		{"opensys:queue=0", "queue"},
+		{"opensys:arrival=mmpp,ratio=0", "ratio"},
+		{"opensys:arrival=mmpp,dwell-hi=0", "dwell-hi"},
+		{"opensys:arrival=mmpp,dwell-lo=0", "dwell-lo"},
+		{"opensys:arrival=burst,hurst=0", "hurst"},
+		{"opensys:arrival=burst,peak=0", "peak"},
+		{"opensys:skew=hotspot,grid=0", "grid"},
+		{"opensys:skew=hotspot,hot=0", "hot"},
+		{"opensys:skew=hotspot,hotfrac=0", "hotfrac"},
+	} {
+		_, err := Parse(c.spec)
+		if err == nil {
+			t.Errorf("Parse(%q) accepted an invalid spec", c.spec)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) error %q does not name %s", c.spec, err, c.want)
+		}
+	}
+	// A schedule with some zero phases is valid: requests stop for a
+	// while, then resume.
+	if _, err := Parse("opensys:rate=1,phases=1.5x4000;0x4000"); err != nil {
+		t.Errorf("partly idle schedule rejected: %v", err)
+	}
 }
 
 // TestSchemeRegistered: the workload registry resolves opensys: specs
@@ -294,6 +326,71 @@ func TestStreamDrops(t *testing.T) {
 	}
 	if st.Arrivals != st.Dropped+st.Dispatched+int64(len(s.queue)) {
 		t.Fatalf("arrival conservation violated: %+v (queue %d)", st, len(s.queue))
+	}
+}
+
+// TestIdleUntilContract: IdleUntil names exactly the first cycle at which
+// NextAt stops answering KindIdle — the cycle an idle core sleeps until —
+// across every arrival process and a schedule with a zero phase, and it
+// reports "tick me" while a request is served or queued.
+func TestIdleUntilContract(t *testing.T) {
+	for _, spec := range []string{
+		"opensys:arrival=poisson,rate=3,size=1",
+		"opensys:arrival=mmpp,rate=3,size=1",
+		"opensys:arrival=burst,rate=3,size=1",
+		"opensys:arrival=poisson,rate=3,size=1,phases=1.5x4000;0x4000",
+		"opensys:arrival=burst,rate=20,size=3,queue=2,phases=2x300;0x700",
+	} {
+		o, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := o.StreamFor(1, 7).(*openStream)
+		now := sim.Cycle(0)
+		for served := 0; served < 2000; {
+			at := s.IdleUntil()
+			if at <= now || at == sim.NeverWake {
+				t.Fatalf("%s: idle stream at cycle %d reports IdleUntil %d", spec, now, at)
+			}
+			if in := s.NextAt(at - 1); in.Kind != cpu.KindIdle {
+				t.Fatalf("%s: NextAt(%d) answered work before IdleUntil %d", spec, at-1, at)
+			}
+			now = at
+			if in := s.NextAt(now); in.Kind == cpu.KindIdle {
+				t.Fatalf("%s: NextAt(IdleUntil=%d) answered KindIdle", spec, now)
+			}
+			// Drain the request and any queued behind it on this cycle.
+			for s.serving || len(s.queue) > 0 {
+				if got := s.IdleUntil(); got > now {
+					t.Fatalf("%s: IdleUntil %d > now %d with a request served or queued", spec, got, now)
+				}
+				if in := s.NextAt(now); in.Kind == cpu.KindIdle {
+					t.Fatalf("%s: KindIdle at cycle %d with work pending", spec, now)
+				}
+			}
+			served++
+		}
+	}
+}
+
+// TestIdleUntilNever: a stream whose next arrival never comes (a zero
+// offered load) or lies beyond the cycle range reports sim.NeverWake, not
+// an integer conversion of +Inf.
+func TestIdleUntilNever(t *testing.T) {
+	o, err := Parse("opensys:rate=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := o.WithOfferedLoad(0).StreamFor(0, 1).(*openStream)
+	if in := s.NextAt(1); in.Kind != cpu.KindIdle {
+		t.Fatalf("zero-rate stream served %+v", in)
+	}
+	if got := s.IdleUntil(); got != sim.NeverWake {
+		t.Fatalf("zero-rate stream IdleUntil = %d, want NeverWake", got)
+	}
+	s.nextArr = 1e19 // past math.MaxInt64 cycles
+	if got := s.IdleUntil(); got != sim.NeverWake {
+		t.Fatalf("IdleUntil past the cycle range = %d, want NeverWake", got)
 	}
 }
 

@@ -46,11 +46,7 @@ func (o *Open) Spec() string {
 		put("peak", f(cfg.Peak))
 	}
 	if len(cfg.Phases) > 0 {
-		parts := make([]string, len(cfg.Phases))
-		for i, p := range cfg.Phases {
-			parts[i] = f(p.Mult) + "x" + strconv.FormatInt(p.Cycles, 10)
-		}
-		put("phases", strings.Join(parts, ";"))
+		put("phases", phasesSpec(cfg.Phases))
 	}
 	if cfg.Skew != "uniform" {
 		put("skew", cfg.Skew)
@@ -65,8 +61,9 @@ func (o *Open) Spec() string {
 
 // Parse builds an Open from a spec — either the full "opensys:..." name
 // or just the k=v list after the colon (what the scheme registry hands
-// over). Unknown keys are errors, not silently ignored: a typo must not
-// quietly fall back to a default and poison a sweep.
+// over). Unknown keys are errors, not silently ignored, and so is an
+// explicit zero for a numeric key: a typo must not quietly fall back to
+// a default and poison a sweep.
 func Parse(spec string) (*Open, error) {
 	body := strings.TrimSpace(spec)
 	if i := strings.IndexByte(body, ':'); i >= 0 && strings.EqualFold(strings.TrimSpace(body[:i]), Scheme) {
@@ -132,6 +129,15 @@ func Parse(spec string) (*Open, error) {
 	return New(cfg)
 }
 
+// phasesSpec encodes a diurnal schedule as "MULTxCYCLES;MULTxCYCLES".
+func phasesSpec(phases []RatePhase) string {
+	parts := make([]string, len(phases))
+	for i, p := range phases {
+		parts[i] = strconv.FormatFloat(p.Mult, 'g', -1, 64) + "x" + strconv.FormatInt(p.Cycles, 10)
+	}
+	return strings.Join(parts, ";")
+}
+
 // parsePhases decodes a "MULTxCYCLES;MULTxCYCLES" diurnal schedule.
 func parsePhases(v string) ([]RatePhase, error) {
 	var out []RatePhase
@@ -160,10 +166,16 @@ func parsePhases(v string) ([]RatePhase, error) {
 	return out, nil
 }
 
+// parseFloat and parseInt decode a numeric key. Every numeric Config
+// field reads zero as "apply the default", so an explicit zero in a spec
+// is an error rather than a silent default.
 func parseFloat(k, v string) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, fmt.Errorf("opensys: key %s: %w", k, err)
+	}
+	if f == 0 {
+		return 0, errZero(k, v)
 	}
 	return f, nil
 }
@@ -173,5 +185,12 @@ func parseInt(k, v string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("opensys: key %s: %w", k, err)
 	}
+	if n == 0 {
+		return 0, errZero(k, v)
+	}
 	return n, nil
+}
+
+func errZero(k, v string) error {
+	return fmt.Errorf("opensys: key %s=%s: zero stands for the default; omit the key instead", k, v)
 }

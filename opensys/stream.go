@@ -54,10 +54,12 @@ func newOpenStream(o *Open, coreID int, seed uint64) *openStream {
 	return s
 }
 
-// NextAt implements cpu.TimedStream. Arrivals due by now are offered to
-// the bounded queue (queue length is sampled at each arrival instant —
-// for Poisson arrivals PASTA makes that the time-average queue); then
-// the head request, if any, is served one instruction at a time.
+// NextAt implements cpu.TimedStream. Arrivals due by now (nextArr <= now)
+// are offered to the bounded queue (queue length is sampled at each
+// arrival instant — for Poisson arrivals PASTA makes that the time-average
+// queue); then the head request, if any, is served one instruction at a
+// time. With nothing served or queued, a call before IdleUntil() changes
+// nothing and answers KindIdle.
 func (s *openStream) NextAt(now sim.Cycle) cpu.Instr {
 	t := float64(now)
 	for s.nextArr <= t {
@@ -89,6 +91,21 @@ func (s *openStream) NextAt(now sim.Cycle) cpu.Instr {
 		s.serving = false
 	}
 	return s.service.Next()
+}
+
+// IdleUntil implements cpu.TimedStream: 0 while a request is served or
+// queued, else the first cycle NextAt offers the next arrival at,
+// ceil(nextArr). An arrival that never comes (+Inf at a zero rate) or
+// lies beyond the sim.Cycle range reports sim.NeverWake; converting +Inf
+// to an integer is implementation-defined in Go, not a large cycle.
+func (s *openStream) IdleUntil() sim.Cycle {
+	if s.serving || len(s.queue) > 0 {
+		return 0
+	}
+	if at := math.Ceil(s.nextArr); at < math.MaxInt64 {
+		return sim.Cycle(at)
+	}
+	return sim.NeverWake
 }
 
 // Next implements cpu.Stream for untimed callers (conformance checks,
