@@ -1,0 +1,57 @@
+package nocout
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"nocout/internal/chip"
+	"nocout/internal/workload"
+)
+
+// prewarmGolden pins the functionally prewarmed state bit for bit: the
+// SHA-256 of the Snapshot container taken right after PrewarmCaches on a
+// 64-core chip (seed 1). The container holds every array tag, valid bit,
+// LRU age and clock, and every sharer vector, owner and dirty bit in the
+// L1s and LLC banks, so a prewarm that installs lines in a different way
+// or order, or a directory encoding that moves a byte, fails here.
+var prewarmGolden = []struct {
+	design    Design
+	hierarchy HierarchyID
+	workload  string
+	sha       string
+}{
+	{Mesh, SharedNUCA, "Data Serving", "0159814160f0be28e4978a0551dd43ce0eff9eddd1e4215d56a6a5fe6a3566c9"},
+	{Mesh, SharedNUCA, "MapReduce-C", "8df6663838efa772767847a85616bfc32fd9734e73c9d3875efa795a7dd2b711"},
+	{NOCOut, SharedNUCA, "Data Serving", "935624163a30c70b15236f78c7f9699e60312cf0d0d3216f7392155cf6c8ab2b"},
+	{NOCOut, SharedNUCA, "MapReduce-C", "e6a8596473aa6d358cb3ce98530831e9ea0bcfdd64bf0c989e06bfdc4913cd50"},
+	{FBfly, SharedNUCA, "Data Serving", "87e527da1352f8bb1174d8ea421f3d12486f01b70973e1cc29be48890de94b83"},
+	{FBfly, SharedNUCA, "MapReduce-C", "dceb823d6b7b152d3626ea56260a4d6edf22a75bf45bc071c849716923c5427f"},
+	{Mesh, XORPlacement, "Data Serving", "68d64b92ac23c5bb53d403cfd113ef7e4f1c4899a998aa57428a50351b03983b"},
+	{NOCOut, XORPlacement, "Data Serving", "4cafae4459618d72fb834dd225fa9631a96ec2b39eb32b00eaf7d9902428dbf5"},
+	{Mesh, RegionAffine, "Data Serving", "b3d0cafe11028cd5b7f2717db706705781baf553005fb15e299c7c596f6b1a5e"},
+	{NOCOut, RegionAffine, "Data Serving", "e96273862a31b954799e8f30c7acd1bd417c0d4d5666e2e33c442a964cbdccb5"},
+	{Mesh, PrivateLLC, "Data Serving", "f4e9222c7d2d3cba0a62d7db87686a87f7e919ea3cb481081a9d2d15cc367cdf"},
+}
+
+func TestPrewarmSnapshotGolden(t *testing.T) {
+	for _, g := range prewarmGolden {
+		w, err := workload.Parse(g.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(g.design)
+		cfg.Cores = 64
+		cfg.Seed = 1
+		cfg.Hierarchy = g.hierarchy
+		c := chip.New(cfg, w)
+		c.PrewarmCaches()
+		h := sha256.New()
+		if err := c.Snapshot(h); err != nil {
+			t.Fatalf("%v/%v/%s: snapshot: %v", g.design, g.hierarchy, g.workload, err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.sha {
+			t.Errorf("%v/%v/%s: prewarmed snapshot sha256 %s, want %s", g.design, g.hierarchy, g.workload, got, g.sha)
+		}
+	}
+}
