@@ -1,0 +1,56 @@
+package nocout
+
+import (
+	"testing"
+
+	"nocout/internal/chip"
+	"nocout/internal/workload"
+)
+
+// Every simulated point — a Quick point, a campaign point, a checkpoint
+// miss — first builds its chip and functionally prewarms its LLC, L1s and
+// directory. This file holds that setup to its cost.
+
+// setupCfg is a 64-core Data Serving chip of design d with llcMB of LLC.
+func setupCfg(tb testing.TB, d Design, llcMB int) (Config, workload.Workload) {
+	tb.Helper()
+	w, err := workload.Parse("Data Serving")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig(d)
+	cfg.Cores = 64
+	cfg.Seed = 1
+	cfg.LLCMB = llcMB
+	return cfg, w
+}
+
+// TestSetupAllocsIndependentOfLLC: setup allocates per bank and per
+// agent, never per LLC line, so doubling the LLC leaves the allocation
+// count of chip.New + PrewarmCaches where it was.
+func TestSetupAllocsIndependentOfLLC(t *testing.T) {
+	for _, d := range []Design{Mesh, NOCOut} {
+		var allocs [2]float64
+		for i, mb := range []int{8, 16} {
+			cfg, w := setupCfg(t, d, mb)
+			allocs[i] = testing.AllocsPerRun(1, func() { chip.New(cfg, w).PrewarmCaches() })
+		}
+		if diff := allocs[1] - allocs[0]; diff <= -64 || diff >= 64 {
+			t.Errorf("%v: setup allocates %.0f objects at 8 MB of LLC and %.0f at 16 MB", d, allocs[0], allocs[1])
+		}
+	}
+}
+
+// BenchmarkChipSetup times chip.New + PrewarmCaches on the 64-core Mesh
+// and NOC-Out (Data Serving, 8 MB LLC), with its allocations.
+func BenchmarkChipSetup(b *testing.B) {
+	for _, d := range []Design{Mesh, NOCOut} {
+		cfg, w := setupCfg(b, d, 8)
+		b.Run(d.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				chip.New(cfg, w).PrewarmCaches()
+			}
+		})
+	}
+}

@@ -65,12 +65,14 @@ func (a *Array) SetHash(on bool) {
 	a.hashed = on
 }
 
-// set returns the set index for a line address.
+// set returns the set index for a line address. NewArray only builds
+// arrays whose set count is a power of two, so masking the low bits is
+// exactly line mod sets, without a 64-bit divide on every lookup.
 func (a *Array) set(line uint64) int {
 	if a.hashed {
 		line = line ^ line>>10 ^ line>>17 ^ line>>25 ^ line>>33
 	}
-	return int(line % uint64(a.sets))
+	return int(line & uint64(a.sets-1))
 }
 
 // Lookup returns the slot index of line and whether it hit, updating LRU on
@@ -128,11 +130,42 @@ func (a *Array) Insert(line uint64) (slot int, victim uint64, evicted bool) {
 			evicted = true
 		}
 	}
-	a.clock++
-	a.tags[victimSlot] = line
-	a.valid[victimSlot] = true
-	a.age[victimSlot] = a.clock
+	a.install(victimSlot, line)
 	return victimSlot, victim, evicted
+}
+
+// Fill installs line into the first free way of its set without evicting,
+// scanning the set once; it is the functional prewarm's install. A
+// resident line is left untouched (no LRU update) and returns
+// (slot, false, true); otherwise line takes the way Insert would give it
+// and Fill returns (slot, true, true). A full set installs nothing and
+// returns ok == false.
+func (a *Array) Fill(line uint64) (slot int, installed, ok bool) {
+	base := a.set(line) * a.ways
+	free := -1
+	for i := base; i < base+a.ways; i++ {
+		if !a.valid[i] {
+			if free < 0 {
+				free = i
+			}
+		} else if a.tags[i] == line {
+			return i, false, true
+		}
+	}
+	if free < 0 {
+		return -1, false, false
+	}
+	a.install(free, line)
+	return free, true, true
+}
+
+// install stores line in slot i as the most recently used way. Insert and
+// Fill both install through it, so their LRU stamping cannot diverge.
+func (a *Array) install(i int, line uint64) {
+	a.clock++
+	a.tags[i] = line
+	a.valid[i] = true
+	a.age[i] = a.clock
 }
 
 // VictimOf returns the slot and line address that Insert would evict for

@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"nocout/internal/ckpt"
 )
 
 func TestLineAddr(t *testing.T) {
@@ -117,6 +121,67 @@ func TestArrayPropertyNoFalseHits(t *testing.T) {
 	}, &quick.Config{MaxCount: 2000})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArrayFillMatchesInsertPath: Fill is the one-scan form of the
+// prewarm's Contains/VictimOf/Insert sequence. Two equal arrays driven
+// with the same random lines — one through Fill, one through the
+// three-call path — return the same results and serialize to the same
+// bytes, through hits, installs, full sets and the holes Invalidate
+// leaves, with and without the hashed index.
+func TestArrayFillMatchesInsertPath(t *testing.T) {
+	threeCall := func(a *Array, line uint64) (slot int, installed, ok bool) {
+		if a.Contains(line) {
+			slot, _ := a.Probe(line)
+			return slot, false, true
+		}
+		if _, _, full := a.VictimOf(line); full {
+			return -1, false, false
+		}
+		slot, _, _ = a.Insert(line)
+		return slot, true, true
+	}
+	state := func(a *Array) []byte {
+		var e ckpt.Enc
+		a.SaveState(&e)
+		return e.Bytes()
+	}
+	var hits, installs, full int
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fill, ref := NewArray(64*LineBytes, 4), NewArray(64*LineBytes, 4)
+		fill.SetHash(seed%2 == 0)
+		ref.SetHash(seed%2 == 0)
+		for i := 0; i < 1000; i++ {
+			line := uint64(rng.Intn(256)) * 0x10001 // 256 lines on 64 ways
+			if rng.Intn(16) == 0 {
+				if fill.Invalidate(line) != ref.Invalidate(line) {
+					t.Fatalf("seed %d op %d: Invalidate(%#x) differs", seed, i, line)
+				}
+				continue
+			}
+			s1, in1, ok1 := fill.Fill(line)
+			s2, in2, ok2 := threeCall(ref, line)
+			if s1 != s2 || in1 != in2 || ok1 != ok2 {
+				t.Fatalf("seed %d op %d: Fill(%#x) = (%d, %v, %v), three-call path (%d, %v, %v)",
+					seed, i, line, s1, in1, ok1, s2, in2, ok2)
+			}
+			switch {
+			case !ok1:
+				full++
+			case in1:
+				installs++
+			default:
+				hits++
+			}
+			if i%100 == 99 && !bytes.Equal(state(fill), state(ref)) {
+				t.Fatalf("seed %d op %d: array state differs", seed, i)
+			}
+		}
+	}
+	if hits == 0 || installs == 0 || full == 0 {
+		t.Fatalf("hits %d, installs %d, full sets %d: every outcome must be exercised", hits, installs, full)
 	}
 }
 

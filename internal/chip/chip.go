@@ -586,9 +586,12 @@ func (c *Chip) PrewarmCaches() {
 		return c.Banks[bank]
 	}
 
+	// The loops step by offset, not by address: an address cursor wraps
+	// past 2^64 on a region ending in the last line and never stops.
 	for _, r := range []workload.Region{lay.Instr, lay.Hot} {
-		for a := r.Base; a < r.Base+r.Size; a += 64 {
-			bankOf(a / 64).PrewarmShared(a / 64)
+		for off := uint64(0); off < r.Size; off += 64 {
+			line := (r.Base + off) / 64
+			bankOf(line).PrewarmShared(line)
 		}
 	}
 	for i, co := range c.Cores {
@@ -596,8 +599,8 @@ func (c *Chip) PrewarmCaches() {
 			continue
 		}
 		r := lay.Local(i)
-		for a := r.Base; a < r.Base+r.Size; a += 64 {
-			line := a / 64
+		for off := uint64(0); off < r.Size; off += 64 {
+			line := (r.Base + off) / 64
 			if bankOf(line).PrewarmOwned(line, i) {
 				c.L1s[i].PrewarmData(line, coherence.StateM)
 			}

@@ -1,7 +1,9 @@
 package chip
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"nocout/internal/workload"
 )
@@ -54,6 +56,51 @@ func TestPrewarmMakesInstructionsLLCResident(t *testing.T) {
 	if wm.Dir.MissRate() >= cm.Dir.MissRate() {
 		t.Fatalf("prewarm should cut LLC misses: warm %.2f vs cold %.2f",
 			wm.Dir.MissRate(), cm.Dir.MissRate())
+	}
+}
+
+// topRegion ends 5 bytes short of 2^64: its one line is the last line of
+// the address space.
+var topRegion = workload.Region{Base: math.MaxUint64 - 9, Size: 5}
+
+// topLayout is a workload whose hot region and core 0's local region are
+// topRegion.
+type topLayout struct{ workload.Workload }
+
+func (w topLayout) Layout() workload.Layout {
+	lay := w.Workload.Layout()
+	local := lay.Local
+	lay.Hot = topRegion
+	lay.Local = func(core int) workload.Region {
+		if core == 0 {
+			return topRegion
+		}
+		return local(core)
+	}
+	return lay
+}
+
+// TestPrewarmRegionAtAddressTop: a region ending within a line of 2^64
+// prewarms that line and stops. An address cursor stepping 64 bytes at a
+// time wraps past 2^64 there and walks the whole address space.
+func TestPrewarmRegionAtAddressTop(t *testing.T) {
+	cfg := DefaultConfig(Mesh)
+	cfg.Cores = 16
+	c := New(cfg, topLayout{workload.Synth(workload.DataServing)})
+	done := make(chan struct{})
+	go func() {
+		c.PrewarmCaches()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("PrewarmCaches still running after 20 s on a region ending at the top of the address space")
+	}
+	line := topRegion.Base / 64
+	_, bank := c.Memory.Home(line)
+	if own := c.Banks[bank].OwnerOf(line); own != 0 {
+		t.Fatalf("last line of the address space owned by %d, want core 0", own)
 	}
 }
 

@@ -2,19 +2,15 @@ package coherence
 
 import "math/bits"
 
-// Bitset is a fixed-capacity sharer set (full-map directory vector).
+// Bitset is a fixed-capacity sharer set (full-map directory vector). It is
+// a view of words owned elsewhere — a Bank's directory slab — so building
+// one allocates nothing and its methods write through to the slab.
 type Bitset struct {
 	w []uint64
 }
 
-// NewBitset returns a set able to hold ids in [0, n).
-func NewBitset(n int) Bitset { return Bitset{w: make([]uint64, (n+63)/64)} }
-
 // Set adds id.
 func (b Bitset) Set(id int) { b.w[id/64] |= 1 << (uint(id) % 64) }
-
-// Clear removes id.
-func (b Bitset) Clear(id int) { b.w[id/64] &^= 1 << (uint(id) % 64) }
 
 // Has reports membership.
 func (b Bitset) Has(id int) bool { return b.w[id/64]&(1<<(uint(id)%64)) != 0 }

@@ -76,6 +76,11 @@ type trans struct {
 // Bank is one LLC bank with its slice of the directory. It services demand
 // requests at one per cycle through an access pipeline of AccessLat cycles
 // and serializes transactions per line.
+//
+// The full-map directory vectors live in one slab, sharerW, allocated
+// once: the vector of array slot s is sharerW[s*words : (s+1)*words], with
+// words = ceil(NumCores/64) and core c at bit c%64 of word c/64. owner and
+// dirty are indexed by the same slot. Checkpoints store the slab as is.
 type Bank struct {
 	BankID int
 	Node   noc.NodeID
@@ -87,7 +92,8 @@ type Bank struct {
 	pktSeq   uint64
 
 	arr     *cache.Array
-	sharers []Bitset
+	sharerW []uint64 // directory vectors, words per slot (see Bank)
+	words   int
 	owner   []int32
 	dirty   []bool
 
@@ -154,6 +160,7 @@ func NewBank(bankID int, node noc.NodeID, net noc.Network, cfg BankConfig, pool 
 	if pool == nil {
 		pool = &noc.PacketPool{}
 	}
+	words := (cfg.NumCores + 63) / 64
 	b := &Bank{
 		BankID:   bankID,
 		Node:     node,
@@ -164,7 +171,8 @@ func NewBank(bankID int, node noc.NodeID, net noc.Network, cfg BankConfig, pool 
 		pool:     pool,
 		idBase:   noc.PacketIDBase(noc.PktTagDir, bankID),
 		arr:      arr,
-		sharers:  make([]Bitset, arr.Lines()),
+		sharerW:  make([]uint64, arr.Lines()*words),
+		words:    words,
 		owner:    make([]int32, arr.Lines()),
 		dirty:    make([]bool, arr.Lines()),
 		busy:     make(map[uint64]*trans),
@@ -173,11 +181,15 @@ func NewBank(bankID int, node noc.NodeID, net noc.Network, cfg BankConfig, pool 
 		l1Node:   l1Node,
 		numCores: cfg.NumCores,
 	}
-	for i := range b.sharers {
-		b.sharers[i] = NewBitset(cfg.NumCores)
+	for i := range b.owner {
 		b.owner[i] = -1
 	}
 	return b
+}
+
+// sharers returns slot's directory vector, a view into the slab.
+func (b *Bank) sharers(slot int) Bitset {
+	return Bitset{w: b.sharerW[slot*b.words : (slot+1)*b.words]}
 }
 
 // aline converts a chip-wide line address to this bank's array index space
@@ -281,8 +293,8 @@ func (b *Bank) process(now sim.Cycle, m Msg) {
 		if hit {
 			b.dirty[slot] = true
 			b.owner[slot] = -1
-			b.sharers[slot].Set(m.SrcID)
-			b.sharers[slot].Set(tr.origin.SrcID)
+			b.sharers(slot).Set(m.SrcID)
+			b.sharers(slot).Set(tr.origin.SrcID)
 		}
 		// Requester's data comes via the owner's FwdData; nothing to send.
 		b.finish(now, m.Addr, tr)
@@ -290,7 +302,7 @@ func (b *Bank) process(now sim.Cycle, m Msg) {
 		tr := b.mustTrans(m.Addr, tWaitFwdAck)
 		if slot, hit := b.arr.Probe(b.aline(m.Addr)); hit {
 			b.owner[slot] = int32(tr.origin.SrcID)
-			b.sharers[slot].Reset()
+			b.sharers(slot).Reset()
 			b.dirty[slot] = true // line is dirty somewhere off-chip view
 		}
 		b.finish(now, m.Addr, tr)
@@ -305,7 +317,7 @@ func (b *Bank) process(now sim.Cycle, m Msg) {
 		}
 		if slot, hit := b.arr.Probe(b.aline(m.Addr)); hit {
 			b.owner[slot] = int32(tr.origin.SrcID)
-			b.sharers[slot].Reset()
+			b.sharers(slot).Reset()
 		}
 		t := DataEx
 		if tr.reqWasSharer {
@@ -346,7 +358,7 @@ func (b *Bank) handleGetS(now sim.Cycle, m Msg) {
 		b.reply(now, m.SrcID, Msg{Type: DataEx, Addr: m.Addr, Dst: AgentL1, DstID: m.SrcID, SrcID: b.BankID})
 		return
 	}
-	b.sharers[slot].Set(m.SrcID)
+	b.sharers(slot).Set(m.SrcID)
 	b.reply(now, m.SrcID, Msg{Type: Data, Addr: m.Addr, Dst: AgentL1, DstID: m.SrcID, SrcID: b.BankID})
 }
 
@@ -375,9 +387,10 @@ func (b *Bank) handleGetX(now sim.Cycle, m Msg) {
 		b.reply(now, m.SrcID, Msg{Type: AckEx, Addr: m.Addr, Dst: AgentL1, DstID: m.SrcID, SrcID: b.BankID})
 		return
 	}
-	wasSharer := b.sharers[slot].Has(m.SrcID)
+	sh := b.sharers(slot)
+	wasSharer := sh.Has(m.SrcID)
 	others := 0
-	b.sharers[slot].ForEach(func(id int) {
+	sh.ForEach(func(id int) {
 		if id != m.SrcID {
 			others++
 		}
@@ -388,7 +401,7 @@ func (b *Bank) handleGetX(now sim.Cycle, m Msg) {
 		tr.origin, tr.state = m, tWaitInvAcks
 		tr.acksLeft, tr.reqWasSharer = others, wasSharer
 		b.busy[m.Addr] = tr
-		b.sharers[slot].ForEach(func(id int) {
+		sh.ForEach(func(id int) {
 			if id == m.SrcID {
 				return
 			}
@@ -398,7 +411,7 @@ func (b *Bank) handleGetX(now sim.Cycle, m Msg) {
 		return
 	}
 	b.owner[slot] = int32(m.SrcID)
-	b.sharers[slot].Reset()
+	sh.Reset()
 	t := DataEx
 	if wasSharer {
 		t = AckEx
@@ -443,19 +456,17 @@ func (b *Bank) insertAndComplete(now sim.Cycle, line uint64, tr *trans) {
 			b.Stats.MemWrites++
 			b.sendMC(now, Msg{Type: MemWrite, Addr: victim, SrcID: b.BankID})
 		}
-		if b.sharers[slotV].Count() > 0 {
-			b.sharers[slotV].ForEach(func(id int) {
-				b.Stats.BackInvals++
-				b.reply(now, id, Msg{Type: Inv, Addr: victim, Dst: AgentL1, DstID: id, SrcID: b.BankID})
-			})
-		}
+		b.sharers(slotV).ForEach(func(id int) {
+			b.Stats.BackInvals++
+			b.reply(now, id, Msg{Type: Inv, Addr: victim, Dst: AgentL1, DstID: id, SrcID: b.BankID})
+		})
 		b.arr.Invalidate(b.aline(victim))
 	}
 	slot, _, evicted := b.arr.Insert(b.aline(line))
 	if evicted {
 		panic("coherence: victim handling should have freed a way")
 	}
-	b.sharers[slot].Reset()
+	b.sharers(slot).Reset()
 	b.owner[slot] = -1
 	b.dirty[slot] = false
 
@@ -463,7 +474,7 @@ func (b *Bank) insertAndComplete(now sim.Cycle, line uint64, tr *trans) {
 	m := tr.origin
 	switch m.Type {
 	case GetS:
-		b.sharers[slot].Set(m.SrcID)
+		b.sharers(slot).Set(m.SrcID)
 		b.reply(now, m.SrcID, Msg{Type: Data, Addr: line, Dst: AgentL1, DstID: m.SrcID, SrcID: b.BankID})
 	case GetX:
 		b.owner[slot] = int32(m.SrcID)
@@ -578,7 +589,7 @@ func (b *Bank) OwnerOf(line uint64) int {
 // SharerCount returns the number of recorded sharers of line (tests).
 func (b *Bank) SharerCount(line uint64) int {
 	if slot, hit := b.arr.Probe(b.aline(line)); hit {
-		return b.sharers[slot].Count()
+		return b.sharers(slot).Count()
 	}
 	return 0
 }
@@ -600,27 +611,29 @@ func (b *Bank) StuckTransactions() []string {
 // are left cold (they will fault in during the timing warm-up) and the
 // function reports false.
 func (b *Bank) PrewarmShared(line uint64) bool {
-	a := b.aline(line)
-	if b.arr.Contains(a) {
-		return true
-	}
-	if _, _, full := b.arr.VictimOf(a); full {
-		return false
-	}
-	slot, _, _ := b.arr.Insert(a)
-	b.sharers[slot].Reset()
-	b.owner[slot] = -1
-	b.dirty[slot] = false
-	return true
+	_, ok := b.prewarm(line)
+	return ok
 }
 
 // PrewarmOwned functionally installs line owned (M) by core, reporting
 // false if the set had no free way.
 func (b *Bank) PrewarmOwned(line uint64, core int) bool {
-	if !b.PrewarmShared(line) {
-		return false
+	slot, ok := b.prewarm(line)
+	if ok {
+		b.owner[slot] = int32(core)
 	}
-	slot, _ := b.arr.Probe(b.aline(line))
-	b.owner[slot] = int32(core)
-	return true
+	return ok
+}
+
+// prewarm makes line resident with one set scan: a resident line keeps
+// its directory entry, a newly installed one starts clean with no sharers
+// and no owner, and a full set leaves line cold (ok == false).
+func (b *Bank) prewarm(line uint64) (slot int, ok bool) {
+	slot, installed, ok := b.arr.Fill(b.aline(line))
+	if installed {
+		b.sharers(slot).Reset()
+		b.owner[slot] = -1
+		b.dirty[slot] = false
+	}
+	return slot, ok
 }

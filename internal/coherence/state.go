@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math"
 	"sort"
 
 	"nocout/internal/ckpt"
@@ -133,12 +134,7 @@ func loadTrans(d *ckpt.Dec) *trans {
 // map round-trips exactly. The freeTr recycling pool is not state.
 func (b *Bank) SaveState(e *ckpt.Enc) {
 	b.arr.SaveState(e)
-	// Directory vectors, flattened: all per-line bitsets share one width.
-	words := make([]uint64, 0, len(b.sharers)*len(b.sharers[0].w))
-	for _, s := range b.sharers {
-		words = append(words, s.w...)
-	}
-	e.U64s(words)
+	e.U64s(b.sharerW) // the directory slab, slot-major
 	owners := make([]uint64, len(b.owner))
 	for i, o := range b.owner {
 		owners[i] = uint64(uint32(o))
@@ -164,21 +160,28 @@ func (b *Bank) SaveState(e *ckpt.Enc) {
 	e.U64(b.pktSeq)
 }
 
-// LoadState implements ckpt.Loader.
+// LoadState implements ckpt.Loader. Owners and sharers are core indexes
+// the bank later forwards and invalidates to, so a directory entry naming
+// a core the chip does not have is corruption, not state.
 func (b *Bank) LoadState(d *ckpt.Dec) {
 	b.arr.LoadState(d)
 	words := d.U64s()
 	if d.Err() != nil {
 		return
 	}
-	per := len(b.sharers[0].w)
-	if len(words) != len(b.sharers)*per {
-		d.Corrupt("directory vector length %d, built %d", len(words), len(b.sharers)*per)
+	if len(words) != len(b.sharerW) {
+		d.Corrupt("directory vector length %d, built %d", len(words), len(b.sharerW))
 		return
 	}
-	for i := range b.sharers {
-		copy(b.sharers[i].w, words[i*per:(i+1)*per])
+	if pad := b.numCores % 64; pad != 0 {
+		for i := b.words - 1; i < len(words); i += b.words { // each vector's last word
+			if words[i]>>pad != 0 {
+				d.Corrupt("bank %d slot %d: sharer vector names a core at or above %d", b.BankID, i/b.words, b.numCores)
+				return
+			}
+		}
 	}
+	copy(b.sharerW, words)
 	owners := d.U64s()
 	dirty := d.Bools()
 	if d.Err() != nil {
@@ -189,7 +192,12 @@ func (b *Bank) LoadState(d *ckpt.Dec) {
 		return
 	}
 	for i, o := range owners {
-		b.owner[i] = int32(uint32(o))
+		own := int32(uint32(o))
+		if o > math.MaxUint32 || own < -1 || int(own) >= b.numCores {
+			d.Corrupt("bank %d slot %d: owner %#x is neither none nor a core below %d", b.BankID, i, o, b.numCores)
+			return
+		}
+		b.owner[i] = own
 	}
 	copy(b.dirty, dirty)
 

@@ -54,6 +54,10 @@ type Region struct {
 	Size uint64 `json:"size"`
 }
 
+// wraps reports whether r's end overflows 2^64, so that it names no
+// address range. Trace readers and the recorder refuse such a region.
+func (r Region) wraps() bool { return r.Base+r.Size < r.Base }
+
 // Layout describes a workload's address space the way the paper's
 // checkpoint methodology needs it (§5.4): the shared regions become
 // LLC-resident before timing starts and each active core's local region

@@ -202,11 +202,16 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 			return Region{}, err
 		}
 		// An absurd decoded size would hang the chip's line-by-line
-		// prewarm, not fail cleanly — reject it here.
+		// prewarm, not fail cleanly, and a region past the top of the
+		// address space names no range to prewarm — reject both here.
 		if size > maxCaptureRegion {
 			return Region{}, fmt.Errorf("workload: capture %s size %d exceeds cap", what, size)
 		}
-		return Region{Base: base, Size: size}, nil
+		r := Region{Base: base, Size: size}
+		if r.wraps() {
+			return Region{}, fmt.Errorf("workload: capture %s [%#x, +%d) wraps past the top of the address space", what, base, size)
+		}
+		return r, nil
 	}
 
 	c := &Capture{}

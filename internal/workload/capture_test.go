@@ -19,6 +19,13 @@ func writeNOC2(t testing.TB, w Workload, cores, perCore int, seed uint64) []byte
 	if err != nil {
 		t.Fatal(err)
 	}
+	return encodeNOC2(t, w, hdr, metas, seed)
+}
+
+// encodeNOC2 writes a NOC2 recording of w under the given header and
+// per-core metadata, which tests may have altered past recordMeta.
+func encodeNOC2(t testing.TB, w Workload, hdr captureHeader, metas []coreMeta, seed uint64) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	enc := &noc2Enc{w: &buf}
 	enc.header(hdr, len(metas))

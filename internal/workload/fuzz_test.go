@@ -32,6 +32,7 @@ func FuzzReadNOC3(f *testing.F) {
 	hostile := append([]byte(nil), valid...)
 	hostile[len(hostile)-12] = 0x04 // index offset -> header section
 	f.Add(hostile)
+	f.Add(wrappingNOC3(f)) // hot region past the top of the address space
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tf, err := ParseTraceBytes(data)
 		if err != nil {
@@ -66,6 +67,8 @@ func FuzzReadCapture(f *testing.F) {
 	f.Add(valid[:3])
 	f.Add([]byte("NOC2"))
 	f.Add([]byte{'N', 'O', 'C', '2', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
+	w, hdr, metas := wrappingHeader(f)
+	f.Add(encodeNOC2(f, w, hdr, metas, 1)) // hot region past the top of the address space
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ReadCapture(bytes.NewReader(data))
 		if err != nil {

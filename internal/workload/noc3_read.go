@@ -397,11 +397,13 @@ func decodeName(d *ckpt.Dec, what string) string {
 }
 
 // decodeRegion reads a header region, holding its size to the prewarm
-// region cap.
+// region cap and its end to the address space.
 func decodeRegion(d *ckpt.Dec, what string) Region {
 	r := Region{Base: d.U64(), Size: d.U64()}
 	if r.Size > maxCaptureRegion {
 		d.Corrupt("%s size %d exceeds cap", what, r.Size)
+	} else if r.wraps() {
+		d.Corrupt("%s [%#x, +%d) wraps past the top of the address space", what, r.Base, r.Size)
 	}
 	return r
 }

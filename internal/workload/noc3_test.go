@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -668,5 +670,60 @@ func TestNOC3GoldenBytes(t *testing.T) {
 	const want = "466ab3a1fade4fa28d2be7bd75de4d6c31e2d3db240d95a1d8ed3cda2c009dc6"
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
 		t.Fatalf("NOC3 bytes changed: sha256 %s, want %s", got, want)
+	}
+}
+
+// wrappingHot runs 64 bytes past the top of the address space: its end
+// overflows 2^64, so it names no range the chip could prewarm.
+var wrappingHot = Region{Base: math.MaxUint64 - 63, Size: 128}
+
+// wrappingHeader is a two-core MapReducePhased recording's header and
+// metadata with wrappingHot as its hot region, which recordMeta refuses
+// to produce.
+func wrappingHeader(tb testing.TB) (Workload, captureHeader, []coreMeta) {
+	tb.Helper()
+	w := MapReducePhased()
+	hdr, metas, err := recordMeta(w, 2, 300, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hdr.Hot = wrappingHot
+	return w, hdr, metas
+}
+
+// wrappingNOC3 is a NOC3 container whose header carries wrappingHot.
+func wrappingNOC3(tb testing.TB) []byte {
+	tb.Helper()
+	w, hdr, metas := wrappingHeader(tb)
+	var buf bytes.Buffer
+	if err := writeNOC3(&buf, hdr, metas, 32, func(core int) func() cpu.Instr { return w.StreamFor(core, 1).Next }); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wrappingLayout is a workload whose hot region is wrappingHot.
+type wrappingLayout struct{ Workload }
+
+func (w wrappingLayout) Layout() Layout {
+	lay := w.Workload.Layout()
+	lay.Hot = wrappingHot
+	return lay
+}
+
+// TestTraceRejectsWrappingRegion: a region whose end overflows 2^64 is
+// refused by name in both readers' headers, and the recorder will not
+// write one.
+func TestTraceRejectsWrappingRegion(t *testing.T) {
+	if _, err := ParseTraceBytes(wrappingNOC3(t)); err == nil || !strings.Contains(err.Error(), "hot region") {
+		t.Fatalf("NOC3 with a wrapping hot region: error %v, want one naming the hot region", err)
+	}
+	w, hdr, metas := wrappingHeader(t)
+	noc2 := encodeNOC2(t, w, hdr, metas, 1)
+	if _, err := ReadCapture(bytes.NewReader(noc2)); err == nil || !strings.Contains(err.Error(), "hot region") {
+		t.Fatalf("NOC2 with a wrapping hot region: error %v, want one naming the hot region", err)
+	}
+	if err := WriteNOC3(io.Discard, wrappingLayout{w}, 2, 300, 1, 32); err == nil {
+		t.Fatal("recorded a workload whose hot region wraps past the top of the address space")
 	}
 }

@@ -210,6 +210,9 @@ func recordMeta(w Workload, cores, perCore int, seed uint64) (captureHeader, []c
 	if lay.Instr.Size > maxCaptureRegion || lay.Hot.Size > maxCaptureRegion {
 		return captureHeader{}, nil, fmt.Errorf("workload: shared region exceeds the %d-byte capture cap", maxCaptureRegion)
 	}
+	if lay.Instr.wraps() || lay.Hot.wraps() {
+		return captureHeader{}, nil, fmt.Errorf("workload: shared region wraps past the top of the address space")
+	}
 	// Clamp the recorded limit to the recorded core count: replay can
 	// never drive more cores than were captured, and an Unlimited-wrapped
 	// source would otherwise store a limit the reader's sanity cap
@@ -227,6 +230,9 @@ func recordMeta(w Workload, cores, perCore int, seed uint64) (captureHeader, []c
 		local := lay.Local(i)
 		if local.Size > maxCaptureRegion {
 			return captureHeader{}, nil, fmt.Errorf("workload: core %d local region exceeds the %d-byte capture cap", i, maxCaptureRegion)
+		}
+		if local.wraps() {
+			return captureHeader{}, nil, fmt.Errorf("workload: core %d local region wraps past the top of the address space", i)
 		}
 		metas[i] = coreMeta{Member: member, Params: cp, Local: local, Total: perCore}
 	}
