@@ -12,8 +12,8 @@ import (
 	"os"
 
 	"nocout"
-	"nocout/internal/core"
 	"nocout/internal/physic"
+	"nocout/internal/topo"
 )
 
 func main() {
@@ -25,8 +25,8 @@ func main() {
 	flag.Parse()
 
 	fig8 := nocout.Figure8()
-	budget := physic.NOCOutTotalArea(core.DefaultConfig(), *linkBits).Total()
-	red, disp, llc := physic.NOCOutArea(core.DefaultConfig(), *linkBits)
+	red, disp, llc := physic.NOCOutArea(topo.DefaultNOCOutParams(), *linkBits)
+	budget := red.Add(disp).Add(llc).Total()
 
 	type designArea struct {
 		Design string           `json:"design"`
@@ -75,10 +75,9 @@ func main() {
 	}
 
 	fmt.Println("\nNOC-Out composition (§6.2):")
-	total := red.Add(disp).Add(llc).Total()
-	fmt.Printf("  reduction trees:  %5.2f mm² (%2.0f%%)\n", red.Total(), red.Total()/total*100)
-	fmt.Printf("  dispersion trees: %5.2f mm² (%2.0f%%)\n", disp.Total(), disp.Total()/total*100)
-	fmt.Printf("  LLC butterfly:    %5.2f mm² (%2.0f%%)\n", llc.Total(), llc.Total()/total*100)
+	fmt.Printf("  reduction trees:  %5.2f mm² (%2.0f%%)\n", red.Total(), red.Total()/budget*100)
+	fmt.Printf("  dispersion trees: %5.2f mm² (%2.0f%%)\n", disp.Total(), disp.Total()/budget*100)
+	fmt.Printf("  LLC butterfly:    %5.2f mm² (%2.0f%%)\n", llc.Total(), llc.Total()/budget*100)
 
 	fmt.Printf("\nAll registered designs at %d-bit links:\n", *linkBits)
 	for _, e := range all {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"nocout/internal/core"
 	"nocout/internal/physic"
 	"nocout/internal/stats"
 	"nocout/internal/workload"
@@ -291,7 +290,7 @@ type Figure9Result struct {
 // Figure9 regenerates Figure 9: mesh and fbfly links are narrowed until
 // their area matches NOC-Out's, then the suite is re-run.
 func Figure9(q Quality) Figure9Result {
-	budget := physic.NOCOutTotalArea(core.DefaultConfig(), 128).Total()
+	budget := Area(DefaultConfig(NOCOut)).Total()
 	wm, _ := SolveWidthForArea(Mesh, budget)
 	wf, _ := SolveWidthForArea(FBfly, budget)
 
@@ -434,7 +433,7 @@ func ScalingAblation(q Quality) ScalingResult {
 		org  NOCOutOrg
 	}
 	variants := []variant{
-		{"64-core baseline", core.DefaultConfig()},
+		{"64-core baseline", NOCOutOrg{Columns: 8, RowsPerSide: 4}},
 		{"128-core, concentration 2", NOCOutOrg{Columns: 8, RowsPerSide: 4, Concentration: 2}},
 		{"128-core, 8 rows/side", NOCOutOrg{Columns: 8, RowsPerSide: 8}},
 		{"128-core, 8 rows/side + express", NOCOutOrg{Columns: 8, RowsPerSide: 8, ExpressFrom: 4}},

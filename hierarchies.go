@@ -201,7 +201,13 @@ func (clusteredHier) Physical(cfg Config) HierPhysical {
 // banks for everything else.
 func buildClustered(cfg Config, fab *Fabric, lay workload.Layout, k int, name string) (*MemoryLayout, error) {
 	cores, channels := cfg.Cores, cfg.MemChannels
-	if fab.NocNet != nil || fab.NumBanks != cores {
+	// A tiled fabric has one bank per core, at the core's node; bankNode
+	// below relies on it.
+	tiled := fab.NumBanks == cores
+	for b := 0; tiled && b < cores; b++ {
+		tiled = fab.BankNode(b) == fab.CoreNode(b)
+	}
+	if !tiled {
 		return nil, fmt.Errorf("nocout: the %s hierarchy requires a tiled organization (one bank endpoint per core); %v is not one",
 			name, cfg.Design)
 	}

@@ -289,27 +289,32 @@ func TestHierarchyLocalityWins(t *testing.T) {
 // TestClusteredRequiresTiledFabric pins the hard error for hierarchies
 // that re-place banks onto per-core tiles: NOC-Out's segregated LLC has
 // no such tiles, so building must fail loudly, not silently misroute.
+// At 8 banks per LLC tile NOC-Out has as many banks as cores, so only the
+// banks' placement tells it from a tiled fabric.
 func TestClusteredRequiresTiledFabric(t *testing.T) {
 	w, err := workload.Parse("MapReduce-C")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []HierarchyID{PrivateLLC, Clustered} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Errorf("%v on NOC-Out must panic", id)
-					return
-				}
-				if msg, ok := r.(error); !ok || !strings.Contains(msg.Error(), "tiled organization") {
-					t.Errorf("%v: unexpected panic %v", id, r)
-				}
+	for _, banks := range []int{2, 8} {
+		for _, id := range []HierarchyID{PrivateLLC, Clustered} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Errorf("%v on NOC-Out at %d banks per tile must panic", id, banks)
+						return
+					}
+					if msg, ok := r.(error); !ok || !strings.Contains(msg.Error(), "tiled organization") {
+						t.Errorf("%v at %d banks per tile: unexpected panic %v", id, banks, r)
+					}
+				}()
+				cfg := DefaultConfig(NOCOut)
+				cfg.Hierarchy = id
+				cfg.BanksPerLLCTile = banks
+				chip.New(cfg, w)
 			}()
-			cfg := DefaultConfig(NOCOut)
-			cfg.Hierarchy = id
-			chip.New(cfg, w)
-		}()
+		}
 	}
 }
 

@@ -64,15 +64,15 @@ type netSaver interface {
 	LoadState(d *ckpt.Dec, get noc.PayloadDec)
 }
 
-// netState resolves the chip's network to its checkpointable form: the
-// router network behind any RN()-exposing implementation (mesh, torus,
-// cmesh, fbfly, NOC-Out), or the ideal fabric.
+// netState resolves the chip's network to its checkpointable form: a
+// router network (mesh, torus, cmesh, fbfly, crossbar, NOC-Out) or the
+// ideal fabric.
 func (c *Chip) netState() (netSaver, error) {
-	if v, ok := c.Net.(interface{ RN() *noc.RouterNetwork }); ok {
-		return v.RN(), nil
-	}
-	if id, ok := c.Net.(*topo.Ideal); ok {
-		return id, nil
+	switch n := c.Net.(type) {
+	case *noc.RouterNetwork:
+		return n, nil
+	case *topo.Ideal:
+		return n, nil
 	}
 	return nil, fmt.Errorf("chip: network %T does not support checkpointing", c.Net)
 }

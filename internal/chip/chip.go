@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"nocout/internal/coherence"
-	"nocout/internal/core"
 	"nocout/internal/cpu"
 	"nocout/internal/mem"
 	"nocout/internal/noc"
@@ -45,8 +44,10 @@ type Config struct {
 	LLCClusterTiles int `json:"llc_cluster_tiles,omitempty"`
 
 	// NOCOut overrides the NOC-Out organization (concentration, express
-	// links, LLC rows, banks per tile); zero value uses the paper baseline.
-	NOCOut core.Config `json:"nocout_org"`
+	// links, LLC rows, buffering); its zero fields take the paper
+	// baseline, and with neither Columns nor RowsPerSide set the grid is
+	// shaped to Cores.
+	NOCOut topo.NOCOutParams `json:"nocout_org"`
 	// BanksPerLLCTile sets NOC-Out's internal banking (2 in §5.1).
 	BanksPerLLCTile int `json:"banks_per_llc_tile"`
 }
@@ -99,8 +100,6 @@ type Chip struct {
 	Memory *MemoryLayout
 	// Plan is the tiled floorplan when the organization has one.
 	Plan topo.Floorplan
-	// NocNet is set by the NOC-Out organization.
-	NocNet *core.Network
 
 	// Shard is the conservative parallel coordinator when the chip was
 	// built with NewSharded and more than one domain; nil otherwise.
@@ -158,17 +157,13 @@ func NewSharded(cfg Config, w workload.Workload, domains int) *Chip {
 	c.Fabric = fab
 	c.Net = fab.Net
 	c.Plan = fab.Plan
-	c.NocNet = fab.NocNet
 	ml, err := hier.Build(cfg, fab, w.Layout())
 	if err != nil {
 		panic(err)
 	}
 	c.Memory = ml
 
-	var rn *noc.RouterNetwork
-	if v, ok := c.Net.(interface{ RN() *noc.RouterNetwork }); ok {
-		rn = v.RN()
-	}
+	rn, _ := c.Net.(*noc.RouterNetwork)
 	if domains < 1 || rn == nil {
 		domains = 1
 	} else if domains > len(rn.Routers) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nocout/internal/noc"
+	"nocout/internal/topo"
 	"nocout/internal/workload"
 )
 
@@ -68,7 +69,7 @@ func TestWorkloadScalingLimitDisablesCores(t *testing.T) {
 			continue
 		}
 		enabled++
-		_, _, row := c.NocNet.Cfg.CoreLoc(noc.NodeID(i))
+		_, _, row := topo.DefaultNOCOutParams().CoreLoc(c.Fabric.CoreNode(i))
 		if row == 0 {
 			adjacent++
 		}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"nocout/internal/core"
 	"nocout/internal/noc"
 	"nocout/internal/physic"
 	"nocout/internal/topo"
@@ -71,9 +70,8 @@ type Fabric struct {
 	CoreOrder []int
 
 	// Plan is the tiled floorplan when the organization has one (zero
-	// value otherwise); NocNet is set by the NOC-Out organization.
-	Plan   topo.Floorplan
-	NocNet *core.Network
+	// value otherwise).
+	Plan topo.Floorplan
 }
 
 // The registry. Registration is rare and reads are hot (every chip build,

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"nocout/internal/noc"
 	"nocout/internal/physic"
+	"nocout/internal/topo"
 )
 
 // stubOrg is a registrable organization that reuses the mesh's behaviour.
@@ -138,4 +140,43 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if _, err := ParseDesign("concurrent ring"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNOCOutPartialOrgKeepsFields pins that each field a caller sets in
+// Config.NOCOut shapes the 64-core network, with only the zero fields
+// taking the paper's defaults.
+func TestNOCOutPartialOrgKeepsFields(t *testing.T) {
+	build := func(org topo.NOCOutParams) (in, flits int, routers []*noc.Router) {
+		cfg := DefaultConfig(NOCOut)
+		cfg.NOCOut = org
+		f := nocoutOrg{}.Build(cfg)
+		for _, r := range f.Routers {
+			in += r.NumIn()
+			flits += r.BufferFlits()
+		}
+		return in, flits, f.Routers
+	}
+	if in, flits, rs := build(topo.NOCOutParams{}); len(rs) != 136 || in != 292 || flits != 2856 {
+		t.Fatalf("baseline: %d routers, %d inputs, %d buffer flits; want 136, 292, 2856", len(rs), in, flits)
+	}
+	if in, _, _ := build(topo.NOCOutParams{ExpressFrom: 2}); in != 324 {
+		t.Errorf("ExpressFrom 2: %d router inputs, want 324 with express ports", in)
+	}
+	if _, flits, _ := build(topo.NOCOutParams{LLCBufFlits: 9}); flits != 3864 {
+		t.Errorf("LLCBufFlits 9: %d buffer flits, want 3864", flits)
+	}
+	if _, _, rs := build(topo.NOCOutParams{LLCRows: 2}); len(rs) != 144 {
+		t.Errorf("LLCRows 2: %d routers, want 144 (16 LLC routers)", len(rs))
+	}
+	cfg := DefaultConfig(NOCOut)
+	cfg.NOCOut = topo.NOCOutParams{Concentration: 2}
+	if p := (nocoutOrg{}).shape(cfg); p.Columns != 8 || p.RowsPerSide != 2 || p.NumCoreNodes() != 32 {
+		t.Errorf("Concentration 2: %dx%d grid with %d core endpoints, want 8x2 with 32", p.Columns, p.RowsPerSide, p.NumCoreNodes())
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "yields 128 cores, config wants 64") {
+			t.Errorf("RowsPerSide 8 at 64 cores: panic %q, want a core-count mismatch", msg)
+		}
+	}()
+	build(topo.NOCOutParams{RowsPerSide: 8})
 }

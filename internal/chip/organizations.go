@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"nocout/internal/core"
 	"nocout/internal/noc"
 	"nocout/internal/physic"
 	"nocout/internal/topo"
@@ -103,50 +102,47 @@ func (nocoutOrg) Name() string          { return "NOC-Out" }
 func (nocoutOrg) Aliases() []string     { return []string{"nocout"} }
 func (nocoutOrg) DefaultConfig() Config { return Table1Config() }
 
-// shape resolves the NOC-Out organization for cfg: an explicit Config.NOCOut
-// wins (and must match the core count); otherwise the paper baseline for 64
-// cores, or a near-square auto-shaped grid for other core counts.
-func (nocoutOrg) shape(cfg Config) core.Config {
-	ncfg := cfg.NOCOut
-	if ncfg.Columns == 0 {
-		ncfg = core.DefaultConfig()
-		if def := ncfg.WithDefaults(); def.NumCores() != cfg.Cores {
-			cols, rows := topo.GridFor(cfg.Cores)
-			if rows < 2 {
-				panic(fmt.Sprintf("chip: NOC-Out needs at least 4 cores, got %d", cfg.Cores))
-			}
-			ncfg.Columns = cols
-			ncfg.RowsPerSide = rows / 2
+// shape resolves the NOC-Out organization for cfg: the fields
+// Config.NOCOut sets are kept and the zero ones take the paper's
+// defaults. With neither Columns nor RowsPerSide set, the grid is the
+// paper's 8x4 when that yields cfg.Cores, else a near-square grid for the
+// core endpoints. The result must match the core count.
+func (nocoutOrg) shape(cfg Config) topo.NOCOutParams {
+	p := cfg.NOCOut.WithDefaults()
+	if cfg.NOCOut.Columns == 0 && cfg.NOCOut.RowsPerSide == 0 && p.NumCores() != cfg.Cores {
+		cols, rows := topo.GridFor(cfg.Cores / p.Concentration)
+		if rows < 2 {
+			panic(fmt.Sprintf("chip: NOC-Out needs at least 4 core endpoints, got %d cores at concentration %d",
+				cfg.Cores, p.Concentration))
 		}
+		p.Columns, p.RowsPerSide = cols, rows/2
 	}
-	ncfg = ncfg.WithDefaults()
-	if ncfg.NumCores() != cfg.Cores {
+	if p.NumCores() != cfg.Cores {
 		panic(fmt.Sprintf("chip: NOC-Out organization yields %d cores, config wants %d",
-			ncfg.NumCores(), cfg.Cores))
+			p.NumCores(), cfg.Cores))
 	}
-	return ncfg
+	return p
 }
 
 func (o nocoutOrg) Build(cfg Config) *Fabric {
-	ncfg := o.shape(cfg)
-	ncfg.MCCount = cfg.MemChannels
-	ncfg.BankPorts = cfg.BanksPerLLCTile
-	net := core.Build(ncfg)
-	ncfg = net.Cfg // with defaults filled
+	p := o.shape(cfg)
+	p.MCCount = cfg.MemChannels
+	p.BankPorts = cfg.BanksPerLLCTile
+	net, rs := topo.NewNOCOut(p)
 
-	nBanks := ncfg.NumLLCTiles() * cfg.BanksPerLLCTile
+	nBanks := p.NumLLCTiles() * cfg.BanksPerLLCTile
 	bankTile := func(bank int) int { return bank / cfg.BanksPerLLCTile }
 	bankNode := func(bank int) noc.NodeID {
 		t := bankTile(bank)
-		return ncfg.BankNode(t%ncfg.Columns, t/ncfg.Columns, bank%cfg.BanksPerLLCTile)
+		return p.BankNode(t%p.Columns, t/p.Columns, bank%cfg.BanksPerLLCTile)
 	}
 	// Memory channels are dedicated-port endpoints on the LLC edge routers.
 	mcs := make([]noc.NodeID, cfg.MemChannels)
 	for ch := range mcs {
-		mcs[ch] = ncfg.MCNode(ch)
+		mcs[ch] = p.MCNode(ch)
 	}
 	coreNode := func(coreID int) noc.NodeID {
-		return noc.NodeID(coreID / ncfg.Concentration)
+		return noc.NodeID(coreID / p.Concentration)
 	}
 	// LLC-adjacent rows first when a workload enables a core subset (§5.3).
 	order := make([]int, cfg.Cores)
@@ -154,25 +150,26 @@ func (o nocoutOrg) Build(cfg Config) *Fabric {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		_, _, ra := ncfg.CoreLoc(coreNode(order[a]))
-		_, _, rb := ncfg.CoreLoc(coreNode(order[b]))
+		_, _, ra := p.CoreLoc(coreNode(order[a]))
+		_, _, rb := p.CoreLoc(coreNode(order[b]))
 		return ra < rb
 	})
 
+	// Power sums router energy network by network: every reduction node,
+	// then every dispersion node, then the LLC routers.
 	var routers []*noc.Router
-	routers = append(routers, net.RedNodes...)
-	routers = append(routers, net.DispNodes...)
-	routers = append(routers, net.LLCRouters...)
+	routers = append(routers, rs.Red...)
+	routers = append(routers, rs.Disp...)
+	routers = append(routers, rs.LLC...)
 	return &Fabric{
 		Net:       net,
 		Routers:   routers,
-		NumNodes:  ncfg.TotalNodes(),
+		NumNodes:  p.TotalNodes(),
 		NumBanks:  nBanks,
 		CoreNode:  coreNode,
 		BankNode:  bankNode,
 		MCNodes:   mcs,
 		CoreOrder: order,
-		NocNet:    net,
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"nocout/internal/ckpt"
-	"nocout/internal/core"
 	"nocout/internal/noc"
 	"nocout/internal/sim"
 	"nocout/internal/topo"
@@ -42,8 +41,8 @@ var (
 		return topo.NewCrossbar(xp)
 	})}
 	nocoutFabric = fabric64{"NOC-Out", func() (noc.Network, *noc.RouterNetwork) {
-		n := core.Build(core.DefaultConfig())
-		return n, n.RN()
+		rn, _ := topo.NewNOCOut(topo.DefaultNOCOutParams())
+		return rn, rn
 	}}
 )
 

@@ -185,8 +185,8 @@ func (ni *NI) inject(now sim.Cycle) {
 }
 
 // RouterNetwork is a generic network built from Routers and NIs; the
-// concrete topologies (mesh, flattened butterfly, NOC-Out's LLC network)
-// are constructed by the topo and core packages.
+// concrete topologies (mesh, torus, flattened butterfly, crossbar,
+// NOC-Out) are constructed by the topo package.
 type RouterNetwork struct {
 	Name    string
 	Routers []*Router
@@ -207,9 +207,9 @@ func NewRouterNetwork(name string, n int) *RouterNetwork {
 // StatsRef returns the shared counters for builders to hand to NIs.
 func (rn *RouterNetwork) StatsRef() *Stats { return &rn.stats }
 
-// RN exposes the underlying router network; wrappers (NOC-Out's Network)
-// forward it so the shard planner can reach the fabric behind any
-// noc.Network implementation that has one.
+// RN returns rn itself. The benchmark module's tracer finds a chip's
+// routers by asserting interface{ RN() *RouterNetwork } on the chip's
+// network, which is the only reason this method exists.
 func (rn *RouterNetwork) RN() *RouterNetwork { return rn }
 
 // Stats implements Network. It folds the routers' (and, when sharded, the

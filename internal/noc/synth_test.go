@@ -3,7 +3,6 @@ package noc_test
 import (
 	"testing"
 
-	"nocout/internal/core"
 	"nocout/internal/noc"
 	"nocout/internal/sim"
 	"nocout/internal/topo"
@@ -65,8 +64,8 @@ func TestFBflyLowerLatencyThanMeshUnderUniform(t *testing.T) {
 }
 
 func TestNOCOutBilateralTraffic(t *testing.T) {
-	cfg := core.DefaultConfig()
-	n := core.Build(cfg)
+	cfg := topo.DefaultNOCOutParams()
+	n, _ := topo.NewNOCOut(cfg)
 	var cores, banks []noc.NodeID
 	for i := 0; i < cfg.NumCoreNodes(); i++ {
 		cores = append(cores, noc.NodeID(i))
@@ -85,7 +84,8 @@ func TestNOCOutBilateralTraffic(t *testing.T) {
 	}
 	// The evaluation's operating point (§6.1: "the networks are not
 	// congested"): chip-level traffic is ~1-2 packets/cycle.
-	p2 := noc.MeasureLoad(core.Build(cfg), all, pat, 1.5, 3000, 6000, 11)
+	n2, _ := topo.NewNOCOut(cfg)
+	p2 := noc.MeasureLoad(n2, all, pat, 1.5, 3000, 6000, 11)
 	if p2.Saturated {
 		t.Fatalf("NOC-Out saturates below the chip's operating point: %+v", p2)
 	}

@@ -8,9 +8,9 @@ package physic
 import (
 	"fmt"
 
-	"nocout/internal/core"
 	"nocout/internal/noc"
 	"nocout/internal/tech"
+	"nocout/internal/topo"
 )
 
 // BufferKind selects the buffer circuit: flip-flops for shallow queues
@@ -82,17 +82,17 @@ func RoutersArea(routers []*noc.Router, linkBits int, kind BufferKind) Breakdown
 // NOCOutArea returns the NOC-Out interconnect area split into its three
 // networks (reduction trees, dispersion trees, LLC flattened butterfly),
 // matching §6.2's accounting.
-func NOCOutArea(cfg core.Config, linkBits int) (red, disp, llc Breakdown) {
-	n := core.Build(cfg)
-	red = RoutersArea(n.RedNodes, linkBits, FlipFlop)
-	disp = RoutersArea(n.DispNodes, linkBits, FlipFlop)
-	llc = RoutersArea(n.LLCRouters, linkBits, FlipFlop)
+func NOCOutArea(p topo.NOCOutParams, linkBits int) (red, disp, llc Breakdown) {
+	_, rs := topo.NewNOCOut(p)
+	red = RoutersArea(rs.Red, linkBits, FlipFlop)
+	disp = RoutersArea(rs.Disp, linkBits, FlipFlop)
+	llc = RoutersArea(rs.LLC, linkBits, FlipFlop)
 	return red, disp, llc
 }
 
 // NOCOutTotalArea returns the summed NOC-Out area.
-func NOCOutTotalArea(cfg core.Config, linkBits int) Breakdown {
-	r, d, l := NOCOutArea(cfg, linkBits)
+func NOCOutTotalArea(p topo.NOCOutParams, linkBits int) Breakdown {
+	r, d, l := NOCOutArea(p, linkBits)
 	return r.Add(d).Add(l)
 }
 

@@ -3,7 +3,6 @@ package physic
 import (
 	"testing"
 
-	"nocout/internal/core"
 	"nocout/internal/noc"
 	"nocout/internal/topo"
 )
@@ -39,7 +38,7 @@ func crossbarNet(plan topo.Floorplan) *noc.RouterNetwork {
 func TestFigure8AreaAnchors(t *testing.T) {
 	mesh := area(meshNet, 64, 128, FlipFlop)
 	fbfly := area(fbflyNet, 64, 128, SRAM)
-	nocout := NOCOutTotalArea(core.DefaultConfig(), 128)
+	nocout := NOCOutTotalArea(topo.DefaultNOCOutParams(), 128)
 
 	within := func(name string, got, lo, hi float64) {
 		if got < lo || got > hi {
@@ -64,7 +63,7 @@ func TestFigure8AreaAnchors(t *testing.T) {
 }
 
 func TestNOCOutAreaComposition(t *testing.T) {
-	red, disp, llc := NOCOutArea(core.DefaultConfig(), 128)
+	red, disp, llc := NOCOutArea(topo.DefaultNOCOutParams(), 128)
 	total := red.Add(disp).Add(llc).Total()
 	// §6.2: the LLC butterfly is the majority of NOC-Out's area while
 	// linking a small fraction of tiles; each tree network is a modest

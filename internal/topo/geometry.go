@@ -1,17 +1,21 @@
-// Package topo builds the conventional interconnect organizations the paper
-// evaluates against, and the idealized wire-delay-only fabric used in
-// Figure 1 (NewIdeal). The router-based tiled fabrics have five builders:
+// Package topo builds the paper's interconnect organizations: NOC-Out's
+// network, the conventional fabrics it is evaluated against, and the
+// idealized wire-delay-only fabric used in Figure 1 (NewIdeal). The
+// router-based fabrics have five builders:
 //
+//   - NewNOCOut: NOC-Out's reduction and dispersion trees feeding a
+//     flattened-butterfly LLC network (§4);
 //   - NewMesh: the tiled mesh of Figure 2 and, with MeshParams.Block 2,
 //     the 4:1 concentrated mesh (CMesh);
 //   - NewFBfly: the richly connected flattened butterfly of Figure 3;
 //   - NewTorus: the folded 2-D torus;
 //   - NewCrossbar: the §2.2 central crossbar.
 //
-// Mesh, torus and flattened butterfly share one skeleton (tiled.go) for
-// aux ports, routing and NI attachment. The package also owns the chip
-// floorplan geometry that converts tile positions into wire lengths and
-// cycles.
+// Mesh, torus, flattened butterfly and NOC-Out's LLC network share one
+// skeleton (tiled.go) for aux ports, routing and NI attachment, and the
+// last two share the butterfly's port tables and links. The package also
+// owns the chip floorplan geometry that converts tile positions into wire
+// lengths and cycles.
 package topo
 
 import (

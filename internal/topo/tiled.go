@@ -6,20 +6,23 @@ import (
 	"nocout/internal/noc"
 )
 
-// tiled is the skeleton the router-based tiled fabrics (mesh, cmesh,
-// torus, flattened butterfly) share: one RouterNetwork over the tiles plus
-// the auxiliary endpoints, a dedicated port pair per aux endpoint on its
-// host router, table routing that ejects at the host router, and one NI
-// per endpoint. A builder fills routers in order, giving each router its
-// own direction ports and then its tiles' ports through local; it calls
-// addAux, route and attach in that order and wires its own links.
+// tiled is the skeleton the router-based fabrics (mesh, cmesh, torus,
+// flattened butterfly, and NOC-Out's LLC network) share: one
+// RouterNetwork over the tiles plus the auxiliary endpoints, a dedicated
+// port pair per aux endpoint on its host router, table routing that
+// ejects at the host router, and one NI per endpoint. A builder fills
+// routers in order, giving each router its own direction ports and then
+// its tiles' ports through local; it calls addAux, route and attach in
+// that order and wires its own links.
 type tiled struct {
 	rn      *noc.RouterNetwork
 	aux     []noc.NodeID
 	routers []*noc.Router
 
 	// Per endpoint (tiles, then aux): the router serving it and its port
-	// pair there.
+	// pair there. An in of -1 marks an endpoint whose NI the builder wires
+	// itself (NOC-Out's cores inject into their reduction trees); the
+	// router still ejects toward it through out.
 	host    []int
 	in, out []int
 }
@@ -69,10 +72,13 @@ func (t *tiled) route(toward func(from, to int) int) {
 	}
 }
 
-// attach connects one NI per endpoint, tiles first, and returns the
-// finished network.
+// attach connects one NI per endpoint, tiles first, skipping those the
+// builder wired itself, and returns the finished network.
 func (t *tiled) attach(ejectBuf int) *noc.RouterNetwork {
 	for node, ri := range t.host {
+		if t.in[node] < 0 {
+			continue
+		}
 		ni := noc.NewNI(noc.NodeID(node), t.rn.StatsRef())
 		noc.ConnectNI(ni, t.routers[ri], t.in[node], t.out[node], 1, 1, ejectBuf)
 		t.rn.NIs[node] = ni

@@ -89,10 +89,10 @@ import (
 	"sync"
 
 	"nocout/internal/chip"
-	"nocout/internal/core"
 	"nocout/internal/physic"
 	"nocout/internal/sim"
 	"nocout/internal/stats"
+	"nocout/internal/topo"
 	"nocout/internal/workload"
 )
 
@@ -118,7 +118,7 @@ type Config = chip.Config
 
 // NOCOutOrg configures the NOC-Out organization's scalability features
 // (§7.1); it is the type of Config.NOCOut.
-type NOCOutOrg = core.Config
+type NOCOutOrg = topo.NOCOutParams
 
 // DefaultConfig returns the paper's Table 1 64-core system for a design.
 func DefaultConfig(d Design) Config { return chip.DefaultConfig(d) }

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"nocout/internal/chip"
-	"nocout/internal/core"
 	"nocout/internal/physic"
+	"nocout/internal/topo"
 	"nocout/internal/workload"
 )
 
@@ -109,7 +109,7 @@ func TestNOCOutAreaSplitGolden(t *testing.T) {
 		{0x3fcecd7a25b8963d, 0x3fc2dfd694ccab3f, 0x3fa0c6f7a0b5ed88},
 		{0x3fed84ea64263aa4, 0x3fe1409a24031488, 0x3fd92a737110e454},
 	}
-	red, disp, llc := physic.NOCOutArea(core.DefaultConfig(), 128)
+	red, disp, llc := physic.NOCOutArea(topo.DefaultNOCOutParams(), 128)
 	for i, b := range []physic.Breakdown{red, disp, llc} {
 		got := [3]uint64{math.Float64bits(b.Links), math.Float64bits(b.Buffers), math.Float64bits(b.Crossbar)}
 		if got != want[i] {
