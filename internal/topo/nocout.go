@@ -40,8 +40,8 @@ type NOCOutParams struct {
 	// maximize throughput"). 0 means banks share the tile's local port.
 	BankPorts int `json:"bank_ports,omitempty"`
 
-	TreeBufFlits  int       `json:"tree_buf_flits,omitempty"`  // per-VC buffering in tree nodes (default 4)
-	LLCBufFlits   int       `json:"llc_buf_flits,omitempty"`   // per-VC buffering in LLC routers (default 8)
+	TreeBufFlits  int       `json:"tree_buf_flits,omitempty"`  // per-VC buffering in tree nodes (default 3)
+	LLCBufFlits   int       `json:"llc_buf_flits,omitempty"`   // per-VC buffering in LLC routers (default 5)
 	LLCPipe       sim.Cycle `json:"llc_pipe,omitempty"`        // LLC router pipeline depth (default 3)
 	TreeHop       sim.Cycle `json:"tree_hop,omitempty"`        // tree per-hop latency including link (default 1)
 	TilesPerCycle int       `json:"tiles_per_cycle,omitempty"` // LLC fbfly link reach (default 2)
@@ -218,10 +218,10 @@ type NOCOutRouters struct {
 //     region (§4.4).
 //
 // It also builds the scalability features of §7.1: concentration and
-// express links. The LLC routers form the tiled skeleton's routers and
-// the LLC tiles its tiles; memory controllers and bank ports are its aux
-// endpoints. Core endpoints come first (0..NumCoreNodes-1), then LLC
-// tiles, memory controllers and bank ports.
+// express links. On the tiled skeleton, the LLC routers are the routers,
+// the core endpoints and LLC tiles the tiles, and the memory controllers
+// and bank ports the aux endpoints. Core endpoints come first
+// (0..NumCoreNodes-1), then LLC tiles, memory controllers and bank ports.
 func NewNOCOut(p NOCOutParams) (*noc.RouterNetwork, NOCOutRouters) {
 	p = p.WithDefaults()
 	nl := p.NumLLCTiles()
