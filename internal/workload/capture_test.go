@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nocout/internal/cpu"
@@ -178,14 +179,49 @@ func TestRecordValidation(t *testing.T) {
 	}
 }
 
-// nanParams records its base with a NaN base CPI, a parameter block the
-// reader must refuse.
-type nanParams struct{ Workload }
+// editParams is its base with every core's pipeline parameters passed
+// through edit.
+type editParams struct {
+	Workload
+	edit func(*cpu.Params)
+}
 
-func (w nanParams) CoreParams(coreID int, seed uint64) cpu.Params {
+func (w editParams) CoreParams(coreID int, seed uint64) cpu.Params {
 	p := w.Workload.CoreParams(coreID, seed)
-	p.BaseCPI = math.NaN()
+	w.edit(&p)
 	return p
+}
+
+// TestRecordRejectsUnreplayableParams: a recording whose pipeline
+// parameters the reader would refuse fails by core and parameter instead
+// of writing a file LoadTrace cannot open, and leaves an existing file at
+// the path byte-identical.
+func TestRecordRejectsUnreplayableParams(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "keep.noctrace")
+	if err := RecordFile(path, Synth(DataServing), 4, 100, 1); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep := DataServing
+	dep.DepChance = 1.5
+	for name, tc := range map[string]struct {
+		w    Workload
+		want string
+	}{
+		"dep chance": {Synth(dep), "core 0 has implausible dep chance 1.5"},
+		"width":      {editParams{Synth(DataServing), func(p *cpu.Params) { p.Width = 65 }}, "core 0 has implausible width 65"},
+		"base CPI":   {editParams{Synth(DataServing), func(p *cpu.Params) { p.BaseCPI = math.NaN() }}, "core 0 has implausible base CPI NaN"},
+	} {
+		if err := RecordFile(path, tc.w, 4, 100, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
+		}
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("a refused recording changed the existing trace (err %v)", err)
+	}
 }
 
 // TestReadCaptureRejectsCorruption drives the decoder through the main
@@ -206,8 +242,15 @@ func TestReadCaptureRejectsCorruption(t *testing.T) {
 	}
 
 	// A NaN BaseCPI must be rejected rather than hand the cpu model a
-	// panic.
-	bad := writeNOC2(t, nanParams{Synth(MapReduceW)}, 2, 50, 1)
+	// panic. The recorder refuses to write one, so alter the metadata
+	// past recordMeta.
+	w := Synth(MapReduceW)
+	hdr, metas, err := recordMeta(w, 2, 50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas[1].Params.BaseCPI = math.NaN()
+	bad := encodeNOC2(t, w, hdr, metas, 1)
 	if _, err := ReadCapture(bytes.NewReader(bad)); err == nil {
 		t.Fatal("NaN base CPI must be rejected")
 	}

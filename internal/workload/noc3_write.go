@@ -227,6 +227,9 @@ func recordMeta(w Workload, cores, perCore int, seed uint64) (captureHeader, []c
 		}
 		cp := w.CoreParams(i, seed)
 		cp.Seed = 0
+		if err := validCoreParams(i, cp); err != nil {
+			return captureHeader{}, nil, err
+		}
 		local := lay.Local(i)
 		if local.Size > maxCaptureRegion {
 			return captureHeader{}, nil, fmt.Errorf("workload: core %d local region exceeds the %d-byte capture cap", i, maxCaptureRegion)
