@@ -54,7 +54,9 @@ func recordTrace(b *testing.B, w Workload, cores, perCore int, seed uint64) *Tra
 }
 
 // BenchmarkTraceFormat measures the NOC3 trace container on a 16-core
-// Quick-length recording: decode cost (ns/op is ns per replayed
+// Quick-length recording: record cost (noc3-record's ns/instr is wall
+// time per recorded instruction, stream generation included, on up to
+// four CPUs), decode cost (noc3-decode's ns/instr is per replayed
 // instruction, including steady-state block decode) and on-disk
 // compression ratio (in-memory stream bytes over file bytes, reported as
 // compress-x).
@@ -79,6 +81,17 @@ func BenchmarkTraceFormat(b *testing.B) {
 		b.ReportMetric(rawBytes/float64(st.Size()), "compress-x")
 	}
 
+	b.Run("noc3-record", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "record.noctrace")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := RecordTraceFile(path, src, cfg.Cores, perCore, cfg.Seed); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(cfg.Cores*perCore)), "ns/instr")
+	})
 	b.Run("noc3-decode", func(b *testing.B) {
 		total := int64(0)
 		b.ResetTimer()

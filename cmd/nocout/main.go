@@ -283,9 +283,9 @@ func run() error {
 		if len(ws) != 1 {
 			return fmt.Errorf("-record-trace captures exactly one workload, got %d", len(ws))
 		}
-		// The streaming recorder: blocks are encoded and flushed as the
-		// source produces them, so recording memory is O(cores × block)
-		// however long the trace is.
+		// The streaming recorder: blocks are encoded on up to four CPUs
+		// and flushed in order as the source produces them, so recording
+		// memory is O(encoders × block) however long the trace is.
 		if err := nocout.RecordTraceFile(*recordTrace, ws[0], *cores, *recordInstrs, *seed); err != nil {
 			return err
 		}

@@ -14,8 +14,9 @@ import (
 // This file reads the legacy NOC2 whole-chip capture format. NOC2 is
 // read-and-convert only: ReadCapture decodes a file, and LoadTrace and
 // ConvertFile re-encode it as NOC3, so every trace replays through the
-// one NOC3 cursor. The canonical NOC2 encoding (noc2Enc) survives as the
-// definition of a recording's fingerprint.
+// one NOC3 cursor. The canonical NOC2 encoding (noc2Enc and
+// appendNOC2Record) survives as the definition of a recording's
+// fingerprint.
 //
 // Format: the "NOC2" magic, a header (source name, recording seed,
 // software scalability limit, shared instruction/hot regions), then one
@@ -86,10 +87,11 @@ func (c *Capture) header() captureHeader {
 	return captureHeader{Source: c.Source, Seed: c.Seed, ScaleLimit: c.ScaleLimit, Instr: c.Instr, Hot: c.Hot}
 }
 
-// noc2Enc emits the canonical NOC2 byte stream with a sticky error. The
-// NOC3 writer streams it into a SHA-256, so a recording's fingerprint is
-// the hash of its canonical NOC2 encoding without ever materializing that
-// encoding (fingerprints stay identical across the two container formats).
+// noc2Enc emits the canonical NOC2 headers with a sticky error; each
+// core's records follow as appendNOC2Record encodes them. The NOC3 writer
+// streams both into a SHA-256, so a recording's fingerprint is the hash of
+// its canonical NOC2 encoding without ever materializing that encoding
+// (fingerprints stay identical across the two container formats).
 type noc2Enc struct {
 	w   io.Writer
 	err error
@@ -104,11 +106,6 @@ func (e *noc2Enc) write(b []byte) {
 
 func (e *noc2Enc) putU(v uint64) {
 	k := binary.PutUvarint(e.buf[:], v)
-	e.write(e.buf[:k])
-}
-
-func (e *noc2Enc) putI(v int64) {
-	k := binary.PutVarint(e.buf[:], v)
 	e.write(e.buf[:k])
 }
 
@@ -147,15 +144,17 @@ func (e *noc2Enc) coreHeader(m coreMeta) {
 	e.putU(uint64(m.Total))
 }
 
-// instr emits one record, threading the per-core delta baseline through
-// prev.
-func (e *noc2Enc) instr(in cpu.Instr, prev *int64) {
-	e.putU(uint64(in.Kind))
-	e.putI(int64(in.IAddr) - *prev)
+// appendNOC2Record appends in's canonical NOC2 record to b: the kind as a
+// uvarint, the iaddr as a varint delta from the per-core baseline *prev
+// (which it advances), and the daddr as a uvarint for loads and stores.
+func appendNOC2Record(b []byte, in cpu.Instr, prev *int64) []byte {
+	b = binary.AppendUvarint(b, uint64(in.Kind))
+	b = binary.AppendVarint(b, int64(in.IAddr)-*prev)
 	*prev = int64(in.IAddr)
 	if in.Kind != cpu.KindALU {
-		e.putU(in.DAddr)
+		b = binary.AppendUvarint(b, in.DAddr)
 	}
+	return b
 }
 
 // ReadCapture decodes a NOC2 capture. Corrupt or truncated inputs produce

@@ -12,8 +12,8 @@ import (
 )
 
 // writeNOC2 is the test-only NOC2 writer: it records w through
-// recordMeta and the canonical noc2Enc, producing the bytes ReadCapture
-// accepts (and whose SHA-256 is the recording's fingerprint).
+// recordMeta and the canonical NOC2 encoders, producing the bytes
+// ReadCapture accepts (and whose SHA-256 is the recording's fingerprint).
 func writeNOC2(t testing.TB, w Workload, cores, perCore int, seed uint64) []byte {
 	t.Helper()
 	hdr, metas, err := recordMeta(w, cores, perCore, seed)
@@ -30,13 +30,16 @@ func encodeNOC2(t testing.TB, w Workload, hdr captureHeader, metas []coreMeta, s
 	var buf bytes.Buffer
 	enc := &noc2Enc{w: &buf}
 	enc.header(hdr, len(metas))
+	var rec []byte
 	for i, m := range metas {
 		enc.coreHeader(m)
 		st := w.StreamFor(i, seed)
 		prev := int64(0)
+		rec = rec[:0]
 		for k := 0; k < m.Total; k++ {
-			enc.instr(st.Next(), &prev)
+			rec = appendNOC2Record(rec, st.Next(), &prev)
 		}
+		enc.write(rec)
 	}
 	if enc.err != nil {
 		t.Fatal(enc.err)

@@ -11,6 +11,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"sync"
 
 	"nocout/internal/cas"
 	"nocout/internal/ckpt"
@@ -18,13 +20,28 @@ import (
 )
 
 // The NOC3 writer: records a workload (or converts a decoded NOC2
-// capture) into the sectioned container, streaming block by block so the
-// writer's footprint is O(block) no matter how long the trace is, and
-// hashing the canonical NOC2 encoding as it goes so the recording's
-// behavioral fingerprint is identical in either format.
+// capture) into the sectioned container as a bounded pipeline. The
+// calling goroutine draws each block from the streams in core-major
+// order and hashes its canonical NOC2 encoding into the fingerprint, so
+// the fingerprint is identical in either format and a Workload's streams
+// are only ever drawn on that goroutine. Encoder goroutines, one per CPU
+// up to four, compute blocks' residuals and deflate them, and the calling
+// goroutine writes the finished sections strictly in the order it drew
+// them, so the bytes do not depend on how many encoders ran. Blocks in
+// flight live in a fixed ring, so memory is O(encoders × block) however
+// long the trace is.
 
-// noc3Writer streams one container through a ckpt.Writer. All buffers
-// are reused across blocks and cores.
+// maxEncoders caps the encoder goroutines. Drawing and hashing a block on
+// the calling goroutine costs about a third of encoding it, so more
+// encoders would only wait on the calling goroutine; four also keeps a
+// recording's memory to a few MB on any host.
+const maxEncoders = 4
+
+// recordEncoders is how many encoder goroutines a recording starts: one
+// per CPU, up to maxEncoders.
+func recordEncoders() int { return min(runtime.GOMAXPROCS(0), maxEncoders) }
+
+// noc3Writer streams one container through a ckpt.Writer.
 type noc3Writer struct {
 	cw       *ckpt.Writer
 	blockLen int
@@ -38,11 +55,54 @@ type noc3Writer struct {
 	// NOC2 canonical hash, fed in lockstep with the blocks.
 	fp hash.Hash
 
-	// Scratch.
-	enc     blockEnc
-	payload ckpt.Enc
-	comp    bytes.Buffer
-	fw      *flate.Writer
+	payload ckpt.Enc // header and index payload scratch
+}
+
+// recJob is one block in flight. The calling goroutine fills its block
+// and submits it, an encoder turns it into a finished payload and signals
+// done, and the calling goroutine writes it. Each hand-over is a channel
+// operation, so no field is ever accessed by two goroutines at once.
+type recJob struct {
+	core, idx int
+	block     []cpu.Instr // the drawn records
+	prevIA    []uint64    // the predecessor block's instruction addresses; empty for a core's first block
+
+	pred    byte          // the chosen predictor
+	raw     int           // residual bytes before deflate
+	payload bytes.Buffer  // the finished block section payload
+	done    chan struct{} // signalled once payload is finished
+}
+
+// encode turns the job's block into its section payload: predictor
+// choice, residuals, then the payload header followed by the deflated
+// residuals.
+func (j *recJob) encode(enc *blockEnc, fw *flate.Writer) {
+	pred, resid := enc.encode(j.idx, j.block, j.prevIA)
+	j.pred, j.raw = pred, len(resid)
+	p := &j.payload
+	p.Reset()
+	h := p.AvailableBuffer()
+	// Predictor ids are < 0x80: one byte.
+	for _, v := range [...]uint64{uint64(j.core), uint64(j.idx), uint64(pred), uint64(len(j.block)), uint64(len(resid))} {
+		h = binary.AppendUvarint(h, v)
+	}
+	p.Write(h)
+	// A flate.Writer fails only when its destination does, and a
+	// bytes.Buffer does not.
+	fw.Reset(p)
+	fw.Write(resid)
+	fw.Close()
+}
+
+// encodeBlocks is one encoder goroutine: it encodes jobs until the
+// channel closes.
+func encodeBlocks(jobs <-chan *recJob) {
+	var enc blockEnc
+	fw, _ := flate.NewWriter(io.Discard, flate.DefaultCompression) // fails only for an invalid level
+	for j := range jobs {
+		j.encode(&enc, fw)
+		j.done <- struct{}{}
+	}
 }
 
 // begin writes the preamble and header section, and primes the NOC2 hash
@@ -76,72 +136,71 @@ func (w *noc3Writer) begin(h captureHeader, cores []coreMeta) {
 	n2.header(h, len(cores))
 }
 
-// coreBlocks drains m.Total instructions from next into blocks for one
-// core, writing each as its own section and feeding the NOC2 hash. The
-// iaddr scratch slices rotate between current and previous block.
-func (w *noc3Writer) coreBlocks(core int, m coreMeta, next func() cpu.Instr, buf []cpu.Instr, curIA, prevIA []uint64) error {
-	if err := w.cw.Err(); err != nil {
-		return err
-	}
+// blocks draws every core's blocks from stream(core), hashes each into
+// the fingerprint and submits it to the encoders through jobs, reusing
+// the ring's slots in order. Reclaiming a slot retires the job it held,
+// so sections are written in the order they were drawn. It stops drawing
+// at the first invalid kind or failed write; jobs still in flight are
+// then left to the encoders unwritten.
+func (w *noc3Writer) blocks(metas []coreMeta, stream func(core int) func() cpu.Instr, ring []recJob, jobs chan<- *recJob) error {
 	n2 := &noc2Enc{w: w.fp}
-	n2.coreHeader(m)
-	prevDelta := int64(0)
-	havePrev := false
-	for idx, done := 0, 0; done < m.Total; idx++ {
-		count := min(w.blockLen, m.Total-done)
-		block := buf[:count]
-		for i := range block {
-			in := next()
-			if in.Kind > cpu.KindStore {
-				return fmt.Errorf("workload: core %d record %d has kind %d; only ALU/load/store streams are recordable", core, done+i, in.Kind)
+	ia := make([]uint64, w.blockLen) // the last drawn block's instruction addresses
+	var rec []byte                   // one block's canonical NOC2 records
+	seq := 0                         // blocks submitted so far
+	for core, m := range metas {
+		next := stream(core)
+		n2.coreHeader(m)
+		prevDelta := int64(0)
+		for idx, done := 0, 0; done < m.Total; idx++ {
+			j := &ring[seq%len(ring)]
+			if j.done == nil {
+				j.block = make([]cpu.Instr, w.blockLen)
+				j.prevIA = make([]uint64, 0, w.blockLen)
+				j.done = make(chan struct{}, 1)
+			} else {
+				w.retire(j)
 			}
-			block[i] = in
-			curIA[i] = in.IAddr
-			n2.instr(in, &prevDelta)
+			if err := w.cw.Err(); err != nil {
+				return err
+			}
+			j.core, j.idx = core, idx
+			j.prevIA = j.prevIA[:0]
+			if idx > 0 { // every block but a core's last is full
+				j.prevIA = append(j.prevIA, ia...)
+			}
+			j.block = j.block[:min(w.blockLen, m.Total-done)]
+			rec = rec[:0]
+			for i := range j.block {
+				in := next()
+				if in.Kind > cpu.KindStore {
+					return fmt.Errorf("workload: core %d record %d has kind %d; only ALU/load/store streams are recordable", core, done+i, in.Kind)
+				}
+				j.block[i] = in
+				ia[i] = in.IAddr
+				rec = appendNOC2Record(rec, in, &prevDelta)
+			}
+			w.fp.Write(rec)
+			done += len(j.block)
+			jobs <- j
+			seq++
 		}
-		done += count
-
-		var prev []uint64
-		if havePrev {
-			prev = prevIA[:w.blockLen]
-		}
-		pred, resid := w.enc.encode(idx, block, prev)
-		w.predCount[pred]++
-		w.rawBytes += uint64(len(resid))
-
-		w.comp.Reset()
-		if w.fw == nil {
-			w.fw, _ = flate.NewWriter(&w.comp, flate.DefaultCompression)
-		} else {
-			w.fw.Reset(&w.comp)
-		}
-		if _, err := w.fw.Write(resid); err != nil {
-			return err
-		}
-		if err := w.fw.Close(); err != nil {
-			return err
-		}
-
-		p := &w.payload
-		p.Reset()
-		p.U64(uint64(core))
-		p.U64(uint64(idx))
-		p.U64(uint64(pred)) // predictor ids are < 0x80: one byte
-		p.U64(uint64(count))
-		p.U64(uint64(len(resid)))
-		p.Raw(w.comp.Bytes())
-		off := w.cw.Offset()
-		w.cw.Section(noc3SecBlock, p.Bytes())
-		w.offsets = append(w.offsets, uint64(off))
-		w.sizes = append(w.sizes, uint64(w.cw.Offset()-off))
-
-		curIA, prevIA = prevIA, curIA
-		havePrev = true
 	}
-	if n2.err != nil {
-		return n2.err
+	for s := max(seq-len(ring), 0); s < seq; s++ {
+		w.retire(&ring[s%len(ring)])
 	}
-	return w.cw.Err()
+	return nil
+}
+
+// retire waits for j's encoder, writes its block section and accounts it
+// in the index.
+func (w *noc3Writer) retire(j *recJob) {
+	<-j.done
+	off := w.cw.Offset()
+	w.cw.Section(noc3SecBlock, j.payload.Bytes())
+	w.offsets = append(w.offsets, uint64(off))
+	w.sizes = append(w.sizes, uint64(w.cw.Offset()-off))
+	w.predCount[j.pred]++
+	w.rawBytes += uint64(j.raw)
 }
 
 // finish writes the index section and trailer.
@@ -171,8 +230,9 @@ func (w *noc3Writer) finish() error {
 }
 
 // writeNOC3 streams a whole container to dst: the header, then each
-// core's blocks drawn from stream(core), then the index and trailer.
-// blockLen <= 0 selects DefaultBlockLen.
+// core's blocks drawn from stream(core) on the calling goroutine, then the
+// index and trailer. It waits for its encoders before returning, on every
+// path. blockLen <= 0 selects DefaultBlockLen.
 func writeNOC3(dst io.Writer, h captureHeader, metas []coreMeta, blockLen int, stream func(core int) func() cpu.Instr) error {
 	if blockLen <= 0 {
 		blockLen = DefaultBlockLen
@@ -182,13 +242,27 @@ func writeNOC3(dst io.Writer, h captureHeader, metas []coreMeta, blockLen int, s
 	}
 	nw := &noc3Writer{cw: ckpt.NewContainerWriter(dst, noc3Magic, noc3Version), blockLen: blockLen}
 	nw.begin(h, metas)
-	buf := make([]cpu.Instr, blockLen)
-	curIA := make([]uint64, blockLen)
-	prevIA := make([]uint64, blockLen)
-	for i, m := range metas {
-		if err := nw.coreBlocks(i, m, stream(i), buf, curIA, prevIA); err != nil {
-			return err
-		}
+
+	encoders := recordEncoders()
+	// Two slots per encoder let the calling goroutine draw a block while
+	// every encoder holds one. The channel holds at most every slot's job,
+	// so a send never blocks.
+	ring := make([]recJob, 2*encoders)
+	jobs := make(chan *recJob, len(ring))
+	var wg sync.WaitGroup
+	wg.Add(encoders)
+	for range encoders {
+		go func() {
+			defer wg.Done()
+			encodeBlocks(jobs)
+		}()
+	}
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
+	if err := nw.blocks(metas, stream, ring, jobs); err != nil {
+		return err
 	}
 	return nw.finish()
 }
@@ -243,10 +317,11 @@ func recordMeta(w Workload, cores, perCore int, seed uint64) (captureHeader, []c
 }
 
 // WriteNOC3 records cores×perCore instructions from w at the given seed
-// straight into dst as a NOC3 container. Memory stays O(blockLen)
-// regardless of perCore: each core's stream is drained block by block and
-// every block is compressed and written before the next is read.
-// blockLen <= 0 selects DefaultBlockLen.
+// straight into dst as a NOC3 container. Memory stays O(encoders ×
+// blockLen) regardless of perCore: blocks are drawn, compressed on up to
+// four CPUs and written in order through a fixed ring of jobs. w's
+// streams are drawn only on the calling goroutine, so they need not be
+// safe for concurrent use. blockLen <= 0 selects DefaultBlockLen.
 func WriteNOC3(dst io.Writer, w Workload, cores, perCore int, seed uint64, blockLen int) error {
 	hdr, metas, err := recordMeta(w, cores, perCore, seed)
 	if err != nil {
@@ -259,9 +334,11 @@ func WriteNOC3(dst io.Writer, w Workload, cores, perCore int, seed uint64, block
 
 // RecordFile records cores×perCore instructions from w at the given seed
 // into a NOC3 trace file at path — the bounded-memory recording path the
-// CLI's -record-trace uses. Replay it anywhere a workload name is
-// accepted via "trace:<path>". A failed recording leaves an existing file
-// at path untouched.
+// CLI's -record-trace uses. As in WriteNOC3, memory is O(encoders ×
+// block), w's streams are drawn only on the calling goroutine, and up to
+// four CPUs encode blocks. Replay it anywhere a workload name is accepted
+// via "trace:<path>". A failed recording leaves an existing file at path
+// untouched.
 func RecordFile(path string, w Workload, cores, perCore int, seed uint64) error {
 	return writeTraceFile(path, func(dst io.Writer) error {
 		return WriteNOC3(dst, w, cores, perCore, seed, 0)

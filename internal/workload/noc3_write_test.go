@@ -3,8 +3,13 @@ package workload
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
+
+	"nocout/internal/cpu"
 )
 
 // TestNOC3RecordGolden pins what the recorder writes at DefaultBlockLen:
@@ -63,5 +68,179 @@ func TestNOC3RecordGolden(t *testing.T) {
 				t.Fatalf("converted bytes sha256 %s, want %s", got, tc.bytes)
 			}
 		})
+	}
+}
+
+// withProcs runs f with GOMAXPROCS set to n, which sets how many encoders
+// a recording starts.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// TestNOC3PipelineWorkerCount: the bytes a recording or a conversion
+// writes do not depend on how many encoders ran.
+func TestNOC3PipelineWorkerCount(t *testing.T) {
+	src := MapReducePhased() // phase structure exercises both predictors
+	const cores, perCore, seed = 4, 10000, 3
+	hdr, metas, err := recordMeta(src, cores, perCore, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ReadCapture(bytes.NewReader(encodeNOC2(t, src, hdr, metas, seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blockLen := range []int{32, DefaultBlockLen} {
+		var want []byte
+		withProcs(1, func() { want = writeNOC3Bytes(t, src, cores, perCore, seed, blockLen) })
+		for _, procs := range []int{1, 2, 3, 8} {
+			withProcs(procs, func() {
+				if got := writeNOC3Bytes(t, src, cores, perCore, seed, blockLen); !bytes.Equal(got, want) {
+					t.Errorf("block length %d: recording at GOMAXPROCS %d differs from GOMAXPROCS 1", blockLen, procs)
+				}
+				var conv bytes.Buffer
+				if err := ConvertNOC3(&conv, c, blockLen); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(conv.Bytes(), want) {
+					t.Errorf("block length %d: conversion at GOMAXPROCS %d differs from the recording", blockLen, procs)
+				}
+			})
+		}
+	}
+}
+
+// kindAt is its base with core's stream answering kind at record at.
+type kindAt struct {
+	Workload
+	core, at int
+	kind     cpu.InstrKind
+}
+
+func (w kindAt) StreamFor(coreID int, seed uint64) cpu.Stream {
+	st := w.Workload.StreamFor(coreID, seed)
+	if coreID != w.core {
+		return st
+	}
+	return &kindAtStream{Stream: st, at: w.at, kind: w.kind}
+}
+
+type kindAtStream struct {
+	cpu.Stream
+	n, at int
+	kind  cpu.InstrKind
+}
+
+func (s *kindAtStream) Next() cpu.Instr {
+	in := s.Stream.Next()
+	if s.n == s.at {
+		in.Kind = s.kind
+	}
+	s.n++
+	return in
+}
+
+// TestNOC3PipelineKindError: an unrecordable kind on a later core, with
+// earlier blocks still in flight, fails naming the core and record.
+func TestNOC3PipelineKindError(t *testing.T) {
+	w := kindAt{Workload: Synth(DataServing), core: 3, at: 5000, kind: cpu.KindIdle}
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(procs, func() {
+			start := runtime.NumGoroutine()
+			err := WriteNOC3(discardWriter{}, w, 4, 8000, 1, 32)
+			want := fmt.Sprintf("workload: core 3 record 5000 has kind %d; only ALU/load/store streams are recordable", cpu.KindIdle)
+			if err == nil || err.Error() != want {
+				t.Fatalf("GOMAXPROCS %d: error %v, want %q", procs, err, want)
+			}
+			checkGoroutines(t, start)
+		})
+	}
+}
+
+// errDiskFull is failAfter's write error.
+var errDiskFull = errors.New("disk full")
+
+// failAfter accepts writes up to limit bytes in total and fails every
+// write after that, noting how many records had been drawn when it first
+// failed.
+type failAfter struct {
+	limit, n       int
+	drawn          *int
+	drawnAtFailure int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.n+len(p) > f.limit {
+		if f.drawnAtFailure < 0 {
+			f.drawnAtFailure = *f.drawn
+		}
+		return 0, errDiskFull
+	}
+	f.n += len(p)
+	return len(p), nil
+}
+
+// countDraws is its base with every record any stream hands out counted
+// in *n. Streams are drawn only on the recording's calling goroutine, so
+// the count needs no synchronization.
+type countDraws struct {
+	Workload
+	n *int
+}
+
+func (w countDraws) StreamFor(coreID int, seed uint64) cpu.Stream {
+	return &countStream{Stream: w.Workload.StreamFor(coreID, seed), n: w.n}
+}
+
+type countStream struct {
+	cpu.Stream
+	n *int
+}
+
+func (s *countStream) Next() cpu.Instr {
+	*s.n++
+	return s.Stream.Next()
+}
+
+// TestNOC3PipelineWriteFailure: a write that fails after the header stops
+// the recording within the job ring, returns the error, and leaves no
+// encoder running.
+func TestNOC3PipelineWriteFailure(t *testing.T) {
+	const blockLen, blocks = 32, 200
+	src := Synth(MapReduceC)
+	// The header ends where the first block section begins.
+	header := int(parseNOC3(t, writeNOC3Bytes(t, src, 1, blockLen*blocks, 1, blockLen)).cores[0].blocks[0].off)
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(procs, func() {
+			drawn := 0
+			dst := &failAfter{limit: header, drawn: &drawn, drawnAtFailure: -1}
+			start := runtime.NumGoroutine()
+			err := WriteNOC3(dst, countDraws{src, &drawn}, 1, blockLen*blocks, 1, blockLen)
+			if !errors.Is(err, errDiskFull) {
+				t.Fatalf("GOMAXPROCS %d: error %v, want %v", procs, err, errDiskFull)
+			}
+			if dst.n != header || dst.drawnAtFailure < 0 {
+				t.Fatalf("GOMAXPROCS %d: wrote %d bytes before the first failure, want the %d-byte header", procs, dst.n, header)
+			}
+			if after, limit := drawn-dst.drawnAtFailure, (2*recordEncoders()+1)*blockLen; after > limit {
+				t.Fatalf("GOMAXPROCS %d: drew %d records after the write failed, want at most %d", procs, after, limit)
+			}
+			checkGoroutines(t, start)
+		})
+	}
+}
+
+// checkGoroutines fails t unless the goroutine count returns to start. A
+// goroutine that has signalled its WaitGroup may still be exiting, so it
+// yields for up to a second before judging.
+func checkGoroutines(t *testing.T, start int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("%d goroutines still running after the recording returned, %d before it", n, start)
 	}
 }

@@ -293,10 +293,13 @@ func LoadTrace(path string) (Workload, error) { return workload.LoadTrace(path) 
 // RecordTraceFile records cores×perCore instructions from w at the given
 // seed straight into a NOC3 container at path — bounded-memory end to
 // end: blocks are encoded and flushed as the streams produce them, never
-// the whole recording at once. Replay it anywhere a workload name is
-// accepted via "trace:<path>"; for an exact reproduction of a run,
-// record at least (warmup+window)×3 instructions per core (the fetch
-// width bounds per-cycle consumption) at the run's seed. A failed
+// the whole recording at once, so memory is O(encoders × block). Up to
+// four CPUs encode blocks, while w's streams are drawn only on the
+// calling goroutine, so they need not be safe for concurrent use. The
+// file's bytes do not depend on the CPU count. Replay it anywhere a
+// workload name is accepted via "trace:<path>"; for an exact reproduction
+// of a run, record at least (warmup+window)×3 instructions per core (the
+// fetch width bounds per-cycle consumption) at the run's seed. A failed
 // recording leaves an existing file at path untouched.
 func RecordTraceFile(path string, w Workload, cores, perCore int, seed uint64) error {
 	return workload.RecordFile(path, w, cores, perCore, seed)
