@@ -244,7 +244,8 @@ func TestNOC3PhasePredictorWins(t *testing.T) {
 
 // TestNOC3RecordBoundedMemory is the satellite regression test for the
 // recording path: streaming a multi-million-instruction workload to disk
-// must allocate O(block), not O(trace).
+// must allocate O(encoders × block), not O(trace). At most four encoders
+// run, so the ceiling holds at any CPU count.
 func TestNOC3RecordBoundedMemory(t *testing.T) {
 	const cores, perCore = 2, 1 << 21 // 4.2M instructions ≈ 100MB if materialized
 	w := Synth(DataServing)
