@@ -48,11 +48,7 @@ func TestNOC3RecordGolden(t *testing.T) {
 				t.Fatalf("fingerprint changed: %s, want %s", got, tc.fp)
 			}
 
-			hdr, metas, err := recordMeta(w, cores, perCore, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			noc2 := encodeNOC2(t, w, hdr, metas, seed)
+			noc2 := writeNOC2(t, w, cores, perCore, seed)
 			if sum := sha256.Sum256(noc2); sum != fp {
 				t.Fatalf("stored fingerprint %x is not the SHA-256 of the NOC2 encoding, %x", fp, sum)
 			}
@@ -83,20 +79,18 @@ func withProcs(n int, f func()) {
 func TestNOC3PipelineWorkerCount(t *testing.T) {
 	src := MapReducePhased() // phase structure exercises both predictors
 	const cores, perCore, seed = 4, 10000, 3
-	hdr, metas, err := recordMeta(src, cores, perCore, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := ReadCapture(bytes.NewReader(encodeNOC2(t, src, hdr, metas, seed)))
+	c, err := ReadCapture(bytes.NewReader(writeNOC2(t, src, cores, perCore, seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, blockLen := range []int{32, DefaultBlockLen} {
-		var want []byte
-		withProcs(1, func() { want = writeNOC3Bytes(t, src, cores, perCore, seed, blockLen) })
+		var want []byte // the recording at GOMAXPROCS 1
 		for _, procs := range []int{1, 2, 3, 8} {
 			withProcs(procs, func() {
-				if got := writeNOC3Bytes(t, src, cores, perCore, seed, blockLen); !bytes.Equal(got, want) {
+				got := writeNOC3Bytes(t, src, cores, perCore, seed, blockLen)
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
 					t.Errorf("block length %d: recording at GOMAXPROCS %d differs from GOMAXPROCS 1", blockLen, procs)
 				}
 				var conv bytes.Buffer
@@ -111,31 +105,29 @@ func TestNOC3PipelineWorkerCount(t *testing.T) {
 	}
 }
 
-// kindAt is its base with core's stream answering kind at record at.
-type kindAt struct {
+// idleAt is its base with core's stream answering KindIdle at record at.
+type idleAt struct {
 	Workload
 	core, at int
-	kind     cpu.InstrKind
 }
 
-func (w kindAt) StreamFor(coreID int, seed uint64) cpu.Stream {
+func (w idleAt) StreamFor(coreID int, seed uint64) cpu.Stream {
 	st := w.Workload.StreamFor(coreID, seed)
 	if coreID != w.core {
 		return st
 	}
-	return &kindAtStream{Stream: st, at: w.at, kind: w.kind}
+	return &idleAtStream{Stream: st, at: w.at}
 }
 
-type kindAtStream struct {
+type idleAtStream struct {
 	cpu.Stream
 	n, at int
-	kind  cpu.InstrKind
 }
 
-func (s *kindAtStream) Next() cpu.Instr {
+func (s *idleAtStream) Next() cpu.Instr {
 	in := s.Stream.Next()
 	if s.n == s.at {
-		in.Kind = s.kind
+		in.Kind = cpu.KindIdle
 	}
 	s.n++
 	return in
@@ -144,7 +136,7 @@ func (s *kindAtStream) Next() cpu.Instr {
 // TestNOC3PipelineKindError: an unrecordable kind on a later core, with
 // earlier blocks still in flight, fails naming the core and record.
 func TestNOC3PipelineKindError(t *testing.T) {
-	w := kindAt{Workload: Synth(DataServing), core: 3, at: 5000, kind: cpu.KindIdle}
+	w := idleAt{Workload: Synth(DataServing), core: 3, at: 5000}
 	for _, procs := range []int{1, 2, 8} {
 		withProcs(procs, func() {
 			start := runtime.NumGoroutine()
