@@ -309,6 +309,61 @@ func TestRunnerKeepGoing(t *testing.T) {
 	}
 }
 
+// emptyStreams is a workload with a programming bug: StreamFor indexes an
+// empty slice, so building the chip dies with a Go runtime error on a
+// seed goroutine.
+type emptyStreams struct{ Workload }
+
+func (emptyStreams) StreamFor(coreID int, _ uint64) cpu.Stream {
+	var streams []cpu.Stream
+	return streams[coreID]
+}
+
+// TestRunnerRuntimeErrorCarriesStack: a runtime error inside a point's
+// simulation comes back as an error that names the point and keeps the
+// seed goroutine's stack, so the crash site is not lost. KeepGoing
+// records the same text in the point's PointResult.Err.
+func TestRunnerRuntimeErrorCarriesStack(t *testing.T) {
+	ws, err := ParseWorkload("Web Search")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(Mesh)
+	cfg.Cores = 4
+	sw, err := NewExperiment(
+		WithVariant("v", cfg),
+		WithWorkloadValues(emptyStreams{ws}),
+		WithQuality(tiny),
+	).Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(mode, msg string) {
+		t.Helper()
+		for _, want := range []string{
+			"nocout: point v / Web Search / 4 cores: runtime error: index out of range",
+			"worker goroutine stack:",
+			"emptyStreams",
+		} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: error lacks %q:\n%s", mode, want, msg)
+			}
+		}
+	}
+
+	rep, err := (&Runner{Workers: 1}).Run(context.Background(), sw)
+	if err == nil || rep != nil {
+		t.Fatalf("broken workload must abort: (%v, %v)", rep, err)
+	}
+	check("fail-fast", err.Error())
+
+	rep, err = (&Runner{Workers: 1, KeepGoing: true}).Run(context.Background(), sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("KeepGoing", rep.Results[0].Err)
+}
+
 // recordingCache is a Cache fake that records Store calls.
 type recordingCache struct {
 	mu     sync.Mutex
