@@ -139,6 +139,20 @@ func TestTableRendering(t *testing.T) {
 	if !strings.HasPrefix(s, "T\n") || !strings.Contains(s, "a") {
 		t.Fatalf("table: %q", s)
 	}
+
+	// A row wider than the header, and a table with no header at all,
+	// size their extra columns from the rows.
+	wide := &Table{Title: "W", Header: []string{"a"}}
+	wide.AddRow("x", "yy")
+	wide.AddRow("long", "z")
+	if got, want := wide.String(), "W\na   \nx     yy\nlong  z \n"; got != want {
+		t.Fatalf("wide row: got %q, want %q", got, want)
+	}
+	bare := &Table{Title: "B"}
+	bare.AddRow("p", "q")
+	if got, want := bare.String(), "B\n\np  q\n"; got != want {
+		t.Fatalf("headerless table: got %q, want %q", got, want)
+	}
 }
 
 func TestFigure7QuickShape(t *testing.T) {

@@ -189,15 +189,15 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.Rows {
+	// Size every column over the header and all rows: a row may be wider
+	// than the header, or the table may have no header at all.
+	var widths []int
+	for _, r := range append([][]string{t.Header}, t.Rows...) {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i == len(widths) {
+				widths = append(widths, 0)
 			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	line := func(cells []string) {
