@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -199,11 +200,16 @@ func TestOfferedLoadsRejectsClosedLoop(t *testing.T) {
 // monotonically toward saturation on every design, and the knee is one
 // of the swept loads.
 func TestStudySaturation(t *testing.T) {
+	// Unsorted, with a repeat: the study sorts the loads and measures
+	// each once.
 	loads := []float64{0.5, 2, 8}
-	sat, err := StudySaturation(context.Background(), "", loads,
+	sat, err := StudySaturation(context.Background(), "", []float64{2, 8, 0.5, 2},
 		Quality{Warmup: 6000, Window: 10000, Seeds: 1}, Mesh, NOCOut)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(sat.Loads, loads) {
+		t.Fatalf("loads = %v, want %v", sat.Loads, loads)
 	}
 	if len(sat.Variants) != 2 {
 		t.Fatalf("variants = %v", sat.Variants)

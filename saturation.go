@@ -3,7 +3,7 @@ package nocout
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"nocout/internal/workload"
@@ -29,8 +29,8 @@ const kneeFactor = 2.0
 type SaturationResult struct {
 	// Workload is the swept open-system workload (name or opensys: spec).
 	Workload string
-	// Loads are the swept offered loads, ascending, in requests per 1000
-	// cycles per core.
+	// Loads are the swept offered loads, ascending and distinct, in
+	// requests per 1000 cycles per core.
 	Loads []float64
 	// Variants lists the sweep's variant names in report order.
 	Variants []string
@@ -60,8 +60,9 @@ func StudySaturation(ctx context.Context, workloadSpec string, loads []float64, 
 	if len(loads) == 0 {
 		loads = []float64{0.5, 1, 2, 4, 8}
 	}
-	loads = append([]float64(nil), loads...)
-	sort.Float64s(loads)
+	// The sweep drops a repeated load's duplicate point, so a repeat left
+	// here would keep a p99 slot no result fills.
+	loads = slices.Compact(slices.Sorted(slices.Values(loads)))
 	if len(designs) == 0 {
 		designs = []Design{Mesh, NOCOut}
 	}
