@@ -28,11 +28,7 @@ func BenchmarkHierarchyQuick(b *testing.B) {
 			cfg.Hierarchy = id
 			var res Result
 			for i := 0; i < b.N; i++ {
-				r, err := RunUnlimited(cfg, "Data Serving", Quick)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
+				res = measure(b, cfg, Quick, WithWorkloads("Data Serving"), WithUnlimitedCores())
 			}
 			b.ReportMetric(res.AggIPC, "agg-ipc")
 			b.ReportMetric(res.AvgNetLatency, "net-lat-cy")

@@ -74,12 +74,8 @@ func BenchmarkOpenSysQuick(b *testing.B) {
 	cfg.Cores = 16
 	simCycles := int64(Quick.Warmup + Quick.Window)
 	var res Result
-	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = Run(cfg, "open-poisson", Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = measure(b, cfg, Quick, WithWorkloads("open-poisson"))
 	}
 	if res.ReqLatency == nil {
 		b.Fatal("open-loop run has no ReqLatency")

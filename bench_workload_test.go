@@ -128,12 +128,8 @@ func BenchmarkWorkloadQuick(b *testing.B) {
 
 	b.Run("synthetic", func(b *testing.B) {
 		var res Result
-		var err error
 		for i := 0; i < b.N; i++ {
-			res, err = Run(cfg, "MapReduce-C", Quick)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res = measure(b, cfg, Quick, WithWorkloads("MapReduce-C"))
 		}
 		report(b, res)
 	})
@@ -146,7 +142,7 @@ func BenchmarkWorkloadQuick(b *testing.B) {
 		b.ResetTimer()
 		var res Result
 		for i := 0; i < b.N; i++ {
-			res = RunWorkload(cfg, tf, Quick)
+			res = measure(b, cfg, Quick, WithWorkloadValues(tf))
 		}
 		report(b, res)
 	})

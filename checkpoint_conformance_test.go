@@ -20,9 +20,9 @@ import (
 // to scheduled-vs-naive and sharded-vs-scheduled, extended across a
 // serialize/deserialize boundary.
 
-// warmSnapshot builds a chip, warms it like Run does, snapshots it, and
-// returns the donor (still runnable) plus the container bytes and the
-// donor's state hash at the snapshot cycle.
+// warmSnapshot builds a chip, warms it like the Runner does, snapshots
+// it, and returns the donor (still runnable) plus the container bytes
+// and the donor's state hash at the snapshot cycle.
 func warmSnapshot(t *testing.T, cfg Config, w workload.Workload, domains int, warmup sim.Cycle) (*chip.Chip, []byte, uint64) {
 	t.Helper()
 	c := chip.NewSharded(cfg, w, domains)

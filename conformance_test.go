@@ -90,10 +90,7 @@ func TestDesignConformance(t *testing.T) {
 					t.Fatalf("%d-core fabric reports no routers", n)
 				}
 
-				res, err := Run(cfg, "MapReduce-C", confQ)
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := measure(t, cfg, confQ, WithWorkloads("MapReduce-C"))
 				if res.ActiveCores != n || res.AggIPC <= 0 || res.PerCoreIPC <= 0 {
 					t.Fatalf("%d cores: implausible result %+v", n, res)
 				}
@@ -101,10 +98,7 @@ func TestDesignConformance(t *testing.T) {
 					t.Fatalf("%d cores: no network latency measured", n)
 				}
 				// Same seed, same Result — bit for bit.
-				again, err := Run(cfg, "MapReduce-C", confQ)
-				if err != nil {
-					t.Fatal(err)
-				}
+				again := measure(t, cfg, confQ, WithWorkloads("MapReduce-C"))
 				if !reflect.DeepEqual(res, again) {
 					t.Fatalf("%d cores: nondeterministic:\n%+v\n%+v", n, res, again)
 				}

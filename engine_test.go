@@ -261,7 +261,7 @@ func brokenSweep(t *testing.T) Sweep {
 
 // TestRunnerFailFastNamesPoint: the default contract — the first broken
 // point aborts the sweep, and the error (a chip.New panic recovered by
-// runPoint) names the point that raised it.
+// runSeeds) names the point that raised it.
 func TestRunnerFailFastNamesPoint(t *testing.T) {
 	sw := brokenSweep(t)
 	rep, err := (&Runner{Workers: 1}).Run(context.Background(), sw)
@@ -478,19 +478,13 @@ func TestSeedDerivation(t *testing.T) {
 
 	q2 := tiny
 	q2.Seeds = 2
-	avg, err := Run(cfg, "SAT Solver", q2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	avg := measure(t, cfg, q2, WithWorkloads("SAT Solver"))
 
 	var single [2]Result
 	for s := range single {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(s)*7919
-		single[s], err = Run(c, "SAT Solver", tiny)
-		if err != nil {
-			t.Fatal(err)
-		}
+		single[s] = measure(t, c, tiny, WithWorkloads("SAT Solver"))
 	}
 	want := (single[0].AggIPC + single[1].AggIPC) / 2
 	if diff := avg.AggIPC - want; diff > 1e-12 || diff < -1e-12 {

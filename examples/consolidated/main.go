@@ -70,8 +70,9 @@ func run() error {
 		fmt.Printf("  %-14s %.2f\n", name, mix.PerWorkloadIPC[name])
 	}
 
-	// Record Web Search once, replay it through the same Run path; a
-	// recording that covers the run reproduces the live Result exactly.
+	// Record Web Search once and replay it through a sweep of its own (a
+	// replay keeps its source's name, so it cannot share the sweep above);
+	// a recording that covers the run reproduces the live Result exactly.
 	ws, err := nocout.ParseWorkload("Web Search")
 	if err != nil {
 		return err
@@ -86,14 +87,16 @@ func run() error {
 		return err
 	}
 
-	live, err := nocout.Run(cfg, "Web Search", nocout.Quick)
+	replayed, err := nocout.NewExperiment(
+		nocout.WithVariant("NOC-Out", cfg),
+		nocout.WithWorkloads("trace:"+path),
+		nocout.WithQuality(nocout.Quick),
+	).Run(context.Background())
 	if err != nil {
 		return err
 	}
-	replay, err := nocout.Run(cfg, "trace:"+path, nocout.Quick)
-	if err != nil {
-		return err
-	}
+	live := rep.MustGet("NOC-Out", "Web Search", 0)
+	replay := replayed.MustGet("NOC-Out", "Web Search", 0)
 	fmt.Printf("\nlive:   %v\nreplay: %v\nexact reproduction: %v\n",
 		live, replay, reflect.DeepEqual(live, replay))
 	return nil

@@ -107,14 +107,13 @@ type Experiment struct {
 	unlimited    bool
 	simDomains   int
 	configure    func(*Config, Point)
-	ckptDir      string
 }
 
 // Option configures an Experiment.
 type Option func(*Experiment)
 
 // NewExperiment builds a sweep specification. Defaults: Quick quality,
-// the full six-workload suite, each variant's own core count and seed.
+// every registered workload, each variant's own core count and seed.
 func NewExperiment(opts ...Option) *Experiment {
 	e := &Experiment{quality: Quick}
 	for _, o := range opts {
@@ -200,16 +199,6 @@ func WithSimParallelism(n int) Option {
 	return func(e *Experiment) { e.simDomains = n }
 }
 
-// WithCheckpoints caches warm state in the checkpoint store at dir:
-// points sharing a measurement prefix (same system, seed, workload, and
-// warmup — see Point.PrefixKey) run warmup once, snapshot, and restore
-// everywhere else, bit-identically. The Report is byte-identical with or
-// without the cache; only wall-clock time changes. Multi-window sweeps
-// and re-runs of the same experiment are the big winners.
-func WithCheckpoints(dir string) Option {
-	return func(e *Experiment) { e.ckptDir = dir }
-}
-
 // WithQuality sets the simulation effort (default Quick).
 func WithQuality(q Quality) Option {
 	return func(e *Experiment) { e.quality = q }
@@ -251,7 +240,7 @@ func (e *Experiment) Sweep() (Sweep, error) {
 	}
 	names := e.workloads
 	if len(names) == 0 && len(e.workloadVals) == 0 {
-		names = Workloads()
+		names = workload.Names()
 	}
 	wls := make([]workload.Workload, 0, len(names)+len(e.workloadVals))
 	// Points are keyed by workload *name*, so two distinct workloads
@@ -395,19 +384,13 @@ func sameWorkload(a, b workload.Workload) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// Run expands the experiment and executes it with a default Runner.
+// Run expands the experiment and executes it with a default Runner. To
+// report progress, cache results, or serve warm state from a
+// CheckpointStore, hand Sweep's result to a configured Runner instead.
 func (e *Experiment) Run(ctx context.Context) (*Report, error) {
 	sw, err := e.Sweep()
 	if err != nil {
 		return nil, err
 	}
-	rn := &Runner{}
-	if e.ckptDir != "" {
-		st, err := NewCheckpointStore(e.ckptDir)
-		if err != nil {
-			return nil, err
-		}
-		rn.Checkpoints = st
-	}
-	return rn.Run(ctx, sw)
+	return (&Runner{}).Run(ctx, sw)
 }

@@ -12,8 +12,8 @@ import (
 // This file regenerates the paper's evaluation. Every entry point is a
 // thin declarative sweep spec over the experiment engine (experiment.go,
 // runner.go): it names variants, workloads, and core counts; the engine
-// owns expansion, fan-out, and result bookkeeping. The exported
-// signatures predate the engine and are kept as compatibility wrappers.
+// owns expansion, fan-out, and result bookkeeping. Each returns a typed
+// result shaped like its figure, which renders through Table.
 
 func f3(x float64) string { return fmt.Sprintf("%.3f", x) }
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }

@@ -65,10 +65,7 @@ func TestSharedNUCAStateHashIdentical(t *testing.T) {
 // (the Figure* studies' path) to the pre-refactor numbers, float for
 // float.
 func TestSharedNUCAQuickBitIdentical(t *testing.T) {
-	res, err := Run(DefaultConfig(Mesh), "Web Search", Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := measure(t, DefaultConfig(Mesh), Quick, WithWorkloads("Web Search"))
 	if res.AggIPC != 6.73645 ||
 		res.PerCoreIPC != 0.421028125 ||
 		res.AvgNetLatency != 20.8759917981635 ||
@@ -174,17 +171,11 @@ func TestHierarchyConformance(t *testing.T) {
 
 			// Same seed, same Result — bit for bit, through the full
 			// measurement path.
-			res, err := Run(cfg, "MapReduce-C", confQ)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := measure(t, cfg, confQ, WithWorkloads("MapReduce-C"))
 			if res.ActiveCores != 16 || res.AggIPC <= 0 || res.AvgNetLatency <= 0 {
 				t.Fatalf("implausible result: %+v", res)
 			}
-			again, err := Run(cfg, "MapReduce-C", confQ)
-			if err != nil {
-				t.Fatal(err)
-			}
+			again := measure(t, cfg, confQ, WithWorkloads("MapReduce-C"))
 			if !reflect.DeepEqual(res, again) {
 				t.Fatalf("nondeterministic:\n%+v\n%+v", res, again)
 			}
@@ -271,15 +262,9 @@ func TestHierarchySweepThroughEngine(t *testing.T) {
 func TestHierarchyLocalityWins(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
-	base, err := Run(cfg, "MapReduce-C", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := measure(t, cfg, confQ, WithWorkloads("MapReduce-C"))
 	cfg.Hierarchy = RegionAffine
-	affine, err := Run(cfg, "MapReduce-C", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	affine := measure(t, cfg, confQ, WithWorkloads("MapReduce-C"))
 	if affine.AvgNetLatency >= base.AvgNetLatency {
 		t.Fatalf("affine placement should cut net latency: affine %.2f vs shared %.2f",
 			affine.AvgNetLatency, base.AvgNetLatency)
@@ -338,18 +323,6 @@ func TestIncompatibleHierarchySweepErrors(t *testing.T) {
 	if rep != nil {
 		t.Fatal("failed sweep must not return a report")
 	}
-	// Run (the direct API) re-raises the panic on the caller's goroutine,
-	// so library callers can recover it.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("direct Run must panic recoverably on the caller's goroutine")
-			}
-		}()
-		cfg := DefaultConfig(NOCOut)
-		cfg.Hierarchy = PrivateLLC
-		_, _ = Run(cfg, "MapReduce-C", confQ)
-	}()
 }
 
 // TestMemConfigPlumbing pins the satellite: chip.Config.Mem reaches the
@@ -358,17 +331,11 @@ func TestIncompatibleHierarchySweepErrors(t *testing.T) {
 func TestMemConfigPlumbing(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
-	fast, err := Run(cfg, "Web Search", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := measure(t, cfg, confQ, WithWorkloads("Web Search"))
 	slow := cfg
 	slow.Mem.AccessLat = 400
 	slow.Mem.LinePeriod = 40
-	slowRes, err := Run(slow, "Web Search", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slowRes := measure(t, slow, confQ, WithWorkloads("Web Search"))
 	if slowRes.AggIPC >= fast.AggIPC {
 		t.Fatalf("4x slower DRAM must hurt: slow %.3f vs fast %.3f", slowRes.AggIPC, fast.AggIPC)
 	}

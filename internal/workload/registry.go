@@ -9,7 +9,7 @@ import (
 // The workload registry, mirroring the chip package's Organization
 // registry: every string a CLI flag, sweep spec, or config file can carry
 // resolves here, case-insensitively and alias-aware. Registration is rare
-// and reads are hot (every Run and sweep expansion), so an RWMutex guards
+// and reads are hot (every sweep expansion), so an RWMutex guards
 // it; safe for concurrent use from experiment worker pools.
 var (
 	regMu   sync.RWMutex

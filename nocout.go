@@ -8,16 +8,19 @@
 // CloudSuite-like synthetic scale-out workloads, and calibrated area/energy
 // models needed to regenerate every figure of the paper's evaluation.
 //
-// A single measurement:
+// Every measurement is a declarative sweep over the experiment engine:
+// an Experiment (functional options) expands to a Sweep of Points, a
+// Runner measures them on a bounded worker pool with context
+// cancellation, and the structured Report renders as a text table, JSON,
+// or CSV. A single measurement is a one-point sweep:
 //
-//	cfg := nocout.DefaultConfig(nocout.NOCOut)
-//	res, err := nocout.Run(cfg, "Web Search", nocout.Quick)
-//	fmt.Println(res)
+//	rep, err := nocout.NewExperiment(
+//		nocout.WithDesigns(nocout.NOCOut),
+//		nocout.WithWorkloads("Web Search"),
+//	).Run(ctx)
+//	fmt.Println(rep.MustGet("NOC-Out", "Web Search", 0))
 //
-// Studies are declarative sweeps over the experiment engine: an
-// Experiment (functional options) expands to a Sweep of Points, a Runner
-// measures them on a bounded worker pool with context cancellation, and
-// the structured Report renders as a text table, JSON, or CSV:
+// and a study crosses designs, workloads, and core counts:
 //
 //	rep, err := nocout.NewExperiment(
 //		nocout.WithDesigns(nocout.Mesh, nocout.NOCOut),
@@ -150,14 +153,6 @@ var (
 	Full  = Quality{Warmup: 30000, Window: 50000, Seeds: 3}
 )
 
-// Workloads returns the registered workload names: the paper's six
-// scale-out workloads in figure order, then the builtin Mix/Phased
-// examples, then RegisterWorkload-ed additions. The Figure* studies
-// always sweep just the six (so registered workloads never shift
-// regenerated paper numbers); a default Experiment with no
-// WithWorkloads sweeps this full list.
-func Workloads() []string { return workload.Names() }
-
 // Result summarizes one measured run.
 type Result struct {
 	Design Design `json:"design"`
@@ -262,36 +257,6 @@ func (r Result) String() string {
 	return s
 }
 
-// Run measures cfg under the named workload — any registered name or
-// alias (case-insensitive), or a recorded trace via "trace:<path>" —
-// averaging over q.Seeds independent runs.
-func Run(cfg Config, workloadName string, q Quality) (Result, error) {
-	w, err := workload.Parse(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunWorkload(cfg, w, q), nil
-}
-
-// RunUnlimited is Run with the workload's software scalability cap
-// lifted (the Unlimited wrapper), for §7.1-style scaling studies that
-// assume software able to use every core.
-func RunUnlimited(cfg Config, workloadName string, q Quality) (Result, error) {
-	w, err := workload.Parse(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunWorkload(cfg, workload.Unlimited(w), q), nil
-}
-
-// RunWorkload is Run for a Workload value that need not be registered —
-// a constructed Mix or Phased schedule, a loaded TraceFile, or any user
-// implementation.
-func RunWorkload(cfg Config, w Workload, q Quality) Result {
-	res, _ := runSeeds(context.Background(), cfg, w, q, 1, nil)
-	return res
-}
-
 // seedRun holds one seed's measurements.
 type seedRun struct {
 	agg, lat, snoop, miss, impki, dmpki float64
@@ -302,14 +267,6 @@ type seedRun struct {
 	// bailed on a cancelled context leaves it false, poisoning the
 	// average (the aggregate result is only valid when every seed ran).
 	complete bool
-}
-
-// isRuntimeError reports whether a recovered panic value is a Go runtime
-// error (index out of range, nil dereference, ...) — an error by type,
-// but a programming bug by nature, so it must carry its stack.
-func isRuntimeError(r any) bool {
-	_, ok := r.(runtime.Error)
-	return ok
 }
 
 // simSlots bounds the number of simulation goroutines in flight across
@@ -367,31 +324,31 @@ func (s *slotSem) release(n int) {
 }
 
 // runSeeds is the engine's measurement kernel: it runs q.Seeds
-// independent simulations of cfg under w in parallel (bounded by
-// simSlots) and averages them. Seed s always runs with base+s*7919
-// (derived from the configured base, not compounded across iterations),
-// and the averaging order is fixed, so the result is deterministic for
-// any scheduling. The second return is the result's validity: true when
+// independent simulations of point p in parallel (bounded by simSlots)
+// and averages them. Seed s always runs with base+s*7919 (derived from
+// the configured base, not compounded across iterations), and the
+// averaging order is fixed, so the result is deterministic for any
+// scheduling. The second return is the result's validity: true when
 // every seed's simulation ran to completion. Cancellation makes a seed
 // bail *before* its simulation starts — an in-flight simulation always
 // finishes — so a cancellation that lands after the last seed launched
 // still yields a complete, valid result; callers must discard the result
-// only when complete is false.
+// only when it is not complete.
 //
 // Invalid configurations (an unregistered design, a hierarchy that
-// cannot inhabit the fabric) panic inside chip.New on a worker; the
-// first such panic is re-raised on the caller's goroutine, so it stays a
-// recoverable hard error — Runner.Run converts it into a returned error
-// — instead of killing the process from a goroutine nobody can recover.
-func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, domains int, ck *CheckpointStore) (Result, bool) {
+// cannot inhabit the fabric) panic inside chip.New on a seed goroutine;
+// the first such panic comes back as an error naming the point, so a
+// broken point fails its sweep instead of killing the process from a
+// goroutine nobody can recover.
+func runSeeds(ctx context.Context, p Point, q Quality, domains int, ck *CheckpointStore) (Result, bool, error) {
 	if q.Seeds < 1 {
 		q.Seeds = 1
 	}
-	base := cfg.Seed
+	cfg, w := p.Config, p.wl
 	outs := make([]seedRun, q.Seeds)
 	var (
-		panicMu  sync.Mutex
-		panicked any
+		failMu sync.Mutex
+		failed error
 	)
 	var wg sync.WaitGroup
 	for s := 0; s < q.Seeds; s++ {
@@ -404,17 +361,17 @@ func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, d
 					return
 				}
 				// Deliberate hard errors (chip.New panicking an error
-				// value) re-raise clean; anything else — runtime errors
-				// and other programming bugs — keeps the crash site,
-				// which the caller-side re-raise would otherwise lose.
-				if _, deliberate := r.(error); !deliberate || isRuntimeError(r) {
-					r = fmt.Errorf("%v\n\nworker goroutine stack:\n%s", r, debug.Stack())
+				// value) keep their text; anything else — runtime errors
+				// and other programming bugs — carries the crash site.
+				err, deliberate := r.(error)
+				if _, rt := r.(runtime.Error); !deliberate || rt {
+					err = fmt.Errorf("%v\n\nworker goroutine stack:\n%s", r, debug.Stack())
 				}
-				panicMu.Lock()
-				if panicked == nil {
-					panicked = r
+				failMu.Lock()
+				if failed == nil {
+					failed = err
 				}
-				panicMu.Unlock()
+				failMu.Unlock()
 			}()
 			if ctx.Err() != nil {
 				return
@@ -425,7 +382,7 @@ func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, d
 				return
 			}
 			scfg := cfg
-			scfg.Seed = base + uint64(s)*seedStride
+			scfg.Seed = cfg.Seed + uint64(s)*seedStride
 			// The warm state either restores from the checkpoint cache or
 			// is built the ordinary way; both paths land at the same
 			// measurement boundary, bit-identically (the checkpoint
@@ -463,8 +420,8 @@ func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, d
 		}(s)
 	}
 	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	if failed != nil {
+		return Result{}, false, fmt.Errorf("nocout: point %s: %w", p, failed)
 	}
 
 	complete := true
@@ -511,7 +468,7 @@ func runSeeds(ctx context.Context, cfg Config, w workload.Workload, q Quality, d
 		}
 		res.ReqLatency = reqLatencyOf(merged)
 	}
-	return res, complete
+	return res, complete, nil
 }
 
 // powerOf computes the run's NoC power with the design's area and buffer

@@ -1,6 +1,8 @@
 package nocout
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -8,11 +10,24 @@ import (
 // tiny is a minimal-effort quality for unit tests.
 var tiny = Quality{Warmup: 6000, Window: 8000, Seeds: 1}
 
-func TestRunFacade(t *testing.T) {
-	res, err := Run(DefaultConfig(NOCOut), "Web Search", tiny)
+// measure runs cfg at quality q as a one-point Experiment, the options
+// naming its workload, and returns the point's Result; any error fails
+// tb.
+func measure(tb testing.TB, cfg Config, q Quality, opts ...Option) Result {
+	tb.Helper()
+	opts = append([]Option{WithVariant(cfg.Design.String(), cfg), WithQuality(q)}, opts...)
+	rep, err := NewExperiment(opts...).Run(context.Background())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	if len(rep.Results) != 1 {
+		tb.Fatalf("measure: %d points, want 1", len(rep.Results))
+	}
+	return rep.Results[0].Result
+}
+
+func TestRunFacade(t *testing.T) {
+	res := measure(t, DefaultConfig(NOCOut), tiny, WithWorkloads("Web Search"))
 	if res.ActiveCores != 16 {
 		t.Fatalf("Web Search should run on 16 cores, got %d", res.ActiveCores)
 	}
@@ -36,15 +51,9 @@ func TestPowerUsesResolvedLinkBits(t *testing.T) {
 	for _, d := range []Design{Mesh, Torus} {
 		cfg := DefaultConfig(d)
 		cfg.Cores = 16
-		want, err := Run(cfg, "Data Serving", q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := measure(t, cfg, q, WithWorkloads("Data Serving"))
 		cfg.LinkBits = 0
-		got, err := Run(cfg, "Data Serving", q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := measure(t, cfg, q, WithWorkloads("Data Serving"))
 		if got.AggIPC != want.AggIPC || got.NoCPower != want.NoCPower {
 			t.Errorf("%v at LinkBits 0: IPC %v, power %+v; want the 128-bit IPC %v, power %+v",
 				d, got.AggIPC, got.NoCPower, want.AggIPC, want.NoCPower)
@@ -53,13 +62,20 @@ func TestPowerUsesResolvedLinkBits(t *testing.T) {
 }
 
 func TestRunUnknownWorkload(t *testing.T) {
-	if _, err := Run(DefaultConfig(Mesh), "Quake", tiny); err == nil {
-		t.Fatal("unknown workload must error")
+	_, err := NewExperiment(WithDesigns(Mesh), WithWorkloads("Quake"), WithQuality(tiny)).Run(t.Context())
+	if err == nil || !strings.Contains(err.Error(), "Quake") {
+		t.Fatalf("unknown workload error = %v", err)
 	}
 }
 
+// TestWorkloadsList pins the registry order: the paper's six, then the
+// builtin Mix and Phased examples. A default Experiment sweeps the
+// registry in that order.
 func TestWorkloadsList(t *testing.T) {
-	ws := Workloads()
+	var ws []string
+	for _, w := range RegisteredWorkloads() {
+		ws = append(ws, w.Name())
+	}
 	want := []string{"Data Serving", "MapReduce-C", "MapReduce-W", "SAT Solver", "Web Frontend", "Web Search",
 		"Consolidated", "MapReduce-Phased"}
 	if len(ws) < len(want) {
@@ -70,15 +86,23 @@ func TestWorkloadsList(t *testing.T) {
 			t.Fatalf("suite order = %v", ws)
 		}
 	}
+	sw, err := NewExperiment(WithDesigns(Mesh)).Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var swept []string
+	for _, p := range sw.Points {
+		swept = append(swept, p.Workload)
+	}
+	if !slices.Equal(swept, ws) {
+		t.Fatalf("default sweep = %v, want the registry %v", swept, ws)
+	}
 }
 
 func TestSeedAveraging(t *testing.T) {
 	q := tiny
 	q.Seeds = 2
-	res, err := Run(DefaultConfig(Mesh), "SAT Solver", q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := measure(t, DefaultConfig(Mesh), q, WithWorkloads("SAT Solver"))
 	if res.AggIPC <= 0 {
 		t.Fatal("multi-seed run broken")
 	}

@@ -10,19 +10,16 @@ import (
 )
 
 // This file is the root-level acceptance suite for the open-system
-// subsystem: ReqLatency through Run and the sweep engine, the
+// subsystem: ReqLatency through the sweep engine, the
 // WithOfferedLoads dimension, report encoders growing latency columns
 // only for open rows, StudySaturation's knee, and determinism.
 
-// TestOpenRunReqLatency: an open-system Run produces a consistent
-// request-latency block; a closed-loop Run stays ReqLatency-free.
+// TestOpenRunReqLatency: an open-system run produces a consistent
+// request-latency block; a closed-loop run stays ReqLatency-free.
 func TestOpenRunReqLatency(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
-	res, err := Run(cfg, "open-poisson", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := measure(t, cfg, confQ, WithWorkloads("open-poisson"))
 	rl := res.ReqLatency
 	if rl == nil {
 		t.Fatal("open-system run has no ReqLatency")
@@ -40,10 +37,7 @@ func TestOpenRunReqLatency(t *testing.T) {
 		t.Fatalf("String() must surface tail latency: %s", res)
 	}
 
-	closed, err := Run(cfg, "Web Search", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	closed := measure(t, cfg, confQ, WithWorkloads("Web Search"))
 	if closed.ReqLatency != nil {
 		t.Fatalf("closed-loop run grew a ReqLatency: %+v", closed.ReqLatency)
 	}
@@ -57,14 +51,8 @@ func TestOpenRunReqLatency(t *testing.T) {
 func TestOpenDeterminism(t *testing.T) {
 	cfg := DefaultConfig(NOCOut)
 	cfg.Cores = 16
-	a, err := Run(cfg, "open-mmpp", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg, "open-mmpp", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := measure(t, cfg, confQ, WithWorkloads("open-mmpp"))
+	b := measure(t, cfg, confQ, WithWorkloads("open-mmpp"))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("open-system run is not deterministic:\n%+v\n%+v", a, b)
 	}
@@ -76,16 +64,10 @@ func TestOpenMultiSeedMerge(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 8
 	q1 := confQ
-	single, err := Run(cfg, "open-poisson", q1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := measure(t, cfg, q1, WithWorkloads("open-poisson"))
 	q2 := confQ
 	q2.Seeds = 2
-	double, err := Run(cfg, "open-poisson", q2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	double := measure(t, cfg, q2, WithWorkloads("open-poisson"))
 	if double.ReqLatency.Arrivals <= single.ReqLatency.Arrivals {
 		t.Fatalf("two seeds must offer more requests than one: %d vs %d",
 			double.ReqLatency.Arrivals, single.ReqLatency.Arrivals)

@@ -42,7 +42,7 @@ const (
 
 // RegisterDesign adds an organization to the design registry and returns
 // its Design handle, after which the design works everywhere a builtin
-// does: DefaultConfig, Run, WithDesigns sweeps, ParseDesign (CLI flags),
+// does: DefaultConfig, WithDesigns sweeps, ParseDesign (CLI flags),
 // Area/AreaModel, and JSON report round-trips. Names and aliases must be
 // unique; safe for concurrent use.
 func RegisterDesign(o Organization) (Design, error) { return chip.RegisterOrganization(o) }
@@ -118,7 +118,7 @@ func DefaultMemConfig() MemConfig { return mem.DefaultConfig() }
 
 // RegisterHierarchy adds a memory hierarchy to the registry and returns
 // its HierarchyID handle, after which the hierarchy works everywhere a
-// builtin does: Run, WithHierarchies sweeps, ParseHierarchy (CLI flags),
+// builtin does: WithHierarchies sweeps, ParseHierarchy (CLI flags),
 // HierarchyPhysical, and JSON report round-trips. Names and aliases must
 // be unique; safe for concurrent use.
 func RegisterHierarchy(h Hierarchy) (HierarchyID, error) { return chip.RegisterHierarchy(h) }
@@ -184,9 +184,9 @@ func ParseQuality(s string) (Quality, error) {
 // instruction stream, and describes its prewarm address layout.
 // Implement it (or build one with SynthWorkload/NewMix/NewPhased, or
 // replay a RecordTraceFile recording with LoadTrace) and RegisterWorkload
-// it; registered workloads work
-// everywhere a builtin does — Run, WithWorkloads sweeps, CLI flags, and
-// JSON reports.
+// it; registered workloads work everywhere a builtin does — WithWorkloads
+// sweeps, CLI flags, and JSON reports. Unregistered values sweep through
+// WithWorkloadValues.
 type Workload = workload.Workload
 
 // WorkloadParams is the synthetic calibration block behind the paper's
@@ -254,10 +254,6 @@ func NewMix(name string, members ...WorkloadParams) *Mix { return workload.NewMi
 // NewPhased builds a deterministic time-varying workload cycling
 // through the schedule.
 func NewPhased(name string, phases ...Phase) *Phased { return workload.NewPhased(name, phases...) }
-
-// UnlimitedWorkload lifts w's software scalability cap so a chip
-// enables every core (§7.1's assumption); everything else delegates.
-func UnlimitedWorkload(w Workload) Workload { return workload.Unlimited(w) }
 
 // WorkloadFingerprinter is the optional interface a user Workload
 // implements to make itself cacheable: the returned bytes are folded

@@ -201,7 +201,7 @@ func (rn *Runner) Run(ctx context.Context, sw Sweep) (*Report, error) {
 					release = rel
 				}
 
-				r, complete, err := runPoint(runCtx, *p, sw.Quality, sw.SimDomains, rn.Checkpoints)
+				r, complete, err := runSeeds(runCtx, *p, sw.Quality, sw.SimDomains, rn.Checkpoints)
 				if err != nil {
 					release()
 					if !pointErr(i, *p, err) {
@@ -287,18 +287,4 @@ func effectiveWorkers(workers, domains, procs int) int {
 		}
 	}
 	return workers
-}
-
-// runPoint measures one sweep point, converting a configuration panic
-// (runSeeds re-raises the first worker panic on this goroutine) into an
-// error that names the point. complete is false when cancellation cut
-// the measurement short, in which case res must be discarded.
-func runPoint(ctx context.Context, p Point, q Quality, domains int, ck *CheckpointStore) (res Result, complete bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("nocout: point %s: %v", p, r)
-		}
-	}()
-	res, complete = runSeeds(ctx, p.Config, p.wl, q, domains, ck)
-	return res, complete, nil
 }

@@ -13,8 +13,8 @@ import (
 // workload — builtin synthetic, the Mix/Phased examples, and anything
 // added through RegisterWorkload — is held to the same behavioral
 // contract, and the trace facility is proven end to end (a recording of
-// a builtin reproduces the builtin's Result exactly through Run, a sweep,
-// and the "trace:<path>" scheme).
+// a builtin reproduces the builtin's Result exactly through a sweep and
+// the "trace:<path>" scheme).
 
 // TestWorkloadRegistryComplete pins the registered workload space: the
 // paper's six in figure order, then the example families.
@@ -173,10 +173,7 @@ func TestWorkloadsThroughEngineAndJSON(t *testing.T) {
 func TestMixPerMemberBreakdown(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
-	res, err := Run(cfg, "mix", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := measure(t, cfg, confQ, WithWorkloads("mix"))
 	if len(res.PerWorkloadIPC) != 3 {
 		t.Fatalf("breakdown = %v, want the three Consolidated members", res.PerWorkloadIPC)
 	}
@@ -195,10 +192,7 @@ func TestMixPerMemberBreakdown(t *testing.T) {
 	}
 
 	// Homogeneous runs must stay breakdown-free.
-	homog, err := Run(cfg, "MapReduce-C", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	homog := measure(t, cfg, confQ, WithWorkloads("MapReduce-C"))
 	if homog.PerWorkloadIPC != nil {
 		t.Fatalf("homogeneous run grew a breakdown: %v", homog.PerWorkloadIPC)
 	}
@@ -207,8 +201,8 @@ func TestMixPerMemberBreakdown(t *testing.T) {
 // TestTraceReplayReproducesBuiltin is the trace acceptance contract: a
 // workload recorded to a trace file and resolved through the
 // "trace:<path>" scheme reproduces the builtin's Quick-quality Result bit
-// for bit — through Run and through a NewExperiment sweep (the CLI
-// resolves through the same ParseWorkload path).
+// for bit through a sweep, under the source's name (the CLI resolves
+// through the same ParseWorkload path).
 func TestTraceReplayReproducesBuiltin(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 16
@@ -224,18 +218,7 @@ func TestTraceReplayReproducesBuiltin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := Run(cfg, "MapReduce-C", Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(cfg, "trace:"+path, Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("trace replay diverged from the builtin:\nbuiltin %+v\nreplay  %+v", want, got)
-	}
-
+	want := measure(t, cfg, Quick, WithWorkloads("MapReduce-C"))
 	rep, err := NewExperiment(
 		WithTitle("trace replay"),
 		WithVariant("Mesh", cfg),
@@ -304,8 +287,8 @@ func TestNOC3TraceReplayReproducesBuiltin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tf.(*TraceFile).Close()
-	want := RunWorkload(cfg, src, Quick)
-	got := RunWorkload(cfg, tf, Quick)
+	want := measure(t, cfg, Quick, WithWorkloadValues(src))
+	got := measure(t, cfg, Quick, WithWorkloadValues(tf))
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("NOC3 replay diverged from the live workload:\nlive   %+v\nreplay %+v", want, got)
 	}
@@ -326,14 +309,8 @@ func TestTraceReplayPreservesMixBreakdown(t *testing.T) {
 	if err := RecordTraceFile(path, mix, cfg.Cores, perCore, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(cfg, "Consolidated", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(cfg, "trace:"+path, confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := measure(t, cfg, confQ, WithWorkloads("Consolidated"))
+	got := measure(t, cfg, confQ, WithWorkloads("trace:"+path))
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("mix trace replay diverged:\nlive   %+v\nreplay %+v", want, got)
 	}
@@ -360,8 +337,8 @@ func TestNOC3TraceReplayPreservesMixBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RunWorkload(cfg, mix, confQ)
-	got := RunWorkload(cfg, tf, confQ)
+	want := measure(t, cfg, confQ, WithWorkloadValues(mix))
+	got := measure(t, cfg, confQ, WithWorkloadValues(tf))
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("NOC3 mix replay diverged:\nlive   %+v\nreplay %+v", want, got)
 	}
@@ -371,22 +348,16 @@ func TestNOC3TraceReplayPreservesMixBreakdown(t *testing.T) {
 }
 
 // TestUnlimitedWorkloadFacade pins the cap-lifting wrapper's public
-// behaviour: RunUnlimited enables every core for a 16-core-limited
+// behaviour: WithUnlimitedCores enables every core for a 16-core-limited
 // workload without touching the underlying registration.
 func TestUnlimitedWorkloadFacade(t *testing.T) {
 	cfg := DefaultConfig(Mesh)
 	cfg.Cores = 32
-	res, err := RunUnlimited(cfg, "Web Search", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := measure(t, cfg, confQ, WithWorkloads("Web Search"), WithUnlimitedCores())
 	if res.ActiveCores != 32 {
 		t.Fatalf("unlimited run enabled %d cores, want 32", res.ActiveCores)
 	}
-	capped, err := Run(cfg, "Web Search", confQ)
-	if err != nil {
-		t.Fatal(err)
-	}
+	capped := measure(t, cfg, confQ, WithWorkloads("Web Search"))
 	if capped.ActiveCores != 16 {
 		t.Fatalf("the registered workload must stay capped at 16, got %d", capped.ActiveCores)
 	}
