@@ -8,17 +8,17 @@
 // (nocout.Point.Key, a content hash over the fully resolved point,
 // workload fingerprint, and quality):
 //
-//   - a content-addressed result Store (DirStore): one JSON entry per
+//   - a content-addressed result store (DirStore): one JSON entry per
 //     point key, written atomically, so already-computed points are
 //     skipped on every re-run and concurrent writers are idempotent;
 //   - a campaign Manifest: the sweep's full point list and key list,
 //     written once at creation, so any process can rebuild the sweep,
 //     verify it is working on the same campaign, and merge the final
 //     Report in the original sweep order;
-//   - point leasing (Leaser): claim files acquired by atomic exclusive
-//     create, stolen by atomic rename after expiry, so workers partition
-//     the sweep instead of duplicating it and a crashed worker's points
-//     are reclaimed.
+//   - point leasing: claim files in the campaign's leases/ directory,
+//     acquired by an atomic exclusive create and stolen by an atomic
+//     rename after expiry, so workers partition the sweep instead of
+//     duplicating it and a crashed worker's points are reclaimed.
 //
 // The lifecycle: Create writes the manifest (or verifies and resumes an
 // existing one), Work runs one worker until every point has a stored

@@ -14,6 +14,7 @@ import (
 
 	"nocout"
 	"nocout/campaign"
+	"nocout/internal/cas"
 )
 
 // tiny is the unit-test quality (the engine tests' idiom).
@@ -276,15 +277,16 @@ func TestManifestRejectsNegativeQuality(t *testing.T) {
 	}
 }
 
-// TestLeaser exercises the claim-file protocol directly: exclusive
-// acquisition, denial while live, owner-checked release, and stealing
-// after expiry.
+// TestLeaser exercises the claim-file protocol campaign workers lease
+// points with, on point keys: exclusive acquisition, denial while live,
+// owner-checked release, and stealing after expiry.
 func TestLeaser(t *testing.T) {
 	dir := t.TempDir()
-	key := strings.Repeat("0", 64)
-	key = "pt1-" + key
-	a := &campaign.Leaser{Dir: dir, Owner: "a"}
-	b := &campaign.Leaser{Dir: dir, Owner: "b"}
+	leaser := func(owner string, ttl time.Duration) *cas.Leaser {
+		return &cas.Leaser{Dir: dir, Owner: owner, TTL: ttl, KeyPrefix: nocout.KeyVersion + "-"}
+	}
+	key := "pt1-" + strings.Repeat("0", 64)
+	a, b := leaser("a", 0), leaser("b", 0)
 
 	release, ok, err := a.Acquire(key)
 	if err != nil || !ok {
@@ -301,7 +303,7 @@ func TestLeaser(t *testing.T) {
 	rel2()
 
 	// Expired claims are stolen.
-	fast := &campaign.Leaser{Dir: dir, Owner: "crashed", TTL: time.Nanosecond}
+	fast := leaser("crashed", time.Nanosecond)
 	if _, ok, err := fast.Acquire(key); err != nil || !ok {
 		t.Fatalf("fast acquire = (%v, %v)", ok, err)
 	}
@@ -325,7 +327,7 @@ func TestLeaser(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			l := &campaign.Leaser{Dir: dir, Owner: "r" + strings.Repeat("x", i)}
+			l := leaser("r"+strings.Repeat("x", i), 0)
 			if _, ok, err := l.Acquire(key); err == nil && ok {
 				mu.Lock()
 				wins++

@@ -59,24 +59,11 @@ func ReadEntry(r io.Reader) (Entry, error) {
 	return e, nil
 }
 
-// Store is the content-addressed result store a campaign appends
-// completed points to: Get/Put by canonical point key. DirStore is the
-// local-directory backend; the interface (flat string keys, whole-entry
-// reads and writes, idempotent puts) is deliberately the S3 object-store
-// shape so a remote backend can slot in without touching the worker.
-type Store interface {
-	// Get returns the stored result for key; a miss — including an
-	// unreadable or corrupt entry, which a later Put self-heals — is
-	// (zero, false, nil). Errors are real I/O failures.
-	Get(key string) (nocout.PointResult, bool, error)
-	// Put stores the result under key, atomically and idempotently:
-	// points are deterministic, so concurrent writers of one key write
-	// identical content and any winner is correct.
-	Put(key string, pr nocout.PointResult, q nocout.Quality) error
-}
-
-// DirStore stores one JSON entry per point key in a flat directory,
-// written atomically (temp file + rename).
+// DirStore is the content-addressed result store a campaign appends
+// completed points to: one JSON entry per point key in a flat directory,
+// written atomically (temp file + rename). Puts are idempotent — points
+// are deterministic, so concurrent writers of one key write identical
+// content and any winner is correct.
 type DirStore struct{ dir string }
 
 // NewDirStore returns the directory-backed store rooted at dir.
@@ -86,7 +73,9 @@ func NewDirStore(dir string) *DirStore { return &DirStore{dir: dir} }
 // the name is path-safe by construction.
 func (s *DirStore) path(key string) string { return filepath.Join(s.dir, key+".json") }
 
-// Get implements Store.
+// Get returns the stored result for key. A miss — including an
+// unreadable or corrupt entry, which the next Put heals — is (zero,
+// false, nil); errors are real I/O failures.
 func (s *DirStore) Get(key string) (nocout.PointResult, bool, error) {
 	if !ValidKey(key) {
 		return nocout.PointResult{}, false, fmt.Errorf("campaign: invalid point key %.80q", key)
@@ -108,7 +97,7 @@ func (s *DirStore) Get(key string) (nocout.PointResult, bool, error) {
 	return e.Result, true, nil
 }
 
-// Put implements Store.
+// Put stores the result under key, atomically.
 func (s *DirStore) Put(key string, pr nocout.PointResult, q nocout.Quality) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("campaign: invalid point key %.80q", key)

@@ -6,10 +6,11 @@ import (
 	"time"
 
 	"nocout"
+	"nocout/internal/cas"
 )
 
 // Options tunes one campaign worker. The zero value is a sensible
-// worker: all CPUs, hostname-pid lease identity, DefaultTTL leases,
+// worker: all CPUs, hostname-pid lease identity, ten-minute leases,
 // cached results honoured, broken points recorded instead of fatal.
 type Options struct {
 	// Workers bounds the points measured concurrently (nocout.Runner
@@ -21,11 +22,11 @@ type Options struct {
 	// content keys are identical for any value, so workers at different
 	// parallelism cooperate on one campaign freely.
 	SimParallelism int
-	// Owner is this worker's lease identity; "" means DefaultOwner()
-	// (hostname-pid). It must be unique among cooperating workers.
+	// Owner is this worker's lease identity; "" means hostname-pid. It
+	// must be unique among cooperating workers.
 	Owner string
 	// LeaseTTL is the claim lifetime before other workers steal a
-	// (presumed crashed) owner's points; <= 0 means DefaultTTL.
+	// (presumed crashed) owner's points; <= 0 means ten minutes.
 	LeaseTTL time.Duration
 	// Recompute ignores existing cache entries once per key — the
 	// re-run override policy — recomputing and overwriting them. It
@@ -82,9 +83,9 @@ type Stats struct {
 // Interrupt it freely: completed points are already durable, and the
 // next Work resumes from the store.
 func (c *Campaign) Work(ctx context.Context, opts Options) (Stats, error) {
-	leaser := &Leaser{Dir: leasesDir(c.dir), Owner: opts.Owner, TTL: opts.LeaseTTL}
+	leaser := cas.Leaser{Dir: leasesDir(c.dir), Owner: opts.Owner, TTL: opts.LeaseTTL, KeyPrefix: nocout.KeyVersion + "-"}
 	if leaser.Owner == "" {
-		leaser.Owner = DefaultOwner()
+		leaser.Owner = cas.DefaultOwner()
 	}
 	cache := &runnerCache{store: c.Store(), recompute: opts.Recompute}
 	delay := opts.PassDelay
@@ -132,7 +133,7 @@ func (c *Campaign) Work(ctx context.Context, opts Options) (Stats, error) {
 			Workers:     opts.Workers,
 			KeepGoing:   !opts.FailFast,
 			Cache:       cache,
-			Lease:       leaserAdapter{leaser, c.man.Quality},
+			Lease:       leaserAdapter{leaser},
 			Progress:    progress,
 			Checkpoints: ckpts,
 		}
@@ -162,11 +163,11 @@ func (c *Campaign) Work(ctx context.Context, opts Options) (Stats, error) {
 	}
 }
 
-// runnerCache adapts the campaign Store to the Runner's Cache hook,
+// runnerCache adapts the campaign's DirStore to the Runner's Cache hook,
 // keying by canonical point identity and keeping per-key statistics
 // across passes.
 type runnerCache struct {
-	store     Store
+	store     *DirStore
 	recompute bool
 
 	mu       sync.Mutex
@@ -247,11 +248,9 @@ func (rc *runnerCache) fill(st *Stats) {
 	rc.mu.Unlock()
 }
 
-// leaserAdapter adapts Leaser to the Runner's Lease hook.
-type leaserAdapter struct {
-	l *Leaser
-	q nocout.Quality
-}
+// leaserAdapter serves the Runner's Lease hook from the shared
+// claim-file protocol, claiming each point by its key.
+type leaserAdapter struct{ l cas.Leaser }
 
 // Acquire implements nocout.Lease.
 func (a leaserAdapter) Acquire(p nocout.Point, q nocout.Quality) (func(), bool, error) {
