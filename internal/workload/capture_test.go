@@ -140,12 +140,9 @@ func TestCaptureMaxCoresClamp(t *testing.T) {
 func TestCaptureOfUnlimitedWorkloadRoundTrips(t *testing.T) {
 	// An Unlimited-wrapped source reports MaxInt; the recording must
 	// clamp the stored limit so the file stays decodable.
-	back, err := ReadCapture(bytes.NewReader(writeNOC2(t, Unlimited(Synth(WebSearch)), 4, 20, 1)))
-	if err != nil {
-		t.Fatalf("capture of an unlimited workload must decode: %v", err)
-	}
-	if back.ScaleLimit != 4 {
-		t.Fatalf("recorded scale limit = %d, want the 4 recorded cores", back.ScaleLimit)
+	back := parseNOC3(t, writeNOC3Bytes(t, Unlimited(Synth(WebSearch)), 4, 20, 1, 0))
+	if back.hdr.ScaleLimit != 4 {
+		t.Fatalf("recorded scale limit = %d, want the 4 recorded cores", back.hdr.ScaleLimit)
 	}
 }
 

@@ -398,6 +398,21 @@ func TestNOC3RejectsCorruption(t *testing.T) {
 	// undefined id — both with valid CRCs.
 	check("phase predictor on keyframe", corruptBlockPred(t, data, tf, 8, predPhase))
 	check("undefined predictor", corruptBlockPred(t, data, tf, 3, 7))
+
+	// A NaN base CPI must be refused rather than hand the cpu model a
+	// panic. The recorder will not write one, so alter core 1's metadata
+	// past recordMeta.
+	w := MapReducePhased()
+	hdr, metas, err := recordMeta(w, 2, 600, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas[1].Params.BaseCPI = math.NaN()
+	var nan bytes.Buffer
+	if err := writeNOC3(&nan, hdr, metas, 32, func(core int) func() cpu.Instr { return w.StreamFor(core, 3).Next }); err != nil {
+		t.Fatal(err)
+	}
+	check("NaN base CPI", nan.Bytes())
 }
 
 // TestNOC3CursorSaveRestore checks the (block, offset) checkpoint cursor:
