@@ -45,7 +45,7 @@ import (
 const ManifestVersion = 1
 
 // Decode caps: corrupt or hostile campaign files must produce clean
-// errors, not multi-gigabyte allocations (the ReadCapture/NOC3 reader
+// errors, not multi-gigabyte allocations (the NOC3 trace reader's
 // hardening contract, applied to the campaign formats).
 const (
 	maxManifestBytes  = 64 << 20 // manifest.json (a point encodes to ~1KB)

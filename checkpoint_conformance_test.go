@@ -160,7 +160,7 @@ func TestCheckpointNOC3TraceConformance(t *testing.T) {
 	if err := workload.RecordFile(noc3, src, cfg.Cores, perCore, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
-	w, err := workload.LoadTrace(noc3)
+	w, err := workload.OpenTraceFile(noc3)
 	if err != nil {
 		t.Fatal(err)
 	}

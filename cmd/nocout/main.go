@@ -16,7 +16,6 @@
 //	nocout -workload websearch -cores 16 -record-trace ws.noctrace
 //	nocout -design mesh -cores 16 -workload trace:ws.noctrace
 //	nocout -trace-info ws.noctrace
-//	nocout -trace-convert old-noc2.noctrace new-noc3.noctrace
 //	nocout -design mesh -workload open-poisson -offered-loads 0.5,2,8
 //	nocout -designs mesh,nocout -workload websearch -arrival mmpp -offered-loads 0.5,2,8 -csv
 //	nocout -design nocout -workload "opensys:arrival=burst,hurst=0.9,base=data-serving,rate=4"
@@ -88,8 +87,7 @@ func run() error {
 	csvOut := flag.Bool("csv", false, "emit the structured Report as CSV")
 	recordTrace := flag.String("record-trace", "", "record the workload to this NOC3 trace file and exit (replay with -workload trace:<path>)")
 	recordInstrs := flag.Int("record-instrs", 96000, "instructions per core to record with -record-trace (96k covers a quick-quality run)")
-	traceInfo := flag.String("trace-info", "", "print a trace file's header, section, and compression metadata (NOC2 or NOC3), then exit")
-	traceConvert := flag.String("trace-convert", "", "upgrade this NOC2 capture to a NOC3 container at the positional output path, then exit (replay is bit-identical)")
+	traceInfo := flag.String("trace-info", "", "print a NOC3 trace file's header, section, and compression metadata, then exit")
 	campaignDir := flag.String("campaign", "", "run as a resumable campaign worker over this shared directory (created from the sweep flags; an existing campaign is resumed/joined as-is)")
 	campaignMerge := flag.String("campaign-merge", "", "assemble a campaign directory's stored results into the final report and exit")
 	campaignWorker := flag.String("campaign-worker", "", "lease owner identity for -campaign (default hostname-pid; must be unique per worker)")
@@ -218,8 +216,8 @@ func run() error {
 		return nil
 	}
 
-	// Trace inspection and conversion operate on files alone — no workload
-	// or design resolution, like -campaign-merge above.
+	// Trace inspection operates on the file alone — no workload or design
+	// resolution, like -campaign-merge above.
 	if *traceInfo != "" {
 		ti, err := nocout.InspectTrace(*traceInfo)
 		if err != nil {
@@ -233,23 +231,6 @@ func run() error {
 		ti.WriteText(os.Stdout)
 		return nil
 	}
-	if *traceConvert != "" {
-		if flag.NArg() != 1 {
-			return fmt.Errorf("-trace-convert needs an output path: nocout -trace-convert in.noctrace out.noctrace")
-		}
-		out := flag.Arg(0)
-		if err := nocout.ConvertTrace(*traceConvert, out); err != nil {
-			return err
-		}
-		ti, err := nocout.InspectTrace(out)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("converted %s (NOC2) -> %s (NOC3): %d cores, %d instructions, %d bytes (%.3f bytes/instr)\n",
-			*traceConvert, out, ti.Cores, ti.Instrs, ti.FileBytes, ti.BytesPerInstr())
-		return nil
-	}
-
 	wnames := []string{*wl}
 	if *workloads != "" {
 		wnames = strings.Split(*workloads, ",")

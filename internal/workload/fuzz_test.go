@@ -5,16 +5,13 @@ import (
 	"testing"
 )
 
-// The fuzz targets hold the trace decoders to the no-panic,
-// no-unbounded-allocation contract on arbitrary bytes. `go test` runs
-// the seed corpus on every CI pass; `go test -fuzz FuzzReadNOC3` (or
-// FuzzReadCapture) explores further.
-
-// FuzzReadNOC3 holds the sectioned-container reader to the same
-// contract: arbitrary bytes either fail Parse/Verify cleanly or decode
-// into a trace whose every stream replays valid instructions. Hostile
-// indexes, corrupt CRCs, truncated blocks, and invalid predictor ids
-// must never panic or allocate proportionally to claimed sizes.
+// FuzzReadNOC3 holds the trace reader to the no-panic,
+// no-unbounded-allocation contract: arbitrary bytes either fail
+// Parse/Verify cleanly or decode into a trace whose every stream replays
+// valid instructions. Hostile indexes, corrupt CRCs, truncated blocks,
+// and invalid predictor ids must never panic or allocate proportionally
+// to claimed sizes. `go test` runs the seed corpus on every CI pass;
+// `go test -fuzz FuzzReadNOC3` explores further.
 func FuzzReadNOC3(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteNOC3(&buf, MapReducePhased(), 2, 300, 1, 32); err != nil {
@@ -54,37 +51,6 @@ func FuzzReadNOC3(f *testing.F) {
 				}
 			}
 			if err := validCoreParams(core, tf.cores[core].meta.Params); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-}
-
-func FuzzReadCapture(f *testing.F) {
-	valid := writeNOC2(f, ConsolidatedMix(), 2, 100, 1)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:3])
-	f.Add([]byte("NOC2"))
-	f.Add([]byte{'N', 'O', 'C', '2', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
-	w, hdr, metas := wrappingHeader(f)
-	f.Add(encodeNOC2(f, w, hdr, metas, 1)) // hot region past the top of the address space
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadCapture(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Anything that decodes must be safe to hand to a chip build:
-		// non-empty streams, valid kinds, buildable core parameters.
-		if len(c.Cores) == 0 {
-			t.Fatal("decoded capture has no cores")
-		}
-		for i := range c.Cores {
-			cc := &c.Cores[i]
-			if len(cc.Instrs) == 0 {
-				t.Fatalf("core %d decoded with an empty stream", i)
-			}
-			if err := validCoreParams(i, cc.Params); err != nil {
 				t.Fatal(err)
 			}
 		}

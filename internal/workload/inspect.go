@@ -4,10 +4,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"os"
 )
 
-// Trace inspection: TraceInfo summarizes either container format for the
+// Trace inspection: TraceInfo summarizes a NOC3 trace for the
 // `nocout -trace-info` subcommand — header metadata, per-section byte
 // accounting, block/predictor counts, and the compression ratio against
 // the raw in-memory stream size.
@@ -15,7 +14,7 @@ import (
 // TraceInfo describes a trace file on disk.
 type TraceInfo struct {
 	Path      string `json:"path"`
-	Format    string `json:"format"` // "NOC2" or "NOC3"
+	Format    string `json:"format"` // always "NOC3", the one trace format
 	FileBytes int64  `json:"file_bytes"`
 
 	Source     string `json:"source"`
@@ -24,11 +23,11 @@ type TraceInfo struct {
 	Cores      int    `json:"cores"`
 	Instrs     int64  `json:"instrs"` // total recorded instructions, all cores
 
-	// Fingerprint is the recording's behavioral fingerprint (identical
-	// across formats for the same recording).
+	// Fingerprint is the recording's behavioral fingerprint: the SHA-256
+	// of its canonical NOC2 encoding.
 	Fingerprint string `json:"fingerprint"`
 
-	// NOC3 only: section accounting and block-level compression detail.
+	// Section accounting and block-level compression detail.
 	BlockLen         int    `json:"block_len,omitempty"`
 	Blocks           int    `json:"blocks,omitempty"`
 	PredPrev         uint64 `json:"pred_prev,omitempty"`  // previous-instruction predictor wins
@@ -56,46 +55,36 @@ func (ti *TraceInfo) CompressionRatio() float64 {
 	return float64(ti.Instrs) * 24 / float64(ti.FileBytes)
 }
 
-// InspectTrace reads a trace file's metadata in either format. NOC3 files
-// are inspected from their header and index sections alone (no block
-// decode); NOC2 files must be decoded whole, and report no section
-// accounting.
+// InspectTrace reads a NOC3 trace file's metadata from its header and
+// index sections alone, without decoding a block. It opens the file
+// through OpenTraceFile, so anything else fails with ErrNotTrace.
 func InspectTrace(path string) (*TraceInfo, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	t, err := loadTrace(path)
+	t, err := OpenTraceFile(path)
 	if err != nil {
 		return nil, err
 	}
 	defer t.Close()
-	fp := t.Fingerprint()
 	ti := &TraceInfo{
-		Path:        path,
-		Format:      "NOC3",
-		FileBytes:   st.Size(),
-		Source:      t.hdr.Source,
-		Seed:        t.hdr.Seed,
-		ScaleLimit:  t.hdr.ScaleLimit,
-		Cores:       len(t.cores),
-		Fingerprint: hex.EncodeToString(fp[:]),
+		Path:             path,
+		Format:           "NOC3",
+		FileBytes:        t.size,
+		Source:           t.hdr.Source,
+		Seed:             t.hdr.Seed,
+		ScaleLimit:       t.hdr.ScaleLimit,
+		Cores:            len(t.cores),
+		Fingerprint:      hex.EncodeToString(t.fp[:]),
+		BlockLen:         t.blockLen,
+		Blocks:           t.stats.Blocks,
+		PredPrev:         t.stats.PredPrev,
+		PredPhase:        t.stats.PredPhase,
+		HeaderSectionB:   t.headerSz,
+		IndexSectionB:    t.indexSz,
+		BlockSectionB:    t.stats.BlockSectionBytes,
+		RawResidualBytes: t.stats.RawResidualBytes,
 	}
 	for i := range t.cores {
 		ti.Instrs += int64(t.cores[i].meta.Total)
 	}
-	if t.noc2 {
-		ti.Format = "NOC2"
-		return ti, nil
-	}
-	ti.BlockLen = t.blockLen
-	ti.Blocks = t.stats.Blocks
-	ti.PredPrev = t.stats.PredPrev
-	ti.PredPhase = t.stats.PredPhase
-	ti.HeaderSectionB = t.headerSz
-	ti.IndexSectionB = t.indexSz
-	ti.BlockSectionB = t.stats.BlockSectionBytes
-	ti.RawResidualBytes = t.stats.RawResidualBytes
 	return ti, nil
 }
 
@@ -109,9 +98,6 @@ func (ti *TraceInfo) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "file bytes:   %d (%.3f bytes/instr, %.2fx vs in-memory stream)\n",
 		ti.FileBytes, ti.BytesPerInstr(), ti.CompressionRatio())
 	fmt.Fprintf(w, "fingerprint:  capture:%s\n", ti.Fingerprint)
-	if ti.Format != "NOC3" {
-		return
-	}
 	fmt.Fprintf(w, "block length: %d instructions\n", ti.BlockLen)
 	total := ti.PredPrev + ti.PredPhase
 	fmt.Fprintf(w, "blocks:       %d (%d prev-delta, %d phase-delta — %.1f%% phase)\n",

@@ -7,11 +7,12 @@ import (
 	"nocout/internal/cpu"
 )
 
-// This file defines the NOC3 trace container: a sectioned, block-oriented,
-// delta-compressed successor to the monolithic NOC2 capture blob, designed
-// so that replaying a datacenter-scale recording is O(cores × block)
-// memory instead of O(trace), and so that recording streams blocks to disk
-// incrementally instead of buffering the whole capture.
+// This file defines the NOC3 trace container, the one trace format this
+// package reads and writes: sectioned, block-oriented and
+// delta-compressed, so that replaying a datacenter-scale recording is
+// O(cores × block) memory instead of O(trace), and so that recording
+// streams blocks to disk incrementally instead of buffering the whole
+// recording.
 //
 // # Container layout
 //
@@ -30,16 +31,16 @@ import (
 //	  payload  length bytes
 //	trailer  8 bytes LE index-section file offset + "3CON" (4 bytes)
 //
-// The header section carries the NOC2 header fields (source, seed, scale
-// limit, shared regions) plus the block length and each core's identity
-// (member, params, local region, total instructions). Block sections
-// follow in core-major order: core 0's blocks, then core 1's, and so on.
-// The index section is last — recording appends it after the final block,
-// so the writer never seeks — and lists every block section's (offset,
-// size) plus aggregate compression statistics and the recording's
-// behavioral fingerprint (the SHA-256 of its canonical NOC2 encoding,
-// computed while recording, so Point.Key and every content-addressed
-// cache are format-agnostic).
+// The header section carries the recording's identity (source, seed,
+// scale limit, shared regions) plus the block length and each core's
+// identity (member, params, local region, total instructions). Block
+// sections follow in core-major order: core 0's blocks, then core 1's,
+// and so on. The index section is last — recording appends it after the
+// final block, so the writer never seeks — and lists every block
+// section's (offset, size) plus aggregate compression statistics and the
+// recording's behavioral fingerprint (the SHA-256 of its canonical NOC2
+// encoding, computed while recording, so Point.Key and every
+// content-addressed cache depend on the streams, not the container).
 //
 // # Block encoding
 //
@@ -50,7 +51,7 @@ import (
 // predictors and records the winner in the block —
 //
 //	predPrev  (0): delta from the previous instruction in the block
-//	              (first record is absolute) — the NOC1/NOC2 predictor;
+//	              (first record is absolute) — the NOC2 encoding's predictor;
 //	predPhase (1): delta from the instruction at the same offset in the
 //	              previous block — when the block length divides (or
 //	              approximates) a workload's phase period, adjacent

@@ -62,7 +62,6 @@ type TraceFile struct {
 	r      io.ReaderAt
 	size   int64
 	closer io.Closer
-	noc2   bool // converted in memory from a NOC2 capture file
 
 	hdr      captureHeader
 	blockLen int
@@ -73,9 +72,11 @@ type TraceFile struct {
 	indexSz  int // index section bytes, for Inspect
 }
 
-// OpenTraceFile opens and indexes a NOC3 trace file. The file handle
-// stays open for lazy block reads; Close it when the workload is done
-// (the "trace:<path>" scheme keeps it open for the process lifetime,
+// OpenTraceFile opens and indexes a NOC3 trace file; it is the one way a
+// trace is opened, and the "trace:<path>" scheme resolves through it. Any
+// other file, NOC2 captures included, fails with ErrNotTrace. The file
+// handle stays open for lazy block reads; Close it when the workload is
+// done (the "trace:<path>" scheme keeps it open for the process lifetime,
 // like any other resolved workload).
 func OpenTraceFile(path string) (*TraceFile, error) {
 	f, err := os.Open(path)
@@ -97,8 +98,8 @@ func OpenTraceFile(path string) (*TraceFile, error) {
 	return t, nil
 }
 
-// ParseTraceBytes indexes an in-memory NOC3 container (the fuzz and
-// inspection entry point).
+// ParseTraceBytes indexes an in-memory NOC3 container (the fuzz and test
+// entry point).
 func ParseTraceBytes(data []byte) (*TraceFile, error) {
 	return newTraceFile(bytes.NewReader(data), int64(len(data)))
 }
@@ -112,87 +113,25 @@ func (t *TraceFile) Close() error {
 	return t.closer.Close()
 }
 
-// errNotNOC3 marks inputs without the NOC3 magic.
-var errNotNOC3 = errors.New("not a NOC3 trace")
-
-// ErrNotTrace marks a file that is neither trace container format.
-var ErrNotTrace = errors.New("not a trace file (want a NOC3 or NOC2 container)")
-
-// LoadTrace opens a trace file in either container format — it is how
-// the "trace:<path>" workload scheme resolves. Every trace replays as a
-// *TraceFile: NOC3 files open lazily (O(block) replay memory); NOC2 files
-// are decoded, converted to NOC3 in memory, and replayed from there.
-func LoadTrace(path string) (Workload, error) {
-	t, err := loadTrace(path)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// loadTrace sniffs path's magic and opens it as a TraceFile.
-func loadTrace(path string) (*TraceFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	defer f.Close()
-	var magic [4]byte
-	// A file shorter than the magic is simply not a trace.
-	if _, err := io.ReadFull(f, magic[:]); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	switch magic {
-	case noc3Magic:
-		return OpenTraceFile(path)
-	case captureMagic:
-		// Re-encode the capture as an in-memory NOC3 container, so it
-		// replays through the same cursor as a native recording and
-		// carries the same fingerprint.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("workload: %w", err)
-		}
-		c, err := ReadCapture(f)
-		if err != nil {
-			return nil, fmt.Errorf("workload: capture %s: %w", path, err)
-		}
-		var buf bytes.Buffer
-		if err := ConvertNOC3(&buf, c, 0); err != nil {
-			return nil, fmt.Errorf("workload: capture %s: %w", path, err)
-		}
-		t, err := ParseTraceBytes(buf.Bytes())
-		if err != nil {
-			return nil, fmt.Errorf("workload: capture %s: %w", path, err)
-		}
-		t.path, t.noc2 = path, true
-		return t, nil
-	}
-	return nil, fmt.Errorf("workload: %s: %w", path, ErrNotTrace)
-}
+// ErrNotTrace marks a file without the NOC3 magic: an empty or short
+// file, a NOC2 capture, or anything else. A NOC2 capture must first be
+// converted by the -trace-convert of a nocout build that still reads it.
+var ErrNotTrace = errors.New("not a trace file (want a NOC3 container; convert a NOC2 capture with an older nocout's -trace-convert)")
 
 // newTraceFile parses and validates the container structure: trailer,
 // index section, header section, and the block geometry they describe.
 // Block payloads are not read here.
 func newTraceFile(r io.ReaderAt, size int64) (*TraceFile, error) {
 	var head [4 + binary.MaxVarintLen64]byte
-	if size < int64(4+1+noc3TrailerBytes) {
-		// Still distinguish "not NOC3" from "truncated NOC3".
-		if size >= 4 {
-			if _, err := r.ReadAt(head[:4], 0); err == nil && [4]byte(head[:4]) != noc3Magic {
-				return nil, errNotNOC3
-			}
-		}
-		return nil, errors.New("truncated container")
-	}
-	n := len(head)
-	if int64(n) > size {
-		n = int(size)
-	}
-	if _, err := r.ReadAt(head[:n], 0); err != nil {
+	n := int(min(size, int64(len(head))))
+	if _, err := r.ReadAt(head[:n], 0); err != nil && err != io.EOF {
 		return nil, err
 	}
-	if [4]byte(head[:4]) != noc3Magic {
-		return nil, errNotNOC3
+	if n < 4 || [4]byte(head[:4]) != noc3Magic {
+		return nil, ErrNotTrace
+	}
+	if size < int64(4+1+noc3TrailerBytes) {
+		return nil, errors.New("truncated container")
 	}
 	ver, vn := binary.Uvarint(head[4:n])
 	if vn <= 0 {
@@ -550,18 +489,9 @@ func (t *TraceFile) StreamFor(coreID int, seed uint64) cpu.Stream {
 	return t.newReplay(coreID % len(t.cores))
 }
 
-// Seed returns the seed the recording was made at (provenance).
-func (t *TraceFile) Seed() uint64 { return t.hdr.Seed }
-
 // Fingerprint returns the recording's behavioral fingerprint: the
 // SHA-256 of its canonical NOC2 encoding, as stored at record time.
 func (t *TraceFile) Fingerprint() [sha256.Size]byte { return t.fp }
-
-// Stats returns the index's compression accounting.
-func (t *TraceFile) Stats() TraceStats { return t.stats }
-
-// BlockLen returns the instructions-per-block geometry.
-func (t *TraceFile) BlockLen() int { return t.blockLen }
 
 // --- replay stream ----------------------------------------------------------
 

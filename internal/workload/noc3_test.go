@@ -44,8 +44,8 @@ func TestNOC3RoundTrip(t *testing.T) {
 	if err := tf.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if tf.Name() != "Consolidated" || tf.Seed() != seed || len(tf.cores) != cores {
-		t.Fatalf("trace header: name %q seed %d cores %d", tf.Name(), tf.Seed(), len(tf.cores))
+	if tf.Name() != "Consolidated" || tf.hdr.Seed != seed || len(tf.cores) != cores {
+		t.Fatalf("trace header: name %q seed %d cores %d", tf.Name(), tf.hdr.Seed, len(tf.cores))
 	}
 
 	for core := 0; core < cores; core++ {
@@ -112,48 +112,22 @@ func TestNOC3MaxCoresClamp(t *testing.T) {
 }
 
 // TestNOC3FingerprintMatchesNOC2 is the cache-survival guarantee: the
-// fingerprint is the SHA-256 of the recording's canonical NOC2 bytes,
-// whether it lives in a streamed NOC3 recording or a converted NOC2
-// capture — so Point.Key and checkpoint prefixes are format-agnostic.
+// fingerprint of a NOC3 recording is the SHA-256 of the recording's
+// canonical NOC2 bytes, so Point.Key and checkpoint prefixes computed
+// when NOC2 captures were still read stay valid.
 func TestNOC3FingerprintMatchesNOC2(t *testing.T) {
 	src := ConsolidatedMix()
 	const cores, perCore, seed = 3, 700, 9
 
-	noc2 := writeNOC2(t, src, cores, perCore, seed)
-	sum := sha256.Sum256(noc2)
+	sum := sha256.Sum256(writeNOC2(t, src, cores, perCore, seed))
 	fpNOC2 := []byte(fmt.Sprintf("capture:%x", sum))
-	cap, err := ReadCapture(bytes.NewReader(noc2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	recorded := parseNOC3(t, writeNOC3Bytes(t, src, cores, perCore, seed, 64))
 	fpNOC3, err := Fingerprint(recorded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fpNOC2, fpNOC3) {
-		t.Fatalf("fingerprint changed across formats:\n NOC2 %s\n NOC3 %s", fpNOC2, fpNOC3)
-	}
-
-	var conv bytes.Buffer
-	if err := ConvertNOC3(&conv, cap, 64); err != nil {
-		t.Fatal(err)
-	}
-	converted := parseNOC3(t, conv.Bytes())
-	fpConv, err := Fingerprint(converted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fpNOC2, fpConv) {
-		t.Fatalf("conversion changed the fingerprint:\n NOC2 %s\n conv %s", fpNOC2, fpConv)
-	}
-
-	// Recording a workload directly and converting its NOC2 capture are
-	// the same deterministic encoder over the same streams: the files
-	// must be byte-identical.
-	if !bytes.Equal(writeNOC3Bytes(t, src, cores, perCore, seed, 64), conv.Bytes()) {
-		t.Fatal("direct NOC3 recording and NOC2->NOC3 conversion disagree byte-for-byte")
+		t.Fatalf("fingerprint is not the NOC2 encoding's hash:\n NOC2 %s\n NOC3 %s", fpNOC2, fpNOC3)
 	}
 }
 
@@ -230,7 +204,7 @@ func TestNOC3PhasePredictorWins(t *testing.T) {
 	if err := tf.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	st := tf.Stats()
+	st := tf.stats
 	// 32 blocks, keyframes at 0, 8, 16, 24: 28 phase-predicted.
 	if st.PredPhase != 28 || st.PredPrev != 4 {
 		t.Fatalf("predictor split %d phase / %d prev, want 28 / 4", st.PredPhase, st.PredPrev)
@@ -459,25 +433,16 @@ func TestNOC3CursorSaveRestore(t *testing.T) {
 	}
 }
 
-// TestLoadTraceDispatch: the "trace:" scheme must open both container
-// formats as a *TraceFile and reject anything else with one named error.
+// TestLoadTraceDispatch: the "trace:" scheme opens a NOC3 file as a
+// *TraceFile and rejects anything else, NOC2 captures included, with one
+// named error.
 func TestLoadTraceDispatch(t *testing.T) {
 	dir := t.TempDir()
-
-	noc2 := writeNOC2File(t, Synth(SATSolver), 2, 100, 3)
-	w2, err := LoadTrace(noc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := w2.(*TraceFile); !ok {
-		t.Fatalf("NOC2 file loaded as %T", w2)
-	}
-
 	noc3 := filepath.Join(dir, "sat3.noctrace")
 	if err := RecordFile(noc3, Synth(SATSolver), 2, 100, 3); err != nil {
 		t.Fatal(err)
 	}
-	w, err := LoadTrace(noc3)
+	w, err := Parse("trace:" + noc3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,25 +451,24 @@ func TestLoadTraceDispatch(t *testing.T) {
 		t.Fatalf("NOC3 file loaded as %T", w)
 	}
 	defer tf.Close()
-
-	// Both resolve through Parse and replay the same streams.
-	pw, err := Parse("trace:" + noc3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := pw.StreamFor(1, 1), w2.StreamFor(1, 1)
+	a, b := tf.StreamFor(1, 1), Synth(SATSolver).StreamFor(1, 3)
 	for i := 0; i < 100; i++ {
 		if a.Next() != b.Next() {
-			t.Fatal("trace: scheme replay diverged from the NOC2 capture")
+			t.Fatal("trace: scheme replay diverged from the recorded source")
 		}
 	}
 
-	for name, body := range map[string]string{"junk": "neither format", "empty": "", "short": "NO"} {
+	for name, body := range map[string][]byte{
+		"junk":  []byte("neither format"),
+		"empty": nil,
+		"short": []byte("NO"),
+		"noc2":  writeNOC2(t, Synth(SATSolver), 2, 100, 3),
+	} {
 		path := filepath.Join(dir, name+".noctrace")
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(path, body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadTrace(path)
+		_, err := Parse("trace:" + path)
 		if !errors.Is(err, ErrNotTrace) {
 			t.Fatalf("%s file: error %v, want ErrNotTrace", name, err)
 		}
@@ -515,65 +479,8 @@ func TestLoadTraceDispatch(t *testing.T) {
 	}
 }
 
-// TestLoadTraceNOC2: a NOC2 file loads as a TraceFile indistinguishable
-// from a direct NOC3 recording of the same source — streams, pipeline
-// parameters, layout, member attribution, scalability, and fingerprint.
-func TestLoadTraceNOC2(t *testing.T) {
-	src := ConsolidatedMix()
-	const cores, perCore, seed = 4, 600, 11
-	dir := t.TempDir()
-	w2, err := LoadTrace(writeNOC2File(t, src, cores, perCore, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	noc3 := filepath.Join(dir, "direct.noctrace")
-	if err := RecordFile(noc3, src, cores, perCore, seed); err != nil {
-		t.Fatal(err)
-	}
-	w3, err := LoadTrace(noc3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w3.(*TraceFile).Close()
-
-	if w2.Name() != w3.Name() || w2.MaxCores() != w3.MaxCores() {
-		t.Fatalf("identity %q/%d != %q/%d", w2.Name(), w2.MaxCores(), w3.Name(), w3.MaxCores())
-	}
-	l2, l3 := w2.Layout(), w3.Layout()
-	if l2.Instr != l3.Instr || l2.Hot != l3.Hot {
-		t.Fatalf("shared regions %+v/%+v != %+v/%+v", l2.Instr, l2.Hot, l3.Instr, l3.Hot)
-	}
-	for core := 0; core < cores; core++ {
-		if w2.CoreParams(core, 5) != w3.CoreParams(core, 5) || l2.Local(core) != l3.Local(core) {
-			t.Fatalf("core %d params or local region differ", core)
-		}
-		m2, _ := MemberNameOf(w2, core)
-		m3, _ := MemberNameOf(w3, core)
-		if m2 != m3 {
-			t.Fatalf("core %d member %q != %q", core, m2, m3)
-		}
-		a, b := w2.StreamFor(core, 1), w3.StreamFor(core, 1)
-		for i := 0; i < 2*perCore; i++ {
-			if x, y := a.Next(), b.Next(); x != y {
-				t.Fatalf("core %d record %d: %+v != %+v", core, i, x, y)
-			}
-		}
-	}
-	f2, err := Fingerprint(w2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f3, err := Fingerprint(w3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f2, f3) {
-		t.Fatalf("fingerprint %s != %s", f2, f3)
-	}
-}
-
-// TestFailedWriteKeepsFile: a recording or conversion that fails leaves
-// an existing file byte-identical and creates no new file.
+// TestFailedWriteKeepsFile: a recording that fails leaves an existing
+// file byte-identical and creates no new file.
 func TestFailedWriteKeepsFile(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.noctrace")
@@ -584,16 +491,11 @@ func TestFailedWriteKeepsFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	junk := filepath.Join(dir, "junk.noctrace")
-	if err := os.WriteFile(junk, []byte("neither format"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	fresh := filepath.Join(dir, "fresh.noctrace")
 	for _, path := range []string{good, fresh} {
 		for name, fail := range map[string]func() error{
 			"zero instructions": func() error { return RecordFile(path, Synth(WebSearch), 4, 0, 1) },
 			"idle stream":       func() error { return RecordFile(path, idleWorkload{}, 1, 10, 1) },
-			"junk conversion":   func() error { return ConvertFile(junk, path) },
 		} {
 			if err := fail(); err == nil {
 				t.Fatalf("%s into %s: want an error", name, path)
@@ -607,47 +509,44 @@ func TestFailedWriteKeepsFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
+	if len(entries) != 1 {
 		t.Fatalf("failed writes left files behind: %v", entries)
 	}
 }
 
-// TestInspectTrace covers the -trace-info plumbing for both formats.
+// TestInspectTrace covers the -trace-info plumbing: header and section
+// accounting from a NOC3 file, and ErrNotTrace for a NOC2 capture.
 func TestInspectTrace(t *testing.T) {
 	dir := t.TempDir()
-	noc2 := writeNOC2File(t, Synth(WebSearch), 2, 300, 3)
 	noc3 := filepath.Join(dir, "ws3.noctrace")
-	if err := ConvertFile(noc2, noc3); err != nil {
+	if err := RecordFile(noc3, Synth(WebSearch), 2, 300, 3); err != nil {
 		t.Fatal(err)
 	}
-
-	i2, err := InspectTrace(noc2)
+	ti, err := InspectTrace(noc3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i3, err := InspectTrace(noc3)
-	if err != nil {
-		t.Fatal(err)
+	if ti.Format != "NOC3" || ti.Cores != 2 || ti.Instrs != 600 || ti.Seed != 3 {
+		t.Fatalf("header: %+v", ti)
 	}
-	if i2.Format != "NOC2" || i3.Format != "NOC3" {
-		t.Fatalf("formats %q / %q", i2.Format, i3.Format)
+	if want := fmt.Sprintf("%x", sha256.Sum256(writeNOC2(t, Synth(WebSearch), 2, 300, 3))); ti.Fingerprint != want {
+		t.Fatalf("fingerprint %q, want the NOC2 encoding's hash %q", ti.Fingerprint, want)
 	}
-	if i2.Cores != 2 || i3.Cores != 2 || i2.Instrs != 600 || i3.Instrs != 600 {
-		t.Fatalf("geometry: %+v vs %+v", i2, i3)
-	}
-	if i2.Fingerprint != i3.Fingerprint || i2.Fingerprint == "" {
-		t.Fatalf("fingerprints %q / %q must match across formats", i2.Fingerprint, i3.Fingerprint)
-	}
-	if i3.Blocks == 0 || i3.BlockLen != DefaultBlockLen || i3.IndexSectionB == 0 || i3.HeaderSectionB == 0 {
-		t.Fatalf("NOC3 section accounting empty: %+v", i3)
-	}
-	if i2.Blocks != 0 || i2.BlockSectionB != 0 {
-		t.Fatalf("NOC2 file reports NOC3 section accounting: %+v", i2)
+	if ti.Blocks == 0 || ti.BlockLen != DefaultBlockLen || ti.IndexSectionB == 0 || ti.HeaderSectionB == 0 {
+		t.Fatalf("NOC3 section accounting empty: %+v", ti)
 	}
 	var text bytes.Buffer
-	i3.WriteText(&text)
+	ti.WriteText(&text)
 	if !bytes.Contains(text.Bytes(), []byte("NOC3")) {
 		t.Fatalf("text report missing format: %s", text.String())
+	}
+
+	noc2 := filepath.Join(dir, "ws2.noctrace")
+	if err := os.WriteFile(noc2, writeNOC2(t, Synth(WebSearch), 2, 300, 3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := InspectTrace(noc2); !errors.Is(err, ErrNotTrace) {
+		t.Fatalf("inspecting a NOC2 capture: error %v, want ErrNotTrace", err)
 	}
 }
 
@@ -693,10 +592,9 @@ func TestNOC3GoldenBytes(t *testing.T) {
 // overflows 2^64, so it names no range the chip could prewarm.
 var wrappingHot = Region{Base: math.MaxUint64 - 63, Size: 128}
 
-// wrappingHeader is a two-core MapReducePhased recording's header and
-// metadata with wrappingHot as its hot region, which recordMeta refuses
-// to produce.
-func wrappingHeader(tb testing.TB) (Workload, captureHeader, []coreMeta) {
+// wrappingNOC3 is a two-core MapReducePhased NOC3 container whose header
+// carries wrappingHot, which recordMeta refuses to produce.
+func wrappingNOC3(tb testing.TB) []byte {
 	tb.Helper()
 	w := MapReducePhased()
 	hdr, metas, err := recordMeta(w, 2, 300, 1)
@@ -704,13 +602,6 @@ func wrappingHeader(tb testing.TB) (Workload, captureHeader, []coreMeta) {
 		tb.Fatal(err)
 	}
 	hdr.Hot = wrappingHot
-	return w, hdr, metas
-}
-
-// wrappingNOC3 is a NOC3 container whose header carries wrappingHot.
-func wrappingNOC3(tb testing.TB) []byte {
-	tb.Helper()
-	w, hdr, metas := wrappingHeader(tb)
 	var buf bytes.Buffer
 	if err := writeNOC3(&buf, hdr, metas, 32, func(core int) func() cpu.Instr { return w.StreamFor(core, 1).Next }); err != nil {
 		tb.Fatal(err)
@@ -728,18 +619,13 @@ func (w wrappingLayout) Layout() Layout {
 }
 
 // TestTraceRejectsWrappingRegion: a region whose end overflows 2^64 is
-// refused by name in both readers' headers, and the recorder will not
-// write one.
+// refused by name in the reader's header, and the recorder will not write
+// one.
 func TestTraceRejectsWrappingRegion(t *testing.T) {
 	if _, err := ParseTraceBytes(wrappingNOC3(t)); err == nil || !strings.Contains(err.Error(), "hot region") {
 		t.Fatalf("NOC3 with a wrapping hot region: error %v, want one naming the hot region", err)
 	}
-	w, hdr, metas := wrappingHeader(t)
-	noc2 := encodeNOC2(t, w, hdr, metas, 1)
-	if _, err := ReadCapture(bytes.NewReader(noc2)); err == nil || !strings.Contains(err.Error(), "hot region") {
-		t.Fatalf("NOC2 with a wrapping hot region: error %v, want one naming the hot region", err)
-	}
-	if err := WriteNOC3(io.Discard, wrappingLayout{w}, 2, 300, 1, 32); err == nil {
+	if err := WriteNOC3(io.Discard, wrappingLayout{MapReducePhased()}, 2, 300, 1, 32); err == nil {
 		t.Fatal("recorded a workload whose hot region wraps past the top of the address space")
 	}
 }

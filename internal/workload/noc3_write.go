@@ -19,12 +19,11 @@ import (
 	"nocout/internal/cpu"
 )
 
-// The NOC3 writer: records a workload (or converts a decoded NOC2
-// capture) into the sectioned container as a bounded pipeline. The
-// calling goroutine draws each block from the streams in core-major
-// order and hashes its canonical NOC2 encoding into the fingerprint, so
-// the fingerprint is identical in either format and a Workload's streams
-// are only ever drawn on that goroutine. Encoder goroutines, one per CPU
+// The NOC3 writer: records a workload into the sectioned container as a
+// bounded pipeline. The calling goroutine draws each block from the
+// streams in core-major order and hashes its canonical NOC2 encoding into
+// the fingerprint, so a Workload's streams are only ever drawn on that
+// goroutine. Encoder goroutines, one per CPU
 // up to four, compute blocks' residuals and deflate them, and the calling
 // goroutine writes the finished sections strictly in the order it drew
 // them, so the bytes do not depend on how many encoders ran. Blocks in
@@ -343,37 +342,6 @@ func RecordFile(path string, w Workload, cores, perCore int, seed uint64) error 
 	return writeTraceFile(path, func(dst io.Writer) error {
 		return WriteNOC3(dst, w, cores, perCore, seed, 0)
 	})
-}
-
-// ConvertNOC3 re-encodes a NOC2 capture decoded by ReadCapture as a NOC3
-// container. The converted trace replays bit-identically (same streams,
-// same header identity) and fingerprints identically (the hash is
-// computed over the capture's canonical NOC2 encoding either way).
-func ConvertNOC3(dst io.Writer, c *Capture, blockLen int) error {
-	metas := make([]coreMeta, len(c.Cores))
-	for i := range c.Cores {
-		cc := &c.Cores[i]
-		metas[i] = coreMeta{Member: cc.Member, Params: cc.Params, Local: cc.Local, Total: len(cc.Instrs)}
-	}
-	return writeNOC3(dst, c.header(), metas, blockLen, func(core int) func() cpu.Instr {
-		instrs, k := c.Cores[core].Instrs, 0
-		return func() cpu.Instr { in := instrs[k]; k++; return in }
-	})
-}
-
-// ConvertFile upgrades a NOC2 capture file to a NOC3 trace file. A failed
-// conversion leaves an existing file at out untouched.
-func ConvertFile(in, out string) error {
-	f, err := os.Open(in)
-	if err != nil {
-		return fmt.Errorf("workload: %w", err)
-	}
-	defer f.Close()
-	c, err := ReadCapture(f)
-	if err != nil {
-		return fmt.Errorf("workload: capture %s: %w", in, err)
-	}
-	return writeTraceFile(out, func(dst io.Writer) error { return ConvertNOC3(dst, c, 0) })
 }
 
 // writeTraceFile streams fill's output to path through a buffered

@@ -15,11 +15,9 @@ import (
 // TestNOC3RecordGolden pins what the recorder writes at DefaultBlockLen:
 // the container bytes and the stored fingerprint of two 8-core recordings
 // (10 blocks per core: two keyframes, eight blocks where the phase
-// predictor competes, the last of them a short tail), and the bytes
-// ConvertNOC3 writes for the same recording read back from its canonical
-// NOC2 encoding. The fingerprint is the SHA-256 of that encoding, so it
-// pins the NOC2 record encoder the writer shares with encodeNOC2;
-// ReadCapture decoding the same bytes checks it from the other side.
+// predictor competes, the last of them a short tail). The fingerprint is
+// the SHA-256 of the recording's canonical NOC2 encoding, so it pins the
+// NOC2 record encoder the writer shares with writeNOC2.
 func TestNOC3RecordGolden(t *testing.T) {
 	const cores, perCore, seed = 8, 40000, 1
 	for _, tc := range []struct {
@@ -40,7 +38,7 @@ func TestNOC3RecordGolden(t *testing.T) {
 				t.Fatalf("recorded bytes changed: sha256 %s, want %s", got, tc.bytes)
 			}
 			tf := parseNOC3(t, data)
-			if st := tf.Stats(); st.Blocks != cores*10 {
+			if st := tf.stats; st.Blocks != cores*10 {
 				t.Fatalf("%d blocks, want %d", st.Blocks, cores*10)
 			}
 			fp := tf.Fingerprint()
@@ -48,20 +46,8 @@ func TestNOC3RecordGolden(t *testing.T) {
 				t.Fatalf("fingerprint changed: %s, want %s", got, tc.fp)
 			}
 
-			noc2 := writeNOC2(t, w, cores, perCore, seed)
-			if sum := sha256.Sum256(noc2); sum != fp {
+			if sum := sha256.Sum256(writeNOC2(t, w, cores, perCore, seed)); sum != fp {
 				t.Fatalf("stored fingerprint %x is not the SHA-256 of the NOC2 encoding, %x", fp, sum)
-			}
-			c, err := ReadCapture(bytes.NewReader(noc2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var conv bytes.Buffer
-			if err := ConvertNOC3(&conv, c, 0); err != nil {
-				t.Fatal(err)
-			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(conv.Bytes())); got != tc.bytes {
-				t.Fatalf("converted bytes sha256 %s, want %s", got, tc.bytes)
 			}
 		})
 	}
@@ -74,15 +60,11 @@ func withProcs(n int, f func()) {
 	f()
 }
 
-// TestNOC3PipelineWorkerCount: the bytes a recording or a conversion
-// writes do not depend on how many encoders ran.
+// TestNOC3PipelineWorkerCount: the bytes a recording writes do not depend
+// on how many encoders ran.
 func TestNOC3PipelineWorkerCount(t *testing.T) {
 	src := MapReducePhased() // phase structure exercises both predictors
 	const cores, perCore, seed = 4, 10000, 3
-	c, err := ReadCapture(bytes.NewReader(writeNOC2(t, src, cores, perCore, seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, blockLen := range []int{32, DefaultBlockLen} {
 		var want []byte // the recording at GOMAXPROCS 1
 		for _, procs := range []int{1, 2, 3, 8} {
@@ -92,13 +74,6 @@ func TestNOC3PipelineWorkerCount(t *testing.T) {
 					want = got
 				} else if !bytes.Equal(got, want) {
 					t.Errorf("block length %d: recording at GOMAXPROCS %d differs from GOMAXPROCS 1", blockLen, procs)
-				}
-				var conv bytes.Buffer
-				if err := ConvertNOC3(&conv, c, blockLen); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(conv.Bytes(), want) {
-					t.Errorf("block length %d: conversion at GOMAXPROCS %d differs from the recording", blockLen, procs)
 				}
 			})
 		}

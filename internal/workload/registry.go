@@ -162,7 +162,11 @@ func MustRegisterScheme(name string, fn func(spec string) (Workload, error)) {
 func Parse(s string) (Workload, error) {
 	trimmed := strings.TrimSpace(s)
 	if strings.HasPrefix(strings.ToLower(trimmed), TraceScheme) {
-		return LoadTrace(trimmed[len(TraceScheme):])
+		t, err := OpenTraceFile(trimmed[len(TraceScheme):])
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
 	}
 	if i := strings.IndexByte(trimmed, ':'); i > 0 {
 		schemeMu.RLock()

@@ -275,16 +275,22 @@ func FingerprintWorkload(w Workload) ([]byte, error) { return workload.Fingerpri
 // "trace:<path>" scheme) and Close it when done.
 type TraceFile = workload.TraceFile
 
-// TraceInfo summarizes a trace file on disk in either container format —
-// header metadata, per-section byte accounting, block/predictor counts —
-// as the `nocout -trace-info` subcommand reports.
+// TraceInfo summarizes a NOC3 trace file on disk — header metadata,
+// per-section byte accounting, block/predictor counts — as the
+// `nocout -trace-info` subcommand reports.
 type TraceInfo = workload.TraceInfo
 
-// LoadTrace opens a trace file in either container format, as the
-// "trace:<path>" scheme does; the result is always a *TraceFile. NOC3
-// files stream blocks lazily; legacy NOC2 files are converted to NOC3 in
-// memory first.
-func LoadTrace(path string) (Workload, error) { return workload.LoadTrace(path) }
+// LoadTrace opens a NOC3 trace file, as the "trace:<path>" scheme does;
+// the result is always a *TraceFile, which streams blocks lazily. Any
+// other file, a NOC2 capture included, fails with an error naming the
+// path: NOC3 is the one trace format.
+func LoadTrace(path string) (Workload, error) {
+	t, err := workload.OpenTraceFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
 // RecordTraceFile records cores×perCore instructions from w at the given
 // seed straight into a NOC3 container at path — bounded-memory end to
@@ -301,12 +307,5 @@ func RecordTraceFile(path string, w Workload, cores, perCore int, seed uint64) e
 	return workload.RecordFile(path, w, cores, perCore, seed)
 }
 
-// ConvertTrace upgrades a NOC2 capture file to a NOC3 container offline:
-// the converted trace replays bit-identically and keeps the recording's
-// fingerprint, so content-addressed caches keyed on the old file remain
-// valid for the new one.
-func ConvertTrace(in, out string) error { return workload.ConvertFile(in, out) }
-
-// InspectTrace reads a trace file's metadata in either format without
-// replaying it.
+// InspectTrace reads a NOC3 trace file's metadata without replaying it.
 func InspectTrace(path string) (*TraceInfo, error) { return workload.InspectTrace(path) }
