@@ -179,14 +179,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if *jsonOut {
-			return rep.WriteJSON(os.Stdout)
-		}
-		if *csvOut {
-			return rep.WriteCSV(os.Stdout)
-		}
-		fmt.Println(rep.Table())
-		return nil
+		return writeReport(rep, *jsonOut, *csvOut)
 	}
 
 	// Listing checkpoints inspects container metadata only — no workload
@@ -397,11 +390,8 @@ func run() error {
 		return err
 	}
 
-	if *jsonOut {
-		return rep.WriteJSON(os.Stdout)
-	}
-	if *csvOut {
-		return rep.WriteCSV(os.Stdout)
+	if *jsonOut || *csvOut {
+		return writeReport(rep, *jsonOut, *csvOut)
 	}
 
 	cells := len(ds) * len(ws)
@@ -415,8 +405,10 @@ func run() error {
 	}
 	if cells > 1 {
 		fmt.Println(rep.Table())
+	} else if pr, _ := rep.GetPoint(ds[0].String(), ws[0].Name(), 0); pr.Err != "" {
+		fmt.Println("failed:", pr.Err)
 	} else {
-		res := rep.MustGet(ds[0].String(), ws[0].Name(), 0)
+		res := pr.Result
 		fmt.Println(res)
 		fmt.Printf("  LLC miss rate: %.1f%%   L1-I MPKI: %.1f   L1-D MPKI: %.1f\n",
 			res.LLCMissRate*100, res.L1IMPKI, res.L1DMPKI)
@@ -428,10 +420,12 @@ func run() error {
 			// design name; a hierarchy sweep renames its variants
 			// "design/hierarchy" and a load sweep renames workloads by
 			// derived spec, so those breakdowns live in the table instead.
+			// A failed point has no power to report.
 			if len(hs) <= 1 && len(loads) == 0 {
 				for _, w := range ws {
-					res := rep.MustGet(d.String(), w.Name(), 0)
-					fmt.Printf("  %s NoC power (%s): %v\n", d, w.Name(), res.NoCPower)
+					if pr, _ := rep.GetPoint(d.String(), w.Name(), 0); pr.Err == "" {
+						fmt.Printf("  %s NoC power (%s): %v\n", d, w.Name(), pr.Result.NoCPower)
+					}
 				}
 			}
 		}
@@ -449,7 +443,41 @@ func run() error {
 		}
 		fmt.Printf("  %s LLC: %v\n", h, hp)
 	}
-	return nil
+	return failures(rep)
+}
+
+// writeReport prints rep as JSON, CSV or its table, then fails when rep
+// holds a failed point.
+func writeReport(rep *nocout.Report, jsonOut, csvOut bool) error {
+	var err error
+	switch {
+	case jsonOut:
+		err = rep.WriteJSON(os.Stdout)
+	case csvOut:
+		err = rep.WriteCSV(os.Stdout)
+	default:
+		fmt.Println(rep.Table())
+	}
+	if err != nil {
+		return err
+	}
+	return failures(rep)
+}
+
+// failures counts rep's failed points into an error, so that a KeepGoing
+// sweep or a merged campaign that holds a failure exits non-zero after
+// printing its report.
+func failures(rep *nocout.Report) error {
+	n := 0
+	for _, pr := range rep.Results {
+		if pr.Err != "" {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d of %d points failed", n, len(rep.Results))
 }
 
 // runCampaign runs one campaign worker over dir and, once every point of
@@ -484,12 +512,5 @@ func runCampaign(ctx context.Context, dir string, exp *nocout.Experiment, opts c
 	if err != nil {
 		return err
 	}
-	if jsonOut {
-		return rep.WriteJSON(os.Stdout)
-	}
-	if csvOut {
-		return rep.WriteCSV(os.Stdout)
-	}
-	fmt.Println(rep.Table())
-	return nil
+	return writeReport(rep, jsonOut, csvOut)
 }

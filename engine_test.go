@@ -309,6 +309,28 @@ func TestRunnerKeepGoing(t *testing.T) {
 	}
 }
 
+// TestReportTableShowsFailures: a KeepGoing report's table grows an error
+// column carrying the failed point's error, so its zero Result cannot
+// read as a measurement; a report without failures has no such column.
+func TestReportTableShowsFailures(t *testing.T) {
+	rep, err := (&Runner{Workers: 2, KeepGoing: true}).Run(context.Background(), brokenSweep(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Title, header, then the Good and Bad rows.
+	lines := strings.Split(rep.Table().String(), "\n")
+	if !strings.HasSuffix(strings.TrimSpace(lines[1]), "NoC W  error") {
+		t.Fatalf("header must end with an error column: %q", lines[1])
+	}
+	if strings.Contains(lines[2], "tiled organization") || !strings.Contains(lines[3], "tiled organization") {
+		t.Fatalf("only the failed row may carry an error:\n%s\n%s", lines[2], lines[3])
+	}
+	healthy := &Report{Title: rep.Title, Results: rep.Results[:1]}
+	if header := strings.Split(healthy.Table().String(), "\n")[1]; !strings.HasSuffix(strings.TrimSpace(header), "NoC W") {
+		t.Fatalf("a report without failures grew columns: %q", header)
+	}
+}
+
 // emptyStreams is a workload with a programming bug: StreamFor indexes an
 // empty slice, so building the chip dies with a Go runtime error on a
 // seed goroutine.

@@ -139,19 +139,34 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// hasFailedRows reports whether any point failed.
+func (r *Report) hasFailedRows() bool {
+	for _, pr := range r.Results {
+		if pr.Err != "" {
+			return true
+		}
+	}
+	return false
+}
+
 // Table renders the report as a generic per-point text table. Request-
-// latency columns appear only when some row is open-system; all-closed-
-// loop reports render exactly as they always have.
+// latency columns appear only when some row is open-system, and an error
+// column only when some point failed, so a failed point's zero Result
+// never reads as a measurement; a closed-loop report without failures
+// renders exactly as it always has.
 func (r *Report) Table() *Table {
 	title := r.Title
 	if title == "" {
 		title = "sweep report"
 	}
-	open := r.hasOpenRows()
+	open, failed := r.hasOpenRows(), r.hasFailedRows()
 	t := &Table{Title: title,
 		Header: []string{"variant", "workload", "cores", "agg IPC", "IPC/core", "net lat", "NoC W"}}
 	if open {
 		t.Header = append(t.Header, "req p50", "req p95", "req p99", "drops")
+	}
+	if failed {
+		t.Header = append(t.Header, "error")
 	}
 	for _, pr := range r.Results {
 		p, res := pr.Point, pr.Result
@@ -168,6 +183,9 @@ func (r *Report) Table() *Table {
 			} else {
 				row = append(row, "", "", "", "")
 			}
+		}
+		if failed {
+			row = append(row, pr.Err)
 		}
 		t.AddRow(row...)
 	}
