@@ -86,10 +86,11 @@ func checkpointKey(cfg Config, w workload.Workload, warmup sim.Cycle) (string, e
 // (offered load included) is inside it. Like Point.Key, it errors when
 // the point's workload cannot be resolved in this process.
 func (p Point) PrefixKey(q Quality, seedIdx int) (string, error) {
-	w, err := p.resolveWorkload()
+	w, release, err := p.resolveWorkload()
 	if err != nil {
 		return "", err
 	}
+	defer release()
 	cfg := p.Config
 	cfg.Seed += uint64(seedIdx) * seedStride
 	return checkpointKey(cfg, w, q.Warmup)

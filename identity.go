@@ -39,10 +39,11 @@ const KeyVersion = "pt1"
 // WorkloadSpec), so it errors when the workload is unknown to this
 // process or its fingerprint is unavailable.
 func (p Point) Key(q Quality) (string, error) {
-	w, err := p.resolveWorkload()
+	w, release, err := p.resolveWorkload()
 	if err != nil {
 		return "", err
 	}
+	defer release()
 	fp, err := workload.Fingerprint(w)
 	if err != nil {
 		return "", fmt.Errorf("nocout: point %s: %w", p, err)
@@ -91,25 +92,36 @@ func canonicalJSON(v any) ([]byte, error) {
 // name, with the Unlimited cap-lift re-applied. This is how a campaign
 // worker in another process rehydrates a manifest point; unregistered
 // WithWorkloadValues workloads cannot be rehydrated and error here.
-func (p Point) resolveWorkload() (workload.Workload, error) {
+//
+// release closes a trace this call opened from a "trace:<path>" spec:
+// Key and PrefixKey, which need the workload only for its fingerprint,
+// call it, and the Runner, which binds the workload for the sweep, does
+// not. A bound value or a registry entry, which others share, is never
+// closed.
+func (p Point) resolveWorkload() (w workload.Workload, release func(), err error) {
 	if p.wl != nil {
-		return p.wl, nil
+		return p.wl, func() {}, nil
 	}
 	spec := p.WorkloadSpec
 	if spec == "" {
 		spec = p.Workload
 	}
-	w, err := workload.Parse(spec)
+	w, err = workload.Parse(spec)
 	if err != nil {
-		return nil, fmt.Errorf("nocout: point %s: %w (campaign workers need the workload registered in-process, or its trace file readable)", p, err)
+		return nil, nil, fmt.Errorf("nocout: point %s: %w (campaign workers need the workload registered in-process, or its trace file readable)", p, err)
+	}
+	release = func() {}
+	if tf, ok := w.(*workload.TraceFile); ok && traceSpec(spec) {
+		release = func() { tf.Close() }
 	}
 	if w.Name() != p.Workload {
-		return nil, fmt.Errorf("nocout: point %s: spec %q resolves to workload %q, want %q", p, spec, w.Name(), p.Workload)
+		release()
+		return nil, nil, fmt.Errorf("nocout: point %s: spec %q resolves to workload %q, want %q", p, spec, w.Name(), p.Workload)
 	}
 	if p.Unlimited {
 		w = workload.Unlimited(w)
 	}
-	return w, nil
+	return w, release, nil
 }
 
 // traceSpec reports whether a workload parse spec is the trace:<path>

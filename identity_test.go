@@ -2,6 +2,8 @@ package nocout
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -131,5 +133,62 @@ func TestPointKeyErrors(t *testing.T) {
 	p.WorkloadSpec = "trace:/no/such/file.noctrace"
 	if _, err := p.Key(tiny); err == nil {
 		t.Fatal("unreadable trace spec must not key")
+	}
+}
+
+// TestPointKeyClosesRehydratedTrace: a point decoded from JSON resolves
+// its "trace:<path>" spec by opening the file, and Key and PrefixKey must
+// close it again, so keying a campaign manifest's trace sweep (as
+// campaign.Create does) leaves no descriptor open.
+func TestPointKeyClosesRehydratedTrace(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(ents)
+	}
+	openFDs()
+	src, err := ParseWorkload("MapReduce-C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "mrc.noctrace")
+	if err := RecordTraceFile(path, src, 16, 100, 1); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := NewExperiment(
+		WithDesigns(Mesh, Torus, NOCOut),
+		WithWorkloads("trace:"+path),
+		WithCoreCounts(4, 8, 16),
+		WithQuality(tiny),
+	).Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Points[0].wl.(*TraceFile).Close()
+	data, err := json.Marshal(sw.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []Point
+	if err := json.Unmarshal(data, &points); err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 9 {
+		t.Fatalf("%d points, want 9", len(points))
+	}
+
+	before := openFDs()
+	for _, p := range points {
+		if _, err := p.Key(tiny); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.PrefixKey(tiny, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("keying %d decoded trace points left %d descriptors open", len(points), after-before)
 	}
 }

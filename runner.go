@@ -160,7 +160,9 @@ func (rn *Runner) Run(ctx context.Context, sw Sweep) (*Report, error) {
 					// A manifest-decoded point rehydrates its workload
 					// once; each index is owned by exactly one worker,
 					// so writing the cached value back is race-free.
-					w, err := p.resolveWorkload()
+					// The bound workload lives on in the sweep's
+					// points, so a trace it opens stays open.
+					w, _, err := p.resolveWorkload()
 					if err != nil {
 						if !pointErr(i, *p, err) {
 							return
