@@ -9,11 +9,11 @@ import (
 	"nocout/internal/cpu"
 )
 
-// This file holds the canonical NOC2 encoding. Nothing reads or writes
-// NOC2 files any more — NOC3 is the one trace format — but a recording's
-// fingerprint is the SHA-256 of its NOC2 encoding, so the encoder
-// (noc2Enc and appendNOC2Record) stays as that fingerprint's definition,
-// and the NOC3 writer streams it into the hash while recording.
+// This file holds the canonical NOC2 encoding. NOC3 is the one trace
+// format read and written; a recording's fingerprint is the SHA-256 of
+// its NOC2 encoding, so the encoder (noc2Enc and appendNOC2Record) is
+// that fingerprint's definition, and the NOC3 writer streams it into the
+// hash while recording.
 //
 // Encoding: the "NOC2" magic, a header (source name, recording seed,
 // software scalability limit, shared instruction/hot regions), then one

@@ -113,8 +113,8 @@ func TestNOC3MaxCoresClamp(t *testing.T) {
 
 // TestNOC3FingerprintMatchesNOC2 is the cache-survival guarantee: the
 // fingerprint of a NOC3 recording is the SHA-256 of the recording's
-// canonical NOC2 bytes, so Point.Key and checkpoint prefixes computed
-// when NOC2 captures were still read stay valid.
+// canonical NOC2 bytes, so Point.Key and checkpoint prefixes depend on
+// the recorded streams, not on the container they were read from.
 func TestNOC3FingerprintMatchesNOC2(t *testing.T) {
 	src := ConsolidatedMix()
 	const cores, perCore, seed = 3, 700, 9
