@@ -3,6 +3,7 @@ package nocout
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"testing"
 
 	"nocout/internal/chip"
@@ -52,6 +53,54 @@ func TestPrewarmSnapshotGolden(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != g.sha {
 			t.Errorf("%v/%v/%s: prewarmed snapshot sha256 %s, want %s", g.design, g.hierarchy, g.workload, got, g.sha)
+		}
+	}
+}
+
+// warmGolden pins a snapshot taken mid-run, after PrewarmCaches and a
+// 12k-cycle Warmup on a 64-core chip (seed 1): the SHA-256 and length of
+// the container. Unlike the prewarmed state, it holds outstanding MSHRs,
+// packets and flits in flight, and open directory transactions, so an
+// encoding of any of them that moves a byte fails here.
+var warmGolden = []struct {
+	design   Design
+	workload string
+	sha      string
+	bytes    int64
+}{
+	{Mesh, "MapReduce-C", "8fba787eda46c38ac23ad714588b86409e48b88dd50d82529677e6da653057e2", 1138431},
+	{Mesh, "Data Serving", "b2ea35c42d67cd6c0b05ccbde50d880e6fa489bced5b15a61ce7b0865d87eb90", 1224040},
+	{NOCOut, "MapReduce-C", "fd721eb32efa5394fedeb4a6a8f1d43edf7d35fcc089f47b8c151fb07fd2bb16", 1170055},
+	{NOCOut, "Data Serving", "1d03c95d523729e120fddab9d02beb41ccefffe2a159bbac8828daf9c270465f", 1261594},
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+func TestWarmSnapshotGolden(t *testing.T) {
+	for _, g := range warmGolden {
+		w, err := workload.Parse(g.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := chip.DefaultConfig(g.design)
+		cfg.Cores = 64
+		cfg.Seed = 1
+		c := chip.New(cfg, w)
+		c.PrewarmCaches()
+		c.Warmup(12000)
+		h := sha256.New()
+		var n countingWriter
+		if err := c.Snapshot(io.MultiWriter(h, &n)); err != nil {
+			t.Fatalf("%v/%s: snapshot: %v", g.design, g.workload, err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.sha || n.n != g.bytes {
+			t.Errorf("%v/%s: warm snapshot sha256 %s (%d B), want %s (%d B)", g.design, g.workload, got, n.n, g.sha, g.bytes)
 		}
 	}
 }
