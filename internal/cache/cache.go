@@ -219,13 +219,18 @@ type MSHR struct {
 	// Waiters counts merged requests (same line missed again while
 	// outstanding).
 	Waiters int
+
+	live bool // the slab entry holds an outstanding miss
 }
 
 // MSHRFile is a bounded set of outstanding misses; its capacity is the
-// hardware's memory-level-parallelism limit.
+// hardware's memory-level-parallelism limit. The entries live in a slab
+// allocated once, and a line is found by scanning it — at 16 entries a
+// scan costs less than a map probe, and a miss allocates nothing. An
+// *MSHR from Get or Alloc stays valid until Free of its line.
 type MSHRFile struct {
-	cap int
-	m   map[uint64]*MSHR
+	slab []MSHR
+	n    int
 }
 
 // NewMSHRFile returns a file with the given capacity.
@@ -233,42 +238,53 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity < 1 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHRFile{cap: capacity, m: make(map[uint64]*MSHR, capacity)}
+	return &MSHRFile{slab: make([]MSHR, capacity)}
 }
 
 // Full reports whether a new allocation would exceed capacity.
-func (f *MSHRFile) Full() bool { return len(f.m) >= f.cap }
+func (f *MSHRFile) Full() bool { return f.n >= len(f.slab) }
 
 // Len returns the number of outstanding misses.
-func (f *MSHRFile) Len() int { return len(f.m) }
+func (f *MSHRFile) Len() int { return f.n }
 
 // Cap returns the capacity.
-func (f *MSHRFile) Cap() int { return f.cap }
+func (f *MSHRFile) Cap() int { return len(f.slab) }
 
 // Get returns the MSHR for line, if any.
 func (f *MSHRFile) Get(line uint64) (*MSHR, bool) {
-	m, ok := f.m[line]
-	return m, ok
+	for i := range f.slab {
+		if m := &f.slab[i]; m.live && m.Line == line {
+			return m, true
+		}
+	}
+	return nil, false
 }
 
 // Alloc registers a new outstanding miss; it panics if the line already has
 // an MSHR or the file is full (callers must check).
 func (f *MSHRFile) Alloc(line uint64, isWrite, instr bool) *MSHR {
-	if _, ok := f.m[line]; ok {
+	if _, ok := f.Get(line); ok {
 		panic(fmt.Sprintf("cache: duplicate MSHR for line %#x", line))
 	}
 	if f.Full() {
 		panic("cache: MSHR file overflow")
 	}
-	m := &MSHR{Line: line, IsWrite: isWrite, Instr: instr}
-	f.m[line] = m
-	return m
+	for i := range f.slab {
+		if m := &f.slab[i]; !m.live {
+			*m = MSHR{Line: line, IsWrite: isWrite, Instr: instr, live: true}
+			f.n++
+			return m
+		}
+	}
+	panic("cache: MSHR count out of step with the slab")
 }
 
 // Free releases the MSHR for line.
 func (f *MSHRFile) Free(line uint64) {
-	if _, ok := f.m[line]; !ok {
+	m, ok := f.Get(line)
+	if !ok {
 		panic(fmt.Sprintf("cache: freeing absent MSHR %#x", line))
 	}
-	delete(f.m, line)
+	m.live = false
+	f.n--
 }

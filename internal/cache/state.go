@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"sort"
-
-	"nocout/internal/ckpt"
-)
+import "nocout/internal/ckpt"
 
 // Checkpoint serialization of the storage arrays. Geometry (sets, ways,
 // hashing) is structural — the restoring chip rebuilds it from config —
@@ -42,17 +38,22 @@ func (a *Array) LoadState(d *ckpt.Dec) {
 }
 
 // SaveState implements ckpt.Saver: outstanding misses in ascending line
-// order, so the encoding is independent of map iteration order.
+// order, so the encoding is independent of which slab entry each holds.
+// The file is at most a few dozen entries, so each step selects the next
+// line by a scan rather than sorting a copy.
 func (f *MSHRFile) SaveState(e *ckpt.Enc) {
-	lines := make([]uint64, 0, len(f.m))
-	for line := range f.m {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	e.U64(uint64(len(lines)))
-	for _, line := range lines {
-		m := f.m[line]
-		e.U64(line)
+	e.U64(uint64(f.n))
+	var m *MSHR
+	for k := 0; k < f.n; k++ {
+		prev := m
+		m = nil
+		for i := range f.slab {
+			c := &f.slab[i]
+			if c.live && (prev == nil || c.Line > prev.Line) && (m == nil || c.Line < m.Line) {
+				m = c
+			}
+		}
+		e.U64(m.Line)
 		e.Bool(m.IsWrite)
 		e.Bool(m.Instr)
 		e.Bool(m.Issued)
@@ -68,13 +69,14 @@ func (f *MSHRFile) LoadState(d *ckpt.Dec) {
 	if d.Err() != nil {
 		return
 	}
-	if n > f.cap {
-		d.Corrupt("MSHR occupancy %d exceeds capacity %d", n, f.cap)
+	if n > len(f.slab) {
+		d.Corrupt("MSHR occupancy %d exceeds capacity %d", n, len(f.slab))
 		return
 	}
-	clear(f.m)
+	clear(f.slab)
+	f.n = 0
 	for i := 0; i < n && d.Err() == nil; i++ {
-		m := &MSHR{
+		m := MSHR{
 			Line:     d.U64(),
 			IsWrite:  d.Bool(),
 			Instr:    d.Bool(),
@@ -82,10 +84,12 @@ func (f *MSHRFile) LoadState(d *ckpt.Dec) {
 			Squashed: d.Bool(),
 		}
 		m.Waiters = d.Int()
-		if _, dup := f.m[m.Line]; dup {
+		if _, dup := f.Get(m.Line); dup {
 			d.Corrupt("duplicate MSHR line %#x", m.Line)
 			return
 		}
-		f.m[m.Line] = m
+		m.live = true
+		f.slab[i] = m
+		f.n++
 	}
 }
