@@ -174,6 +174,9 @@ func NewSharded(cfg Config, w workload.Workload, domains int) *Chip {
 		c.Doms[d] = sim.NewEngine()
 	}
 	c.Engine = c.Doms[0]
+	if domains > 1 {
+		c.plan = rn.BuildShardPlan(routerDomains(rn, domains), domains)
+	}
 
 	c.buildAgents(fab, ml)
 	c.buildCores(fab.CoreOrder)
@@ -181,7 +184,6 @@ func NewSharded(cfg Config, w workload.Workload, domains int) *Chip {
 		c.register()
 		return c
 	}
-	c.plan = rn.BuildShardPlan(routerDomains(rn, domains), domains)
 	c.registerSharded(rn)
 	c.Shard = sim.NewSharded(c.Doms, c.plan.InEdges, c.plan.Lookahead)
 	return c
@@ -222,10 +224,11 @@ func (c *Chip) ActiveCores() int { return c.active }
 // come from the MemoryLayout.
 func (c *Chip) buildAgents(fab *Fabric, ml *MemoryLayout) {
 	cfg := c.Cfg
-	// One packet pool per node: the agents sending from a node and the
-	// dispatcher recycling delivered packets into it always run in that
-	// node's scheduling domain, so pools never need locking.
-	c.pools = make([]*noc.PacketPool, fab.NumNodes)
+	// One packet pool per scheduling domain: every agent sending from a
+	// node and the dispatcher recycling the packets delivered there run in
+	// that node's domain, so a pool never needs locking, and what one node
+	// receives another in its domain sends.
+	c.pools = make([]*noc.PacketPool, len(c.Doms))
 	for i := range c.pools {
 		c.pools[i] = &noc.PacketPool{}
 	}
@@ -235,29 +238,37 @@ func (c *Chip) buildAgents(fab *Fabric, ml *MemoryLayout) {
 	}
 	for b := 0; b < ml.NumBanks; b++ {
 		node := ml.BankNode(b)
-		c.Banks = append(c.Banks, coherence.NewBank(b, node, c.Net, ml.BankConf(b), c.pools[node], mcNode, fab.CoreNode))
+		c.Banks = append(c.Banks, coherence.NewBank(b, node, c.Net, ml.BankConf(b), c.pool(node), mcNode, fab.CoreNode))
 	}
 	for ch := 0; ch < cfg.MemChannels; ch++ {
-		mc := mem.NewController(ch, fab.MCNodes[ch], c.Net, ml.MemConf, c.pools[fab.MCNodes[ch]], ml.BankNode)
+		mc := mem.NewController(ch, fab.MCNodes[ch], c.Net, ml.MemConf, c.pool(fab.MCNodes[ch]), ml.BankNode)
 		c.MCs = append(c.MCs, mc)
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		node := fab.CoreNode(i)
-		l1 := coherence.NewL1(i, node, c.Net, ml.L1Conf, c.pools[node], ml.Home, fab.CoreNode)
+		l1 := coherence.NewL1(i, node, c.Net, ml.L1Conf, c.pool(node), ml.Home, fab.CoreNode)
 		c.L1s = append(c.L1s, l1)
 	}
 	c.installDispatchers(fab.NumNodes)
+}
+
+// pool returns the packet pool of node's scheduling domain.
+func (c *Chip) pool(node noc.NodeID) *noc.PacketPool {
+	if c.plan == nil {
+		return c.pools[0]
+	}
+	return c.pools[c.plan.NodeDomain(node)]
 }
 
 // installDispatchers wires every network node's delivery callback to the
 // protocol agents (several agents can share a node).
 func (c *Chip) installDispatchers(nNodes int) {
 	for node := 0; node < nNodes; node++ {
-		pool := c.pools[node]
+		pool := c.pool(noc.NodeID(node))
 		c.Net.SetDeliver(noc.NodeID(node), func(now sim.Cycle, p *noc.Packet) {
 			// Copy the message out, then recycle the packet (and its
-			// payload cell) into this node's pool before dispatching, so
-			// a send the delivery triggers can reuse it immediately.
+			// payload cell) into this domain's pool before dispatching,
+			// so a send the delivery triggers can reuse it immediately.
 			m := *p.Payload.(*coherence.Msg)
 			pool.Put(p)
 			switch m.Dst {
