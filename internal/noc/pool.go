@@ -1,13 +1,21 @@
 package noc
 
-// PacketPool recycles Packets so the protocol's steady state allocates
-// nothing: a delivered packet is returned to the receiving node's pool and
-// reused for that node's future sends. All operations on one pool happen
-// on the owning node's tile — the agents that send from it and the
-// dispatcher that recycles into it run in the same scheduling domain — so
-// pools need no locking even under the sharded kernel, and because Get
-// fully re-initializes the packet, pooling is invisible to simulation
-// results (only heap addresses differ).
+// PacketPool recycles Packets. A chip keeps one pool per scheduling
+// domain: a delivered packet returns to the pool of its receiving node's
+// domain and is reused by the next send from any node of that domain. All
+// operations on one pool happen inside its domain — the agents that send
+// and the dispatchers that recycle — so pools need no locking even under
+// the sharded kernel, and because Get fully re-initializes the packet,
+// pooling is invisible to simulation results (only heap addresses
+// differ).
+//
+// A single-domain chip's one pool holds at most as many packets as were
+// ever in flight at once, so a warmed chip sends without allocating. A
+// per-node pool did not: a node that sends more than it receives (its
+// writebacks get no reply) allocated every packet it sent, while the
+// pools of the nodes receiving them grew without bound. Across domains
+// the same imbalance remains — traffic that flows more one way between
+// two domains moves packets from one pool to the other.
 //
 // Senders keep their message payload in a cell that travels with the
 // packet: Get returns the packet's *any payload slot untouched, so a
