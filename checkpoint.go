@@ -1,7 +1,6 @@
 package nocout
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -206,11 +205,10 @@ func (s *CheckpointStore) chipFor(cfg Config, w workload.Workload, domains int, 
 	}
 	c := warmChip(cfg, w, domains, warmup)
 	if lerr == nil && ok {
-		var buf bytes.Buffer
-		if err := c.Snapshot(&buf); err == nil {
-			// Best-effort: an unwritable cache degrades to plain warmup.
-			_ = cas.WriteFileAtomic(s.path(key), buf.Bytes())
-		}
+		// Best-effort: an unwritable cache degrades to plain warmup. The
+		// snapshot streams into the temp file, which replaces the entry
+		// only when the whole container is written.
+		_ = cas.WriteFileFunc(s.path(key), func(f *os.File) error { return c.Snapshot(f) })
 		release()
 	}
 	return c
@@ -218,13 +216,14 @@ func (s *CheckpointStore) chipFor(cfg Config, w workload.Workload, domains int, 
 
 // tryRestore restores key into a fresh chip; any failure — missing,
 // truncated, corrupt, or mismatched entry — is a miss (the subsequent
-// store self-heals the file).
+// store self-heals the file). The restore reads the file once.
 func (s *CheckpointStore) tryRestore(key string, cfg Config, w workload.Workload, domains int) *chip.Chip {
-	data, err := os.ReadFile(s.path(key))
+	f, err := os.Open(s.path(key))
 	if err != nil {
 		return nil
 	}
-	c, err := chip.Restore(cfg, w, domains, bytes.NewReader(data))
+	defer f.Close()
+	c, err := chip.Restore(cfg, w, domains, f)
 	if err != nil {
 		return nil
 	}

@@ -18,23 +18,13 @@ func (a *Array) SaveState(e *ckpt.Enc) {
 }
 
 // LoadState implements ckpt.Loader. The array must have been built with
-// the donor's geometry; a mismatched line count is corruption.
+// the donor's geometry: each array decodes straight into the built one,
+// and a stored line count that differs from it is corruption.
 func (a *Array) LoadState(d *ckpt.Dec) {
-	tags := d.U64s()
-	valid := d.Bools()
-	age := d.U64s()
-	clock := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	if len(tags) != len(a.tags) || len(valid) != len(a.valid) || len(age) != len(a.age) {
-		d.Corrupt("cache array geometry mismatch: stored %d/%d/%d lines, built %d", len(tags), len(valid), len(age), len(a.tags))
-		return
-	}
-	copy(a.tags, tags)
-	copy(a.valid, valid)
-	copy(a.age, age)
-	a.clock = clock
+	d.U64sFunc(len(a.tags), func(i int, v uint64) { a.tags[i] = v })
+	d.BoolsFunc(len(a.valid), func(i int, v bool) { a.valid[i] = v })
+	d.U64sFunc(len(a.age), func(i int, v uint64) { a.age[i] = v })
+	a.clock = d.U64()
 }
 
 // SaveState implements ckpt.Saver: outstanding misses in ascending line

@@ -43,11 +43,13 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 )
 
@@ -93,13 +95,30 @@ func (e *Enc) Len() int { return len(e.buf) }
 // Reset empties the encoder, retaining its storage.
 func (e *Enc) Reset() { e.buf = e.buf[:0] }
 
+// reserve makes room for n more bytes. One encoder is reused across a
+// container's sections, so its storage grows to the largest of them; it
+// doubles, where append's growth tends to 1.25x for large slices, so the
+// storage allocated over a whole container stays about twice the largest
+// section rather than about five times.
+func (e *Enc) reserve(n int) {
+	if cap(e.buf)-len(e.buf) >= n {
+		return
+	}
+	c := max(2*cap(e.buf), len(e.buf)+n, 64)
+	buf := make([]byte, len(e.buf), c)
+	copy(buf, e.buf)
+	e.buf = buf
+}
+
 // U64 appends an unsigned varint.
 func (e *Enc) U64(v uint64) {
+	e.reserve(binary.MaxVarintLen64)
 	e.buf = binary.AppendUvarint(e.buf, v)
 }
 
 // I64 appends a signed (zigzag) varint.
 func (e *Enc) I64(v int64) {
+	e.reserve(binary.MaxVarintLen64)
 	e.buf = binary.AppendVarint(e.buf, v)
 }
 
@@ -108,6 +127,7 @@ func (e *Enc) Int(v int) { e.I64(int64(v)) }
 
 // Bool appends a boolean as one byte.
 func (e *Enc) Bool(v bool) {
+	e.reserve(1)
 	if v {
 		e.buf = append(e.buf, 1)
 	} else {
@@ -117,15 +137,20 @@ func (e *Enc) Bool(v bool) {
 
 // F64 appends a float bit-exactly as 8 fixed little-endian bytes.
 func (e *Enc) F64(v float64) {
+	e.reserve(8)
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
 // Raw appends b verbatim, with no length prefix.
-func (e *Enc) Raw(b []byte) { e.buf = append(e.buf, b...) }
+func (e *Enc) Raw(b []byte) {
+	e.reserve(len(b))
+	e.buf = append(e.buf, b...)
+}
 
 // String appends a length-prefixed string.
 func (e *Enc) String(s string) {
 	e.U64(uint64(len(s)))
+	e.reserve(len(s))
 	e.buf = append(e.buf, s...)
 }
 
@@ -133,21 +158,31 @@ func (e *Enc) String(s string) {
 // element as a zigzag varint of its delta from the predecessor (first
 // delta is from zero). Sorted or clustered arrays — cache tags, LRU age
 // stamps, sorted map keys — compress to a byte or two per element.
-func (e *Enc) U64s(vs []uint64) {
-	e.U64(uint64(len(vs)))
+func (e *Enc) U64s(vs []uint64) { e.U64sFunc(len(vs), func(i int) uint64 { return vs[i] }) }
+
+// U64sFunc appends the n-element array whose element i is at(i), encoded
+// as U64s encodes it, without the caller materializing the array.
+func (e *Enc) U64sFunc(n int, at func(i int) uint64) {
+	e.U64(uint64(n))
 	prev := uint64(0)
-	for _, v := range vs {
+	for i := 0; i < n; i++ {
+		v := at(i)
 		e.I64(int64(v - prev))
 		prev = v
 	}
 }
 
 // Bools appends a packed bitset: the count, then ceil(n/8) bytes.
-func (e *Enc) Bools(vs []bool) {
-	e.U64(uint64(len(vs)))
+func (e *Enc) Bools(vs []bool) { e.BoolsFunc(len(vs), func(i int) bool { return vs[i] }) }
+
+// BoolsFunc appends the n-bit set whose bit i is at(i), encoded as Bools
+// encodes it, without the caller materializing a []bool.
+func (e *Enc) BoolsFunc(n int, at func(i int) bool) {
+	e.U64(uint64(n))
+	e.reserve((n + 7) / 8)
 	var b byte
-	for i, v := range vs {
-		if v {
+	for i := 0; i < n; i++ {
+		if at(i) {
 			b |= 1 << (uint(i) % 8)
 		}
 		if i%8 == 7 {
@@ -155,7 +190,7 @@ func (e *Enc) Bools(vs []bool) {
 			b = 0
 		}
 	}
-	if len(vs)%8 != 0 {
+	if n%8 != 0 {
 		e.buf = append(e.buf, b)
 	}
 }
@@ -306,34 +341,66 @@ func (d *Dec) U64s() []uint64 {
 		return nil
 	}
 	vs := make([]uint64, n)
-	prev := uint64(0)
-	for i := range vs {
-		prev += uint64(d.I64())
-		vs[i] = prev
-	}
+	d.deltas(n, func(i int, v uint64) { vs[i] = v })
 	if d.err != nil {
 		return nil
 	}
 	return vs
 }
 
-// Bools reads a packed bitset written by Enc.Bools.
-func (d *Dec) Bools() []bool {
-	n := d.U64()
-	if d.err != nil {
-		return nil
+// U64sFunc reads an array written by Enc.U64s or Enc.U64sFunc whose
+// length the caller's built geometry fixes at n, handing element i to
+// set(i, v) in order, so the caller decodes straight into its own
+// storage. A stored count other than n is corruption. set may call
+// Corrupt to reject a value, which ends the decode.
+func (d *Dec) U64sFunc(n int, set func(i int, v uint64)) {
+	if d.fixedCount(n) {
+		d.deltas(n, set)
+	}
+}
+
+// deltas decodes n delta-encoded elements into set.
+func (d *Dec) deltas(n int, set func(i int, v uint64)) {
+	prev := uint64(0)
+	for i := 0; i < n && d.err == nil; i++ {
+		prev += uint64(d.I64())
+		if d.err == nil {
+			set(i, prev)
+		}
+	}
+}
+
+// BoolsFunc reads a packed bitset written by Enc.Bools or Enc.BoolsFunc
+// whose length the caller's built geometry fixes at n, handing bit i to
+// set(i, v) in order. A stored count other than n is corruption.
+func (d *Dec) BoolsFunc(n int, set func(i int, v bool)) {
+	if !d.fixedCount(n) {
+		return
 	}
 	nb := (n + 7) / 8
-	if nb > uint64(d.Remaining()) {
+	if nb > d.Remaining() {
 		d.fail("bitset of %d bits exceeds %d remaining bytes", n, d.Remaining())
-		return nil
+		return
 	}
-	vs := make([]bool, n)
-	for i := range vs {
-		vs[i] = d.b[d.off+i/8]&(1<<(uint(i)%8)) != 0
+	b := d.b[d.off : d.off+nb]
+	d.off += nb
+	for i := 0; i < n; i++ {
+		set(i, b[i/8]&(1<<(uint(i)%8)) != 0)
 	}
-	d.off += int(nb)
-	return vs
+}
+
+// fixedCount reads the count of an array whose length the built geometry
+// fixes at n and reports whether it is n.
+func (d *Dec) fixedCount(n int) bool {
+	stored := d.U64()
+	if d.err != nil {
+		return false
+	}
+	if stored != uint64(n) {
+		d.fail("stored array of %d elements where the built geometry holds %d", stored, n)
+		return false
+	}
+	return true
 }
 
 // --- container --------------------------------------------------------------
@@ -411,9 +478,10 @@ var ErrNotCheckpoint = errors.New("ckpt: not a NOCK checkpoint")
 
 // Read parses a container from r, bounded by MaxCheckpointBytes. Only
 // headers are validated here; section payloads are CRC-checked when
-// opened.
+// opened. The container is read once, into one buffer sized from r when
+// r can tell its length (a file, a bytes.Reader).
 func Read(r io.Reader) (*Container, error) {
-	data, err := io.ReadAll(io.LimitReader(r, MaxCheckpointBytes+1))
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: reading checkpoint: %w", err)
 	}
@@ -421,6 +489,29 @@ func Read(r io.Reader) (*Container, error) {
 		return nil, fmt.Errorf("ckpt: checkpoint exceeds the %d-byte cap", MaxCheckpointBytes)
 	}
 	return Parse(data)
+}
+
+// readAll reads r to EOF or past MaxCheckpointBytes. It sizes its buffer
+// from r's own length where r reports one, so a container of known length
+// lands in a single allocation; io.ReadAll would grow from 512 bytes and
+// copy the container several times over.
+func readAll(r io.Reader) ([]byte, error) {
+	size := int64(0)
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = int64(v.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = fi.Size()
+		}
+	}
+	var buf bytes.Buffer
+	if size <= MaxCheckpointBytes {
+		// MinRead spare bytes, so the read that meets EOF finds room.
+		buf.Grow(int(size) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(r, MaxCheckpointBytes+1))
+	return buf.Bytes(), err
 }
 
 // Parse parses a container from an in-memory buffer the Container will

@@ -34,8 +34,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.String("warm state")
 	e.U64s(nil)
 	e.U64s([]uint64{7, 7, 9, 1 << 40, 3}) // non-monotonic: deltas go negative
+	e.U64sFunc(3, func(i int) uint64 { return uint64(9 - i) })
 	e.Bools(nil)
 	e.Bools([]bool{true, false, true, true, false, false, true, true, true}) // 9 bits: ragged tail byte
+	e.BoolsFunc(8, func(i int) bool { return i%3 == 0 })                     // 8 bits: no tail byte
 
 	d := NewDec(e.Bytes())
 	check := func(name string, got, want any) {
@@ -64,10 +66,17 @@ func TestCodecRoundTrip(t *testing.T) {
 	check("string", d.String(), "warm state")
 	check("u64s nil", d.U64s(), []uint64(nil))
 	check("u64s", d.U64s(), []uint64{7, 7, 9, 1 << 40, 3})
-	if bs := d.Bools(); len(bs) != 0 {
-		t.Errorf("bools nil: got %v, want empty", bs)
+	u64s := make([]uint64, 3)
+	d.U64sFunc(len(u64s), func(i int, v uint64) { u64s[i] = v })
+	check("u64s func", u64s, []uint64{9, 8, 7})
+	bools := func(n int) []bool {
+		bs := make([]bool, n)
+		d.BoolsFunc(n, func(i int, v bool) { bs[i] = v })
+		return bs
 	}
-	check("bools", d.Bools(), []bool{true, false, true, true, false, false, true, true, true})
+	check("bools nil", bools(0), []bool{})
+	check("bools", bools(9), []bool{true, false, true, true, false, false, true, true, true})
+	check("bools func", bools(8), []bool{true, false, false, true, false, false, true, false})
 	if err := d.Err(); err != nil {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -90,9 +99,11 @@ func TestDecStickyError(t *testing.T) {
 	}
 	// Every primitive after the failure is a zero-value no-op.
 	if d.I64() != 0 || d.Int() != 0 || d.Bool() || d.F64() != 0 ||
-		d.String() != "" || d.U64s() != nil || d.Bools() != nil || d.Count() != 0 {
+		d.String() != "" || d.U64s() != nil || d.Count() != 0 {
 		t.Fatal("reads after a sticky error returned non-zero values")
 	}
+	d.U64sFunc(1, func(int, uint64) { t.Fatal("U64sFunc decoded after a sticky error") })
+	d.BoolsFunc(1, func(int, bool) { t.Fatal("BoolsFunc decoded after a sticky error") })
 	if d.Err() != first {
 		t.Fatalf("sticky error was replaced: %v -> %v", first, d.Err())
 	}
@@ -111,7 +122,9 @@ func TestDecHostileLengths(t *testing.T) {
 		"string": func(d *Dec) { _ = d.String() },
 		"count":  func(d *Dec) { d.Count() },
 		"u64s":   func(d *Dec) { d.U64s() },
-		"bools":  func(d *Dec) { d.Bools() },
+		// The fixed-length decoders, told to expect the hostile count.
+		"u64s func":  func(d *Dec) { d.U64sFunc(1<<50, func(int, uint64) {}) },
+		"bools func": func(d *Dec) { d.BoolsFunc(1<<50, func(int, bool) {}) },
 	}
 	for name, read := range cases {
 		d := NewDec(huge)
@@ -125,6 +138,30 @@ func TestDecHostileLengths(t *testing.T) {
 	d.Bool()
 	if d.Err() == nil {
 		t.Error("Bool accepted byte 7")
+	}
+}
+
+// TestFixedLengthMismatch: the fixed-length decoders take their length
+// from the built geometry, so a stored count that differs from it is
+// corruption and nothing is decoded.
+func TestFixedLengthMismatch(t *testing.T) {
+	var e Enc
+	e.U64s([]uint64{1, 2, 3})
+	e.Bools([]bool{true, false, true})
+	for name, read := range map[string]func(*Dec){
+		"u64s func": func(d *Dec) {
+			d.U64sFunc(4, func(int, uint64) { t.Error("U64sFunc decoded a mismatched array") })
+		},
+		"bools func": func(d *Dec) {
+			d.U64s()
+			d.BoolsFunc(2, func(int, bool) { t.Error("BoolsFunc decoded a mismatched array") })
+		},
+	} {
+		d := NewDec(e.Bytes())
+		read(d)
+		if d.Err() == nil || !strings.Contains(d.Err().Error(), "built geometry") {
+			t.Errorf("%s: error %v, want a geometry mismatch", name, d.Err())
+		}
 	}
 }
 
@@ -300,8 +337,9 @@ func FuzzReadCheckpoint(f *testing.F) {
 				d.Bool()
 				_ = d.String()
 				d.U64s()
-				d.Bools()
 				d.F64()
+				d.U64sFunc(2, func(int, uint64) {})
+				d.BoolsFunc(9, func(int, bool) {})
 			}
 		}
 	})

@@ -45,32 +45,22 @@ func DecodeMsg(d *ckpt.Dec) Msg {
 	return m
 }
 
-// lineStates packs an MSI state slice (values are only S/M) as a bit
+// saveLineStates packs an MSI state slice (values are only S/M) as a bit
 // vector.
 func saveLineStates(e *ckpt.Enc, st []LineState) {
-	bits := make([]bool, len(st))
-	for i, s := range st {
-		bits[i] = s == StateM
-	}
-	e.Bools(bits)
+	e.BoolsFunc(len(st), func(i int) bool { return st[i] == StateM })
 }
 
+// loadLineStates decodes a bit vector from saveLineStates into st, whose
+// length the built array fixes.
 func loadLineStates(d *ckpt.Dec, st []LineState) {
-	bits := d.Bools()
-	if d.Err() != nil {
-		return
-	}
-	if len(bits) != len(st) {
-		d.Corrupt("line-state length %d, built %d", len(bits), len(st))
-		return
-	}
-	for i, b := range bits {
-		if b {
+	d.BoolsFunc(len(st), func(i int, m bool) {
+		if m {
 			st[i] = StateM
 		} else {
 			st[i] = StateS
 		}
-	}
+	})
 }
 
 // SaveState implements ckpt.Saver for an L1 controller.
@@ -135,11 +125,7 @@ func loadTrans(d *ckpt.Dec) *trans {
 func (b *Bank) SaveState(e *ckpt.Enc) {
 	b.arr.SaveState(e)
 	e.U64s(b.sharerW) // the directory slab, slot-major
-	owners := make([]uint64, len(b.owner))
-	for i, o := range b.owner {
-		owners[i] = uint64(uint32(o))
-	}
-	e.U64s(owners)
+	e.U64sFunc(len(b.owner), func(i int) uint64 { return uint64(uint32(b.owner[i])) })
 	e.Bools(b.dirty)
 
 	lines := make([]uint64, 0, len(b.busy))
@@ -165,41 +151,27 @@ func (b *Bank) SaveState(e *ckpt.Enc) {
 // a core the chip does not have is corruption, not state.
 func (b *Bank) LoadState(d *ckpt.Dec) {
 	b.arr.LoadState(d)
-	words := d.U64s()
-	if d.Err() != nil {
-		return
-	}
-	if len(words) != len(b.sharerW) {
-		d.Corrupt("directory vector length %d, built %d", len(words), len(b.sharerW))
-		return
-	}
-	if pad := b.numCores % 64; pad != 0 {
-		for i := b.words - 1; i < len(words); i += b.words { // each vector's last word
-			if words[i]>>pad != 0 {
-				d.Corrupt("bank %d slot %d: sharer vector names a core at or above %d", b.BankID, i/b.words, b.numCores)
-				return
-			}
+	// Each vector's last word may name no core at or above numCores.
+	pad := b.numCores % 64
+	d.U64sFunc(len(b.sharerW), func(i int, w uint64) {
+		if pad != 0 && i%b.words == b.words-1 && w>>pad != 0 {
+			d.Corrupt("bank %d slot %d: sharer vector names a core at or above %d", b.BankID, i/b.words, b.numCores)
+			return
 		}
-	}
-	copy(b.sharerW, words)
-	owners := d.U64s()
-	dirty := d.Bools()
-	if d.Err() != nil {
-		return
-	}
-	if len(owners) != len(b.owner) || len(dirty) != len(b.dirty) {
-		d.Corrupt("owner/dirty length %d/%d, built %d", len(owners), len(dirty), len(b.owner))
-		return
-	}
-	for i, o := range owners {
+		b.sharerW[i] = w
+	})
+	d.U64sFunc(len(b.owner), func(i int, o uint64) {
 		own := int32(uint32(o))
 		if o > math.MaxUint32 || own < -1 || int(own) >= b.numCores {
 			d.Corrupt("bank %d slot %d: owner %#x is neither none nor a core below %d", b.BankID, i, o, b.numCores)
 			return
 		}
 		b.owner[i] = own
+	})
+	d.BoolsFunc(len(b.dirty), func(i int, v bool) { b.dirty[i] = v })
+	if d.Err() != nil {
+		return
 	}
-	copy(b.dirty, dirty)
 
 	clear(b.busy)
 	n := d.Count()
