@@ -1,11 +1,15 @@
 package nocout
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 
 	"nocout/internal/workload"
 )
@@ -107,6 +111,12 @@ type Experiment struct {
 	unlimited    bool
 	simDomains   int
 	configure    func(*Config, Point)
+
+	// traces maps each "trace:<path>" spec to the file Sweep opened for
+	// it: an Experiment opens a trace once, and every Sweep it returns
+	// shares the file, as a point's seeds already share one TraceFile.
+	mu     sync.Mutex
+	traces map[string]*workload.TraceFile
 }
 
 // Option configures an Experiment.
@@ -246,40 +256,70 @@ func (e *Experiment) Sweep() (Sweep, error) {
 	// Points are keyed by workload *name*, so two distinct workloads
 	// sharing one name would silently collapse to whichever expands
 	// first — easy to hit since a capture replays under its source's
-	// name. Equal spellings of the same workload dedup; genuinely
-	// different sources with one name are a hard error.
+	// name. Equal spellings of the same workload dedup to the first;
+	// genuinely different sources with one name are a hard error.
 	byName := map[string]workload.Workload{}
-	add := func(w workload.Workload) error {
+	add := func(w workload.Workload) (workload.Workload, error) {
 		prev, seen := byName[w.Name()]
 		if !seen {
 			byName[w.Name()] = w
 			wls = append(wls, w)
-			return nil
+			return w, nil
 		}
 		if !sameWorkload(prev, w) {
-			return fmt.Errorf("nocout: two different workloads named %q in one sweep; record or register under a distinct name", w.Name())
+			return nil, fmt.Errorf("nocout: two different workloads named %q in one sweep; record or register under a distinct name", w.Name())
 		}
-		return nil
+		return prev, nil
 	}
 	// specOf remembers the parse spec behind non-name workloads (trace
 	// captures), keyed by resolved name; points carry it so campaign
 	// workers in other processes can rehydrate them.
 	specOf := map[string]string{}
-	for _, n := range names {
-		w, err := workload.Parse(n)
-		if err != nil {
-			return Sweep{}, err
+	// resolved maps this call's trace specs to their files, and opened
+	// lists the files this call opened and kept. The files join e.traces
+	// when the sweep expands, and are closed on an error return.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	resolved := map[string]*workload.TraceFile{}
+	var opened []*workload.TraceFile
+	fail := func(err error) (Sweep, error) {
+		for _, t := range opened {
+			t.Close()
 		}
-		if err := add(w); err != nil {
-			return Sweep{}, err
+		return Sweep{}, err
+	}
+	for _, n := range names {
+		spec := strings.TrimSpace(n)
+		var w workload.Workload
+		if t := cmp.Or(resolved[spec], e.traces[spec]); t != nil {
+			w = t
+		} else {
+			var err error
+			if w, err = workload.Parse(n); err != nil {
+				return fail(err)
+			}
+			if t, ok := w.(*workload.TraceFile); ok && traceSpec(n) {
+				opened = append(opened, t)
+			}
+		}
+		kept, err := add(w)
+		if err != nil {
+			return fail(err)
+		}
+		if t, ok := w.(*workload.TraceFile); ok && kept != w {
+			// The same recording under another spelling: share the
+			// first file and close this one.
+			opened = slices.DeleteFunc(opened, func(o *workload.TraceFile) bool { return o == t })
+			t.Close()
 		}
 		if traceSpec(n) {
-			specOf[w.Name()] = strings.TrimSpace(n)
+			resolved[spec] = kept.(*workload.TraceFile)
+			specOf[w.Name()] = spec
 		}
 	}
 	for _, w := range e.workloadVals {
-		if err := add(w); err != nil {
-			return Sweep{}, err
+		if _, err := add(w); err != nil {
+			return fail(err)
 		}
 	}
 	if len(e.offeredLoads) > 0 {
@@ -287,17 +327,21 @@ func (e *Experiment) Sweep() (Sweep, error) {
 		for _, w := range wls {
 			rs, ok := workload.RateScaledOf(w)
 			if !ok {
-				return Sweep{}, fmt.Errorf("nocout: WithOfferedLoads needs open-system workloads; %q is closed-loop (wrap it in an opensys: spec)", w.Name())
+				return fail(fmt.Errorf("nocout: WithOfferedLoads needs open-system workloads; %q is closed-loop (wrap it in an opensys: spec)", w.Name()))
 			}
 			for _, load := range e.offeredLoads {
 				if load <= 0 || math.IsNaN(load) || math.IsInf(load, 0) {
-					return Sweep{}, fmt.Errorf("nocout: offered load %v must be a positive finite requests/kcycle", load)
+					return fail(fmt.Errorf("nocout: offered load %v must be a positive finite requests/kcycle", load))
 				}
 				expanded = append(expanded, rs.WithOfferedLoad(load))
 			}
 		}
 		wls = expanded
 	}
+	if e.traces == nil {
+		e.traces = map[string]*workload.TraceFile{}
+	}
+	maps.Copy(e.traces, resolved)
 	counts := e.coreCounts
 	if len(counts) == 0 {
 		counts = []int{0}
@@ -374,11 +418,18 @@ func (e *Experiment) expandHierarchies() ([]Variant, error) {
 // sameWorkload reports whether two equally-named workloads are the same
 // source. Synthetics compare on their calibration block alone — alias
 // metadata doesn't change behaviour, and a registered synthetic must
-// dedup against a freshly wrapped copy of the same Params.
+// dedup against a freshly wrapped copy of the same Params. Traces compare
+// on their fingerprints: two opens of one recording hold different
+// files but replay the same streams.
 func sameWorkload(a, b workload.Workload) bool {
 	if sa, ok := a.(workload.Synthetic); ok {
 		if sb, ok := b.(workload.Synthetic); ok {
 			return sa.P == sb.P
+		}
+	}
+	if ta, ok := a.(*workload.TraceFile); ok {
+		if tb, ok := b.(*workload.TraceFile); ok {
+			return ta.Fingerprint() == tb.Fingerprint()
 		}
 	}
 	return reflect.DeepEqual(a, b)

@@ -141,13 +141,7 @@ func TestPointKeyErrors(t *testing.T) {
 // close it again, so keying a campaign manifest's trace sweep (as
 // campaign.Create does) leaves no descriptor open.
 func TestPointKeyClosesRehydratedTrace(t *testing.T) {
-	openFDs := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Skipf("cannot count open descriptors: %v", err)
-		}
-		return len(ents)
-	}
+	openFDs := func() int { return countFDs(t) }
 	openFDs()
 	src, err := ParseWorkload("MapReduce-C")
 	if err != nil {
@@ -190,5 +184,78 @@ func TestPointKeyClosesRehydratedTrace(t *testing.T) {
 	}
 	if after := openFDs(); after != before {
 		t.Fatalf("keying %d decoded trace points left %d descriptors open", len(points), after-before)
+	}
+}
+
+// countFDs returns the number of descriptors the process holds open, and
+// skips the test where /proc/self/fd cannot be read.
+func countFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open descriptors: %v", err)
+	}
+	return len(ents)
+}
+
+// TestSweepOpensEachTraceOnce: an Experiment opens each "trace:<path>"
+// spec once and every Sweep it returns shares the file; another spelling
+// of the same recording dedups to that file and is closed; and a sweep
+// that fails to expand closes the traces it opened.
+func TestSweepOpensEachTraceOnce(t *testing.T) {
+	countFDs(t)
+	src, err := ParseWorkload("MapReduce-C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "mrc.noctrace")
+	if err := RecordTraceFile(path, src, 4, 100, 1); err != nil {
+		t.Fatal(err)
+	}
+	spec := "trace:" + path
+	respelled := "trace:" + dir + "/./mrc.noctrace"
+
+	for _, c := range []struct {
+		name  string
+		specs []string
+	}{
+		{"one spec", []string{spec}},
+		{"duplicated spec", []string{spec, spec, respelled}},
+	} {
+		before := countFDs(t)
+		e := NewExperiment(WithDesigns(Mesh), WithWorkloads(c.specs...), WithCoreCounts(4), WithQuality(tiny))
+		var first *TraceFile
+		for i := 0; i < 10; i++ {
+			sw, err := e.Sweep()
+			if err != nil {
+				t.Fatalf("%s: sweep %d: %v", c.name, i, err)
+			}
+			if len(sw.Points) != 1 {
+				t.Fatalf("%s: %d points, want 1", c.name, len(sw.Points))
+			}
+			tf := sw.Points[0].wl.(*TraceFile)
+			if first == nil {
+				first = tf
+			} else if tf != first {
+				t.Fatalf("%s: sweep %d opened the trace again", c.name, i)
+			}
+		}
+		if opened := countFDs(t) - before; opened != 1 {
+			t.Errorf("%s: 10 sweeps left %d descriptors open, want the one shared trace", c.name, opened)
+		}
+		first.Close()
+	}
+
+	// The recording replays under its source's name, which the synthetic
+	// also has: the expansion fails and must close what it opened.
+	before := countFDs(t)
+	for i := 0; i < 2; i++ {
+		if _, err := NewExperiment(WithDesigns(Mesh), WithWorkloads(spec, respelled, "MapReduce-C")).Sweep(); err == nil {
+			t.Fatal("a trace and a synthetic sharing one name expanded")
+		}
+	}
+	if opened := countFDs(t) - before; opened != 0 {
+		t.Errorf("failed expansions left %d descriptors open", opened)
 	}
 }
