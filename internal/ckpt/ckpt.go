@@ -95,19 +95,22 @@ func (e *Enc) Len() int { return len(e.buf) }
 // Reset empties the encoder, retaining its storage.
 func (e *Enc) Reset() { e.buf = e.buf[:0] }
 
-// reserve makes room for n more bytes. One encoder is reused across a
-// container's sections, so its storage grows to the largest of them; it
-// doubles, where append's growth tends to 1.25x for large slices, so the
-// storage allocated over a whole container stays about twice the largest
-// section rather than about five times.
+// reserve makes room for n more bytes.
 func (e *Enc) reserve(n int) {
-	if cap(e.buf)-len(e.buf) >= n {
-		return
+	if cap(e.buf)-len(e.buf) < n {
+		e.buf = grow(e.buf, n)
 	}
-	c := max(2*cap(e.buf), len(e.buf)+n, 64)
-	buf := make([]byte, len(e.buf), c)
-	copy(buf, e.buf)
-	e.buf = buf
+}
+
+// grow returns b reallocated with room for n more bytes. One encoder is
+// reused across a container's sections, so its storage grows to the
+// largest of them; it doubles, where append's growth tends to 1.25x for
+// large slices, so the storage allocated over a whole container stays
+// about twice the largest section rather than about five times.
+func grow(b []byte, n int) []byte {
+	g := make([]byte, len(b), max(2*cap(b), len(b)+n, 64))
+	copy(g, b)
+	return g
 }
 
 // U64 appends an unsigned varint.
@@ -116,11 +119,8 @@ func (e *Enc) U64(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
 }
 
-// I64 appends a signed (zigzag) varint.
-func (e *Enc) I64(v int64) {
-	e.reserve(binary.MaxVarintLen64)
-	e.buf = binary.AppendVarint(e.buf, v)
-}
+// I64 appends a signed (zigzag) varint, as binary.AppendVarint does.
+func (e *Enc) I64(v int64) { e.U64(uint64(v<<1) ^ uint64(v>>63)) }
 
 // Int appends an int as a signed varint.
 func (e *Enc) Int(v int) { e.I64(int64(v)) }
@@ -158,18 +158,33 @@ func (e *Enc) String(s string) {
 // element as a zigzag varint of its delta from the predecessor (first
 // delta is from zero). Sorted or clustered arrays — cache tags, LRU age
 // stamps, sorted map keys — compress to a byte or two per element.
-func (e *Enc) U64s(vs []uint64) { e.U64sFunc(len(vs), func(i int) uint64 { return vs[i] }) }
+func (e *Enc) U64s(vs []uint64) {
+	e.U64(uint64(len(vs)))
+	buf, prev := e.buf, uint64(0)
+	for _, v := range vs {
+		if cap(buf)-len(buf) < binary.MaxVarintLen64 {
+			buf = grow(buf, binary.MaxVarintLen64)
+		}
+		buf = binary.AppendVarint(buf, int64(v-prev))
+		prev = v
+	}
+	e.buf = buf
+}
 
 // U64sFunc appends the n-element array whose element i is at(i), encoded
 // as U64s encodes it, without the caller materializing the array.
 func (e *Enc) U64sFunc(n int, at func(i int) uint64) {
 	e.U64(uint64(n))
-	prev := uint64(0)
+	buf, prev := e.buf, uint64(0)
 	for i := 0; i < n; i++ {
 		v := at(i)
-		e.I64(int64(v - prev))
+		if cap(buf)-len(buf) < binary.MaxVarintLen64 {
+			buf = grow(buf, binary.MaxVarintLen64)
+		}
+		buf = binary.AppendVarint(buf, int64(v-prev))
 		prev = v
 	}
+	e.buf = buf
 }
 
 // Bools appends a packed bitset: the count, then ceil(n/8) bytes.
@@ -363,10 +378,14 @@ func (d *Dec) U64sFunc(n int, set func(i int, v uint64)) {
 func (d *Dec) deltas(n int, set func(i int, v uint64)) {
 	prev := uint64(0)
 	for i := 0; i < n && d.err == nil; i++ {
-		prev += uint64(d.I64())
-		if d.err == nil {
-			set(i, prev)
+		delta, k := binary.Varint(d.b[d.off:])
+		if k <= 0 {
+			d.fail("truncated or malformed varint at offset %d", d.off)
+			return
 		}
+		d.off += k
+		prev += uint64(delta)
+		set(i, prev)
 	}
 }
 
