@@ -27,11 +27,13 @@ func benchWarmChip(b *testing.B) (Config, *chip.Chip) {
 	return cfg, warmChip(cfg, w, 1, Quick.Warmup)
 }
 
-// BenchmarkCheckpointSnapshot prices one full-chip snapshot; ckpt-bytes
-// is the container size the store writes per prefix.
+// BenchmarkCheckpointSnapshot prices one full-chip snapshot, with its
+// allocations; ckpt-bytes is the container size the store writes per
+// prefix.
 func BenchmarkCheckpointSnapshot(b *testing.B) {
 	_, c := benchWarmChip(b)
 	var buf bytes.Buffer
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
@@ -43,8 +45,9 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 }
 
 // BenchmarkCheckpointRestore prices one restore — parse, rebuild the
-// chip, load every section — which replaces an entire warmup on a cache
-// hit; warmup-cycles-replaced is what each restore avoids simulating.
+// chip, load every section — with its allocations; a restore replaces an
+// entire warmup on a cache hit, and warmup-cycles-replaced is what each
+// one avoids simulating.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	cfg, c := benchWarmChip(b)
 	w, err := ParseWorkload("Web Search")
@@ -56,6 +59,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	snap := buf.Bytes()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := chip.Restore(cfg, w, 1, bytes.NewReader(snap)); err != nil {
