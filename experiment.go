@@ -248,6 +248,63 @@ func (e *Experiment) Sweep() (Sweep, error) {
 	if err != nil {
 		return Sweep{}, err
 	}
+	wls, specOf, err := e.resolveWorkloads()
+	if err != nil {
+		return Sweep{}, err
+	}
+	counts := e.coreCounts
+	if len(counts) == 0 {
+		counts = []int{0}
+	}
+
+	sw := Sweep{Title: e.title, Quality: e.quality, SimDomains: e.simDomains}
+	seen := make(map[string]bool)
+	for _, v := range variants {
+		for _, w := range wls {
+			for _, n := range counts {
+				cfg := v.Config
+				if n > 0 {
+					cfg.Cores = n
+				}
+				if e.seed != nil {
+					cfg.Seed = *e.seed
+				}
+				p := Point{
+					Variant:  v.Name,
+					Design:   cfg.Design,
+					Workload: w.Name(),
+					Cores:    n,
+				}
+				if e.configure != nil {
+					e.configure(&cfg, p)
+				}
+				wl := w
+				if e.unlimited {
+					wl = workload.Unlimited(w)
+				}
+				p.Seed = cfg.Seed
+				p.Config = cfg
+				p.Hierarchy = cfg.Hierarchy
+				p.WorkloadSpec = specOf[w.Name()]
+				p.Unlimited = e.unlimited
+				p.wl = wl
+				if seen[p.dedupKey()] {
+					continue
+				}
+				seen[p.dedupKey()] = true
+				sw.Points = append(sw.Points, p)
+			}
+		}
+	}
+	return sw, nil
+}
+
+// resolveWorkloads resolves the experiment's named workloads and adds its
+// workload values, deduplicated by name and crossed with the offered
+// loads. A trace spec opens its file once per Experiment (e.traces).
+func (e *Experiment) resolveWorkloads() ([]workload.Workload, map[string]string, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	names := e.workloads
 	if len(names) == 0 && len(e.workloadVals) == 0 {
 		names = workload.Names()
@@ -277,16 +334,14 @@ func (e *Experiment) Sweep() (Sweep, error) {
 	specOf := map[string]string{}
 	// resolved maps this call's trace specs to their files, and opened
 	// lists the files this call opened and kept. The files join e.traces
-	// when the sweep expands, and are closed on an error return.
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	// when every workload resolves, and are closed on an error return.
 	resolved := map[string]*workload.TraceFile{}
 	var opened []*workload.TraceFile
-	fail := func(err error) (Sweep, error) {
+	fail := func(err error) ([]workload.Workload, map[string]string, error) {
 		for _, t := range opened {
 			t.Close()
 		}
-		return Sweep{}, err
+		return nil, nil, err
 	}
 	for _, n := range names {
 		spec := strings.TrimSpace(n)
@@ -342,51 +397,7 @@ func (e *Experiment) Sweep() (Sweep, error) {
 		e.traces = map[string]*workload.TraceFile{}
 	}
 	maps.Copy(e.traces, resolved)
-	counts := e.coreCounts
-	if len(counts) == 0 {
-		counts = []int{0}
-	}
-
-	sw := Sweep{Title: e.title, Quality: e.quality, SimDomains: e.simDomains}
-	seen := make(map[string]bool)
-	for _, v := range variants {
-		for _, w := range wls {
-			for _, n := range counts {
-				cfg := v.Config
-				if n > 0 {
-					cfg.Cores = n
-				}
-				if e.seed != nil {
-					cfg.Seed = *e.seed
-				}
-				p := Point{
-					Variant:  v.Name,
-					Design:   cfg.Design,
-					Workload: w.Name(),
-					Cores:    n,
-				}
-				if e.configure != nil {
-					e.configure(&cfg, p)
-				}
-				wl := w
-				if e.unlimited {
-					wl = workload.Unlimited(w)
-				}
-				p.Seed = cfg.Seed
-				p.Config = cfg
-				p.Hierarchy = cfg.Hierarchy
-				p.WorkloadSpec = specOf[w.Name()]
-				p.Unlimited = e.unlimited
-				p.wl = wl
-				if seen[p.dedupKey()] {
-					continue
-				}
-				seen[p.dedupKey()] = true
-				sw.Points = append(sw.Points, p)
-			}
-		}
-	}
-	return sw, nil
+	return wls, specOf, nil
 }
 
 // expandHierarchies crosses the variant list with WithHierarchies'

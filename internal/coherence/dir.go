@@ -136,9 +136,9 @@ type BankConfig struct {
 	Stride, Phase uint64
 }
 
-// NewBank builds an LLC bank/directory controller. pool recycles this
-// node's delivered packets into the bank's sends; nil gives it a private
-// pool.
+// NewBank builds an LLC bank/directory controller. pool recycles the
+// packets delivered in this node's scheduling domain into the bank's
+// sends; nil gives it a private pool.
 func NewBank(bankID int, node noc.NodeID, net noc.Network, cfg BankConfig, pool *noc.PacketPool,
 	mcNode func(line uint64) (noc.NodeID, int), l1Node func(core int) noc.NodeID) *Bank {
 	if cfg.AccessLat < 1 {

@@ -89,8 +89,8 @@ func DefaultL1Config() L1Config {
 }
 
 // NewL1 builds a controller for core coreID attached at network node. pool
-// recycles this node's delivered packets into the controller's sends; nil
-// gives the controller a private pool.
+// recycles the packets delivered in this node's scheduling domain into the
+// controller's sends; nil gives the controller a private pool.
 func NewL1(coreID int, node noc.NodeID, net noc.Network, cfg L1Config, pool *noc.PacketPool,
 	home func(line uint64) (noc.NodeID, int), l1Node func(core int) noc.NodeID) *L1 {
 	ia := cache.NewArray(cfg.ISizeBytes, cfg.IWays)

@@ -88,8 +88,8 @@ type Controller struct {
 
 // NewController builds a channel controller attached at node; bankNode maps
 // a requesting LLC bank id to its network node for replies. pool recycles
-// this node's delivered packets into the controller's sends; nil gives it a
-// private pool.
+// the packets delivered in this node's scheduling domain into the
+// controller's sends; nil gives it a private pool.
 func NewController(channel int, node noc.NodeID, net noc.Network, cfg Config, pool *noc.PacketPool,
 	bankNode func(bank int) noc.NodeID) *Controller {
 	if cfg.AccessLat < 1 || cfg.LinePeriod < 1 {
