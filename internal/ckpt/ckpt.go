@@ -89,9 +89,6 @@ type Enc struct {
 // Bytes returns the encoded section payload.
 func (e *Enc) Bytes() []byte { return e.buf }
 
-// Len returns the encoded size so far.
-func (e *Enc) Len() int { return len(e.buf) }
-
 // Reset empties the encoder, retaining its storage.
 func (e *Enc) Reset() { e.buf = e.buf[:0] }
 
