@@ -112,9 +112,10 @@ type Experiment struct {
 	simDomains   int
 	configure    func(*Config, Point)
 
-	// traces maps each "trace:<path>" spec to the file Sweep opened for
-	// it: an Experiment opens a trace once, and every Sweep it returns
-	// shares the file, as a point's seeds already share one TraceFile.
+	// mu guards traces, which maps each "trace:<path>" spec to the file
+	// Sweep opened for it: an Experiment opens a trace once, and every
+	// Sweep it returns shares the file, as a point's seeds already share
+	// one TraceFile.
 	mu     sync.Mutex
 	traces map[string]*workload.TraceFile
 }
