@@ -219,18 +219,15 @@ type MSHR struct {
 	// Waiters counts merged requests (same line missed again while
 	// outstanding).
 	Waiters int
-
-	live bool // the slab entry holds an outstanding miss
 }
 
 // MSHRFile is a bounded set of outstanding misses; its capacity is the
-// hardware's memory-level-parallelism limit. The entries live in a slab
-// allocated once, and a line is found by scanning it — at 16 entries a
-// scan costs less than a map probe, and a miss allocates nothing. An
-// *MSHR from Get or Alloc stays valid until Free of its line.
+// hardware's memory-level-parallelism limit. The outstanding misses are
+// kept compactly in a slab allocated once, so a miss allocates nothing,
+// and a line is found by scanning them. An *MSHR from Get or Alloc is
+// valid until the next Free.
 type MSHRFile struct {
-	slab []MSHR
-	n    int
+	slab []MSHR // the outstanding misses; cap is the capacity
 }
 
 // NewMSHRFile returns a file with the given capacity.
@@ -238,23 +235,23 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity < 1 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHRFile{slab: make([]MSHR, capacity)}
+	return &MSHRFile{slab: make([]MSHR, 0, capacity)}
 }
 
 // Full reports whether a new allocation would exceed capacity.
-func (f *MSHRFile) Full() bool { return f.n >= len(f.slab) }
+func (f *MSHRFile) Full() bool { return len(f.slab) == cap(f.slab) }
 
 // Len returns the number of outstanding misses.
-func (f *MSHRFile) Len() int { return f.n }
+func (f *MSHRFile) Len() int { return len(f.slab) }
 
 // Cap returns the capacity.
-func (f *MSHRFile) Cap() int { return len(f.slab) }
+func (f *MSHRFile) Cap() int { return cap(f.slab) }
 
 // Get returns the MSHR for line, if any.
 func (f *MSHRFile) Get(line uint64) (*MSHR, bool) {
 	for i := range f.slab {
-		if m := &f.slab[i]; m.live && m.Line == line {
-			return m, true
+		if f.slab[i].Line == line {
+			return &f.slab[i], true
 		}
 	}
 	return nil, false
@@ -269,22 +266,18 @@ func (f *MSHRFile) Alloc(line uint64, isWrite, instr bool) *MSHR {
 	if f.Full() {
 		panic("cache: MSHR file overflow")
 	}
-	for i := range f.slab {
-		if m := &f.slab[i]; !m.live {
-			*m = MSHR{Line: line, IsWrite: isWrite, Instr: instr, live: true}
-			f.n++
-			return m
-		}
-	}
-	panic("cache: MSHR count out of step with the slab")
+	f.slab = append(f.slab, MSHR{Line: line, IsWrite: isWrite, Instr: instr})
+	return &f.slab[len(f.slab)-1]
 }
 
-// Free releases the MSHR for line.
+// Free releases the MSHR for line, moving the last outstanding miss into
+// its entry.
 func (f *MSHRFile) Free(line uint64) {
 	m, ok := f.Get(line)
 	if !ok {
 		panic(fmt.Sprintf("cache: freeing absent MSHR %#x", line))
 	}
-	m.live = false
-	f.n--
+	last := len(f.slab) - 1
+	*m = f.slab[last]
+	f.slab = f.slab[:last]
 }

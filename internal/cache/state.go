@@ -32,14 +32,14 @@ func (a *Array) LoadState(d *ckpt.Dec) {
 // The file is at most a few dozen entries, so each step selects the next
 // line by a scan rather than sorting a copy.
 func (f *MSHRFile) SaveState(e *ckpt.Enc) {
-	e.U64(uint64(f.n))
+	e.U64(uint64(len(f.slab)))
 	var m *MSHR
-	for k := 0; k < f.n; k++ {
+	for range f.slab {
 		prev := m
 		m = nil
 		for i := range f.slab {
 			c := &f.slab[i]
-			if c.live && (prev == nil || c.Line > prev.Line) && (m == nil || c.Line < m.Line) {
+			if (prev == nil || c.Line > prev.Line) && (m == nil || c.Line < m.Line) {
 				m = c
 			}
 		}
@@ -59,12 +59,11 @@ func (f *MSHRFile) LoadState(d *ckpt.Dec) {
 	if d.Err() != nil {
 		return
 	}
-	if n > len(f.slab) {
-		d.Corrupt("MSHR occupancy %d exceeds capacity %d", n, len(f.slab))
+	if n > cap(f.slab) {
+		d.Corrupt("MSHR occupancy %d exceeds capacity %d", n, cap(f.slab))
 		return
 	}
-	clear(f.slab)
-	f.n = 0
+	f.slab = f.slab[:0]
 	for i := 0; i < n && d.Err() == nil; i++ {
 		m := MSHR{
 			Line:     d.U64(),
@@ -78,8 +77,6 @@ func (f *MSHRFile) LoadState(d *ckpt.Dec) {
 			d.Corrupt("duplicate MSHR line %#x", m.Line)
 			return
 		}
-		m.live = true
-		f.slab[i] = m
-		f.n++
+		f.slab = append(f.slab, m)
 	}
 }
