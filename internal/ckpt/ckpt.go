@@ -155,6 +155,10 @@ func (e *Enc) String(s string) {
 // element as a zigzag varint of its delta from the predecessor (first
 // delta is from zero). Sorted or clustered arrays — cache tags, LRU age
 // stamps, sorted map keys — compress to a byte or two per element.
+//
+// U64s repeats U64sFunc's loop instead of calling it: the closure call
+// per element made BenchmarkCheckpointSnapshot 23% slower (4.1 to 5.1
+// ms/op, median of six runs each on a 2-CPU x86-64 host).
 func (e *Enc) U64s(vs []uint64) {
 	e.U64(uint64(len(vs)))
 	buf, prev := e.buf, uint64(0)
