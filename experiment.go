@@ -1,13 +1,10 @@
 package nocout
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 
@@ -112,12 +109,13 @@ type Experiment struct {
 	simDomains   int
 	configure    func(*Config, Point)
 
-	// mu guards traces, which maps each "trace:<path>" spec to the file
-	// Sweep opened for it: an Experiment opens a trace once, and every
-	// Sweep it returns shares the file, as a point's seeds already share
-	// one TraceFile.
-	mu     sync.Mutex
-	traces map[string]*workload.TraceFile
+	// mu guards the workloads the first successful Sweep resolved and
+	// the trace spec behind each (resolveWorkloads): an Experiment opens a
+	// trace once, and every Sweep it returns shares the file, as a
+	// point's seeds already share one TraceFile.
+	mu       sync.Mutex
+	resolved []workload.Workload
+	specOf   map[string]string
 }
 
 // Option configures an Experiment.
@@ -237,7 +235,9 @@ func WithConfigure(f func(cfg *Config, p Point)) Option {
 
 // Sweep expands the specification into the cartesian product of
 // variants × workloads × core counts, resolving workload names, applying
-// the configure hook, and dropping duplicate points.
+// the configure hook, and dropping duplicate points. The workloads are
+// resolved by the first Sweep that succeeds; later Sweeps reuse them,
+// and so share their trace files.
 func (e *Experiment) Sweep() (Sweep, error) {
 	if len(e.variants) == 0 {
 		return Sweep{}, fmt.Errorf("nocout: experiment has no variants; use WithDesigns or WithVariant")
@@ -302,10 +302,14 @@ func (e *Experiment) Sweep() (Sweep, error) {
 
 // resolveWorkloads resolves the experiment's named workloads and adds its
 // workload values, deduplicated by name and crossed with the offered
-// loads. A trace spec opens its file once per Experiment (e.traces).
+// loads. The first successful call's result is kept and every later call
+// returns it, so an Experiment opens each trace spec once.
 func (e *Experiment) resolveWorkloads() ([]workload.Workload, map[string]string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.resolved != nil {
+		return e.resolved, e.specOf, nil
+	}
 	names := e.workloads
 	if len(names) == 0 && len(e.workloadVals) == 0 {
 		names = workload.Names()
@@ -333,10 +337,8 @@ func (e *Experiment) resolveWorkloads() ([]workload.Workload, map[string]string,
 	// captures), keyed by resolved name; points carry it so campaign
 	// workers in other processes can rehydrate them.
 	specOf := map[string]string{}
-	// resolved maps this call's trace specs to their files, and opened
-	// lists the files this call opened and kept. The files join e.traces
-	// when every workload resolves, and are closed on an error return.
-	resolved := map[string]*workload.TraceFile{}
+	// opened lists the trace files this call opened and kept; an error
+	// return closes them.
 	var opened []*workload.TraceFile
 	fail := func(err error) ([]workload.Workload, map[string]string, error) {
 		for _, t := range opened {
@@ -345,32 +347,25 @@ func (e *Experiment) resolveWorkloads() ([]workload.Workload, map[string]string,
 		return nil, nil, err
 	}
 	for _, n := range names {
-		spec := strings.TrimSpace(n)
-		var w workload.Workload
-		if t := cmp.Or(resolved[spec], e.traces[spec]); t != nil {
-			w = t
-		} else {
-			var err error
-			if w, err = workload.Parse(n); err != nil {
-				return fail(err)
-			}
-			if t, ok := w.(*workload.TraceFile); ok && traceSpec(n) {
-				opened = append(opened, t)
-			}
-		}
-		kept, err := add(w)
+		w, err := workload.Parse(n)
 		if err != nil {
 			return fail(err)
 		}
-		if t, ok := w.(*workload.TraceFile); ok && kept != w {
-			// The same recording under another spelling: share the
-			// first file and close this one.
-			opened = slices.DeleteFunc(opened, func(o *workload.TraceFile) bool { return o == t })
-			t.Close()
+		kept, err := add(w)
+		if t, ok := w.(*workload.TraceFile); ok && traceSpec(n) {
+			if kept == w {
+				opened = append(opened, t)
+			} else {
+				// A recording already kept under another spelling, or
+				// one add rejected: nothing shares this file.
+				t.Close()
+			}
+		}
+		if err != nil {
+			return fail(err)
 		}
 		if traceSpec(n) {
-			resolved[spec] = kept.(*workload.TraceFile)
-			specOf[w.Name()] = spec
+			specOf[w.Name()] = strings.TrimSpace(n)
 		}
 	}
 	for _, w := range e.workloadVals {
@@ -394,10 +389,7 @@ func (e *Experiment) resolveWorkloads() ([]workload.Workload, map[string]string,
 		}
 		wls = expanded
 	}
-	if e.traces == nil {
-		e.traces = map[string]*workload.TraceFile{}
-	}
-	maps.Copy(e.traces, resolved)
+	e.resolved, e.specOf = wls, specOf
 	return wls, specOf, nil
 }
 
