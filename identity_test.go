@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -199,9 +200,10 @@ func countFDs(t *testing.T) int {
 }
 
 // TestSweepOpensEachTraceOnce: an Experiment opens each "trace:<path>"
-// spec once and every Sweep it returns shares the file; another spelling
-// of the same recording dedups to that file and is closed; and a sweep
-// that fails to expand closes the traces it opened.
+// spec once and every Sweep it returns, concurrent ones included, shares
+// the file; another spelling of the same recording dedups to that file
+// and is closed; and a sweep that fails to expand closes the traces it
+// opened.
 func TestSweepOpensEachTraceOnce(t *testing.T) {
 	countFDs(t)
 	src, err := ParseWorkload("MapReduce-C")
@@ -225,26 +227,38 @@ func TestSweepOpensEachTraceOnce(t *testing.T) {
 	} {
 		before := countFDs(t)
 		e := NewExperiment(WithDesigns(Mesh), WithWorkloads(c.specs...), WithCoreCounts(4), WithQuality(tiny))
-		var first *TraceFile
-		for i := 0; i < 10; i++ {
-			sw, err := e.Sweep()
-			if err != nil {
-				t.Fatalf("%s: sweep %d: %v", c.name, i, err)
-			}
-			if len(sw.Points) != 1 {
-				t.Fatalf("%s: %d points, want 1", c.name, len(sw.Points))
-			}
-			tf := sw.Points[0].wl.(*TraceFile)
-			if first == nil {
-				first = tf
-			} else if tf != first {
+		// The sweeps run at once, so -race sees them share the resolution.
+		tfs := make([]*TraceFile, 10)
+		var wg sync.WaitGroup
+		for i := range tfs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sw, err := e.Sweep()
+				if err != nil {
+					t.Errorf("%s: sweep %d: %v", c.name, i, err)
+					return
+				}
+				if len(sw.Points) != 1 {
+					t.Errorf("%s: %d points, want 1", c.name, len(sw.Points))
+					return
+				}
+				tfs[i] = sw.Points[0].wl.(*TraceFile)
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for i, tf := range tfs {
+			if tf != tfs[0] {
 				t.Fatalf("%s: sweep %d opened the trace again", c.name, i)
 			}
 		}
 		if opened := countFDs(t) - before; opened != 1 {
 			t.Errorf("%s: 10 sweeps left %d descriptors open, want the one shared trace", c.name, opened)
 		}
-		first.Close()
+		tfs[0].Close()
 	}
 
 	// The recording replays under its source's name, which the synthetic
