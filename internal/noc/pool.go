@@ -11,9 +11,9 @@ package noc
 //
 // A single-domain chip's one pool holds at most as many packets as were
 // ever in flight at once, so a warmed chip sends without allocating. A
-// per-node pool did not: a node that sends more than it receives (its
-// writebacks get no reply) allocated every packet it sent, while the
-// pools of the nodes receiving them grew without bound. Across domains
+// pool per node would not be bounded: a node that sends more than it
+// receives (its writebacks get no reply) would allocate every packet it
+// sent, while the pools of the nodes receiving them grew. Across domains
 // the same imbalance remains — traffic that flows more one way between
 // two domains moves packets from one pool to the other.
 //
