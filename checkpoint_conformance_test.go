@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nocout/internal/chip"
+	"nocout/internal/ckpt"
 	"nocout/internal/sim"
 	"nocout/internal/workload"
 )
@@ -251,4 +252,73 @@ func TestCheckpointTruncationRejected(t *testing.T) {
 	if _, err := chip.Restore(cfg, w, 1, bytes.NewReader(corrupt)); err == nil {
 		t.Fatal("corrupted snapshot restored successfully")
 	}
+}
+
+// TestCheckpointCorruptPayload: a section whose payload is damaged but
+// whose CRC is valid reaches the component decoders, which must reject
+// it with an error or accept it, never panic. Each mutation re-frames
+// one section of a warm snapshot with one byte replaced.
+func TestCheckpointCorruptPayload(t *testing.T) {
+	const perSection = 6
+	for _, d := range []Design{Mesh, NOCOut, Ideal} {
+		for _, spec := range []string{
+			"MapReduce-C",
+			"opensys:arrival=mmpp,base=web-search,rate=4,size=256,queue=64",
+			"MapReduce-Phased",
+		} {
+			w, err := workload.Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(d)
+			cfg.Cores = 16
+			_, snap, _ := warmSnapshot(t, cfg, w, 1, 2000)
+			cont, err := ckpt.Parse(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads := make([][]byte, cont.Len())
+			for i := range payloads {
+				dec, err := cont.Open(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				payloads[i] = dec.Raw(dec.Remaining())
+			}
+			rng := sim.NewRNG(uint64(len(snap)))
+			accepted := 0
+			for sec, p := range payloads {
+				for m := 0; m < perSection && len(p) > 0; m++ {
+					off := int(rng.Uint64() % uint64(len(p)))
+					val := p[off] ^ byte(1+rng.Uint64()%255)
+					var buf bytes.Buffer
+					cw := ckpt.NewWriter(&buf)
+					for i, q := range payloads {
+						if i == sec {
+							q = append([]byte(nil), q...)
+							q[off] = val
+						}
+						cw.Section(cont.Kind(i), q)
+					}
+					if restoreSurvives(t, cfg, w, buf.Bytes(), sec, off) {
+						accepted++
+					}
+				}
+			}
+			t.Logf("%v/%s: %d of %d mutations restored", d, spec, accepted, cont.Len()*perSection)
+		}
+	}
+}
+
+// restoreSurvives restores a mutated container, failing the test if the
+// restore panics, and reports whether it returned a chip.
+func restoreSurvives(t *testing.T, cfg Config, w workload.Workload, data []byte, sec, off int) (ok bool) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("section %d byte %d: restore panicked: %v", sec, off, r)
+		}
+	}()
+	_, err := chip.Restore(cfg, w, 1, bytes.NewReader(data))
+	return err == nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nocout/internal/chip"
+	"nocout/internal/sim"
 	"nocout/internal/workload"
 )
 
@@ -29,6 +30,9 @@ func setupCfg(tb testing.TB, d Design, llcMB int) (Config, workload.Workload) {
 // agent, never per LLC line, so doubling the LLC leaves the allocation
 // count of chip.New + PrewarmCaches where it was.
 func TestSetupAllocsIndependentOfLLC(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
 	for _, d := range []Design{Mesh, NOCOut} {
 		var allocs [2]float64
 		for i, mb := range []int{8, 16} {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"nocout/internal/chip"
@@ -103,4 +104,79 @@ func TestWarmSnapshotGolden(t *testing.T) {
 			t.Errorf("%v/%s: warm snapshot sha256 %s (%d B), want %s (%d B)", g.design, g.workload, got, n.n, g.sha, g.bytes)
 		}
 	}
+}
+
+// formatGolden pins the snapshot encodings no other pin reaches: the
+// ideal fabric's delivery calendar, the open-system arrival processes
+// (MMPP, and burst under a diurnal phases= schedule), the phased
+// workload's phase cursor, and a NOC3 replay's (block, offset) cursor.
+// Each entry holds the SHA-256 and length of the snapshot taken after
+// PrewarmCaches + Warmup(6000) on a 16-core chip (seed 1).
+var formatGolden = []struct {
+	name     string
+	design   Design
+	workload string // a workload spec, or "noc3" for a replay of recorded MapReduce-C
+	sha      string
+	bytes    int64
+}{
+	{"ideal", Ideal, "Data Serving",
+		"a439f776e28a5c85712d0f295024e384edcbe26c27485e6a5719596cca18880d", 947300},
+	{"opensys-mmpp", Mesh, "opensys:arrival=mmpp,base=web-search,rate=4,size=256,queue=64",
+		"7a9a1f221c2a192a7c6f443a0b45392b7cf70bd25fdbe1c6dd6795e769eda78e", 920068},
+	{"opensys-burst-phases", Mesh, "opensys:arrival=burst,base=data-serving,rate=0.5,size=128,queue=32,hurst=0.9,peak=1.2,phases=1.5x4000;0.5x4000",
+		"e2af3caa029961a022b7e7c17bd598113ea13095692e04267eabe04af9ff3605", 928828},
+	{"phased", Mesh, "MapReduce-Phased",
+		"b31018f7964f74ea401cc316bae3d62c6e102bea723144aa3c081b4822e27fa5", 847583},
+	{"noc3", Mesh, "noc3",
+		"0f22ee276ed5694675e1cc3c6ec0158d92d478bf43253c52c909e8384c624cf1", 814632},
+}
+
+func TestSnapshotFormatGolden(t *testing.T) {
+	for _, g := range formatGolden {
+		t.Run(g.name, func(t *testing.T) {
+			cfg := chip.DefaultConfig(g.design)
+			cfg.Cores = 16
+			cfg.Seed = 1
+			var w workload.Workload
+			var err error
+			if g.workload == "noc3" {
+				w, err = recordedTrace(t, cfg, "MapReduce-C", 6000*4)
+			} else {
+				w, err = workload.Parse(g.workload)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := chip.New(cfg, w)
+			c.PrewarmCaches()
+			c.Warmup(6000)
+			h := sha256.New()
+			var n countingWriter
+			if err := c.Snapshot(io.MultiWriter(h, &n)); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != g.sha || n.n != g.bytes {
+				t.Errorf("snapshot sha256 %s (%d B), want %s (%d B)", got, n.n, g.sha, g.bytes)
+			}
+		})
+	}
+}
+
+// recordedTrace records perCore instructions per core of the named
+// workload into a NOC3 file under a test temp dir and opens it for replay.
+func recordedTrace(t *testing.T, cfg Config, name string, perCore int) (workload.Workload, error) {
+	src, err := workload.Parse(name)
+	if err != nil {
+		return nil, err
+	}
+	path := filepath.Join(t.TempDir(), "rec.noctrace")
+	if err := workload.RecordFile(path, src, cfg.Cores, perCore, cfg.Seed); err != nil {
+		return nil, err
+	}
+	tf, err := workload.OpenTraceFile(path)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { tf.Close() })
+	return tf, nil
 }
