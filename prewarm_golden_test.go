@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -131,6 +132,22 @@ var formatGolden = []struct {
 		"0f22ee276ed5694675e1cc3c6ec0158d92d478bf43253c52c909e8384c624cf1", 814632},
 }
 
+// formatGoldenUnfused holds the hashes that differ on a host whose
+// math.Exp does not take its fused-multiply-add path (amd64 without FMA,
+// or GODEBUG=cpu.fma=off). The burst process draws its Pareto ON/OFF
+// periods through math.Pow, which calls math.Exp, and the snapshot holds
+// the arrival state bit for bit, so a last-bit difference in one draw
+// changes the container. The split is a known host dependence of the
+// simulator, pinned here as two exact values rather than hidden; once
+// the draw is made host-independent, one of them goes.
+var formatGoldenUnfused = map[string]string{
+	"opensys-burst-phases": "5cae13534bab5fb3bbb6af66b1a938fcada0d561fd71137c5c4366fa7df68858",
+}
+
+// expFused reports whether math.Exp takes its fused-multiply-add path on
+// this host: the two paths round Exp(0.01) differently.
+func expFused() bool { return math.Float64bits(math.Exp(0.01)) == 0x3ff0292a5d2f2227 }
+
 func TestSnapshotFormatGolden(t *testing.T) {
 	for _, g := range formatGolden {
 		t.Run(g.name, func(t *testing.T) {
@@ -155,8 +172,12 @@ func TestSnapshotFormatGolden(t *testing.T) {
 			if err := c.Snapshot(io.MultiWriter(h, &n)); err != nil {
 				t.Fatalf("snapshot: %v", err)
 			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != g.sha || n.n != g.bytes {
-				t.Errorf("snapshot sha256 %s (%d B), want %s (%d B)", got, n.n, g.sha, g.bytes)
+			want := g.sha
+			if unfused, ok := formatGoldenUnfused[g.name]; ok && !expFused() {
+				want = unfused
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want || n.n != g.bytes {
+				t.Errorf("snapshot sha256 %s (%d B), want %s (%d B)", got, n.n, want, g.bytes)
 			}
 		})
 	}
