@@ -144,7 +144,7 @@ func TestArrayFillMatchesInsertPath(t *testing.T) {
 	}
 	state := func(a *Array) []byte {
 		var e ckpt.Enc
-		a.SaveState(&e)
+		a.State(ckpt.Encoding(&e))
 		return e.Bytes()
 	}
 	var hits, installs, full int

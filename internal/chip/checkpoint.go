@@ -3,6 +3,7 @@ package chip
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"nocout/internal/ckpt"
 	"nocout/internal/coherence"
@@ -36,45 +37,119 @@ const (
 	secNet   uint64 = 6
 )
 
-// putMsgPayload encodes a packet's protocol payload (nil or a
-// *coherence.Msg cell).
-func putMsgPayload(e *ckpt.Enc, payload any) {
-	m, ok := payload.(*coherence.Msg)
-	if !ok || m == nil {
-		e.Bool(false)
+// msgPayload walks a packet's protocol payload: nil or a
+// *coherence.Msg cell.
+func msgPayload(p *any, s *ckpt.State) {
+	m, _ := (*p).(*coherence.Msg)
+	has := m != nil
+	s.Bool(&has)
+	if !has {
 		return
 	}
-	e.Bool(true)
-	coherence.EncodeMsg(e, *m)
+	if s.Loading() {
+		m = new(coherence.Msg)
+		*p = m
+	}
+	m.State(s)
 }
 
-func getMsgPayload(d *ckpt.Dec) any {
-	if !d.Bool() {
+// meta is a checkpoint's identity section: the Info a listing shows,
+// plus the bank and channel counts a restore checks.
+type meta struct {
+	Info
+	banks, channels int
+}
+
+// State walks the identity section.
+func (m *meta) State(s *ckpt.State) {
+	ckpt.Int(s, &m.Cycle)
+	ckpt.Uint(s, &m.Design, math.MaxUint8)
+	ckpt.Uint(s, &m.Hierarchy, math.MaxUint8)
+	ckpt.Int(s, &m.Cores)
+	s.U64(&m.Seed)
+	ckpt.Int(s, &m.Active)
+	ckpt.Int(s, &m.banks)
+	ckpt.Int(s, &m.channels)
+}
+
+// sections is a chip checkpoint's section table, in container order:
+// each kind with the walk of the state it holds. m is the identity
+// section's content, which a save fills from the chip and a load decodes
+// and checks against it.
+var sections = [...]struct {
+	kind uint64
+	walk func(c *Chip, s *ckpt.State, m *meta) error
+}{
+	{secMeta, (*Chip).metaState},
+	{secCores, func(c *Chip, s *ckpt.State, _ *meta) error {
+		for _, co := range c.Cores {
+			co.State(s)
+			w, ok := co.Stream().(ckpt.Walker)
+			if !ok {
+				return fmt.Errorf("chip: core %d stream %T does not support checkpointing", co.ID, co.Stream())
+			}
+			w.State(s)
+		}
+		return nil
+	}},
+	{secL1s, func(c *Chip, s *ckpt.State, _ *meta) error {
+		for _, l1 := range c.L1s {
+			l1.State(s)
+		}
+		return nil
+	}},
+	{secBanks, func(c *Chip, s *ckpt.State, _ *meta) error {
+		for _, b := range c.Banks {
+			b.State(s)
+		}
+		return nil
+	}},
+	{secMCs, func(c *Chip, s *ckpt.State, _ *meta) error {
+		for _, mc := range c.MCs {
+			mc.State(s)
+		}
+		return nil
+	}},
+	{secNet, func(c *Chip, s *ckpt.State, _ *meta) error {
+		// A router network (mesh, torus, cmesh, fbfly, crossbar, NOC-Out)
+		// or the ideal fabric.
+		switch n := c.Net.(type) {
+		case *noc.RouterNetwork:
+			n.State(s, msgPayload)
+		case *topo.Ideal:
+			n.State(s, msgPayload)
+		default:
+			return fmt.Errorf("chip: network %T does not support checkpointing", c.Net)
+		}
+		return nil
+	}},
+}
+
+// metaState walks the identity section. A load rejects a checkpoint taken
+// on a system other than this chip's.
+func (c *Chip) metaState(s *ckpt.State, m *meta) error {
+	if !s.Loading() {
+		*m = meta{
+			Info: Info{Cycle: c.NowCycle(), Design: c.Cfg.Design, Hierarchy: c.Cfg.Hierarchy,
+				Cores: c.Cfg.Cores, Seed: c.Cfg.Seed, Active: c.active},
+			banks: len(c.Banks), channels: len(c.MCs),
+		}
+	}
+	m.State(s)
+	if !s.Loading() || s.Err() != nil {
 		return nil
 	}
-	m := new(coherence.Msg)
-	*m = coherence.DecodeMsg(d)
-	return m
-}
-
-// netSaver matches network implementations whose in-flight state can be
-// checkpointed with a payload codec.
-type netSaver interface {
-	SaveState(e *ckpt.Enc, put noc.PayloadEnc)
-	LoadState(d *ckpt.Dec, get noc.PayloadDec)
-}
-
-// netState resolves the chip's network to its checkpointable form: a
-// router network (mesh, torus, cmesh, fbfly, crossbar, NOC-Out) or the
-// ideal fabric.
-func (c *Chip) netState() (netSaver, error) {
-	switch n := c.Net.(type) {
-	case *noc.RouterNetwork:
-		return n, nil
-	case *topo.Ideal:
-		return n, nil
+	if m.Cycle < 0 {
+		return fmt.Errorf("chip: checkpoint cycle %d is negative", m.Cycle)
 	}
-	return nil, fmt.Errorf("chip: network %T does not support checkpointing", c.Net)
+	if m.Design != c.Cfg.Design || m.Hierarchy != c.Cfg.Hierarchy || m.Cores != c.Cfg.Cores ||
+		m.Seed != c.Cfg.Seed || m.Active != c.active || m.banks != len(c.Banks) || m.channels != len(c.MCs) {
+		return fmt.Errorf("chip: checkpoint was taken on a different system "+
+			"(design %d/%d, hierarchy %d/%d, cores %d/%d, seed %d/%d, active %d/%d, banks %d/%d, channels %d/%d)",
+			m.Design, c.Cfg.Design, m.Hierarchy, c.Cfg.Hierarchy, m.Cores, c.Cfg.Cores,
+			m.Seed, c.Cfg.Seed, m.Active, c.active, m.banks, len(c.Banks), m.channels, len(c.MCs))
+	}
+	return nil
 }
 
 // Snapshot writes the chip's complete behavioral state to w. The chip
@@ -83,10 +158,6 @@ func (c *Chip) netState() (netSaver, error) {
 // snapshot — Restore re-zeroes them — so Snapshot is meant for the
 // measurement boundary right after Warmup.
 func (c *Chip) Snapshot(w io.Writer) error {
-	ns, err := c.netState()
-	if err != nil {
-		return err
-	}
 	// Settle every component's lazy accounting at the snapshot cycle, so
 	// each serialized lastSeen equals the snapshot cycle and the restored
 	// chip's first (re-armed) tick replays no catch-up window.
@@ -94,51 +165,15 @@ func (c *Chip) Snapshot(w io.Writer) error {
 
 	cw := ckpt.NewWriter(w)
 	var e ckpt.Enc
-
-	e.Reset()
-	e.I64(int64(c.NowCycle()))
-	e.U64(uint64(c.Cfg.Design))
-	e.U64(uint64(c.Cfg.Hierarchy))
-	e.Int(c.Cfg.Cores)
-	e.U64(c.Cfg.Seed)
-	e.Int(c.active)
-	e.Int(len(c.Banks))
-	e.Int(len(c.MCs))
-	cw.Section(secMeta, e.Bytes())
-
-	e.Reset()
-	for _, co := range c.Cores {
-		co.SaveState(&e)
-		sv, ok := co.Stream().(ckpt.Saver)
-		if !ok {
-			return fmt.Errorf("chip: core %d stream %T does not support checkpointing", co.ID, co.Stream())
+	var m meta
+	s := ckpt.Encoding(&e)
+	for _, sec := range sections {
+		e.Reset()
+		if err := sec.walk(c, s, &m); err != nil {
+			return err
 		}
-		sv.SaveState(&e)
+		cw.Section(sec.kind, e.Bytes())
 	}
-	cw.Section(secCores, e.Bytes())
-
-	e.Reset()
-	for _, l1 := range c.L1s {
-		l1.SaveState(&e)
-	}
-	cw.Section(secL1s, e.Bytes())
-
-	e.Reset()
-	for _, b := range c.Banks {
-		b.SaveState(&e)
-	}
-	cw.Section(secBanks, e.Bytes())
-
-	e.Reset()
-	for _, mc := range c.MCs {
-		mc.SaveState(&e)
-	}
-	cw.Section(secMCs, e.Bytes())
-
-	e.Reset()
-	ns.SaveState(&e, putMsgPayload)
-	cw.Section(secNet, e.Bytes())
-
 	return cw.Err()
 }
 
@@ -154,9 +189,17 @@ func Restore(cfg Config, wl workload.Workload, domains int, r io.Reader) (*Chip,
 		return nil, err
 	}
 	c := NewSharded(cfg, wl, domains)
-	if err := c.loadContainer(cont); err != nil {
-		return nil, err
+	var m meta
+	for _, sec := range sections {
+		if err := readSection(cont, sec.kind, func(s *ckpt.State) error { return sec.walk(c, s, &m) }); err != nil {
+			return nil, err
+		}
 	}
+	// The restored chip sits at the measurement boundary: zero the
+	// counters through the same path Warmup uses, then move the clock and
+	// re-arm every component for the cycle after the snapshot.
+	c.resetMeasurementStats()
+	c.clock().RestoreAt(m.Cycle)
 	return c, nil
 }
 
@@ -172,51 +215,35 @@ type Info struct {
 	Sections  int         `json:"sections"`
 }
 
-// Inspect decodes a checkpoint's meta section without building a chip —
-// the cheap way to list a checkpoint store's contents.
+// Inspect decodes a checkpoint's identity section without building a
+// chip — the cheap way to list a checkpoint store's contents.
 func Inspect(r io.Reader) (Info, error) {
 	cont, err := ckpt.Read(r)
 	if err != nil {
 		return Info{}, err
 	}
+	var m meta
+	if err := readSection(cont, secMeta, func(s *ckpt.State) error { m.State(s); return nil }); err != nil {
+		return Info{}, err
+	}
+	m.Sections = cont.Len()
+	return m.Info, nil
+}
+
+// readSection opens the section of the given kind and walks it, then
+// checks that the walk decoded all of it and nothing else.
+func readSection(cont *ckpt.Container, kind uint64, walk func(s *ckpt.State) error) error {
 	for i := 0; i < cont.Len(); i++ {
-		if cont.Kind(i) != secMeta {
+		if cont.Kind(i) != kind {
 			continue
 		}
 		d, err := cont.Open(i)
 		if err != nil {
-			return Info{}, err
+			return err
 		}
-		info := Info{
-			Cycle:     sim.Cycle(d.I64()),
-			Design:    Design(d.U64()),
-			Hierarchy: HierarchyID(d.U64()),
-			Cores:     d.Int(),
-			Seed:      d.U64(),
-			Active:    d.Int(),
-			Sections:  cont.Len(),
+		if err := walk(ckpt.Decoding(d)); err != nil {
+			return err
 		}
-		d.Int() // bank count
-		d.Int() // channel count
-		if err := d.Err(); err != nil {
-			return Info{}, err
-		}
-		return info, nil
-	}
-	return Info{}, fmt.Errorf("chip: checkpoint has no meta section")
-}
-
-// loadContainer loads a parsed snapshot into a freshly built chip.
-func (c *Chip) loadContainer(cont *ckpt.Container) error {
-	open := func(kind uint64) (*ckpt.Dec, error) {
-		for i := 0; i < cont.Len(); i++ {
-			if cont.Kind(i) == kind {
-				return cont.Open(i)
-			}
-		}
-		return nil, fmt.Errorf("chip: checkpoint has no section of kind %d", kind)
-	}
-	finish := func(kind uint64, d *ckpt.Dec) error {
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("chip: section %d: %w", kind, err)
 		}
@@ -225,106 +252,5 @@ func (c *Chip) loadContainer(cont *ckpt.Container) error {
 		}
 		return nil
 	}
-
-	d, err := open(secMeta)
-	if err != nil {
-		return err
-	}
-	cycle := sim.Cycle(d.I64())
-	design := Design(d.U64())
-	hier := HierarchyID(d.U64())
-	cores := d.Int()
-	seed := d.U64()
-	active := d.Int()
-	banks := d.Int()
-	mcs := d.Int()
-	if err := finish(secMeta, d); err != nil {
-		return err
-	}
-	if cycle < 0 {
-		return fmt.Errorf("chip: checkpoint cycle %d is negative", cycle)
-	}
-	if design != c.Cfg.Design || hier != c.Cfg.Hierarchy || cores != c.Cfg.Cores ||
-		seed != c.Cfg.Seed || active != c.active || banks != len(c.Banks) || mcs != len(c.MCs) {
-		return fmt.Errorf("chip: checkpoint was taken on a different system "+
-			"(design %d/%d, hierarchy %d/%d, cores %d/%d, seed %d/%d, active %d/%d, banks %d/%d, channels %d/%d)",
-			design, c.Cfg.Design, hier, c.Cfg.Hierarchy, cores, c.Cfg.Cores,
-			seed, c.Cfg.Seed, active, c.active, banks, len(c.Banks), mcs, len(c.MCs))
-	}
-
-	if d, err = open(secCores); err != nil {
-		return err
-	}
-	for _, co := range c.Cores {
-		co.LoadState(d)
-		ld, ok := co.Stream().(ckpt.Loader)
-		if !ok {
-			return fmt.Errorf("chip: core %d stream %T does not support checkpointing", co.ID, co.Stream())
-		}
-		ld.LoadState(d)
-		if d.Err() != nil {
-			break
-		}
-	}
-	if err := finish(secCores, d); err != nil {
-		return err
-	}
-
-	if d, err = open(secL1s); err != nil {
-		return err
-	}
-	for _, l1 := range c.L1s {
-		l1.LoadState(d)
-		if d.Err() != nil {
-			break
-		}
-	}
-	if err := finish(secL1s, d); err != nil {
-		return err
-	}
-
-	if d, err = open(secBanks); err != nil {
-		return err
-	}
-	for _, b := range c.Banks {
-		b.LoadState(d)
-		if d.Err() != nil {
-			break
-		}
-	}
-	if err := finish(secBanks, d); err != nil {
-		return err
-	}
-
-	if d, err = open(secMCs); err != nil {
-		return err
-	}
-	for _, mc := range c.MCs {
-		mc.LoadState(d)
-		if d.Err() != nil {
-			break
-		}
-	}
-	if err := finish(secMCs, d); err != nil {
-		return err
-	}
-
-	ns, err := c.netState()
-	if err != nil {
-		return err
-	}
-	if d, err = open(secNet); err != nil {
-		return err
-	}
-	ns.LoadState(d, getMsgPayload)
-	if err := finish(secNet, d); err != nil {
-		return err
-	}
-
-	// The restored chip sits at the measurement boundary: zero the
-	// counters through the same path Warmup uses, then move the clock and
-	// re-arm every component for the cycle after the snapshot.
-	c.resetMeasurementStats()
-	c.clock().RestoreAt(cycle)
-	return nil
+	return fmt.Errorf("chip: checkpoint has no section of kind %d", kind)
 }

@@ -7,11 +7,14 @@
 //
 // The package is deliberately leaf-level (stdlib only) so every component
 // package — sim, cache, cpu, coherence, mem, noc, topo, workload, opensys,
-// chip — can implement the Saver/Loader contract against it without import
-// cycles. Components serialize *behavioral* private state (queues, arrays,
-// cursors, RNG positions); measurement statistics are excluded by
-// convention and re-zeroed on the restore path, exactly as the warmup
-// boundary zeroes them.
+// chip — can walk its state through it without import cycles. Each
+// component has one State(*State) method that both saves and loads: a
+// State encodes every field it is handed while saving and decodes into
+// the same field while loading, so a format is written once. Components
+// serialize *behavioral* private state (queues, arrays, cursors, RNG
+// positions); measurement statistics are excluded by convention and
+// re-zeroed on the restore path, exactly as the warmup boundary zeroes
+// them.
 //
 // # Container format
 //
@@ -66,18 +69,6 @@ const maxSections = 1 << 16
 
 var magic = [4]byte{'N', 'O', 'C', 'K'}
 
-// Saver is implemented by components that can serialize their private
-// behavioral state into a checkpoint section.
-type Saver interface {
-	SaveState(e *Enc)
-}
-
-// Loader is the inverse contract; decode failures land in the Dec's
-// sticky error, which the orchestrator checks once per section.
-type Loader interface {
-	LoadState(d *Dec)
-}
-
 // --- encoder ----------------------------------------------------------------
 
 // Enc is an append-only checkpoint section encoder. The zero value is
@@ -118,9 +109,6 @@ func (e *Enc) U64(v uint64) {
 
 // I64 appends a signed (zigzag) varint, as binary.AppendVarint does.
 func (e *Enc) I64(v int64) { e.U64(uint64(v<<1) ^ uint64(v>>63)) }
-
-// Int appends an int as a signed varint.
-func (e *Enc) Int(v int) { e.I64(int64(v)) }
 
 // Bool appends a boolean as one byte.
 func (e *Enc) Bool(v bool) {
@@ -270,9 +258,6 @@ func (d *Dec) I64() int64 {
 	return v
 }
 
-// Int reads an int.
-func (d *Dec) Int() int { return int(d.I64()) }
-
 // Bool reads a boolean byte; values other than 0/1 are corruption.
 func (d *Dec) Bool() bool {
 	if d.err != nil {
@@ -350,33 +335,15 @@ func (d *Dec) Count() int {
 	return int(n)
 }
 
-// U64s reads a delta-encoded array written by Enc.U64s.
-func (d *Dec) U64s() []uint64 {
-	n := d.Count()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]uint64, n)
-	d.deltas(n, func(i int, v uint64) { vs[i] = v })
-	if d.err != nil {
-		return nil
-	}
-	return vs
-}
-
 // U64sFunc reads an array written by Enc.U64s or Enc.U64sFunc whose
 // length the caller's built geometry fixes at n, handing element i to
 // set(i, v) in order, so the caller decodes straight into its own
 // storage. A stored count other than n is corruption. set may call
 // Corrupt to reject a value, which ends the decode.
 func (d *Dec) U64sFunc(n int, set func(i int, v uint64)) {
-	if d.fixedCount(n) {
-		d.deltas(n, set)
+	if !d.fixedCount(n) {
+		return
 	}
-}
-
-// deltas decodes n delta-encoded elements into set.
-func (d *Dec) deltas(n int, set func(i int, v uint64)) {
 	prev := uint64(0)
 	for i := 0; i < n && d.err == nil; i++ {
 		delta, k := binary.Varint(d.b[d.off:])

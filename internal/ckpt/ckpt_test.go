@@ -12,8 +12,8 @@ import (
 )
 
 // TestCodecRoundTrip drives every Enc primitive through its Dec inverse
-// in one interleaved payload — the same shape component SaveState/
-// LoadState pairs produce.
+// in one interleaved payload — the same shape component State walks
+// produce.
 func TestCodecRoundTrip(t *testing.T) {
 	var e Enc
 	e.U64(0)
@@ -23,7 +23,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.I64(-1)
 	e.I64(math.MinInt64)
 	e.I64(math.MaxInt64)
-	e.Int(-42)
+	e.I64(-42)
 	e.Bool(true)
 	e.Bool(false)
 	e.F64(0)
@@ -53,7 +53,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	check("i64 -1", d.I64(), int64(-1))
 	check("i64 min", d.I64(), int64(math.MinInt64))
 	check("i64 max", d.I64(), int64(math.MaxInt64))
-	check("int", d.Int(), -42)
+	check("i64 -42", d.I64(), int64(-42))
 	check("bool true", d.Bool(), true)
 	check("bool false", d.Bool(), false)
 	check("f64 zero", d.F64(), 0.0)
@@ -64,11 +64,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	check("f64 pi", d.F64(), math.Pi)
 	check("string empty", d.String(), "")
 	check("string", d.String(), "warm state")
-	check("u64s nil", d.U64s(), []uint64(nil))
-	check("u64s", d.U64s(), []uint64{7, 7, 9, 1 << 40, 3})
-	u64s := make([]uint64, 3)
-	d.U64sFunc(len(u64s), func(i int, v uint64) { u64s[i] = v })
-	check("u64s func", u64s, []uint64{9, 8, 7})
+	u64s := func(n int) []uint64 {
+		vs := make([]uint64, n)
+		d.U64sFunc(n, func(i int, v uint64) { vs[i] = v })
+		return vs
+	}
+	check("u64s nil", u64s(0), []uint64{})
+	check("u64s", u64s(5), []uint64{7, 7, 9, 1 << 40, 3})
+	check("u64s func", u64s(3), []uint64{9, 8, 7})
 	bools := func(n int) []bool {
 		bs := make([]bool, n)
 		d.BoolsFunc(n, func(i int, v bool) { bs[i] = v })
@@ -98,8 +101,7 @@ func TestDecStickyError(t *testing.T) {
 		t.Fatal("truncated varint did not fail")
 	}
 	// Every primitive after the failure is a zero-value no-op.
-	if d.I64() != 0 || d.Int() != 0 || d.Bool() || d.F64() != 0 ||
-		d.String() != "" || d.U64s() != nil || d.Count() != 0 {
+	if d.I64() != 0 || d.Bool() || d.F64() != 0 || d.String() != "" || d.Count() != 0 {
 		t.Fatal("reads after a sticky error returned non-zero values")
 	}
 	d.U64sFunc(1, func(int, uint64) { t.Fatal("U64sFunc decoded after a sticky error") })
@@ -121,7 +123,6 @@ func TestDecHostileLengths(t *testing.T) {
 	cases := map[string]func(*Dec){
 		"string": func(d *Dec) { _ = d.String() },
 		"count":  func(d *Dec) { d.Count() },
-		"u64s":   func(d *Dec) { d.U64s() },
 		// The fixed-length decoders, told to expect the hostile count.
 		"u64s func":  func(d *Dec) { d.U64sFunc(1<<50, func(int, uint64) {}) },
 		"bools func": func(d *Dec) { d.BoolsFunc(1<<50, func(int, bool) {}) },
@@ -153,7 +154,7 @@ func TestFixedLengthMismatch(t *testing.T) {
 			d.U64sFunc(4, func(int, uint64) { t.Error("U64sFunc decoded a mismatched array") })
 		},
 		"bools func": func(d *Dec) {
-			d.U64s()
+			d.U64sFunc(3, func(int, uint64) {})
 			d.BoolsFunc(2, func(int, bool) { t.Error("BoolsFunc decoded a mismatched array") })
 		},
 	} {
@@ -225,7 +226,9 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := d.U64s(); !reflect.DeepEqual(vs, []uint64{1, 2, 3}) {
+	vs := make([]uint64, 3)
+	d.U64sFunc(len(vs), func(i int, v uint64) { vs[i] = v })
+	if !reflect.DeepEqual(vs, []uint64{1, 2, 3}) {
 		t.Fatalf("section 1 array %v", vs)
 	}
 	if c.SectionLen(2) != 0 {
@@ -336,7 +339,6 @@ func FuzzReadCheckpoint(f *testing.F) {
 				d.U64()
 				d.Bool()
 				_ = d.String()
-				d.U64s()
 				d.F64()
 				d.U64sFunc(2, func(int, uint64) {})
 				d.BoolsFunc(9, func(int, bool) {})
@@ -353,7 +355,7 @@ func TestContainerGoldenBytes(t *testing.T) {
 	cw := NewWriter(&buf)
 	var e Enc
 	e.U64(300)
-	e.Int(-7)
+	e.I64(-7)
 	e.Bool(true)
 	e.F64(math.Pi)
 	e.String("golden")

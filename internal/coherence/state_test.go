@@ -21,12 +21,12 @@ func TestBankLoadRejectsUnknownCores(t *testing.T) {
 	const llc = 1 << 20
 	load := func(donor *Bank, cores int) error {
 		var e ckpt.Enc
-		donor.SaveState(&e)
+		donor.State(ckpt.Encoding(&e))
 		net := topo.NewIdealWithDelay(2, func(a, b noc.NodeID) sim.Cycle { return 1 })
 		b := NewBank(0, 0, net, BankConfig{SizeBytes: llc, Ways: 4, LinkBits: 128, NumCores: cores}, nil,
 			func(uint64) (noc.NodeID, int) { return 1, 0 }, func(int) noc.NodeID { return 0 })
 		d := ckpt.NewDec(e.Bytes())
-		b.LoadState(d)
+		b.State(ckpt.Decoding(d))
 		return d.Err()
 	}
 

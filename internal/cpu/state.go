@@ -1,12 +1,9 @@
 package cpu
 
-import (
-	"nocout/internal/ckpt"
-	"nocout/internal/sim"
-)
+import "nocout/internal/ckpt"
 
-// Checkpoint serialization of the core's architectural state: the
-// in-flight instruction window, the fractional commit credit, fetch and
+// Checkpoint walk of the core's architectural state: the in-flight
+// instruction window, the fractional commit credit, fetch and
 // serialization blocks, the deferred retry slot, and the RNG position.
 // Construction parameters (ID, Params, enabled) and the wiring (L1,
 // stream, waker) are structural; measurement Stats are excluded — the
@@ -18,70 +15,38 @@ import (
 // checkpoint its cursor alongside the core.
 func (c *Core) Stream() Stream { return c.stream }
 
-// SaveState implements ckpt.Saver. The ROB ring is serialized logically
-// from its head, so the restored ring is head-normalized — invisible to
-// execution, which only ever indexes relative to head.
-func (c *Core) SaveState(e *ckpt.Enc) {
-	e.U64(uint64(c.count))
+// State implements ckpt.Walker. The ROB ring is walked logically from
+// its head, and a load rebuilds it from slot 0, so the restored ring is
+// head-normalized — invisible to execution, which only ever indexes
+// relative to head.
+func (c *Core) State(s *ckpt.State) {
+	n := s.Count(c.count)
+	if s.Loading() {
+		if n > len(c.rob) {
+			s.Corrupt("core %d window occupancy %d exceeds ROB size %d", c.ID, n, len(c.rob))
+			return
+		}
+		c.head, c.count = 0, n
+		clear(c.rob)
+	}
 	for i := 0; i < c.count; i++ {
 		en := &c.rob[(c.head+i)%len(c.rob)]
-		e.Bool(en.mem)
-		e.U64(en.line)
-		e.Bool(en.waiting)
+		s.Bool(&en.mem)
+		s.U64(&en.line)
+		s.Bool(&en.waiting)
 	}
-	e.F64(c.credit)
-	e.U64(c.fetchPC)
-	e.Bool(c.haveLine)
-	e.Bool(c.fetchStall)
-	e.U64(c.fetchLine)
-	e.Bool(c.serialize)
-	e.U64(c.serialLine)
-	e.Bool(c.haveRetry)
-	e.U64(uint64(c.retryInstr.Kind))
-	e.U64(c.retryInstr.IAddr)
-	e.U64(c.retryInstr.DAddr)
-	e.I64(c.outstanding)
-	e.I64(int64(c.lastSeen))
-	e.U64(c.rng.State())
-}
-
-// LoadState implements ckpt.Loader.
-func (c *Core) LoadState(d *ckpt.Dec) {
-	count := d.Count()
-	if d.Err() != nil {
-		return
-	}
-	if count > len(c.rob) {
-		d.Corrupt("core %d window occupancy %d exceeds ROB size %d", c.ID, count, len(c.rob))
-		return
-	}
-	c.head = 0
-	c.count = count
-	for i := range c.rob {
-		c.rob[i] = robEntry{}
-	}
-	for i := 0; i < count; i++ {
-		c.rob[i] = robEntry{
-			mem:     d.Bool(),
-			line:    d.U64(),
-			waiting: d.Bool(),
-		}
-	}
-	c.credit = d.F64()
-	c.fetchPC = d.U64()
-	c.haveLine = d.Bool()
-	c.fetchStall = d.Bool()
-	c.fetchLine = d.U64()
-	c.serialize = d.Bool()
-	c.serialLine = d.U64()
-	c.haveRetry = d.Bool()
-	kind := d.U64()
-	if kind > uint64(KindIdle) {
-		d.Corrupt("core %d retry slot has invalid kind %d", c.ID, kind)
-		return
-	}
-	c.retryInstr = Instr{Kind: InstrKind(kind), IAddr: d.U64(), DAddr: d.U64()}
-	c.outstanding = d.I64()
-	c.lastSeen = sim.Cycle(d.I64())
-	c.rng.SetState(d.U64())
+	s.F64(&c.credit)
+	s.U64(&c.fetchPC)
+	s.Bool(&c.haveLine)
+	s.Bool(&c.fetchStall)
+	s.U64(&c.fetchLine)
+	s.Bool(&c.serialize)
+	s.U64(&c.serialLine)
+	s.Bool(&c.haveRetry)
+	ckpt.Uint(s, &c.retryInstr.Kind, KindIdle)
+	s.U64(&c.retryInstr.IAddr)
+	s.U64(&c.retryInstr.DAddr)
+	ckpt.Int(s, &c.outstanding)
+	ckpt.Int(s, &c.lastSeen)
+	c.rng.State(s)
 }

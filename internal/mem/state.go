@@ -3,32 +3,21 @@ package mem
 import (
 	"nocout/internal/ckpt"
 	"nocout/internal/coherence"
-	"nocout/internal/sim"
 )
 
-// Checkpoint serialization of a memory channel. Timing config and wiring
-// are structural; the state is the arrival inbox, the service queue, the
+// Checkpoint walk of a memory channel. Timing config and wiring are
+// structural; the state is the arrival inbox, the service queue, the
 // channel-free horizon, in-flight device accesses, and the packet
 // sequence counter. Stats are excluded — callers Flush before saving so
 // the lazily-sampled utilization counters are settled and lastSeen
 // equals the snapshot cycle.
 
-// SaveState implements ckpt.Saver.
-func (c *Controller) SaveState(e *ckpt.Enc) {
-	c.inbox.SaveState(e, coherence.EncodeMsg)
-	c.q.SaveState(e, coherence.EncodeMsg)
-	e.I64(int64(c.nextFree))
-	c.inFlight.SaveState(e, coherence.EncodeMsg)
-	e.I64(int64(c.lastSeen))
-	e.U64(c.pktSeq)
-}
-
-// LoadState implements ckpt.Loader.
-func (c *Controller) LoadState(d *ckpt.Dec) {
-	c.inbox.LoadState(d, coherence.DecodeMsg)
-	c.q.LoadState(d, coherence.DecodeMsg)
-	c.nextFree = sim.Cycle(d.I64())
-	c.inFlight.LoadState(d, coherence.DecodeMsg)
-	c.lastSeen = sim.Cycle(d.I64())
-	c.pktSeq = d.U64()
+// State implements ckpt.Walker.
+func (c *Controller) State(s *ckpt.State) {
+	c.inbox.State(s, (*coherence.Msg).State)
+	c.q.State(s, (*coherence.Msg).State)
+	ckpt.Int(s, &c.nextFree)
+	c.inFlight.State(s, (*coherence.Msg).State)
+	ckpt.Int(s, &c.lastSeen)
+	s.U64(&c.pktSeq)
 }

@@ -127,11 +127,11 @@ func TestCreditConservationOnFabrics(t *testing.T) {
 				t.Fatal("no packet delivered")
 			}
 			var enc ckpt.Enc
-			rn.SaveState(&enc, func(*ckpt.Enc, any) {})
+			rn.State(ckpt.Encoding(&enc), func(*any, *ckpt.State) {})
 
 			net2, rn2 := f.build()
 			d := ckpt.NewDec(enc.Bytes())
-			rn2.LoadState(d, func(*ckpt.Dec) any { return nil })
+			rn2.State(ckpt.Decoding(d), func(*any, *ckpt.State) {})
 			if d.Err() != nil {
 				t.Fatal(d.Err())
 			}

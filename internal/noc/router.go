@@ -59,14 +59,14 @@ type Router struct {
 	covered  []uint64 // candidates prio lists, by index port*NumClasses+vc
 	numVCs   int      // implemented VCs (area accounting); 0 = NumClasses
 	flits    int64    // flits routed through this router (energy accounting)
-	buffered int      // flits held in input VCs: enqueue adds, a grant removes, LoadState recounts
+	buffered int      // flits held in input VCs: enqueue adds, a grant removes, a checkpoint load recounts
 	headRoom HeadRoomFunc
 
 	// due marks the input ports whose flit pipe holds a flit: the pipe's
 	// dueMark sets the bit on every push and Tick clears it once the pipe
 	// is empty. occ marks the non-empty input VCs by candidate index
 	// port*NumClasses+vc: enqueue sets the bit and the grant that empties
-	// the VC clears it. LoadState recomputes both.
+	// the VC clears it. A checkpoint load recomputes both.
 	due, occ []uint64
 	waker    sim.Waker // engine wake handle the dueMarks forward to
 
@@ -549,10 +549,10 @@ func (r *Router) routeOf(p *Packet) int {
 }
 
 // resync rebuilds the bookkeeping a checkpoint does not carry from the
-// restored VCs and pipes: the buffered count, the occupancy set and the due
-// set (Pipe.LoadState raises no wakes). It also forgets the last-grant
-// stamps, which a rewound clock would otherwise read as grants made this
-// cycle.
+// restored VCs and pipes: the buffered count, the occupancy set and the
+// due set (a pipe loaded by Pipe.State raises no wakes). It also forgets
+// the last-grant stamps, which a rewound clock would otherwise read as
+// grants made this cycle.
 func (r *Router) resync() {
 	r.buffered = 0
 	clear(r.due)

@@ -171,7 +171,7 @@ func forkNet() *RouterNetwork {
 // destination's route. Snapshots taken along the run must then replay
 // the original run's deliveries both in a fresh network and in the
 // original one rewound from a later cycle, whose derived state and
-// last-grant stamps LoadState must reset.
+// last-grant stamps a load must reset.
 func TestRouterBufferedAndRouteCache(t *testing.T) {
 	check := func(rn *RouterNetwork, now sim.Cycle) {
 		t.Helper()
@@ -232,7 +232,7 @@ func TestRouterBufferedAndRouteCache(t *testing.T) {
 	}
 	restore := func(rn *RouterNetwork, e *sim.Engine, snap []byte, at sim.Cycle) {
 		d := ckpt.NewDec(snap)
-		rn.LoadState(d, func(*ckpt.Dec) any { return nil })
+		rn.State(ckpt.Decoding(d), func(*any, *ckpt.State) {})
 		if d.Err() != nil {
 			t.Fatal(d.Err())
 		}
@@ -250,7 +250,7 @@ func TestRouterBufferedAndRouteCache(t *testing.T) {
 	for at := sim.Cycle(10); at < 100; at += 7 {
 		run(rn, e, at)
 		var enc ckpt.Enc
-		rn.SaveState(&enc, func(*ckpt.Enc, any) {})
+		rn.State(ckpt.Encoding(&enc), func(*any, *ckpt.State) {})
 		snaps[at], delivered[at] = enc.Bytes(), len(ref)
 		held += rn.Routers[0].buffered + rn.Routers[1].buffered
 	}

@@ -5,68 +5,69 @@ import (
 	"nocout/internal/sim"
 )
 
-// Checkpoint serialization of the router network. Topology, wiring, and
-// routing tables are structural; the state is every in-flight packet and
-// flit, the VC buffers, credit counters, output-VC ownership, the NIs'
+// Checkpoint walk of the router network. Topology, wiring, and routing
+// tables are structural; the state is every in-flight packet and flit,
+// the VC buffers, credit counters, output-VC ownership, the NIs'
 // inject/eject progress, and the folded traffic counters.
 //
 // Packets are shared by reference (a flit is a pointer into its packet),
 // so serialization builds a packet table in one fixed traversal order and
 // encodes every reference as a table index; restore rebuilds the table
 // and re-links the same sharing structure. Payloads are opaque here (the
-// protocol layer sits above noc), so callers supply the payload codec.
+// protocol layer sits above noc), so callers supply the payload walk.
 //
-// Pipe ownership: every flit pipe is serialized at its consumer (router
+// Pipe ownership: every flit pipe is walked at its consumer (router
 // input ports and NI eject sides) and every credit pipe at its consumer
 // (router output ports and NI inject sides), so each shared pipe is
-// written exactly once.
+// walked exactly once.
 
-// PayloadEnc encodes one packet payload.
-type PayloadEnc func(e *ckpt.Enc, payload any)
+// PayloadWalk walks one packet payload (*payload is nil while a load
+// walks a fresh packet).
+type PayloadWalk func(payload *any, s *ckpt.State)
 
-// PayloadDec decodes one packet payload.
-type PayloadDec func(d *ckpt.Dec) any
-
-// EncodePacket serializes one packet record: identity, transfer progress,
-// and payload. Shared by the router network's packet table and by other
+// PacketState walks one packet record: identity, transfer progress, and
+// payload. Loading allocates the packet into *pp; numNodes bounds the
+// valid Src/Dst range so a corrupt record cannot index outside the
+// fabric. Shared by the router network's packet table and by other
 // Network implementations (topo.Ideal) that hold packets in flight.
-func EncodePacket(e *ckpt.Enc, p *Packet, put PayloadEnc) {
-	e.U64(p.ID)
-	e.U64(uint64(p.Class))
-	e.Int(int(p.Src))
-	e.Int(int(p.Dst))
-	e.Int(p.Size)
-	e.I64(int64(p.InjectedAt))
-	e.Int(p.hops)
-	e.Int(p.arrived)
-	put(e, p.Payload)
+func PacketState(pp **Packet, s *ckpt.State, numNodes int, payload PayloadWalk) {
+	if s.Loading() {
+		*pp = &Packet{}
+	}
+	p := *pp
+	s.U64(&p.ID)
+	ckpt.Uint(s, &p.Class, NumClasses-1)
+	ckpt.Int(s, &p.Src)
+	ckpt.Int(s, &p.Dst)
+	ckpt.Int(s, &p.Size)
+	ckpt.Int(s, &p.InjectedAt)
+	ckpt.Int(s, &p.hops)
+	ckpt.Int(s, &p.arrived)
+	if s.Loading() && s.Err() == nil && (p.Size < 1 ||
+		p.Src < 0 || int(p.Src) >= numNodes || p.Dst < 0 || int(p.Dst) >= numNodes) {
+		s.Corrupt("invalid packet record (class %d, size %d, %d->%d)", p.Class, p.Size, p.Src, p.Dst)
+		return
+	}
+	payload(&p.Payload, s)
 }
 
-// DecodePacket is the inverse of EncodePacket; numNodes bounds the valid
-// Src/Dst range so a corrupt record cannot index outside the fabric.
-func DecodePacket(d *ckpt.Dec, numNodes int, get PayloadDec) *Packet {
-	p := &Packet{
-		ID:    d.U64(),
-		Class: Class(d.U64()),
+// State walks the traffic counters.
+func (st *Stats) State(s *ckpt.State) {
+	ckpt.Int(s, &st.Injected)
+	ckpt.Int(s, &st.Delivered)
+	for c := 0; c < NumClasses; c++ {
+		ckpt.Int(s, &st.LatencySum[c])
+		ckpt.Int(s, &st.Count[c])
 	}
-	p.Src = NodeID(d.Int())
-	p.Dst = NodeID(d.Int())
-	p.Size = d.Int()
-	p.InjectedAt = sim.Cycle(d.I64())
-	p.hops = d.Int()
-	p.arrived = d.Int()
-	if d.Err() != nil {
-		return nil
-	}
-	if p.Class >= NumClasses || p.Size < 1 ||
-		p.Src < 0 || int(p.Src) >= numNodes || p.Dst < 0 || int(p.Dst) >= numNodes {
-		d.Corrupt("invalid packet record (class %d, size %d, %d->%d)", p.Class, p.Size, p.Src, p.Dst)
-		return nil
-	}
-	p.Payload = get(d)
-	return p
+	ckpt.Int(s, &st.FlitHops)
+	s.F64(&st.FlitLinkMM)
+	ckpt.Int(s, &st.PacketHops)
+	ckpt.Int(s, &st.InjectFlits)
 }
 
+// pktTable numbers the network's live packets: a save builds it in the
+// fixed traversal order of forEachPacket, a load decodes it, and every
+// packet reference walks as its table index.
 type pktTable struct {
 	idx  map[*Packet]int
 	pkts []*Packet
@@ -79,40 +80,31 @@ func (t *pktTable) add(p *Packet) {
 	}
 }
 
-func (t *pktTable) ref(e *ckpt.Enc, p *Packet) { e.U64(uint64(t.idx[p])) }
-
-func (t *pktTable) deref(d *ckpt.Dec) *Packet {
-	i := d.U64()
+// ref walks a packet reference as its table index. A load's table has no
+// index map, and the lookup in it reads 0.
+func (t *pktTable) ref(p **Packet, s *ckpt.State) {
+	i := uint64(t.idx[*p])
+	s.U64(&i)
+	if !s.Loading() {
+		return
+	}
 	if i >= uint64(len(t.pkts)) {
-		d.Corrupt("packet index %d out of range (%d packets)", i, len(t.pkts))
-		return nil
+		s.Corrupt("packet index %d out of range (%d packets)", i, len(t.pkts))
+		return
 	}
-	return t.pkts[i]
+	*p = t.pkts[i]
 }
 
-func (t *pktTable) putFlit(e *ckpt.Enc, f Flit) {
-	t.ref(e, f.Pkt)
-	e.Int(f.Seq)
-}
-
-func (t *pktTable) getFlit(d *ckpt.Dec) Flit {
-	p := t.deref(d)
-	seq := d.Int()
-	if p != nil && (seq < 0 || seq >= p.Size) {
-		d.Corrupt("flit seq %d out of range for %d-flit packet", seq, p.Size)
+func (t *pktTable) flit(f *Flit, s *ckpt.State) {
+	t.ref(&f.Pkt, s)
+	ckpt.Int(s, &f.Seq)
+	if s.Loading() && f.Pkt != nil && (f.Seq < 0 || f.Seq >= f.Pkt.Size) {
+		s.Corrupt("flit seq %d out of range for %d-flit packet", f.Seq, f.Pkt.Size)
 	}
-	return Flit{Pkt: p, Seq: seq}
 }
 
-func putCredit(e *ckpt.Enc, c Credit) { e.U64(uint64(c.VC)) }
-
-func getCredit(d *ckpt.Dec) Credit {
-	vc := d.U64()
-	if vc >= NumClasses {
-		d.Corrupt("credit VC %d out of range", vc)
-	}
-	return Credit{VC: Class(vc)}
-}
+// State walks a credit's VC.
+func (c *Credit) State(s *ckpt.State) { ckpt.Uint(s, &c.VC, NumClasses-1) }
 
 // forEachPacket walks every live packet reference in the fixed traversal
 // order the codec relies on.
@@ -150,189 +142,98 @@ func (rn *RouterNetwork) forEachPacket(visit func(p *Packet)) {
 	}
 }
 
-// SaveState implements the network's side of ckpt.Saver; put encodes each
-// packet's payload. The network's local accounting is folded into the
-// shared Stats first, so per-router/per-port deltas are zero at the
-// snapshot and only the folded totals travel.
-func (rn *RouterNetwork) SaveState(e *ckpt.Enc, put PayloadEnc) {
-	rn.fold()
-	t := &pktTable{idx: make(map[*Packet]int)}
-	rn.forEachPacket(t.add)
-
-	e.U64(uint64(len(t.pkts)))
-	for _, p := range t.pkts {
-		EncodePacket(e, p, put)
+// State walks the network's in-flight state; payload walks each
+// packet's payload. A save first folds the network's local accounting
+// into the shared Stats, so per-router/per-port deltas are zero at the
+// snapshot and only the folded totals travel. A load needs the network
+// built with the donor's topology; each router's derived state — its
+// buffered count, occupancy and due sets and last-grant stamps — is
+// rebuilt from the restored buffers and pipes.
+func (rn *RouterNetwork) State(s *ckpt.State, payload PayloadWalk) {
+	t := &pktTable{}
+	if !s.Loading() {
+		rn.fold()
+		t.idx = make(map[*Packet]int)
+		rn.forEachPacket(t.add)
+	}
+	n := s.Count(len(t.pkts))
+	if s.Loading() {
+		t.pkts = make([]*Packet, n)
+	}
+	for i := 0; i < n && s.Err() == nil; i++ {
+		PacketState(&t.pkts[i], s, len(rn.NIs), payload)
 	}
 
 	for _, ni := range rn.NIs {
-		if ni == nil {
+		if ni == nil || s.Err() != nil {
 			continue
 		}
 		for c := range ni.injectQ {
-			ni.injectQ[c].SaveState(e, func(e *ckpt.Enc, p *Packet) { t.ref(e, p) })
-			e.Int(ni.nextSeq[c])
+			ni.injectQ[c].State(s, t.ref)
+			ckpt.Int(s, &ni.nextSeq[c])
 		}
-		e.Int(ni.rr)
+		ckpt.Int(s, &ni.rr)
 		for c := range ni.out.credits {
-			e.Int(ni.out.credits[c])
+			ckpt.Int(s, &ni.out.credits[c])
 		}
 		if ni.out.creditIn != nil {
-			ni.out.creditIn.SaveState(e, putCredit)
+			ni.out.creditIn.State(s, (*Credit).State)
 		}
 		if ni.eject != nil {
-			ni.eject.SaveState(e, t.putFlit)
+			ni.eject.State(s, t.flit)
 		}
 	}
 
 	for _, r := range rn.Routers {
-		e.I64(r.flits)
-		for _, ip := range r.ins {
-			for c := range ip.vcs {
-				q := &ip.vcs[c]
-				e.U64(uint64(q.n))
-				for i := 0; i < q.n; i++ {
-					t.putFlit(e, q.buf[(q.head+i)%len(q.buf)])
-				}
-			}
-			if ip.in != nil {
-				ip.in.SaveState(e, t.putFlit)
-			}
-		}
-		for _, op := range r.outs {
-			for c := range op.credits {
-				e.Int(op.credits[c])
-			}
-			for c := range op.owner {
-				if op.owner[c] == nil {
-					e.Bool(false)
-				} else {
-					e.Bool(true)
-					t.ref(e, op.owner[c])
-				}
-			}
-			e.I64(op.sent)
-			if op.creditIn != nil {
-				op.creditIn.SaveState(e, putCredit)
-			}
-		}
-	}
-
-	s := &rn.stats
-	e.I64(s.Injected)
-	e.I64(s.Delivered)
-	for c := 0; c < NumClasses; c++ {
-		e.I64(s.LatencySum[c])
-		e.I64(s.Count[c])
-	}
-	e.I64(s.FlitHops)
-	e.F64(s.FlitLinkMM)
-	e.I64(s.PacketHops)
-	e.I64(s.InjectFlits)
-}
-
-// LoadState is the inverse of SaveState; get decodes each payload. The
-// network must be built with the donor's topology. Each router's derived
-// state — its buffered count, occupancy and due sets and last-grant
-// stamps — is rebuilt from the restored buffers and pipes.
-func (rn *RouterNetwork) LoadState(d *ckpt.Dec, get PayloadDec) {
-	n := d.Count()
-	if d.Err() != nil {
-		return
-	}
-	t := &pktTable{idx: make(map[*Packet]int), pkts: make([]*Packet, 0, n)}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		p := DecodePacket(d, len(rn.NIs), get)
-		if p == nil {
+		if s.Err() != nil {
 			return
 		}
-		t.pkts = append(t.pkts, p)
-	}
-	if d.Err() != nil {
-		return
-	}
-
-	for _, ni := range rn.NIs {
-		if ni == nil {
-			continue
-		}
-		for c := range ni.injectQ {
-			ni.injectQ[c].LoadState(d, func(d *ckpt.Dec) *Packet { return t.deref(d) })
-			ni.nextSeq[c] = d.Int()
-		}
-		ni.rr = d.Int()
-		for c := range ni.out.credits {
-			ni.out.credits[c] = d.Int()
-		}
-		if ni.out.creditIn != nil {
-			ni.out.creditIn.LoadState(d, getCredit)
-		}
-		if ni.eject != nil {
-			ni.eject.LoadState(d, t.getFlit)
-		}
-		if d.Err() != nil {
-			return
-		}
-	}
-
-	for _, r := range rn.Routers {
-		r.flits = d.I64()
+		ckpt.Int(s, &r.flits)
 		r.flitsFolded = r.flits
 		for _, ip := range r.ins {
 			for c := range ip.vcs {
 				q := &ip.vcs[c]
-				cnt := d.Count()
-				if d.Err() != nil {
-					return
+				cnt := s.Count(q.n)
+				if s.Loading() {
+					if cnt > len(q.buf) {
+						s.Corrupt("VC occupancy %d exceeds buffer capacity %d", cnt, len(q.buf))
+						return
+					}
+					q.head, q.n = 0, cnt
+					clear(q.buf)
 				}
-				if cnt > len(q.buf) {
-					d.Corrupt("VC occupancy %d exceeds buffer capacity %d", cnt, len(q.buf))
-					return
-				}
-				q.head = 0
-				q.n = cnt
-				for i := range q.buf {
-					q.buf[i] = Flit{}
-				}
-				for i := 0; i < cnt; i++ {
-					q.buf[i] = t.getFlit(d)
+				for i := 0; i < q.n; i++ {
+					t.flit(&q.buf[(q.head+i)%len(q.buf)], s)
 				}
 			}
 			if ip.in != nil {
-				ip.in.LoadState(d, t.getFlit)
+				ip.in.State(s, t.flit)
 			}
 		}
 		for _, op := range r.outs {
 			for c := range op.credits {
-				op.credits[c] = d.Int()
+				ckpt.Int(s, &op.credits[c])
 			}
 			for c := range op.owner {
-				if d.Bool() {
-					op.owner[c] = t.deref(d)
+				owned := op.owner[c] != nil
+				s.Bool(&owned)
+				if owned {
+					t.ref(&op.owner[c], s)
 				} else {
 					op.owner[c] = nil
 				}
 			}
-			op.sent = d.I64()
+			ckpt.Int(s, &op.sent)
 			op.sentFolded = op.sent
 			if op.creditIn != nil {
-				op.creditIn.LoadState(d, getCredit)
+				op.creditIn.State(s, (*Credit).State)
 			}
 		}
-		if d.Err() != nil {
-			return
+		if s.Loading() && s.Err() == nil {
+			r.resync()
 		}
-		r.resync()
 	}
-
-	s := &rn.stats
-	s.Injected = d.I64()
-	s.Delivered = d.I64()
-	for c := 0; c < NumClasses; c++ {
-		s.LatencySum[c] = d.I64()
-		s.Count[c] = d.I64()
+	if s.Err() == nil {
+		rn.stats.State(s)
 	}
-	s.FlitHops = d.I64()
-	s.FlitLinkMM = d.F64()
-	s.PacketHops = d.I64()
-	s.InjectFlits = d.I64()
 }

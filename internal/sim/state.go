@@ -29,34 +29,32 @@ func (p *Pipe[T]) Each(fn func(at Cycle, v T)) {
 	}
 }
 
-// InFlight returns the total entry count Each will visit.
-func (p *Pipe[T]) InFlight() int { return p.Len() + len(p.staged) }
-
-// SaveState serializes the pipe's in-flight entries; put encodes one
-// value. Delivery cycles are delta-encoded from the predecessor (FIFO
-// pipes deliver in near-sorted cycle order).
-func (p *Pipe[T]) SaveState(e *ckpt.Enc, put func(e *ckpt.Enc, v T)) {
-	e.U64(uint64(p.InFlight()))
+// State walks the pipe's in-flight entries in consumer-visible order;
+// walk walks one value. Delivery cycles are delta-encoded from the
+// predecessor (FIFO pipes deliver in near-sorted cycle order). Loading
+// replaces the contents and raises no wakes — Engine.RestoreAt re-arms
+// consumers wholesale — and leaves the wiring (name, delay, waker,
+// staging mode) untouched.
+func (p *Pipe[T]) State(s *ckpt.State, walk func(v *T, s *ckpt.State)) {
+	live := p.Len()
+	n := s.Count(live + len(p.staged))
+	if s.Loading() {
+		p.q, p.head, p.staged = p.q[:0], 0, p.staged[:0]
+	}
 	prev := Cycle(0)
-	p.Each(func(at Cycle, v T) {
-		e.I64(int64(at - prev))
-		prev = at
-		put(e, v)
-	})
-}
-
-// LoadState replaces the pipe's contents with the serialized entries.
-// No wakes are raised — Engine.RestoreAt re-arms consumers wholesale.
-// The pipe's wiring (name, delay, waker, staging mode) is untouched.
-func (p *Pipe[T]) LoadState(d *ckpt.Dec, get func(d *ckpt.Dec) T) {
-	n := d.Count()
-	p.q = p.q[:0]
-	p.head = 0
-	p.staged = p.staged[:0]
-	prev := Cycle(0)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		prev += Cycle(d.I64())
-		p.q = append(p.q, pipeEntry[T]{at: prev, v: get(d)})
+	for i := 0; i < n && s.Err() == nil; i++ {
+		var en *pipeEntry[T]
+		switch {
+		case s.Loading():
+			p.q = append(p.q, pipeEntry[T]{})
+			en = &p.q[i]
+		case i < live:
+			en = &p.q[p.head+i]
+		default:
+			en = &p.staged[i-live]
+		}
+		ckpt.Delta(s, &en.at, &prev)
+		walk(&en.v, s)
 	}
 }
 
@@ -68,33 +66,30 @@ func (q *Queue[T]) Each(fn func(v T)) {
 	}
 }
 
-// SaveState serializes the queue's contents; put encodes one value.
-func (q *Queue[T]) SaveState(e *ckpt.Enc, put func(e *ckpt.Enc, v T)) {
-	e.U64(uint64(q.Len()))
-	q.Each(func(v T) { put(e, v) })
-}
-
-// LoadState replaces the queue's contents with the serialized values.
-func (q *Queue[T]) LoadState(d *ckpt.Dec, get func(d *ckpt.Dec) T) {
-	n := d.Count()
-	q.q = q.q[:0]
-	q.head = 0
-	for i := 0; i < n && d.Err() == nil; i++ {
-		q.q = append(q.q, get(d))
+// State walks the queue's contents in FIFO order; walk walks one value.
+// Loading replaces the contents.
+func (q *Queue[T]) State(s *ckpt.State, walk func(v *T, s *ckpt.State)) {
+	n := s.Count(q.Len())
+	if s.Loading() {
+		q.q, q.head = q.q[:0], 0
+	}
+	for i := 0; i < n && s.Err() == nil; i++ {
+		if s.Loading() {
+			var zero T
+			q.q = append(q.q, zero)
+		}
+		walk(&q.q[q.head+i], s)
 	}
 }
 
-// State returns the RNG's position in its sequence.
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState repositions the generator. The zero guard mirrors NewRNG
-// (xorshift's all-zero fixed point), though a live generator can never
-// reach state zero.
-func (r *RNG) SetState(s uint64) {
-	if s == 0 {
-		s = 0x9E3779B97F4A7C15
+// State walks the RNG's position in its sequence. The zero guard mirrors
+// NewRNG (xorshift's all-zero fixed point), though a live generator can
+// never reach state zero.
+func (r *RNG) State(s *ckpt.State) {
+	s.U64(&r.state)
+	if r.state == 0 {
+		r.state = 0x9E3779B97F4A7C15
 	}
-	r.state = s
 }
 
 // RestoreAt moves the engine's clock to the snapshot cycle and re-arms

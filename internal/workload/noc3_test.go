@@ -18,6 +18,11 @@ import (
 	"nocout/internal/cpu"
 )
 
+// parseTraceBytes indexes an in-memory NOC3 container.
+func parseTraceBytes(data []byte) (*TraceFile, error) {
+	return newTraceFile(bytes.NewReader(data), int64(len(data)))
+}
+
 // writeNOC3Bytes records w into an in-memory NOC3 container.
 func writeNOC3Bytes(t *testing.T, w Workload, cores, perCore int, seed uint64, blockLen int) []byte {
 	t.Helper()
@@ -30,7 +35,7 @@ func writeNOC3Bytes(t *testing.T, w Workload, cores, perCore int, seed uint64, b
 
 func parseNOC3(t *testing.T, data []byte) *TraceFile {
 	t.Helper()
-	tf, err := ParseTraceBytes(data)
+	tf, err := parseTraceBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +336,7 @@ func TestNOC3RejectsCorruption(t *testing.T) {
 
 	check := func(name string, b []byte) {
 		t.Helper()
-		bad, err := ParseTraceBytes(b)
+		bad, err := parseTraceBytes(b)
 		if err == nil {
 			err = bad.Verify()
 		}
@@ -357,7 +362,7 @@ func TestNOC3RejectsCorruption(t *testing.T) {
 	for pos := 4; pos < len(data); pos += 97 {
 		bad = append([]byte(nil), data...)
 		bad[pos] ^= 0x20
-		b, err := ParseTraceBytes(bad)
+		b, err := parseTraceBytes(bad)
 		if err != nil {
 			continue
 		}
@@ -399,11 +404,11 @@ func TestNOC3CursorSaveRestore(t *testing.T) {
 		st.Next()
 	}
 	var e ckpt.Enc
-	st.SaveState(&e)
+	st.State(ckpt.Encoding(&e))
 
 	restored := tf.StreamFor(0, 1).(*blockReplay)
 	d := ckpt.NewDec(e.Bytes())
-	restored.LoadState(d)
+	restored.State(ckpt.Decoding(d))
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -423,10 +428,10 @@ func TestNOC3CursorSaveRestore(t *testing.T) {
 		{"offset past short tail", 15, 31}, // block 15 holds 500-15*32=20
 	} {
 		var be ckpt.Enc
-		be.Int(bad.blk)
-		be.Int(bad.off)
+		be.I64(int64(bad.blk))
+		be.I64(int64(bad.off))
 		bd := ckpt.NewDec(be.Bytes())
-		tf.StreamFor(0, 1).(*blockReplay).LoadState(bd)
+		tf.StreamFor(0, 1).(*blockReplay).State(ckpt.Decoding(bd))
 		if bd.Err() == nil {
 			t.Fatalf("%s: corrupt cursor accepted", bad.name)
 		}
@@ -622,7 +627,7 @@ func (w wrappingLayout) Layout() Layout {
 // refused by name in the reader's header, and the recorder will not write
 // one.
 func TestTraceRejectsWrappingRegion(t *testing.T) {
-	if _, err := ParseTraceBytes(wrappingNOC3(t)); err == nil || !strings.Contains(err.Error(), "hot region") {
+	if _, err := parseTraceBytes(wrappingNOC3(t)); err == nil || !strings.Contains(err.Error(), "hot region") {
 		t.Fatalf("NOC3 with a wrapping hot region: error %v, want one naming the hot region", err)
 	}
 	if err := WriteNOC3(io.Discard, wrappingLayout{MapReducePhased()}, 2, 300, 1, 32); err == nil {

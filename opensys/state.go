@@ -2,99 +2,64 @@ package opensys
 
 import (
 	"fmt"
+	"slices"
 
 	"nocout/internal/ckpt"
-	"nocout/internal/sim"
 )
 
-// Checkpoint serialization of the open-system machinery. The process
-// parameters (Config, skew weights, base workload) are structural; the
-// state is the arrival engine's position (RNG, absolute clock, modulator
-// pieces), the request lifecycle (queue, serving request, pending
-// completions), and the nested base-workload stream cursor. Measurement
-// OpenStats are excluded — the restore path re-zeroes them through the
-// same OpenReset the warmup boundary uses.
+// Checkpoint walks of the open-system machinery. The process parameters
+// (Config, skew weights, base workload) are structural; the state is the
+// arrival engine's position (RNG, absolute clock, modulator pieces), the
+// request lifecycle (queue, serving request, pending completions), and
+// the nested base-workload stream cursor. Measurement OpenStats are
+// excluded — the restore path re-zeroes them through the same OpenReset
+// the warmup boundary uses.
 
-func (g *arrivalGen) SaveState(e *ckpt.Enc) {
-	e.U64(g.rng.State())
-	e.F64(g.t)
+// State walks the arrival engine's position.
+func (g *arrivalGen) State(s *ckpt.State) {
+	g.rng.State(s)
+	s.F64(&g.t)
 	for _, m := range g.mods {
-		e.F64(m.mult)
-		e.F64(m.left)
-		e.Int(m.phase)
+		s.F64(&m.mult)
+		s.F64(&m.left)
+		ckpt.Int(s, &m.phase)
 	}
 }
 
-func (g *arrivalGen) LoadState(d *ckpt.Dec) {
-	g.rng.SetState(d.U64())
-	g.t = d.F64()
-	for _, m := range g.mods {
-		m.mult = d.F64()
-		m.left = d.F64()
-		m.phase = d.Int()
-	}
-}
-
-// SaveState implements ckpt.Saver. The base workload's stream must itself
-// be a ckpt.Saver (every registered workload's streams are); a custom
+// State implements ckpt.Walker. The base workload's stream must itself be
+// a ckpt.Walker (every registered workload's streams are); a custom
 // stream that is not cannot be checkpointed.
-func (s *openStream) SaveState(e *ckpt.Enc) {
-	sv, ok := s.service.(ckpt.Saver)
+func (s *openStream) State(st *ckpt.State) {
+	w, ok := s.service.(ckpt.Walker)
 	if !ok {
 		panic(fmt.Sprintf("opensys: base stream %T does not support checkpointing", s.service))
 	}
-	sv.SaveState(e)
-	s.arr.SaveState(e)
-	e.F64(s.nextArr)
-	e.U64(uint64(len(s.queue)))
+	w.State(st)
+	s.arr.State(st)
+	st.F64(&s.nextArr)
+	n := st.Count(len(s.queue))
+	if st.Loading() {
+		if n > s.o.cfg.Queue {
+			st.Corrupt("open queue occupancy %d exceeds bound %d", n, s.o.cfg.Queue)
+			return
+		}
+		s.queue = slices.Grow(s.queue[:0], n)[:n]
+	}
 	prev := int64(0)
-	for _, at := range s.queue {
-		e.I64(at - prev)
-		prev = at
+	for i := range s.queue {
+		ckpt.Delta(st, &s.queue[i], &prev)
 	}
-	e.Bool(s.serving)
-	e.Int(s.remain)
-	e.I64(s.issued)
-	e.I64(s.retired)
-	e.U64(uint64(len(s.pending)))
-	for _, r := range s.pending {
-		e.I64(r.arrival)
-		e.I64(r.end)
+	st.Bool(&s.serving)
+	ckpt.Int(st, &s.remain)
+	ckpt.Int(st, &s.issued)
+	ckpt.Int(st, &s.retired)
+	n = st.Count(len(s.pending))
+	if st.Loading() {
+		s.pending = slices.Grow(s.pending[:0], n)[:n]
 	}
-	e.I64(int64(s.fallback))
-}
-
-// LoadState implements ckpt.Loader.
-func (s *openStream) LoadState(d *ckpt.Dec) {
-	ld, ok := s.service.(ckpt.Loader)
-	if !ok {
-		panic(fmt.Sprintf("opensys: base stream %T does not support checkpointing", s.service))
+	for i := range s.pending {
+		ckpt.Int(st, &s.pending[i].arrival)
+		ckpt.Int(st, &s.pending[i].end)
 	}
-	ld.LoadState(d)
-	s.arr.LoadState(d)
-	s.nextArr = d.F64()
-	n := d.Count()
-	if d.Err() != nil {
-		return
-	}
-	if n > s.o.cfg.Queue {
-		d.Corrupt("open queue occupancy %d exceeds bound %d", n, s.o.cfg.Queue)
-		return
-	}
-	s.queue = s.queue[:0]
-	prev := int64(0)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		prev += d.I64()
-		s.queue = append(s.queue, prev)
-	}
-	s.serving = d.Bool()
-	s.remain = d.Int()
-	s.issued = d.I64()
-	s.retired = d.I64()
-	np := d.Count()
-	s.pending = s.pending[:0]
-	for i := 0; i < np && d.Err() == nil; i++ {
-		s.pending = append(s.pending, openReq{arrival: d.I64(), end: d.I64()})
-	}
-	s.fallback = sim.Cycle(d.I64())
+	ckpt.Int(st, &s.fallback)
 }
