@@ -1,9 +1,6 @@
 package nocout
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -65,15 +62,7 @@ func checkpointKey(cfg Config, w workload.Workload, warmup sim.Cycle) (string, e
 	if err != nil {
 		return "", fmt.Errorf("nocout: checkpoint key: %w", err)
 	}
-	h := sha256.New()
-	// Length-prefixed fields: no concatenation ambiguity between parts.
-	for _, part := range [][]byte{[]byte(CheckpointKeyVersion), cj, fp, wj} {
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(part)))
-		h.Write(n[:])
-		h.Write(part)
-	}
-	return CheckpointKeyVersion + "-" + hex.EncodeToString(h.Sum(nil)), nil
+	return contentKey(CheckpointKeyVersion, cj, fp, wj), nil
 }
 
 // PrefixKey returns the canonical identity of the warm state seed index

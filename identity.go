@@ -56,15 +56,21 @@ func (p Point) Key(q Quality) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("nocout: quality: %w", err)
 	}
+	return contentKey(KeyVersion, pj, fp, qj), nil
+}
+
+// contentKey returns version + "-" + the hex SHA-256 of version and the
+// parts, each field prefixed with its length as 8 big-endian bytes, so
+// no two lists of parts hash the same bytes.
+func contentKey(version string, parts ...[]byte) string {
 	h := sha256.New()
-	// Length-prefixed fields: no concatenation ambiguity between parts.
-	for _, part := range [][]byte{[]byte(KeyVersion), pj, fp, qj} {
-		var n [8]byte
+	var n [8]byte
+	for _, part := range append([][]byte{[]byte(version)}, parts...) {
 		binary.BigEndian.PutUint64(n[:], uint64(len(part)))
 		h.Write(n[:])
 		h.Write(part)
 	}
-	return KeyVersion + "-" + hex.EncodeToString(h.Sum(nil)), nil
+	return version + "-" + hex.EncodeToString(h.Sum(nil))
 }
 
 // canonicalJSON marshals v, then re-encodes through a generic value so

@@ -189,9 +189,9 @@ func TestDesignString(t *testing.T) {
 func TestChannelOfCoversAllChannels(t *testing.T) {
 	seen := map[int]bool{}
 	for line := uint64(0); line < 4096; line++ {
-		ch := channelOf(line, 4)
+		ch := ChannelHash(line, 4)
 		if ch < 0 || ch > 3 {
-			t.Fatalf("channelOf out of range: %d", ch)
+			t.Fatalf("ChannelHash out of range: %d", ch)
 		}
 		seen[ch] = true
 	}
@@ -202,7 +202,7 @@ func TestChannelOfCoversAllChannels(t *testing.T) {
 	seen = map[int]bool{}
 	for core := uint64(0); core < 64; core++ {
 		base := (uint64(0x0100_0000_0000) + core*0x0001_0000_0000) / 64
-		seen[channelOf(base, 4)] = true
+		seen[ChannelHash(base, 4)] = true
 	}
 	if len(seen) < 3 {
 		t.Fatalf("per-core bases alias onto %d channels", len(seen))

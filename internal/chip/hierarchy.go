@@ -254,10 +254,6 @@ func ChannelHash(line uint64, channels int) int {
 	return int(h % uint64(channels))
 }
 
-// channelOf is the historical name ChannelHash grew out of; the chip
-// tests pin its spreading properties under this spelling.
-func channelOf(line uint64, channels int) int { return ChannelHash(line, channels) }
-
 // RegionOwner derives a line→owning-core classifier from a workload's
 // address layout, for region-affine placements: each core's local dataset
 // window (its Local region extended to the uniform inter-core stride)

@@ -196,7 +196,7 @@ func TestSharedNUCALayoutMatchesLegacy(t *testing.T) {
 		if want := int(line % 64); bank != want || node != c.Fabric.BankNode(want) {
 			t.Fatalf("line %d: home (%v, %d), want (%v, %d)", line, node, bank, c.Fabric.BankNode(want), want)
 		}
-		if got, want := ml.ChannelOf(line), channelOf(line, cfg.MemChannels); got != want {
+		if got, want := ml.ChannelOf(line), ChannelHash(line, cfg.MemChannels); got != want {
 			t.Fatalf("line %d: channel %d, want %d", line, got, want)
 		}
 	}

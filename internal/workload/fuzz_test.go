@@ -31,7 +31,7 @@ func FuzzReadNOC3(f *testing.F) {
 	f.Add(hostile)
 	f.Add(wrappingNOC3(f)) // hot region past the top of the address space
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tf, err := ParseTraceBytes(data)
+		tf, err := parseTraceBytes(data)
 		if err != nil {
 			return
 		}

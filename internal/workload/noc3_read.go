@@ -43,8 +43,8 @@ type traceCore struct {
 	blocks []blockRef
 }
 
-// TraceStats aggregates the index section's compression accounting.
-type TraceStats struct {
+// traceStats aggregates the index section's compression accounting.
+type traceStats struct {
 	Blocks            int    // block sections in the file
 	PredPrev          uint64 // blocks encoded with the previous-instruction predictor
 	PredPhase         uint64 // blocks encoded with the same-offset-in-previous-block predictor
@@ -67,7 +67,7 @@ type TraceFile struct {
 	blockLen int
 	cores    []traceCore
 	fp       [sha256.Size]byte
-	stats    TraceStats
+	stats    traceStats
 	headerSz int // header section bytes, for Inspect
 	indexSz  int // index section bytes, for Inspect
 }
@@ -96,12 +96,6 @@ func OpenTraceFile(path string) (*TraceFile, error) {
 	t.path = path
 	t.closer = f
 	return t, nil
-}
-
-// ParseTraceBytes indexes an in-memory NOC3 container (the fuzz and test
-// entry point).
-func ParseTraceBytes(data []byte) (*TraceFile, error) {
-	return newTraceFile(bytes.NewReader(data), int64(len(data)))
 }
 
 // Close releases the underlying file, if any. Streams handed out by

@@ -380,16 +380,6 @@ func abs(v int) int {
 	return v
 }
 
-// Defaults returns the registered default instances in registration
-// order — handy for -list style tooling.
-func Defaults() []*Open {
-	out := make([]*Open, len(defaults))
-	copy(out, defaults)
-	return out
-}
-
-var defaults []*Open
-
 func init() {
 	workload.MustRegisterScheme(Scheme, func(spec string) (workload.Workload, error) {
 		return Parse(spec)
@@ -407,7 +397,6 @@ func init() {
 		if err := workload.Register(o); err != nil {
 			panic(err)
 		}
-		defaults = append(defaults, o)
 	}
 }
 
