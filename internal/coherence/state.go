@@ -47,7 +47,8 @@ func (l *L1) State(s *ckpt.State) {
 	s.U64(&l.pktSeq)
 }
 
-func (tr *trans) walk(s *ckpt.State) {
+// State walks an open transaction.
+func (tr *trans) State(s *ckpt.State) {
 	tr.origin.State(s)
 	ckpt.Uint(s, &tr.state, tWaitRecall)
 	ckpt.Int(s, &tr.acksLeft)
@@ -112,11 +113,11 @@ func (b *Bank) State(s *ckpt.State) {
 	}
 	for i := 0; i < n && s.Err() == nil; i++ {
 		if !s.Loading() {
-			b.busy[lines[i]].walk(s)
+			b.busy[lines[i]].State(s)
 			continue
 		}
 		tr := &trans{}
-		tr.walk(s)
+		tr.State(s)
 		if _, dup := b.busy[tr.origin.Addr]; dup && s.Err() == nil {
 			s.Corrupt("duplicate transaction for line %#x", tr.origin.Addr)
 		}
