@@ -225,9 +225,9 @@ func (d *Dec) fail(format string, args ...any) {
 	}
 }
 
-// Corrupt records a semantic corruption found by a component decoder
-// (geometry mismatch, impossible occupancy); it sticks like any other
-// decode failure.
+// Corrupt records a semantic corruption found by a decoder built on Dec
+// (a trace header's oversized name or wrapping region, say); it sticks
+// like any other decode failure. Checkpoint walks call State.Corrupt.
 func (d *Dec) Corrupt(format string, args ...any) { d.fail(format, args...) }
 
 // U64 reads an unsigned varint.
