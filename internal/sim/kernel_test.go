@@ -59,54 +59,61 @@ func (c *queueConsumer) NextWake(now Cycle) Cycle {
 }
 
 // TestPipeFIFOAcrossSleepWake is the kernel-equivalence property test: for
-// randomized interleavings of Push/PushAfter (with randomized extra delays
-// and long idle gaps that force the consumer through sleep/wake
+// randomized push schedules onto pipes of different fixed delays (with
+// bursts and long idle gaps that force each consumer through sleep/wake
 // transitions), the scheduled kernel must deliver exactly the same values
-// at exactly the same cycles as the naive kernel, in FIFO order.
+// at exactly the same cycles as the naive kernel, each pipe in FIFO order
+// and each value exactly its pipe's delay after its push.
 func TestPipeFIFOAcrossSleepWake(t *testing.T) {
+	delays := []Cycle{1, 2, 7, 31}
 	for seed := uint64(1); seed <= 25; seed++ {
-		run := func(scheduled bool) []delivery {
+		var pushed [][]Cycle // per pipe, the push cycle of each value
+		run := func(scheduled bool) [][]delivery {
 			e := NewEngine()
 			e.SetScheduled(scheduled)
-			p := NewPipe[int]("prop", 2)
 			rng := NewRNG(seed)
-			next := 0
+			cons := make([]*pipeConsumer, len(delays))
+			pushed = make([][]Cycle, len(delays))
+			for i, d := range delays {
+				cons[i] = &pipeConsumer{p: NewPipe[int]("prop", d)}
+			}
 			// The producer is a plain ticker (always awake) so both kernels
 			// draw the identical random push schedule.
 			producer := TickFunc(func(now Cycle) {
-				switch rng.Intn(10) {
-				case 0:
-					p.Push(now, next)
-					next++
-				case 1:
-					p.PushAfter(now, Cycle(rng.Intn(30)), next)
-					next++
-				case 2: // burst
-					for k := 0; k < 3; k++ {
-						p.PushAfter(now, Cycle(rng.Intn(5)), next)
-						next++
-					}
+				if rng.Intn(10) > 2 {
+					return
+				}
+				i := rng.Intn(len(delays))
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					cons[i].p.Push(now, len(pushed[i]))
+					pushed[i] = append(pushed[i], now)
 				}
 			})
-			cons := &pipeConsumer{p: p}
-			e.Register(producer, cons)
+			e.Register(producer)
+			for _, c := range cons {
+				e.Register(c)
+			}
 			e.Step(500)
-			return cons.got
+			got := make([][]delivery, len(cons))
+			for i, c := range cons {
+				got[i] = c.got
+			}
+			return got
 		}
 		naive, sched := run(false), run(true)
 		if !reflect.DeepEqual(naive, sched) {
 			t.Fatalf("seed %d: kernels disagree:\nnaive %v\nsched %v", seed, naive, sched)
 		}
-		for i := 1; i < len(sched); i++ {
-			if sched[i].V != sched[i-1].V+1 {
-				t.Fatalf("seed %d: FIFO order violated at %d: %v", seed, i, sched)
+		for i, got := range sched {
+			if len(got) == 0 {
+				t.Fatalf("seed %d: no deliveries on the delay-%d pipe — property vacuous", seed, delays[i])
 			}
-			if sched[i].At < sched[i-1].At {
-				t.Fatalf("seed %d: delivery cycles regressed: %v", seed, sched)
+			for k, dv := range got {
+				if dv.V != k || dv.At != pushed[i][k]+delays[i] {
+					t.Fatalf("seed %d: delay-%d pipe delivered value %d at cycle %d as its %dth, pushed at %d: %v",
+						seed, delays[i], dv.V, dv.At, k, pushed[i][k], got)
+				}
 			}
-		}
-		if len(sched) == 0 {
-			t.Fatalf("seed %d: no deliveries — property vacuous", seed)
 		}
 	}
 }

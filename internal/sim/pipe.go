@@ -15,7 +15,6 @@ package sim
 // the buffer compacts (or resets) once the dead prefix dominates, replacing
 // the former O(n) copy-shift per Pop.
 type Pipe[T any] struct {
-	name  string
 	delay Cycle
 	q     []pipeEntry[T]
 	head  int
@@ -62,16 +61,14 @@ func compactPrefix[E any](q []E, head int) ([]E, int) {
 }
 
 // NewPipe returns a pipe with the given fixed delay in cycles. Delay must be
-// at least 1; a zero-delay wire would break tick-order independence.
+// at least 1; a zero-delay wire would break tick-order independence, and
+// the panic that says so names the pipe.
 func NewPipe[T any](name string, delay Cycle) *Pipe[T] {
 	if delay < 1 {
 		panic("sim: pipe delay must be >= 1 cycle: " + name)
 	}
-	return &Pipe[T]{name: name, delay: delay}
+	return &Pipe[T]{delay: delay}
 }
-
-// Name returns the debugging name the pipe was created with.
-func (p *Pipe[T]) Name() string { return p.name }
 
 // Delay returns the pipe's fixed latency in cycles.
 func (p *Pipe[T]) Delay() Cycle { return p.delay }
@@ -83,24 +80,6 @@ func (p *Pipe[T]) SetWaker(w Waker) { p.waker = w }
 // Push inserts v at cycle now; it becomes poppable at now+delay.
 func (p *Pipe[T]) Push(now Cycle, v T) {
 	at := now + p.delay
-	if p.staging {
-		p.staged = append(p.staged, pipeEntry[T]{at: at, v: v})
-		return
-	}
-	p.q = append(p.q, pipeEntry[T]{at: at, v: v})
-	if p.waker != nil {
-		p.waker.Wake(at)
-	}
-}
-
-// PushAfter inserts v with an additional extra cycles of latency on top of
-// the pipe's base delay. Useful for modelling pipelines whose depth depends
-// on the value (for example distance-proportional links).
-func (p *Pipe[T]) PushAfter(now Cycle, extra Cycle, v T) {
-	if extra < 0 {
-		extra = 0
-	}
-	at := now + p.delay + extra
 	if p.staging {
 		p.staged = append(p.staged, pipeEntry[T]{at: at, v: v})
 		return
@@ -137,10 +116,7 @@ func (p *Pipe[T]) CommitStaged() {
 
 // Pop removes and returns the oldest value whose delivery time has arrived.
 // The second result is false when nothing is deliverable at cycle now.
-//
-// Values are delivered strictly in push order; a value with a shorter
-// per-value extra delay never overtakes an earlier value (this models a
-// FIFO wire, and keeps flit order within a packet intact).
+// The delay is fixed, so values are delivered strictly in push order.
 func (p *Pipe[T]) Pop(now Cycle) (T, bool) {
 	var zero T
 	if p.head == len(p.q) || p.q[p.head].at > now {
@@ -151,15 +127,6 @@ func (p *Pipe[T]) Pop(now Cycle) (T, bool) {
 	p.head++
 	p.q, p.head = compactPrefix(p.q, p.head)
 	return v, true
-}
-
-// Peek returns the oldest deliverable value without removing it.
-func (p *Pipe[T]) Peek(now Cycle) (T, bool) {
-	var zero T
-	if p.head == len(p.q) || p.q[p.head].at > now {
-		return zero, false
-	}
-	return p.q[p.head].v, true
 }
 
 // NextAt returns the delivery cycle of the oldest in-flight value (the

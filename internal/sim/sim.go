@@ -28,9 +28,9 @@
 //     NeverWake means "purely reactive: my wake sources will re-arm me".
 //     Components that do not implement Sleeper are ticked every cycle,
 //     which is always safe.
-//   - Every input path is a wake source: Pipe.Push, Pipe.PushAfter, and
-//     Queue.Push re-arm the registered consumer (SetWaker / the engine's
-//     WakeBinder hook), so a sleeping component can never miss input.
+//   - Every input path is a wake source: Pipe.Push and Queue.Push re-arm
+//     the registered consumer (SetWaker / the engine's WakeBinder hook),
+//     so a sleeping component can never miss input.
 //   - A wake for the current cycle honors registration order: it lands this
 //     cycle if the consumer's turn has not passed yet, else next cycle —
 //     exactly when the naive kernel would have let the consumer see the

@@ -60,23 +60,6 @@ func TestPipeDelay(t *testing.T) {
 	}
 }
 
-func TestPipeFIFONoOvertaking(t *testing.T) {
-	p := NewPipe[int]("test", 1)
-	p.PushAfter(0, 5, 1) // deliverable at 6
-	p.PushAfter(1, 0, 2) // nominally deliverable at 2, but must not overtake
-	if _, ok := p.Pop(2); ok {
-		t.Fatal("second value overtook the first")
-	}
-	v, _ := p.Pop(6)
-	if v != 1 {
-		t.Fatalf("got %d want 1", v)
-	}
-	v, _ = p.Pop(6)
-	if v != 2 {
-		t.Fatalf("got %d want 2", v)
-	}
-}
-
 func TestPipePanicsOnZeroDelay(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -84,20 +67,6 @@ func TestPipePanicsOnZeroDelay(t *testing.T) {
 		}
 	}()
 	NewPipe[int]("bad", 0)
-}
-
-func TestPipePeekDoesNotConsume(t *testing.T) {
-	p := NewPipe[string]("test", 1)
-	p.Push(0, "a")
-	if v, ok := p.Peek(1); !ok || v != "a" {
-		t.Fatalf("Peek = %q,%v", v, ok)
-	}
-	if p.Len() != 1 {
-		t.Fatal("Peek consumed the value")
-	}
-	if v, ok := p.Pop(1); !ok || v != "a" {
-		t.Fatalf("Pop = %q,%v", v, ok)
-	}
 }
 
 func TestQueueFIFO(t *testing.T) {

@@ -76,33 +76,42 @@ func (s *scripted) NextWake(now Cycle) Cycle {
 	return NeverWake
 }
 
-// pipeLogger drains a pipe into the log, sleeping on its in-flight
+// pipeLogger drains its pipes into the log, sleeping on their in-flight
 // schedule.
 type pipeLogger struct {
 	id    int
 	log   *actionLog
-	p     *Pipe[int]
+	ps    []*Pipe[int]
 	ticks []Cycle
 }
 
-func (c *pipeLogger) BindWaker(w Waker) { c.p.SetWaker(w) }
+func (c *pipeLogger) BindWaker(w Waker) {
+	for _, p := range c.ps {
+		p.SetWaker(w)
+	}
+}
 
 func (c *pipeLogger) Tick(now Cycle) {
 	c.ticks = append(c.ticks, now)
-	for {
-		v, ok := c.p.Pop(now)
-		if !ok {
-			return
+	for _, p := range c.ps {
+		for {
+			v, ok := p.Pop(now)
+			if !ok {
+				break
+			}
+			c.log.add(c.id, now, v)
 		}
-		c.log.add(c.id, now, v)
 	}
 }
 
 func (c *pipeLogger) NextWake(now Cycle) Cycle {
-	if at, ok := c.p.NextAt(); ok {
-		return at
+	next := NeverWake
+	for _, p := range c.ps {
+		if at, ok := p.NextAt(); ok && at < next {
+			next = at
+		}
 	}
-	return NeverWake
+	return next
 }
 
 // queueLogger drains a queue into the log; fwd, when set, is pushed each
@@ -297,26 +306,29 @@ func TestWheelStridesAcrossSpan(t *testing.T) {
 // TestWheelPipeDeliveryDistances: values delivered 63, 64 and 65 cycles
 // after their push land on the wheel's last slot and just beyond it, with
 // every component asleep in between (idle jumps far longer than the
-// span). A long PushAfter followed by a short one lowers a far arm onto
-// the wheel, leaving a stale far entry behind.
+// span). A push onto a consumer's 101-cycle pipe followed by one onto its
+// 1-cycle pipe lowers a far arm onto the wheel, leaving a stale far entry
+// behind.
 func TestWheelPipeDeliveryDistances(t *testing.T) {
 	var loggers []*pipeLogger
 	onBothKernels(t, func(e *Engine, log *actionLog) {
 		loggers = loggers[:0]
 		var pipes []*Pipe[int]
-		for i, d := range []Cycle{63, 64, 65, 1} {
-			p := NewPipe[int]("dist", d)
-			pipes = append(pipes, p)
-			loggers = append(loggers, &pipeLogger{id: i, log: log, p: p})
+		for _, d := range []Cycle{63, 64, 65, 101, 1} {
+			pipes = append(pipes, NewPipe[int]("dist", d))
 		}
+		for i := range 3 {
+			loggers = append(loggers, &pipeLogger{id: i, log: log, ps: pipes[i : i+1]})
+		}
+		loggers = append(loggers, &pipeLogger{id: 3, log: log, ps: pipes[3:]})
 		v := 0
 		prod := &scripted{at: []Cycle{5, 300, 301, 1300, 1400, 1401}, act: func(now Cycle) {
 			if now == 1400 || now == 1401 {
-				extra := Cycle(100)
+				p := pipes[3] // arrives at 1501
 				if now == 1401 {
-					extra = 0 // earlier arm; FIFO still delivers after the first
+					p = pipes[4] // arrives at 1402, an earlier arm
 				}
-				pipes[3].PushAfter(now, extra, v)
+				p.Push(now, v)
 				v++
 				return
 			}
@@ -337,8 +349,8 @@ func TestWheelPipeDeliveryDistances(t *testing.T) {
 			t.Fatalf("delay-%d consumer ticked on %v, want %v", d, got, want)
 		}
 	}
-	// The lowered arm ticks once early (nothing deliverable yet), then
-	// sleeps until the FIFO head is due.
+	// The lowered arm ticks for the short pipe's value, then sleeps until
+	// the long pipe's is due.
 	if got, want := loggers[3].ticks, []Cycle{1, 1402, 1501}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("lowered-arm consumer ticked on %v, want %v", got, want)
 	}
@@ -457,7 +469,7 @@ func TestWheelExternalWakesBetweenSteps(t *testing.T) {
 		for id, d := range delays {
 			p := NewPipe[int]("ext", d)
 			pipes = append(pipes, p)
-			e.Register(&pipeLogger{id: id, log: got[i], p: p})
+			e.Register(&pipeLogger{id: id, log: got[i], ps: []*Pipe[int]{p}})
 		}
 		for v, s := range schedule {
 			for _, k := range s.push {
