@@ -35,6 +35,7 @@ type modulator struct {
 	mult    float64
 	left    float64
 	phase   int // process-specific discrete state (MMPP hi/lo, ON/OFF, diurnal index)
+	phases  int // the values phase takes: 0 through phases-1
 	advance func(m *modulator)
 }
 
@@ -135,7 +136,7 @@ func newMMPP(cfg Config, rng *sim.RNG) *modulator {
 	loMult := (cfg.DwellHi + cfg.DwellLo) / (cfg.Ratio*cfg.DwellHi + cfg.DwellLo)
 	hiMult := cfg.Ratio * loMult
 	hi := rng.Bool(cfg.DwellHi / (cfg.DwellHi + cfg.DwellLo))
-	m := &modulator{}
+	m := &modulator{phases: 2}
 	m.advance = func(m *modulator) {
 		m.phase ^= 1
 		if m.phase == 1 {
@@ -181,7 +182,7 @@ func newBurst(cfg Config, rng *sim.RNG) *modulator {
 		return math.Min(l, burstEpochCap)
 	}
 	on := rng.Bool(0.5)
-	m := &modulator{}
+	m := &modulator{phases: 2}
 	m.advance = func(m *modulator) {
 		m.phase ^= 1
 		if m.phase == 1 {
@@ -203,7 +204,7 @@ func newBurst(cfg Config, rng *sim.RNG) *modulator {
 // newDiurnal builds the deterministic phase-schedule modulator, cycling
 // the configured multipliers.
 func newDiurnal(phases []RatePhase) *modulator {
-	m := &modulator{phase: -1}
+	m := &modulator{phase: -1, phases: len(phases)}
 	m.advance = func(m *modulator) {
 		m.phase = (m.phase + 1) % len(phases)
 		m.mult = phases[m.phase].Mult

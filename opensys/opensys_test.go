@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nocout/internal/ckpt"
 	"nocout/internal/cpu"
 	"nocout/internal/sim"
 	"nocout/internal/workload"
@@ -500,5 +501,60 @@ func TestDelegation(t *testing.T) {
 	}
 	if o.Layout().Instr != base.Layout().Instr {
 		t.Error("Layout must delegate to the base")
+	}
+}
+
+// TestStateRejectsImpossibleArrivals spoils one arrival value of a
+// running MMPP stream with a diurnal schedule at a time, saves it, and
+// requires the load to fail with an error that names the value. A clock
+// of -1e300 that loaded would hang the next NextAt in its arrival loop.
+func TestStateRejectsImpossibleArrivals(t *testing.T) {
+	o, err := Parse("opensys:arrival=mmpp,rate=4,size=8,phases=1.5x4000;0.5x4000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(spoil func(s *openStream)) error {
+		s := o.StreamFor(0, 3).(*openStream)
+		for now := sim.Cycle(0); now < 3000; now++ {
+			s.NextAt(now)
+		}
+		spoil(s)
+		var enc ckpt.Enc
+		s.State(ckpt.Encoding(&enc))
+		d := ckpt.NewDec(enc.Bytes())
+		o.StreamFor(0, 3).(*openStream).State(ckpt.Decoding(d))
+		return d.Err()
+	}
+	for name, spoil := range map[string]func(s *openStream){
+		"nothing":                     func(*openStream) {},
+		"a never-arriving next (Inf)": func(s *openStream) { s.nextArr = math.Inf(1) },
+	} {
+		if err := load(spoil); err != nil {
+			t.Fatalf("spoiling %s: %v", name, err)
+		}
+	}
+	mmpp := func(s *openStream) *modulator { return s.arr.mods[0] }
+	diurnal := func(s *openStream) *modulator { return s.arr.mods[1] }
+	for _, tc := range []struct {
+		name  string
+		spoil func(s *openStream)
+		want  string
+	}{
+		{"NaN clock", func(s *openStream) { s.arr.t = math.NaN() }, "arrival clock"},
+		{"infinite clock", func(s *openStream) { s.arr.t = math.Inf(1) }, "arrival clock"},
+		{"negative clock", func(s *openStream) { s.arr.t = -1e300 }, "arrival clock"},
+		{"NaN next arrival", func(s *openStream) { s.nextArr = math.NaN() }, "next arrival"},
+		{"negative next arrival", func(s *openStream) { s.nextArr = -1 }, "next arrival"},
+		{"NaN multiplier", func(s *openStream) { mmpp(s).mult = math.NaN() }, "modulator multiplier"},
+		{"negative multiplier", func(s *openStream) { diurnal(s).mult = -0.5 }, "modulator multiplier"},
+		{"NaN time left", func(s *openStream) { diurnal(s).left = math.NaN() }, "modulator time left"},
+		{"negative time left", func(s *openStream) { mmpp(s).left = -1 }, "modulator time left"},
+		{"phase past the schedule", func(s *openStream) { diurnal(s).phase = 2 }, "modulator phase"},
+		{"negative phase", func(s *openStream) { diurnal(s).phase = -1 }, "modulator phase"},
+		{"MMPP phase past its two", func(s *openStream) { mmpp(s).phase = 2 }, "modulator phase"},
+	} {
+		if err := load(tc.spoil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: load returned %v, want an error naming the %s", tc.name, err, tc.want)
+		}
 	}
 }

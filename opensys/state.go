@@ -2,6 +2,7 @@ package opensys
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"nocout/internal/ckpt"
@@ -15,20 +16,39 @@ import (
 // excluded — the restore path re-zeroes them through the same OpenReset
 // the warmup boundary uses.
 
-// State walks the arrival engine's position.
+// State walks the arrival engine's position. A load rejects what no save
+// writes, and what would hang or crash the next draw: an arrival clock
+// that is not a finite time at or after 0, a modulator multiplier or time
+// left that is NaN or negative, and a phase outside its modulator's
+// phases.
 func (g *arrivalGen) State(s *ckpt.State) {
 	g.rng.State(s)
 	s.F64(&g.t)
+	if s.Loading() && !(g.t >= 0 && g.t < math.Inf(1)) {
+		s.Corrupt("arrival clock %v is not a finite time at or after 0", g.t)
+	}
 	for _, m := range g.mods {
 		s.F64(&m.mult)
 		s.F64(&m.left)
 		ckpt.Int(s, &m.phase)
+		if !s.Loading() {
+			continue
+		}
+		switch {
+		case !(m.mult >= 0):
+			s.Corrupt("modulator multiplier %v is NaN or negative", m.mult)
+		case !(m.left >= 0):
+			s.Corrupt("modulator time left %v is NaN or negative", m.left)
+		case m.phase < 0 || m.phase >= m.phases:
+			s.Corrupt("modulator phase %d is outside its %d phases", m.phase, m.phases)
+		}
 	}
 }
 
 // State implements ckpt.Walker. The base workload's stream must itself be
 // a ckpt.Walker (every registered workload's streams are); a custom
-// stream that is not cannot be checkpointed.
+// stream that is not cannot be checkpointed. A load rejects a next
+// arrival that is NaN or negative.
 func (s *openStream) State(st *ckpt.State) {
 	w, ok := s.service.(ckpt.Walker)
 	if !ok {
@@ -37,6 +57,9 @@ func (s *openStream) State(st *ckpt.State) {
 	w.State(st)
 	s.arr.State(st)
 	st.F64(&s.nextArr)
+	if st.Loading() && !(s.nextArr >= 0) {
+		st.Corrupt("next arrival %v is NaN or negative", s.nextArr) // +Inf is a zero rate's "never"
+	}
 	n := st.Count(len(s.queue))
 	if st.Loading() {
 		if n > s.o.cfg.Queue {
