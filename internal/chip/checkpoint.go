@@ -21,7 +21,7 @@ import (
 // chip restored from a post-Warmup snapshot has a StateHash equal to the
 // donor's and executes cycle-for-cycle bit-identically thereafter.
 //
-// Checkpoints are domain-count-agnostic: pipe state is serialized in
+// Checkpoints are domain-count-agnostic: link state is serialized in
 // consumer-visible order (staged cross-domain entries included), so a
 // snapshot taken under one sim-parallelism setting restores under any
 // other. Sharded donors snapshot at horizon barriers (between Steps),
@@ -110,12 +110,12 @@ var sections = [...]struct {
 		}
 		return nil
 	}},
-	{secNet, func(c *Chip, s *ckpt.State, _ *meta) error {
+	{secNet, func(c *Chip, s *ckpt.State, m *meta) error {
 		// A router network (mesh, torus, cmesh, fbfly, crossbar, NOC-Out)
 		// or the ideal fabric.
 		switch n := c.Net.(type) {
 		case *noc.RouterNetwork:
-			n.State(s, msgPayload)
+			n.State(s, m.Cycle, msgPayload)
 		case *topo.Ideal:
 			n.State(s, msgPayload)
 		default:

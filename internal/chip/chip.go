@@ -192,7 +192,7 @@ func NewSharded(cfg Config, w workload.Workload, domains int) *Chip {
 // NumDomains reports how many domains the chip actually runs on.
 func (c *Chip) NumDomains() int { return len(c.Doms) }
 
-// CrossLinks reports the number of staged cross-domain pipes (0 when
+// CrossLinks reports the number of staged cross-domain links (0 when
 // single-domain), for diagnostics and tests.
 func (c *Chip) CrossLinks() int {
 	if c.plan == nil {

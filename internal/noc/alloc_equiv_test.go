@@ -9,12 +9,21 @@ import (
 	"nocout/internal/sim"
 )
 
+// preload puts f in input port p's VC as a flit that arrived at cycle 0.
+func preload(r *Router, p int, f Flit) {
+	ip := r.ins[p]
+	ip.vcs[f.Pkt.Class].push(linkFlit{Flit: f})
+	setBit(r.occ, ip.base+int(f.Pkt.Class))
+	r.buffered++
+}
+
 // refAllocate is the full-scan switch allocator the event-driven one
 // replaced, kept as the reference: it drains every due credit first, as
 // the old tick did, then offers every (port, VC) pair in arbitration
-// order, skipping empty VCs, routing each front packet afresh and marking
-// used ports in per-cycle masks. It reads and writes none of the derived
-// state (occupancy and due sets, route memo, last-grant stamps).
+// order, skipping VCs with no arrived flit, routing each front packet
+// afresh and marking used ports in per-cycle masks. It reads and writes
+// none of the derived state (occupancy set, route memo, last-grant
+// stamps).
 func refAllocate(r *Router, now sim.Cycle) {
 	for _, op := range r.outs {
 		if op.creditIn == nil {
@@ -59,7 +68,7 @@ func refAllocate(r *Router, now sim.Cycle) {
 		}
 		ip := r.ins[cd.Port]
 		q := &ip.vcs[cd.VC]
-		if q.len() == 0 {
+		if !q.ready(now) {
 			continue
 		}
 		f := q.front()
@@ -188,7 +197,7 @@ func randRouter(seed uint64, ports int, prio bool, now sim.Cycle) (r *Router, li
 				if seq == pkt.Size {
 					pkt, seq = newPkt(c), 0
 				}
-				r.enqueue(p, Flit{Pkt: pkt, Seq: seq})
+				preload(r, p, Flit{Pkt: pkt, Seq: seq})
 				seq++
 			}
 		}
@@ -198,7 +207,7 @@ func randRouter(seed uint64, ports int, prio bool, now sim.Cycle) (r *Router, li
 			switch rng.Intn(3) {
 			case 0: // free
 			case 1: // the front packet of a random input's VC, if any
-				if q := &r.ins[rng.Intn(ports)].vcs[c]; q.len() > 0 {
+				if q := &r.ins[rng.Intn(ports)].vcs[c]; q.n > 0 {
 					op.owner[c] = q.front().Pkt
 				}
 			default: // a packet elsewhere, blocking the VC
@@ -210,7 +219,7 @@ func randRouter(seed uint64, ports int, prio bool, now sim.Cycle) (r *Router, li
 	// flits are grantable and compete with heads.
 	for _, ip := range r.ins {
 		for c := range ip.vcs {
-			if q := &ip.vcs[c]; q.len() > 0 && !q.front().Head() && rng.Bool(0.7) {
+			if q := &ip.vcs[c]; q.n > 0 && !q.front().Head() && rng.Bool(0.7) {
 				f := q.front()
 				r.outs[table[f.Pkt.Dst]].owner[c] = f.Pkt
 			}
@@ -260,7 +269,7 @@ func view(r *Router, link *sim.Pipe[Flit], ret *sim.Pipe[Credit], now sim.Cycle)
 		for c := range ip.vcs {
 			q := &ip.vcs[c]
 			for i := 0; i < q.n; i++ {
-				f := q.buf[(q.head+i)%len(q.buf)]
+				f := q.nth(i)
 				fmt.Fprintf(&b, "%d.%d ", f.Pkt.ID, f.Seq)
 			}
 			b.WriteString("|")
@@ -293,9 +302,9 @@ func TestAllocatorMatchesFullScan(t *testing.T) {
 			}
 			for p, ip := range got.ins {
 				for c := range ip.vcs {
-					if hasBit(got.occ, p*NumClasses+c) != (ip.vcs[c].len() > 0) {
+					if hasBit(got.occ, p*NumClasses+c) != (ip.vcs[c].n > 0) {
 						t.Fatalf("%d ports, seed %d, cycle %d: occupancy bit of input %d VC %d disagrees with its %d flits",
-							ports, seed, at, p, c, ip.vcs[c].len())
+							ports, seed, at, p, c, ip.vcs[c].n)
 					}
 				}
 			}

@@ -34,7 +34,7 @@ var (
 		return topo.NewFBfly(topo.DefaultFBflyParams(p))
 	})}
 	// The crossbar gets four memory-controller ports beside its 64 tile
-	// ports, so its occupancy and due sets span several words.
+	// ports, so its occupancy set and calendar slots span several words.
 	crossbarFabric = fabric64{"Crossbar", tiledFabric(func(p topo.Floorplan) *noc.RouterNetwork {
 		xp := topo.DefaultCrossbarParams(p)
 		xp.AuxTiles = topo.MCTiles(p, 4)
@@ -127,11 +127,11 @@ func TestCreditConservationOnFabrics(t *testing.T) {
 				t.Fatal("no packet delivered")
 			}
 			var enc ckpt.Enc
-			rn.State(ckpt.Encoding(&enc), func(*any, *ckpt.State) {})
+			rn.State(ckpt.Encoding(&enc), snapAt, func(*any, *ckpt.State) {})
 
 			net2, rn2 := f.build()
 			d := ckpt.NewDec(enc.Bytes())
-			rn2.State(ckpt.Decoding(d), func(*any, *ckpt.State) {})
+			rn2.State(ckpt.Decoding(d), snapAt, func(*any, *ckpt.State) {})
 			if d.Err() != nil {
 				t.Fatal(d.Err())
 			}

@@ -51,11 +51,8 @@ func ConnectNI(ni *NI, r *Router, in, out int, injDelay, ejDelay sim.Cycle, ejec
 
 // ConnectNIInject wires only the NI's inject side into router input port in.
 func ConnectNIInject(ni *NI, r *Router, in int, injDelay sim.Cycle) {
-	inj := sim.NewPipe[Flit](fmt.Sprintf("ni%d->%s", ni.Node, r.Name), injDelay)
-	injCr := sim.NewPipe[Credit](fmt.Sprintf("%s->ni%d.credit", r.Name, ni.Node), 1)
 	ni.out.name = "inject"
-	ni.out.wire(inj, injCr, r.ins[in], r.ins[in].cap)
-	r.feed(in, inj, injCr)
+	r.feed(in, &ni.out, injDelay, fmt.Sprintf("%s->ni%d.credit", r.Name, ni.Node))
 }
 
 // ConnectNIEject wires only the NI's eject side to router output port out.
@@ -65,7 +62,9 @@ func ConnectNIEject(ni *NI, r *Router, out int, ejDelay sim.Cycle, ejectBuf int)
 	}
 	ej := sim.NewPipe[Flit](fmt.Sprintf("%s->ni%d", r.Name, ni.Node), r.PipeDelay+ejDelay)
 	ejCr := sim.NewPipe[Credit](fmt.Sprintf("ni%d->%s.credit", ni.Node, r.Name), 1)
-	r.outs[out].wire(ej, ejCr, nil, ejectBuf)
+	op := r.outs[out]
+	op.wire(ejCr, ejectBuf)
+	op.link = ej
 	ni.eject = ej
 	ni.ejectCredit = ejCr
 }
@@ -152,7 +151,7 @@ func (ni *NI) NextWake(now sim.Cycle) sim.Cycle {
 // inject sends at most one flit through the local port, rotating across
 // classes for fairness.
 func (ni *NI) inject(now sim.Cycle) {
-	if ni.out.link == nil {
+	if ni.out.down == nil {
 		return
 	}
 	for k := 0; k < NumClasses; k++ {
@@ -168,7 +167,7 @@ func (ni *NI) inject(now sim.Cycle) {
 			}
 		}
 		seq := ni.nextSeq[c]
-		ni.out.link.Push(now, Flit{Pkt: p, Seq: seq})
+		ni.out.send(now, Flit{Pkt: p, Seq: seq})
 		ni.out.credits[c]--
 		if ni.stats != nil {
 			ni.stats.InjectFlits++
@@ -262,8 +261,9 @@ func (rn *RouterNetwork) SetDeliver(n NodeID, fn func(now sim.Cycle, p *Packet))
 	rn.NIs[n].SetDeliver(fn)
 }
 
-// Tick advances all routers then all NIs by one cycle. Because every
-// connection is a latched pipe, the relative order is immaterial.
+// Tick advances all routers then all NIs by one cycle. Every link
+// delivers at least a cycle after its send, so the relative order is
+// immaterial.
 func (rn *RouterNetwork) Tick(now sim.Cycle) {
 	for _, r := range rn.Routers {
 		r.Tick(now)
@@ -282,10 +282,11 @@ var ErrCreditConservation = errors.New("noc: credit conservation violated")
 // CheckCredits verifies credit conservation on every wired link, router to
 // router and at both NI ends: for each output and VC, the credits the
 // sender holds, plus the credits returning on the credit pipe, plus the
-// flits buffered in the downstream VC (none at an NI's eject side, which
-// consumes on arrival), plus the flits in flight on the link, must equal
-// the downstream buffer capacity. A lost or double-counted credit breaks
-// the sum within a cycle. It must only run while no domain is stepping.
+// flits downstream or on the link — in the downstream VC, arrived or
+// not, staged on a cross-domain link, or in an NI's eject pipe (an NI
+// consumes on arrival) — must equal the downstream buffer capacity. A
+// lost or double-counted credit breaks the sum within a cycle. It must
+// only run while no domain is stepping.
 func (rn *RouterNetwork) CheckCredits() error {
 	for _, r := range rn.Routers {
 		for _, op := range r.outs {
@@ -306,20 +307,24 @@ func (rn *RouterNetwork) CheckCredits() error {
 
 // checkCredits checks one output's credit sum; sender names its owner.
 func (op *OutPort) checkCredits(sender string) error {
-	if op.link == nil {
+	if !op.connected() {
 		return nil
 	}
-	var returning, inFlight [NumClasses]int
+	var returning, down [NumClasses]int
 	op.creditIn.Each(func(_ sim.Cycle, c Credit) { returning[c.VC]++ })
-	op.link.Each(func(_ sim.Cycle, f Flit) { inFlight[f.Pkt.Class]++ })
+	if op.link != nil {
+		op.link.Each(func(_ sim.Cycle, f Flit) { down[f.Pkt.Class]++ })
+	}
+	for _, f := range op.staged {
+		down[f.Pkt.Class]++
+	}
 	for vc := range op.credits {
-		held := 0
 		if op.down != nil {
-			held = op.down.vcs[vc].len()
+			down[vc] += op.down.vcs[vc].n
 		}
-		if sum := op.credits[vc] + returning[vc] + held + inFlight[vc]; sum != op.downCap {
-			return fmt.Errorf("%w: %s output %s VC %v: credits %d + returning %d + buffered %d + in flight %d = %d, downstream capacity %d",
-				ErrCreditConservation, sender, op.name, Class(vc), op.credits[vc], returning[vc], held, inFlight[vc], sum, op.downCap)
+		if sum := op.credits[vc] + returning[vc] + down[vc]; sum != op.downCap {
+			return fmt.Errorf("%w: %s output %s VC %v: credits %d + returning %d + downstream or on the link %d = %d, downstream capacity %d",
+				ErrCreditConservation, sender, op.name, Class(vc), op.credits[vc], returning[vc], down[vc], sum, op.downCap)
 		}
 	}
 	return nil
@@ -330,7 +335,7 @@ func (op *OutPort) checkCredits(sender string) error {
 // the same order whole-network ticking uses, so results are unchanged) and
 // becomes an independent sleeper — quiescent regions of the fabric drop
 // out of the simulation loop entirely. The network must be fully built
-// before registration: pipes wired afterwards would miss their wakers.
+// before registration: links wired afterwards would miss their wakers.
 func (rn *RouterNetwork) RegisterInto(e *sim.Engine) {
 	for _, r := range rn.Routers {
 		e.Register(r)

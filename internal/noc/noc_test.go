@@ -184,8 +184,8 @@ func TestStaticPriorityOrdering(t *testing.T) {
 	// Preload both input buffers directly.
 	local := &Packet{ID: 100, Class: ClassReq, Src: 0, Dst: 0, Size: 1}
 	net := &Packet{ID: 200, Class: ClassReq, Src: 0, Dst: 0, Size: 1}
-	r.enqueue(0, Flit{Pkt: local})
-	r.enqueue(1, Flit{Pkt: net})
+	preload(r, 0, Flit{Pkt: local})
+	preload(r, 1, Flit{Pkt: net})
 
 	e := sim.NewEngine()
 	e.Register(sim.TickFunc(r.Tick), sim.TickFunc(sink.Tick), sim.TickFunc(ni.Tick))
@@ -224,7 +224,7 @@ func TestRouteValidation(t *testing.T) {
 	r := NewRouter(0, "bad", 1, func(p *Packet) int { return 7 })
 	r.AddIn("in", 2)
 	r.AddOut("out")
-	r.enqueue(0, Flit{Pkt: &Packet{Size: 1}})
+	preload(r, 0, Flit{Pkt: &Packet{Size: 1}})
 	r.Tick(1)
 }
 

@@ -41,11 +41,14 @@ type Cand struct {
 //   - reduction/dispersion tree nodes: 2 in / 1 out (or 1 in / 2 out),
 //     zero-cycle pipeline with 1-cycle links and static priority
 //
-// A tick costs the flits and credits it moves, not the router's radix:
-// Tick visits only input ports with flits in flight (the due set),
-// allocation walks only non-empty VCs (the occupancy set), credits are
-// drained only when one decides a grant, and routes are looked up per
-// destination.
+// A link into a router input is a direct write: the granting router (or
+// the injecting NI) stores the flit, stamped with its arrival cycle, in
+// the downstream VC's ring and marks that cycle in the downstream
+// router's arrival calendar. A tick costs the flits and credits it
+// moves, not the router's radix: Tick merges one calendar slot into the
+// occupancy set, allocation walks only VCs holding an arrived flit,
+// credits are drained only when one decides a grant, and routes are
+// looked up per destination.
 type Router struct {
 	ID        NodeID
 	Name      string
@@ -59,16 +62,21 @@ type Router struct {
 	covered  []uint64 // candidates prio lists, by index port*NumClasses+vc
 	numVCs   int      // implemented VCs (area accounting); 0 = NumClasses
 	flits    int64    // flits routed through this router (energy accounting)
-	buffered int      // flits held in input VCs: enqueue adds, a grant removes, a checkpoint load recounts
+	buffered int      // arrived flits held in input VCs: Tick adds arrivals, a grant removes, a checkpoint load recounts
 	headRoom HeadRoomFunc
 
-	// due marks the input ports whose flit pipe holds a flit: the pipe's
-	// dueMark sets the bit on every push and Tick clears it once the pipe
-	// is empty. occ marks the non-empty input VCs by candidate index
-	// port*NumClasses+vc: enqueue sets the bit and the grant that empties
-	// the VC clears it. A checkpoint load recomputes both.
-	due, occ []uint64
-	waker    sim.Waker // engine wake handle the dueMarks forward to
+	// occ marks the input VCs whose front flit has arrived, by candidate
+	// index port*NumClasses+vc: Tick sets the bits of the VCs a flit
+	// arrives in, and a grant clears its VC's bit unless the next flit has
+	// arrived too.
+	// cal is the arrival calendar, one bitset of occ's shape per slot:
+	// slot at&calMask marks the VCs a flit arrives in at cycle at. Its
+	// power-of-two slot count exceeds the longest input link's delay, so
+	// the arrivals in flight never share a slot. A checkpoint load
+	// recomputes both.
+	occ, cal []uint64
+	calMask  sim.Cycle
+	waker    sim.Waker // engine wake handle every arrival raises
 
 	// flitsFolded marks how much of flits has been drained into the
 	// network-wide Stats; see RouterNetwork.fold. Hot-path accounting is
@@ -131,39 +139,64 @@ type InPort struct {
 	name      string
 	cap       int // flits per VC
 	vcs       [NumClasses]flitRing
-	in        *sim.Pipe[Flit]
+	r         *Router
+	base      int      // candidate index of the port's first VC: port*NumClasses
+	from      *OutPort // the link writing into this input; nil until wired
 	creditOut *sim.Pipe[Credit]
 }
 
-// flitRing is a fixed-capacity flit FIFO. The credit protocol bounds VC
-// occupancy at the port capacity, so the buffer is allocated once (at
-// wiring) and reused forever. The former slice queue — append at the
-// tail, reslice the head away on dequeue — abandoned its backing array
-// as it advanced and reallocated continually on the switch-traversal hot
-// path, the chip's densest per-cycle loop.
+// flitRing is a fixed-capacity flit FIFO holding a VC's arrived flits
+// and, behind them, the flits still on the link into it. Credits bound
+// the two together at the port capacity, so the buffer is allocated once
+// (at wiring) and reused forever, and a link's write always finds room.
+// A VC is fed by one link, which sends at most one flit per cycle after a
+// fixed delay, so the ring is in send order and its arrival cycles rise:
+// the flits that have arrived by a cycle are a prefix of it.
 type flitRing struct {
-	buf  []Flit
+	buf  []linkFlit
 	head int
-	n    int
+	n    int // flits held, arrived or on the link
 }
 
-func (q *flitRing) len() int    { return q.n }
-func (q *flitRing) front() Flit { return q.buf[q.head] }
+// linkFlit is a flit with the cycle it arrives at its VC.
+type linkFlit struct {
+	Flit
+	at sim.Cycle
+}
+
+func (q *flitRing) front() Flit { return q.buf[q.head].Flit }
+
+// ready reports whether the front flit has arrived by cycle now.
+func (q *flitRing) ready(now sim.Cycle) bool { return q.n > 0 && q.buf[q.head].at <= now }
+
+// arrived returns how many flits have arrived by cycle now.
+func (q *flitRing) arrived(now sim.Cycle) int {
+	i := 0
+	for i < q.n && q.nth(i).at <= now {
+		i++
+	}
+	return i
+}
+
+// nth returns the i-th flit from the front.
+func (q *flitRing) nth(i int) *linkFlit {
+	i += q.head
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return &q.buf[i]
+}
 
 // push and pop wrap with a compare instead of a modulo: the ring never
 // holds more than len(buf) flits, so an index overruns by less than one
 // lap.
-func (q *flitRing) push(f Flit) {
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	q.buf[i] = f
+func (q *flitRing) push(f linkFlit) {
+	*q.nth(q.n) = f
 	q.n++
 }
 
 func (q *flitRing) pop() {
-	q.buf[q.head] = Flit{} // drop the packet reference for GC
+	q.buf[q.head] = linkFlit{} // drop the packet reference for GC
 	q.head++
 	if q.head == len(q.buf) {
 		q.head = 0
@@ -171,19 +204,22 @@ func (q *flitRing) pop() {
 	q.n--
 }
 
-// OutPort is a router output: a link pipe plus downstream credit state.
+// OutPort is a router output, or an NI's inject side: the link it drives
+// plus the downstream credit state. A link into a router input writes
+// each flit straight into the downstream VC; a link into an NI's eject
+// side, which has no VC buffer, is a pipe.
 type OutPort struct {
 	name     string
-	link     *sim.Pipe[Flit]
+	delay    sim.Cycle       // cycles from grant to arrival at down
+	down     *InPort         // router input the link writes into; nil for an eject link
+	link     *sim.Pipe[Flit] // eject link into an NI; nil for a router link
 	creditIn *sim.Pipe[Credit]
 	credits  [NumClasses]int
 	owner    [NumClasses]*Packet
 	lengthMM float64
 
-	// down is the router input the link feeds (nil for an NI's eject
-	// side) and downCap its per-VC buffering, recorded at wiring for
+	// downCap is the downstream per-VC buffering, recorded at wiring for
 	// CheckCredits.
-	down    *InPort
 	downCap int
 
 	// sent counts flits pushed onto this link; sentFolded marks how much
@@ -192,15 +228,82 @@ type OutPort struct {
 	// a pure function of flit movement — identical across kernels — rather
 	// than of the order concurrent routers would update a shared counter.
 	sent, sentFolded int64
+
+	// A router link whose two ends tick in different scheduling domains
+	// (see BuildShardPlan) stages: send appends to staged, written only
+	// by the producer's domain, and CommitStaged, called only from the
+	// consumer's domain between windows, writes the flits downstream.
+	staging bool
+	staged  []linkFlit
 }
 
-// wire records the downstream end of the port's link and starts it with
-// a full buffer of credits per VC.
-func (op *OutPort) wire(link *sim.Pipe[Flit], creditIn *sim.Pipe[Credit], down *InPort, capacity int) {
-	op.link, op.creditIn, op.down, op.downCap = link, creditIn, down, capacity
+// wire records the port's credit-return pipe and starts it with a full
+// buffer of credits per VC.
+func (op *OutPort) wire(creditIn *sim.Pipe[Credit], capacity int) {
+	op.creditIn, op.downCap = creditIn, capacity
 	for c := range op.credits {
 		op.credits[c] = capacity
 	}
+}
+
+// connected reports whether the port drives a link.
+func (op *OutPort) connected() bool { return op.down != nil || op.link != nil }
+
+// send puts flit f, granted at cycle now, on the port's link.
+func (op *OutPort) send(now sim.Cycle, f Flit) {
+	if op.down == nil {
+		op.link.Push(now, f)
+		return
+	}
+	lf := linkFlit{Flit: f, at: now + op.delay}
+	if op.staging {
+		op.staged = append(op.staged, lf)
+		return
+	}
+	op.down.arrive(lf)
+}
+
+// Stage switches a cross-domain router link into staging. Only the shard
+// planner calls it, once, before the simulation starts.
+func (op *OutPort) Stage() { op.staging = true }
+
+// CommitStaged implements sim.CrossStage: it writes the staged flits
+// downstream in send order, as send would have, so delivery is exactly
+// what the single-domain kernel produces. The staged buffer's capacity is
+// retained, so a steady-state commit allocates nothing.
+func (op *OutPort) CommitStaged() {
+	for i := range op.staged {
+		op.down.arrive(op.staged[i])
+		op.staged[i] = linkFlit{} // release the packet for GC
+	}
+	op.staged = op.staged[:0]
+}
+
+// arrive writes flit f into its VC, marks its arrival cycle in the
+// router's calendar and wakes the router for it.
+func (ip *InPort) arrive(f linkFlit) {
+	r := ip.r
+	vc := f.Pkt.Class
+	i := ip.base + int(vc)
+	if r.prio != nil && !hasBit(r.covered, i) {
+		panic(fmt.Sprintf("noc: %s input %s class %v is missing from the static priority order, so its flits could never be granted", r.Name, ip.name, vc))
+	}
+	q := &ip.vcs[vc]
+	if q.n == len(q.buf) {
+		panic(fmt.Sprintf("noc: %s input %s VC %v overflow (credit protocol violated)", r.Name, ip.name, vc))
+	}
+	q.push(f)
+	setBit(r.slot(f.at), i)
+	if r.waker != nil {
+		r.waker.Wake(f.at)
+	}
+}
+
+// slot returns the calendar slot of cycle at.
+func (r *Router) slot(at sim.Cycle) []uint64 {
+	w := len(r.occ)
+	s := int(at&r.calMask) * w
+	return r.cal[s : s+w]
 }
 
 // drainCredits adds every credit returned by cycle now to the per-VC
@@ -223,15 +326,29 @@ func (r *Router) AddIn(name string, capacity int) int {
 	if capacity < 1 {
 		panic("noc: input buffer capacity must be >= 1")
 	}
-	ip := &InPort{name: name, cap: capacity}
+	ip := &InPort{name: name, cap: capacity, r: r, base: len(r.ins) * NumClasses}
 	for c := range ip.vcs {
-		ip.vcs[c].buf = make([]Flit, capacity)
+		ip.vcs[c].buf = make([]linkFlit, capacity)
 	}
 	r.ins = append(r.ins, ip)
 	r.inUsed = append(r.inUsed, 0)
-	r.due = growBits(r.due, len(r.ins))
 	r.occ = growBits(r.occ, len(r.ins)*NumClasses)
+	r.fitCal(0)
 	return len(r.ins) - 1
+}
+
+// fitCal sizes the arrival calendar for an input link of the given
+// delay: the slot count doubles until it exceeds the delay, and each slot
+// is as wide as the occupancy set. Links are wired before any flit moves,
+// so the calendar is empty and is reallocated, not copied.
+func (r *Router) fitCal(delay sim.Cycle) {
+	slots := r.calMask + 1
+	for slots <= delay {
+		slots *= 2
+	}
+	if n := int(slots) * len(r.occ); n != len(r.cal) {
+		r.cal, r.calMask = make([]uint64, n), slots-1
+	}
 }
 
 // AddOut appends an output port and returns its index.
@@ -287,7 +404,7 @@ func (r *Router) foldInto(s *Stats) {
 func (r *Router) OutLinkLengthsMM() []float64 {
 	var out []float64
 	for _, op := range r.outs {
-		if op.link != nil {
+		if op.connected() {
 			out = append(out, op.lengthMM)
 		}
 	}
@@ -296,119 +413,71 @@ func (r *Router) OutLinkLengthsMM() []float64 {
 
 // Connect wires output out of router a to input in of router b with the
 // given link delay (cycles) and physical length (mm, for energy/area
-// accounting). The flit pipe carries a.PipeDelay + linkDelay of latency;
-// credits return upstream in one cycle.
+// accounting). A flit arrives a.PipeDelay + linkDelay cycles after its
+// grant; credits return upstream in one cycle.
 func Connect(a *Router, out int, b *Router, in int, linkDelay sim.Cycle, lengthMM float64) {
-	name := fmt.Sprintf("%s.%s->%s.%s", a.Name, a.outs[out].name, b.Name, b.ins[in].name)
-	flits := sim.NewPipe[Flit](name, a.PipeDelay+linkDelay)
-	credits := sim.NewPipe[Credit](name+".credit", 1)
 	op := a.outs[out]
-	op.wire(flits, credits, b.ins[in], b.ins[in].cap)
 	op.lengthMM = lengthMM
-	b.feed(in, flits, credits)
+	b.feed(in, op, a.PipeDelay+linkDelay, fmt.Sprintf("%s.%s->%s.%s.credit", a.Name, op.name, b.Name, b.ins[in].name))
 }
 
-// feed makes flits the flit pipe of input port in, returning its credits
-// on credits. The pipe's waker is the port's dueMark, installed here
-// rather than in BindWaker so that a router ticked directly (a TickFunc,
-// RouterNetwork.Tick) still sees arrivals.
-func (r *Router) feed(in int, flits *sim.Pipe[Flit], credits *sim.Pipe[Credit]) {
+// feed makes op the link into input port in, delay cycles from grant to
+// arrival, and gives it a credit-return pipe of the given name.
+func (r *Router) feed(in int, op *OutPort, delay sim.Cycle, creditName string) {
 	ip := r.ins[in]
-	ip.in, ip.creditOut = flits, credits
-	flits.SetWaker(dueMark{r: r, port: in})
-}
-
-// dueMark is the waker of a router input's flit pipe: it marks the port
-// due, then forwards the wake to the router's engine, if it has one. A
-// staged cross-domain pipe raises it from CommitStaged, which runs in the
-// consuming router's domain.
-type dueMark struct {
-	r    *Router
-	port int
-}
-
-// Wake implements sim.Waker.
-func (m dueMark) Wake(at sim.Cycle) {
-	setBit(m.r.due, m.port)
-	if m.r.waker != nil {
-		m.r.waker.Wake(at)
+	if delay < 1 || ip.from != nil {
+		panic(fmt.Sprintf("noc: %s input %s: a link needs a delay of at least 1 cycle (got %d) and an input no other link feeds", r.Name, ip.name, delay))
 	}
+	credits := sim.NewPipe[Credit](creditName, 1)
+	op.wire(credits, ip.cap)
+	op.down, op.delay = ip, delay
+	ip.from, ip.creditOut = op, credits
+	r.fitCal(delay)
 }
 
-// Tick advances the router one cycle: accept the flits arriving on due
-// input ports, then perform switch allocation (one flit per input and per
-// output per cycle, packet-atomic per output VC, credit-gated). Ports with
-// no flit in flight are not visited, and returned credits stay in their
-// pipes until a grant needs them.
+// Tick advances the router one cycle: merge the VCs flits arrive in now
+// into the occupancy set, then perform switch allocation (one flit per input
+// and per output per cycle, packet-atomic per output VC, credit-gated).
+// Returned credits stay in their pipes until a grant needs them. Tick
+// must run on every cycle a flit arrives, which its wakes and NextWake
+// guarantee.
 func (r *Router) Tick(now sim.Cycle) {
-	for w, word := range r.due {
-		for word != 0 {
-			p := w<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-			in := r.ins[p].in
-			if at, ok := in.NextAt(); ok && at <= now {
-				for {
-					f, ok := in.Pop(now)
-					if !ok {
-						break
-					}
-					r.enqueue(p, f)
-				}
-			}
-			if in.Len() == 0 {
-				clearBit(r.due, p)
-			}
+	slot := r.slot(now)
+	for w, word := range slot {
+		if word != 0 {
+			slot[w] = 0
+			r.occ[w] |= word
+			r.buffered += bits.OnesCount64(word)
 		}
 	}
 	r.allocate(now)
 }
 
-// enqueue buffers flit f in its class's VC at input port p.
-func (r *Router) enqueue(p int, f Flit) {
-	ip := r.ins[p]
-	vc := f.Pkt.Class
-	i := p*NumClasses + int(vc)
-	if r.prio != nil && !hasBit(r.covered, i) {
-		panic(fmt.Sprintf("noc: %s input %s class %v is missing from the static priority order, so its flits could never be granted", r.Name, ip.name, vc))
-	}
-	q := &ip.vcs[vc]
-	if q.len() >= ip.cap {
-		panic(fmt.Sprintf("noc: %s input %s VC %v overflow (credit protocol violated)", r.Name, ip.name, vc))
-	}
-	q.push(f)
-	setBit(r.occ, i)
-	r.buffered++
-}
-
-// BindWaker implements sim.WakeBinder: the dueMarks Connect installed on
-// the input flit pipes forward to w, so a quiescent router is re-armed the
-// moment traffic is pushed toward it. Credit-return pipes are deliberately
-// not wake sources: a returned credit enables no work on its own, and a
-// grant that needs credits drains them from the pipe on the spot. All
-// links must be connected before the router is registered with the engine.
+// BindWaker implements sim.WakeBinder: every flit written into the
+// router's inputs wakes it through w for the flit's arrival cycle, so a
+// quiescent router is re-armed the moment traffic is sent toward it.
+// Credit-return pipes are deliberately not wake sources: a returned
+// credit enables no work on its own, and a grant that needs credits
+// drains them from the pipe on the spot.
 func (r *Router) BindWaker(w sim.Waker) { r.waker = w }
 
-// NextWake implements sim.Sleeper. A router holding buffered flits must
-// keep arbitrating every cycle (it may be credit-blocked, and the blocking
-// credit arrives on a pipe that wakes no one); an empty router sleeps until
-// the earliest in-flight flit on a due input port can arrive, and
-// indefinitely (NeverWake) when no port is due — the input pipes' marks
-// are its wake sources.
+// NextWake implements sim.Sleeper. A router holding arrived flits must
+// keep arbitrating every cycle (it may be credit-blocked, and the
+// blocking credit arrives on a pipe that wakes no one); an empty router
+// sleeps until the earliest arrival its calendar holds, and indefinitely
+// (NeverWake) when nothing is on its links — their writes wake it.
 func (r *Router) NextWake(now sim.Cycle) sim.Cycle {
 	if r.buffered > 0 {
 		return now + 1
 	}
-	next := sim.NeverWake
-	for w, word := range r.due {
-		for word != 0 {
-			p := w<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-			if at, ok := r.ins[p].in.NextAt(); ok && at < next {
-				next = at
+	for at := now + 1; at <= now+r.calMask; at++ {
+		for _, word := range r.slot(at) {
+			if word != 0 {
+				return at
 			}
 		}
 	}
-	return next
+	return sim.NeverWake
 }
 
 // allocate performs switch allocation for one cycle, offering each
@@ -495,8 +564,8 @@ func (r *Router) try(now sim.Cycle, p int, vc Class) {
 	}
 	// Grant.
 	q.pop()
-	if q.len() == 0 {
-		clearBit(r.occ, p*NumClasses+int(vc))
+	if !q.ready(now) {
+		clearBit(r.occ, ip.base+int(vc))
 	}
 	r.buffered--
 	op.credits[vc]--
@@ -507,7 +576,7 @@ func (r *Router) try(now sim.Cycle, p int, vc Class) {
 	if f.Tail() {
 		op.owner[vc] = nil
 	}
-	op.link.Push(now, f)
+	op.send(now, f)
 	if ip.creditOut != nil {
 		ip.creditOut.Push(now, Credit{VC: vc})
 	}
@@ -532,7 +601,7 @@ func (r *Router) routeOf(p *Packet) int {
 	if out < 0 || out >= len(r.outs) {
 		panic(fmt.Sprintf("noc: %s route(%d->%d) = invalid port %d", r.Name, p.Src, p.Dst, out))
 	}
-	if r.outs[out].link == nil {
+	if !r.outs[out].connected() {
 		panic(fmt.Sprintf("noc: %s output %s not connected", r.Name, r.outs[out].name))
 	}
 	if d >= len(r.memo) {
@@ -549,25 +618,26 @@ func (r *Router) routeOf(p *Packet) int {
 }
 
 // resync rebuilds the bookkeeping a checkpoint does not carry from the
-// restored VCs and pipes: the buffered count, the occupancy set and the
-// due set (a pipe loaded by Pipe.State raises no wakes). It also forgets
-// the last-grant stamps, which a rewound clock would otherwise read as
-// grants made this cycle.
-func (r *Router) resync() {
+// VCs restored at cycle now: the buffered count, the occupancy set and
+// the arrival calendar. It also forgets the last-grant stamps, which a
+// rewound clock would otherwise read as grants made this cycle.
+func (r *Router) resync(now sim.Cycle) {
 	r.buffered = 0
-	clear(r.due)
 	clear(r.occ)
+	clear(r.cal)
 	clear(r.inUsed)
 	clear(r.outUsed)
-	for p, ip := range r.ins {
+	for _, ip := range r.ins {
 		for c := range ip.vcs {
-			if n := ip.vcs[c].len(); n > 0 {
-				r.buffered += n
-				setBit(r.occ, p*NumClasses+c)
+			q := &ip.vcs[c]
+			a := q.arrived(now)
+			if a > 0 {
+				r.buffered += a
+				setBit(r.occ, ip.base+c)
 			}
-		}
-		if ip.in != nil && ip.in.Len() > 0 {
-			setBit(r.due, p)
+			for i := a; i < q.n; i++ {
+				setBit(r.slot(q.nth(i).at), ip.base+c)
+			}
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package noc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -163,42 +165,58 @@ func forkNet() *RouterNetwork {
 	return rn
 }
 
-// TestRouterBufferedAndRouteCache checks, after every cycle of saturated
-// multi-flit traffic, the state each router derives from its VCs and
-// pipes: the buffered count equals the VC occupancy, the occupancy bits
-// mark exactly the non-empty VCs, the due bits mark exactly the input
-// pipes with flits in flight, and every remembered route is the
-// destination's route. Snapshots taken along the run must then replay
-// the original run's deliveries both in a fresh network and in the
-// original one rewound from a later cycle, whose derived state and
-// last-grant stamps a load must reset.
-func TestRouterBufferedAndRouteCache(t *testing.T) {
-	check := func(rn *RouterNetwork, now sim.Cycle) {
-		t.Helper()
-		for _, r := range rn.Routers {
-			n := 0
-			for p, ip := range r.ins {
-				for c := range ip.vcs {
-					q := &ip.vcs[c]
-					n += q.len()
-					if occ := hasBit(r.occ, p*NumClasses+c); occ != (q.len() > 0) {
-						t.Fatalf("cycle %d: %s input %d VC %d holds %d flits but occupancy bit is %v", now, r.Name, p, c, q.len(), occ)
+// checkDerived checks, at cycle now, the state each router derives from
+// its VCs: each VC's arrival cycles rise, the buffered count equals the
+// flits arrived by now, the occupancy bits mark exactly the VCs whose
+// front flit has arrived, the arrival calendar marks exactly the flits
+// still on their links, and every remembered route is the destination's
+// route.
+func checkDerived(t *testing.T, rn *RouterNetwork, now sim.Cycle) {
+	t.Helper()
+	for _, r := range rn.Routers {
+		n, onLink, marks := 0, 0, 0
+		for _, w := range r.cal {
+			marks += bits.OnesCount64(w)
+		}
+		for p, ip := range r.ins {
+			for c := range ip.vcs {
+				q := &ip.vcs[c]
+				a := q.arrived(now)
+				n += a
+				if occ := hasBit(r.occ, p*NumClasses+c); occ != (a > 0) {
+					t.Fatalf("cycle %d: %s input %d VC %d holds %d arrived flits but occupancy bit is %v", now, r.Name, p, c, a, occ)
+				}
+				for i := 0; i < q.n; i++ {
+					f := q.nth(i)
+					if i > 0 && f.at < q.nth(i-1).at {
+						t.Fatalf("cycle %d: %s input %d VC %d flit %d arrives at cycle %d, before the flit ahead of it (%d)", now, r.Name, p, c, i, f.at, q.nth(i-1).at)
 					}
-				}
-				if due := hasBit(r.due, p); due != (ip.in.Len() > 0) {
-					t.Fatalf("cycle %d: %s input %d has %d flits in flight but due bit %v", now, r.Name, p, ip.in.Len(), due)
-				}
-			}
-			if r.buffered != n {
-				t.Fatalf("cycle %d: %s buffered = %d, VCs hold %d", now, r.Name, r.buffered, n)
-			}
-			for d, out := range r.memo {
-				if want := r.route(&Packet{Dst: NodeID(d)}); out >= 0 && int(out) != want {
-					t.Fatalf("cycle %d: %s remembers port %d for destination %d, routed to %d", now, r.Name, out, d, want)
+					if i >= a {
+						onLink++
+						if !hasBit(r.slot(f.at), p*NumClasses+c) {
+							t.Fatalf("cycle %d: %s input %d VC %d flit arriving at cycle %d is not in the calendar", now, r.Name, p, c, f.at)
+						}
+					}
 				}
 			}
 		}
+		if r.buffered != n || marks != onLink {
+			t.Fatalf("cycle %d: %s buffered = %d with %d arrived, %d calendar marks for %d flits on links", now, r.Name, r.buffered, n, marks, onLink)
+		}
+		for d, out := range r.memo {
+			if want := r.route(&Packet{Dst: NodeID(d)}); out >= 0 && int(out) != want {
+				t.Fatalf("cycle %d: %s remembers port %d for destination %d, routed to %d", now, r.Name, out, d, want)
+			}
+		}
 	}
+}
+
+// TestRouterBufferedAndRouteCache checks the routers' derived state after
+// every cycle of saturated multi-flit traffic. Snapshots taken along the
+// run must then replay the original run's deliveries both in a fresh
+// network and in the original one rewound from a later cycle, whose
+// derived state and last-grant stamps a load must reset.
+func TestRouterBufferedAndRouteCache(t *testing.T) {
 	type delivery struct {
 		ID uint64
 		At sim.Cycle
@@ -227,16 +245,16 @@ func TestRouterBufferedAndRouteCache(t *testing.T) {
 	run := func(rn *RouterNetwork, e *sim.Engine, until sim.Cycle) {
 		for e.Now() < until {
 			e.Step(1)
-			check(rn, e.Now())
+			checkDerived(t, rn, e.Now())
 		}
 	}
 	restore := func(rn *RouterNetwork, e *sim.Engine, snap []byte, at sim.Cycle) {
 		d := ckpt.NewDec(snap)
-		rn.State(ckpt.Decoding(d), func(*any, *ckpt.State) {})
+		rn.State(ckpt.Decoding(d), at, func(*any, *ckpt.State) {})
 		if d.Err() != nil {
 			t.Fatal(d.Err())
 		}
-		check(rn, at)
+		checkDerived(t, rn, at)
 		e.RestoreAt(at)
 	}
 
@@ -250,7 +268,7 @@ func TestRouterBufferedAndRouteCache(t *testing.T) {
 	for at := sim.Cycle(10); at < 100; at += 7 {
 		run(rn, e, at)
 		var enc ckpt.Enc
-		rn.State(ckpt.Encoding(&enc), func(*any, *ckpt.State) {})
+		rn.State(ckpt.Encoding(&enc), at, func(*any, *ckpt.State) {})
 		snaps[at], delivered[at] = enc.Bytes(), len(ref)
 		held += rn.Routers[0].buffered + rn.Routers[1].buffered
 	}
@@ -279,6 +297,203 @@ func TestRouterBufferedAndRouteCache(t *testing.T) {
 				t.Fatalf("snapshot at %d, %s restore delivered %v, original %v", at, name, got, want)
 			}
 		}
+	}
+}
+
+// nopPayload walks no payload: these networks carry bare packets.
+func nopPayload(*any, *ckpt.State) {}
+
+// TestRouterLinkLoadRejectsImpossibleFlits snapshots a saturated fork
+// network with flits on a router input's link, rewrites those flits four
+// ways no save can write — one arriving at the snapshot cycle, one beyond
+// the link's delay, one not after the flit sent before it, and one more
+// than its VC can hold — and requires each load to fail with a
+// corrupt-state error naming the input. The flits as they were, rewritten
+// the same way, load.
+func TestRouterLinkLoadRejectsImpossibleFlits(t *testing.T) {
+	rn := forkNet()
+	for _, d := range []NodeID{1, 2} {
+		rn.SetDeliver(d, func(sim.Cycle, *Packet) {})
+	}
+	e := sim.NewEngine()
+	e.Register(rn)
+	for i := 0; i < 60; i++ {
+		rn.Send(0, &Packet{ID: uint64(i), Class: Class(i % NumClasses), Src: NodeID(3 * (i % 2)), Dst: NodeID(1 + i%2), Size: 1 + i%5})
+	}
+	// Step to a cycle where some input has flits on its link and a VC
+	// whose arrived flits leave room for fewer flits than the link can
+	// carry; the over-capacity case fills that VC.
+	var (
+		ip     *InPort
+		name   string
+		onLink []linkFlit
+		vc     = -1
+	)
+	for e.Now() < 200 && vc < 0 {
+		e.Step(1)
+		for _, r := range rn.Routers {
+			for _, in := range r.ins {
+				onLink = onLink[:0]
+				in.eachInFlight(e.Now(), func(f *linkFlit) { onLink = append(onLink, *f) })
+				for c := range in.vcs {
+					if len(onLink) > 0 && vc < 0 && sim.Cycle(in.cap-in.vcs[c].arrived(e.Now())+1) <= in.from.delay {
+						ip, name, vc = in, r.Name+" input "+in.name, c
+					}
+				}
+				if vc >= 0 {
+					break
+				}
+			}
+			if vc >= 0 {
+				break
+			}
+		}
+	}
+	now := e.Now()
+	if vc < 0 {
+		t.Fatalf("no cycle up to %d has an input with flits on its link and a nearly full VC", now)
+	}
+	delay := ip.from.delay
+	overfull := make([]linkFlit, ip.cap-ip.vcs[vc].arrived(now)+1)
+	for i := range overfull {
+		overfull[i] = linkFlit{Flit: ip.vcs[vc].front(), at: now + 1 + sim.Cycle(i)}
+	}
+
+	// load saves rn with flits on the link instead of the flits there —
+	// the VCs keep their arrived flits and the link's OutPort stages the
+	// rest, which a save writes after them — and loads it into a fresh
+	// network.
+	load := func(flits []linkFlit) error {
+		var n [NumClasses]int
+		for c := range ip.vcs {
+			n[c], ip.vcs[c].n = ip.vcs[c].n, ip.vcs[c].arrived(now)
+		}
+		ip.from.staged = flits
+		var enc ckpt.Enc
+		rn.State(ckpt.Encoding(&enc), now, nopPayload)
+		for c := range ip.vcs {
+			ip.vcs[c].n = n[c]
+		}
+		ip.from.staged = nil
+		d := ckpt.NewDec(enc.Bytes())
+		forkNet().State(ckpt.Decoding(d), now, nopPayload)
+		return d.Err()
+	}
+	if err := load(onLink); err != nil {
+		t.Fatalf("the link's own flits at cycle %d: %v", now, err)
+	}
+	rewrite := func(edit func(fs []linkFlit) []linkFlit) []linkFlit {
+		return edit(append([]linkFlit(nil), onLink...))
+	}
+	for _, tc := range []struct {
+		name  string
+		flits []linkFlit
+		want  string
+	}{
+		{"arriving at the snapshot cycle", rewrite(func(fs []linkFlit) []linkFlit { fs[0].at = now; return fs }),
+			"not after the snapshot cycle"},
+		{"arriving beyond the link's delay", rewrite(func(fs []linkFlit) []linkFlit { fs[len(fs)-1].at = now + delay + 1; return fs }),
+			"beyond its"},
+		{"out of send order", rewrite(func(fs []linkFlit) []linkFlit { return append(fs, fs[len(fs)-1]) }),
+			"not after the flit sent before it"},
+		{"past the VC's capacity", overfull, "holds more than"},
+	} {
+		err := load(tc.flits)
+		if err == nil || !strings.HasPrefix(err.Error(), "ckpt: ") ||
+			!strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s at cycle %d: load returned %v, want a corrupt-state error naming %s and %q", tc.name, now, err, name, tc.want)
+		}
+	}
+}
+
+// TestRouterLongLinks wires a 100-cycle NI inject link and a 100-cycle
+// router link, far longer than a small arrival calendar spans, and runs
+// multi-flit traffic over them on the naive and scheduled kernels in
+// lockstep: the derived router state holds and the network's snapshot
+// bytes agree after every cycle. A snapshot taken with flits on both long
+// links must then replay the rest of the run in a fresh network.
+func TestRouterLongLinks(t *testing.T) {
+	const long, end = 100, 700
+	type delivery struct {
+		ID uint64
+		At sim.Cycle
+	}
+	build := func(scheduled bool, got *[]delivery) (*RouterNetwork, *sim.Engine) {
+		rn := NewRouterNetwork("long", 2)
+		r0 := NewRouter(100, "r0", 1, func(p *Packet) int { return 0 })
+		r0.AddIn("ni", 3)
+		r0.AddOut("out")
+		r1 := NewRouter(101, "r1", 2, func(p *Packet) int { return 0 })
+		r1.AddIn("in", long+4)
+		r1.AddOut("ej")
+		Connect(r0, 0, r1, 0, long, 1.0)
+		src, dst := NewNI(0, rn.StatsRef()), NewNI(1, rn.StatsRef())
+		ConnectNIInject(src, r0, 0, long)
+		ConnectNIEject(dst, r1, 0, 1, 8)
+		rn.Routers = []*Router{r0, r1}
+		rn.NIs[0], rn.NIs[1] = src, dst
+		rn.SetDeliver(1, func(now sim.Cycle, p *Packet) { *got = append(*got, delivery{p.ID, now}) })
+		e := sim.NewEngine()
+		e.SetScheduled(scheduled)
+		e.Register(rn)
+		return rn, e
+	}
+	send := func(rn *RouterNetwork, now sim.Cycle) {
+		if now%40 < 3 && now < 400 {
+			rn.Send(now, &Packet{ID: uint64(now), Class: Class(now % NumClasses), Src: 0, Dst: 1, Size: 1 + int(now%5)})
+		}
+	}
+	snapshot := func(rn *RouterNetwork, now sim.Cycle) []byte {
+		var enc ckpt.Enc
+		rn.State(ckpt.Encoding(&enc), now, nopPayload)
+		return enc.Bytes()
+	}
+
+	var naiveGot, schedGot []delivery
+	naive, ne := build(false, &naiveGot)
+	sched, se := build(true, &schedGot)
+	var snap []byte
+	var snapAt sim.Cycle
+	var want []delivery
+	for now := sim.Cycle(0); now < end; now++ {
+		send(naive, now)
+		send(sched, now)
+		ne.Step(1)
+		se.Step(1)
+		checkDerived(t, sched, se.Now())
+		a, b := snapshot(naive, ne.Now()), snapshot(sched, se.Now())
+		if !bytes.Equal(a, b) || !reflect.DeepEqual(naiveGot, schedGot) {
+			t.Fatalf("cycle %d: the kernels disagree (snapshots equal %v, deliveries %v and %v)", se.Now(), bytes.Equal(a, b), naiveGot, schedGot)
+		}
+		if snap == nil {
+			n0, n1 := 0, 0
+			sched.Routers[0].ins[0].eachInFlight(se.Now(), func(*linkFlit) { n0++ })
+			sched.Routers[1].ins[0].eachInFlight(se.Now(), func(*linkFlit) { n1++ })
+			if n0 > 0 && n1 > 0 {
+				snap, snapAt, want = b, se.Now(), append([]delivery(nil), schedGot...)
+			}
+		}
+	}
+	if snap == nil || len(schedGot) == 0 {
+		t.Fatalf("no cycle had flits on both long links (%d packets delivered)", len(schedGot))
+	}
+	want = schedGot[len(want):]
+
+	var got []delivery
+	rn, e := build(true, &got)
+	d := ckpt.NewDec(snap)
+	rn.State(ckpt.Decoding(d), snapAt, nopPayload)
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	e.RestoreAt(snapAt)
+	for now := snapAt; now < end; now++ {
+		send(rn, now)
+		e.Step(1)
+		checkDerived(t, rn, e.Now())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored at cycle %d, delivered %v; the run went on to deliver %v", snapAt, got, want)
 	}
 }
 

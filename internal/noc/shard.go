@@ -7,16 +7,18 @@ import (
 )
 
 // This file classifies a RouterNetwork's links against a router-to-domain
-// assignment for the conservative parallel kernel (sim.Sharded): any pipe
+// assignment for the conservative parallel kernel (sim.Sharded): any link
 // whose producer and consumer land in different domains is switched into
 // staged mode and listed as an in-edge of the consuming domain, and the
-// minimum delay over those pipes becomes the synchronization lookahead.
+// minimum delay over those links becomes the synchronization lookahead.
+// A router link stages at its OutPort; eject and credit-return links are
+// pipes and stage in the pipe.
 //
-// Discovery is purely structural — pipes are matched by object identity
-// across router ports and NI endpoints — so it works unchanged for every
-// fabric built from Routers and NIs (mesh, torus, cmesh, flattened
-// butterfly, crossbar, NOC-Out's trees + LLC network) and for any future
-// one, with no per-topology code.
+// Discovery is purely structural — router links by the input they write,
+// pipes by object identity across router ports and NI endpoints — so it
+// works unchanged for every fabric built from Routers and NIs (mesh,
+// torus, cmesh, flattened butterfly, crossbar, NOC-Out's trees + LLC
+// network) and for any future one, with no per-topology code.
 
 // ShardPlan is the result of classifying a network against a partition.
 type ShardPlan struct {
@@ -24,8 +26,8 @@ type ShardPlan struct {
 	RouterDom  []int // domain per rn.Routers index
 	NIDom      []int // domain per rn.NIs index (NodeID); -1 where no NI exists
 	Lookahead  sim.Cycle
-	InEdges    [][]sim.CrossStage // staged pipes consumed per domain, fixed order
-	CrossLinks int                // staged pipe count, for diagnostics
+	InEdges    [][]sim.CrossStage // staged links consumed per domain, fixed order
+	CrossLinks int                // staged link count, for diagnostics
 }
 
 // NodeDomain returns the domain owning node n's NI. Protocol agents must
@@ -39,9 +41,9 @@ func (p *ShardPlan) NodeDomain(n NodeID) int {
 	return d
 }
 
-// BuildShardPlan classifies every pipe of rn under the given router-domain
+// BuildShardPlan classifies every link of rn under the given router-domain
 // assignment (parallel to rn.Routers, values in [0, domains)), derives NI
-// and node domains, switches cross-domain pipes into staged mode, and
+// and node domains, switches cross-domain links into staged mode, and
 // extracts the lookahead. It also retargets every NI's counters at its
 // domain's private stats shard. The network must be fully built and not
 // yet registered with any engine.
@@ -57,24 +59,25 @@ func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan
 		InEdges:   make([][]sim.CrossStage, domains),
 	}
 
-	// Producer/consumer domain of every pipe, keyed by pipe identity.
-	flitProd := map[*sim.Pipe[Flit]]int{}
-	flitCons := map[*sim.Pipe[Flit]]int{}
+	// Producer/consumer domain of every router, router output, eject pipe
+	// and credit pipe, keyed by identity.
+	routerDomOf := map[*Router]int{}
+	outDom := map[*OutPort]int{}
+	ejectProd := map[*sim.Pipe[Flit]]int{}
 	credProd := map[*sim.Pipe[Credit]]int{}
 	credCons := map[*sim.Pipe[Credit]]int{}
 	for i, r := range rn.Routers {
 		d := routerDom[i]
+		routerDomOf[r] = d
 		for _, ip := range r.ins {
-			if ip.in != nil {
-				flitCons[ip.in] = d
-			}
 			if ip.creditOut != nil {
 				credProd[ip.creditOut] = d
 			}
 		}
 		for _, op := range r.outs {
+			outDom[op] = d
 			if op.link != nil {
-				flitProd[op.link] = d
+				ejectProd[op.link] = d
 			}
 			if op.creditIn != nil {
 				credCons[op.creditIn] = d
@@ -92,14 +95,14 @@ func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan
 			continue
 		}
 		switch {
-		case ni.out.link != nil:
-			d, ok := flitCons[ni.out.link]
+		case ni.out.down != nil:
+			d, ok := routerDomOf[ni.out.down.r]
 			if !ok {
 				panic(fmt.Sprintf("noc: node %d injects into no known router", n))
 			}
 			p.NIDom[n] = d
 		case ni.eject != nil:
-			d, ok := flitProd[ni.eject]
+			d, ok := ejectProd[ni.eject]
 			if !ok {
 				panic(fmt.Sprintf("noc: node %d ejects from no known router", n))
 			}
@@ -108,14 +111,8 @@ func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan
 			p.NIDom[n] = 0 // orphan NI: any domain works, it moves nothing
 		}
 		d := p.NIDom[n]
-		if ni.out.link != nil {
-			flitProd[ni.out.link] = d
-		}
 		if ni.out.creditIn != nil {
 			credCons[ni.out.creditIn] = d
-		}
-		if ni.eject != nil {
-			flitCons[ni.eject] = d
 		}
 		if ni.ejectCredit != nil {
 			credProd[ni.ejectCredit] = d
@@ -125,36 +122,32 @@ func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan
 	// Collect cross edges by scanning consumers in a fixed order (routers
 	// then NIs, ports in wiring order), so each domain's commit order is
 	// deterministic. A pipe without a known producer is endpoint-internal
-	// and never crosses.
-	stageFlit := func(pipe *sim.Pipe[Flit], cons int) {
-		prod, ok := flitProd[pipe]
-		if !ok || prod == cons {
-			return
-		}
-		pipe.Stage()
-		p.InEdges[cons] = append(p.InEdges[cons], pipe)
+	// and never crosses; an NI's inject link never crosses by construction.
+	cross := func(e sim.CrossStage, delay sim.Cycle, cons int) {
+		p.InEdges[cons] = append(p.InEdges[cons], e)
 		p.CrossLinks++
-		if pipe.Delay() < p.Lookahead {
-			p.Lookahead = pipe.Delay()
+		if delay < p.Lookahead {
+			p.Lookahead = delay
+		}
+	}
+	stageEject := func(pipe *sim.Pipe[Flit], cons int) {
+		if prod, ok := ejectProd[pipe]; ok && prod != cons {
+			pipe.Stage()
+			cross(pipe, pipe.Delay(), cons)
 		}
 	}
 	stageCred := func(pipe *sim.Pipe[Credit], cons int) {
-		prod, ok := credProd[pipe]
-		if !ok || prod == cons {
-			return
-		}
-		pipe.Stage()
-		p.InEdges[cons] = append(p.InEdges[cons], pipe)
-		p.CrossLinks++
-		if pipe.Delay() < p.Lookahead {
-			p.Lookahead = pipe.Delay()
+		if prod, ok := credProd[pipe]; ok && prod != cons {
+			pipe.Stage()
+			cross(pipe, pipe.Delay(), cons)
 		}
 	}
 	for i, r := range rn.Routers {
 		d := routerDom[i]
 		for _, ip := range r.ins {
-			if ip.in != nil {
-				stageFlit(ip.in, d)
+			if prod, ok := outDom[ip.from]; ok && prod != d {
+				ip.from.Stage()
+				cross(ip.from, ip.from.delay, d)
 			}
 		}
 		for _, op := range r.outs {
@@ -169,7 +162,7 @@ func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan
 		}
 		d := p.NIDom[n]
 		if ni.eject != nil {
-			stageFlit(ni.eject, d)
+			stageEject(ni.eject, d)
 		}
 		if ni.out.creditIn != nil {
 			stageCred(ni.out.creditIn, d)

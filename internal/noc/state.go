@@ -16,10 +16,12 @@ import (
 // and re-links the same sharing structure. Payloads are opaque here (the
 // protocol layer sits above noc), so callers supply the payload walk.
 //
-// Pipe ownership: every flit pipe is walked at its consumer (router
+// Link ownership: every flit link is walked at its consumer (router
 // input ports and NI eject sides) and every credit pipe at its consumer
-// (router output ports and NI inject sides), so each shared pipe is
-// walked exactly once.
+// (router output ports and NI inject sides), so each link is walked
+// exactly once. A router link walks as the pipe it replaced: its
+// in-flight flits — those behind the arrived ones in the input's VCs,
+// then any its OutPort stages — in send order with their arrival cycles.
 
 // PayloadWalk walks one packet payload (*payload is nil while a load
 // walks a fresh packet).
@@ -106,9 +108,9 @@ func (t *pktTable) flit(f *Flit, s *ckpt.State) {
 // State walks a credit's VC.
 func (c *Credit) State(s *ckpt.State) { ckpt.Uint(s, &c.VC, NumClasses-1) }
 
-// forEachPacket walks every live packet reference in the fixed traversal
-// order the codec relies on.
-func (rn *RouterNetwork) forEachPacket(visit func(p *Packet)) {
+// forEachPacket walks every live packet reference at cycle now in the
+// fixed traversal order the codec relies on.
+func (rn *RouterNetwork) forEachPacket(now sim.Cycle, visit func(p *Packet)) {
 	for _, ni := range rn.NIs {
 		if ni == nil {
 			continue
@@ -124,13 +126,11 @@ func (rn *RouterNetwork) forEachPacket(visit func(p *Packet)) {
 		for _, ip := range r.ins {
 			for c := range ip.vcs {
 				q := &ip.vcs[c]
-				for i := 0; i < q.n; i++ {
-					visit(q.buf[(q.head+i)%len(q.buf)].Pkt)
+				for i, a := 0, q.arrived(now); i < a; i++ {
+					visit(q.nth(i).Pkt)
 				}
 			}
-			if ip.in != nil {
-				ip.in.Each(func(_ sim.Cycle, f Flit) { visit(f.Pkt) })
-			}
+			ip.eachInFlight(now, func(f *linkFlit) { visit(f.Pkt) })
 		}
 		for _, op := range r.outs {
 			for c := range op.owner {
@@ -142,19 +142,97 @@ func (rn *RouterNetwork) forEachPacket(visit func(p *Packet)) {
 	}
 }
 
+// eachInFlight calls fn for every flit on the link into ip at cycle
+// now, in send order: the VCs' flits behind those arrived by now, merged
+// by arrival cycle, then the flits the link's OutPort stages.
+func (ip *InPort) eachInFlight(now sim.Cycle, fn func(f *linkFlit)) {
+	var next [NumClasses]int
+	for c := range ip.vcs {
+		next[c] = ip.vcs[c].arrived(now)
+	}
+	for {
+		var first *linkFlit
+		vc := 0
+		for c := range ip.vcs {
+			if q := &ip.vcs[c]; next[c] < q.n && (first == nil || q.nth(next[c]).at < first.at) {
+				first, vc = q.nth(next[c]), c
+			}
+		}
+		if first == nil {
+			break
+		}
+		fn(first)
+		next[vc]++
+	}
+	if ip.from != nil {
+		for i := range ip.from.staged {
+			fn(&ip.from.staged[i])
+		}
+	}
+}
+
+// linkState walks the link into ip as the pipe it replaced wrote it: the
+// in-flight flit count, then each flit with its arrival cycle
+// delta-encoded. A load checks what a save can write — each flit arrives
+// after the snapshot cycle now, within the link's delay, after the flit
+// sent before it, and into a VC with room — and writes the flits into
+// their VCs, the ones a cross-domain link had staged included.
+func (ip *InPort) linkState(s *ckpt.State, now sim.Cycle, t *pktTable, router string) {
+	prev := sim.Cycle(0)
+	if !s.Loading() {
+		n := len(ip.from.staged)
+		for c := range ip.vcs {
+			n += ip.vcs[c].n - ip.vcs[c].arrived(now)
+		}
+		s.Count(n)
+		ip.eachInFlight(now, func(f *linkFlit) {
+			ckpt.Delta(s, &f.at, &prev)
+			t.flit(&f.Flit, s)
+		})
+		return
+	}
+	ip.from.staged = nil
+	last := now
+	for n := s.Count(0); n > 0 && s.Err() == nil; n-- {
+		var f linkFlit
+		ckpt.Delta(s, &f.at, &prev)
+		t.flit(&f.Flit, s)
+		if s.Err() != nil {
+			return
+		}
+		q := &ip.vcs[f.Pkt.Class]
+		switch {
+		case f.at <= now:
+			s.Corrupt("%s input %s: flit on the link arrives at cycle %d, not after the snapshot cycle %d", router, ip.name, f.at, now)
+		case f.at > now+ip.from.delay:
+			s.Corrupt("%s input %s: flit arrives at cycle %d, beyond its %d-cycle link from cycle %d", router, ip.name, f.at, ip.from.delay, now)
+		case f.at <= last:
+			s.Corrupt("%s input %s: flit arrives at cycle %d, not after the flit sent before it (cycle %d)", router, ip.name, f.at, last)
+		case q.n == len(q.buf):
+			s.Corrupt("%s input %s: VC %v holds more than its %d flits", router, ip.name, f.Pkt.Class, len(q.buf))
+		default:
+			q.push(f)
+			last = f.at
+		}
+	}
+}
+
 // State walks the network's in-flight state; payload walks each
-// packet's payload. A save first folds the network's local accounting
-// into the shared Stats, so per-router/per-port deltas are zero at the
-// snapshot and only the folded totals travel. A load needs the network
-// built with the donor's topology; each router's derived state — its
-// buffered count, occupancy and due sets and last-grant stamps — is
-// rebuilt from the restored buffers and pipes.
-func (rn *RouterNetwork) State(s *ckpt.State, payload PayloadWalk) {
+// packet's payload. now is the snapshot cycle: a save writes the flits
+// that have arrived by it as buffered and the rest as on their links,
+// and a load checks each link's flits against it. A save first folds the
+// network's local
+// accounting into the shared Stats, so per-router and per-port deltas are
+// zero at the snapshot and only the folded totals travel. A load needs
+// the network built with the donor's topology; each router's derived
+// state — its buffered count, occupancy set, arrival calendar and
+// last-grant stamps — is rebuilt from the restored VCs.
+func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk) {
 	t := &pktTable{}
 	if !s.Loading() {
 		rn.fold()
 		t.idx = make(map[*Packet]int)
-		rn.forEachPacket(t.add)
+		rn.forEachPacket(now, t.add)
 	}
 	n := s.Count(len(t.pkts))
 	if s.Loading() {
@@ -193,21 +271,21 @@ func (rn *RouterNetwork) State(s *ckpt.State, payload PayloadWalk) {
 		for _, ip := range r.ins {
 			for c := range ip.vcs {
 				q := &ip.vcs[c]
-				cnt := s.Count(q.n)
+				cnt := s.Count(q.arrived(now))
 				if s.Loading() {
 					if cnt > len(q.buf) {
 						s.Corrupt("VC occupancy %d exceeds buffer capacity %d", cnt, len(q.buf))
 						return
 					}
 					q.head, q.n = 0, cnt
-					clear(q.buf)
+					clear(q.buf) // the arrived flits' cycles read 0, before now
 				}
-				for i := 0; i < q.n; i++ {
-					t.flit(&q.buf[(q.head+i)%len(q.buf)], s)
+				for i := 0; i < cnt; i++ {
+					t.flit(&q.nth(i).Flit, s)
 				}
 			}
-			if ip.in != nil {
-				ip.in.State(s, t.flit)
+			if ip.from != nil {
+				ip.linkState(s, now, t, r.Name)
 			}
 		}
 		for _, op := range r.outs {
@@ -230,7 +308,7 @@ func (rn *RouterNetwork) State(s *ckpt.State, payload PayloadWalk) {
 			}
 		}
 		if s.Loading() && s.Err() == nil {
-			r.resync()
+			r.resync(now)
 		}
 	}
 	if s.Err() == nil {
