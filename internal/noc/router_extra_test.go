@@ -535,6 +535,34 @@ func TestStaticPriorityUncoveredVCPanics(t *testing.T) {
 	}
 }
 
+// A checkpoint holding a flit in a VC the static priority order leaves
+// out must fail to load, naming the router, input and class, instead of
+// restoring a router that holds the flit forever.
+func TestStaticPriorityUncoveredVCLoadFails(t *testing.T) {
+	build := func() *RouterNetwork {
+		rn := NewRouterNetwork("tree", 2)
+		r := NewRouter(100, "tree", 0, func(p *Packet) int { return 0 })
+		r.AddIn("net", 2)
+		r.AddOut("down")
+		r.SetPriority([]Cand{{Port: 0, VC: ClassResp}, {Port: 0, VC: ClassSnoop}})
+		src, dst := NewNI(0, rn.StatsRef()), NewNI(1, rn.StatsRef())
+		ConnectNIInject(src, r, 0, 1)
+		ConnectNIEject(dst, r, 0, 1, 4)
+		rn.Routers = []*Router{r}
+		rn.NIs[0], rn.NIs[1] = src, dst
+		return rn
+	}
+	donor := build()
+	preload(donor.Routers[0], 0, Flit{Pkt: &Packet{ID: 1, Class: ClassReq, Src: 0, Dst: 1, Size: 1}})
+	var enc ckpt.Enc
+	donor.State(ckpt.Encoding(&enc), 5, nopPayload)
+	d := ckpt.NewDec(enc.Bytes())
+	build().State(ckpt.Decoding(d), 5, nopPayload)
+	if err := d.Err(); err == nil || !strings.Contains(err.Error(), "tree input net: VC req") {
+		t.Fatalf("loading a request flit on a VC missing from the priority order returned %v", err)
+	}
+}
+
 // SetPriority must reject an entry naming an input port the router does
 // not have, instead of failing at the first allocation that reaches it.
 func TestSetPriorityRejectsMissingPort(t *testing.T) {

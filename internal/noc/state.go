@@ -287,6 +287,11 @@ func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk
 			if ip.from != nil {
 				ip.linkState(s, now, t, r.Name)
 			}
+			for c := range ip.vcs {
+				if s.Loading() && r.prio != nil && ip.vcs[c].n > 0 && !hasBit(r.covered, ip.base+c) {
+					s.Corrupt("%s input %s: VC %v holds flits its static priority order never grants", r.Name, ip.name, Class(c))
+				}
+			}
 		}
 		for _, op := range r.outs {
 			for c := range op.credits {
