@@ -26,8 +26,9 @@ func (s stubOrg) AreaModel(cfg Config) (physic.Breakdown, physic.BufferKind) {
 	return meshOrg.AreaModel(cfg)
 }
 
-// resetRegistry snapshots the global registry and restores it on cleanup,
-// so registration tests cannot leak designs into other tests.
+// resetRegistry snapshots the design and hierarchy registries and
+// restores them on cleanup, so registration tests cannot leak entries
+// into other tests.
 func resetRegistry(t *testing.T) {
 	t.Helper()
 	orgMu.Lock()
@@ -37,11 +38,22 @@ func resetRegistry(t *testing.T) {
 		savedAliases[k] = v
 	}
 	orgMu.Unlock()
+	hierMu.Lock()
+	savedHiers := append([]Hierarchy(nil), hiers...)
+	savedHierAliases := map[string]HierarchyID{}
+	for k, v := range hierAliases {
+		savedHierAliases[k] = v
+	}
+	hierMu.Unlock()
 	t.Cleanup(func() {
 		orgMu.Lock()
 		orgs = savedOrgs
 		orgAliases = savedAliases
 		orgMu.Unlock()
+		hierMu.Lock()
+		hiers = savedHiers
+		hierAliases = savedHierAliases
+		hierMu.Unlock()
 	})
 }
 
