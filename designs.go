@@ -4,6 +4,7 @@ import (
 	"nocout/internal/chip"
 	"nocout/internal/noc"
 	"nocout/internal/physic"
+	"nocout/internal/registry"
 	"nocout/internal/topo"
 )
 
@@ -27,9 +28,9 @@ import (
 // The extended organizations' Design handles, minted at package init in
 // this order (after the builtin four).
 var (
-	Torus    = mustRegister(chip.Tiled("Torus", []string{"2d-torus"}, torusNet, physic.FlipFlop))
-	CMesh    = mustRegister(chip.Tiled("CMesh", []string{"concentrated-mesh"}, cmeshNet, physic.FlipFlop))
-	Crossbar = mustRegister(chip.Tiled("Crossbar", []string{"xbar", "central-crossbar"}, crossbarNet, physic.FlipFlop))
+	Torus    = registry.Must(RegisterDesign(chip.Tiled("Torus", []string{"2d-torus"}, torusNet, physic.FlipFlop)))
+	CMesh    = registry.Must(RegisterDesign(chip.Tiled("CMesh", []string{"concentrated-mesh"}, cmeshNet, physic.FlipFlop)))
+	Crossbar = registry.Must(RegisterDesign(chip.Tiled("Crossbar", []string{"xbar", "central-crossbar"}, crossbarNet, physic.FlipFlop)))
 )
 
 func torusNet(plan topo.Floorplan, aux []noc.NodeID, linkBits int) *noc.RouterNetwork {
@@ -52,12 +53,4 @@ func crossbarNet(plan topo.Floorplan, aux []noc.NodeID, _ int) *noc.RouterNetwor
 	p := topo.DefaultCrossbarParams(plan)
 	p.AuxTiles = aux
 	return topo.NewCrossbar(p)
-}
-
-func mustRegister(o Organization) Design {
-	d, err := RegisterDesign(o)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }

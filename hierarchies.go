@@ -5,6 +5,7 @@ import (
 
 	"nocout/internal/chip"
 	"nocout/internal/noc"
+	"nocout/internal/registry"
 	"nocout/internal/workload"
 )
 
@@ -29,19 +30,11 @@ import (
 // The extended hierarchies' handles, minted at package init in this order
 // (after the builtin SharedNUCA, which is handle 0).
 var (
-	XORPlacement = mustRegisterHierarchy(xorHier{})
-	RegionAffine = mustRegisterHierarchy(affineHier{})
-	PrivateLLC   = mustRegisterHierarchy(privateHier{})
-	Clustered    = mustRegisterHierarchy(clusteredHier{})
+	XORPlacement = registry.Must(RegisterHierarchy(xorHier{}))
+	RegionAffine = registry.Must(RegisterHierarchy(affineHier{}))
+	PrivateLLC   = registry.Must(RegisterHierarchy(privateHier{}))
+	Clustered    = registry.Must(RegisterHierarchy(clusteredHier{}))
 )
-
-func mustRegisterHierarchy(h Hierarchy) HierarchyID {
-	id, err := RegisterHierarchy(h)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
 
 // xorFold spreads a line address for home-bank selection. It folds
 // different bit positions than the cache set-index hash and the memory

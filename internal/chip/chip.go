@@ -16,6 +16,7 @@ import (
 	"nocout/internal/cpu"
 	"nocout/internal/mem"
 	"nocout/internal/noc"
+	"nocout/internal/registry"
 	"nocout/internal/sim"
 	"nocout/internal/topo"
 	"nocout/internal/workload"
@@ -71,11 +72,7 @@ func Table1Config() Config {
 // DefaultConfig returns a design's default system (Table 1 for the paper's
 // organizations). Unregistered designs are a hard error.
 func DefaultConfig(d Design) Config {
-	org, err := OrganizationOf(d)
-	if err != nil {
-		panic(err)
-	}
-	cfg := org.DefaultConfig()
+	cfg := registry.Must(OrganizationOf(d)).DefaultConfig()
 	cfg.Design = d
 	return cfg
 }
@@ -144,14 +141,8 @@ func NewSharded(cfg Config, w workload.Workload, domains int) *Chip {
 		cfg.BanksPerLLCTile = 2
 	}
 	cfg.Mem = cfg.Mem.WithDefaults()
-	org, err := OrganizationOf(cfg.Design)
-	if err != nil {
-		panic(err)
-	}
-	hier, err := HierarchyOf(cfg.Hierarchy)
-	if err != nil {
-		panic(err)
-	}
+	org := registry.Must(OrganizationOf(cfg.Design))
+	hier := registry.Must(HierarchyOf(cfg.Hierarchy))
 	c := &Chip{Cfg: cfg, Workload: w}
 	fab := org.Build(cfg)
 	c.Fabric = fab

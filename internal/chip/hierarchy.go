@@ -2,13 +2,12 @@ package chip
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
 	"nocout/internal/coherence"
 	"nocout/internal/mem"
 	"nocout/internal/noc"
 	"nocout/internal/physic"
+	"nocout/internal/registry"
 	"nocout/internal/workload"
 )
 
@@ -111,78 +110,37 @@ func (p HierPhysical) String() string {
 		p.StorageMM2, p.DirMM2, p.TotalMM2(), p.LeakageW)
 }
 
-// The hierarchy registry. Registration is rare and reads are hot (every
-// chip build, String, and ParseHierarchy), so it is guarded by a RWMutex
-// and safe for concurrent use from experiment worker pools.
-var (
-	hierMu      sync.RWMutex
-	hiers       []Hierarchy
-	hierAliases = map[string]HierarchyID{}
-)
+// hierarchies is the hierarchy registry: a HierarchyID is an index into
+// it.
+var hierarchies = registry.New[Hierarchy](256, registry.Texts{
+	NoName:       "chip: RegisterHierarchy needs a name",
+	EmptyAlias:   "chip: hierarchy %q has an empty alias",
+	Full:         "chip: hierarchy registry full",
+	Taken:        "chip: hierarchy name %q already registered by %s",
+	Unregistered: "chip: hierarchy %d is not registered",
+	Unknown:      "chip: unknown hierarchy %[1]q (want %[3]s)",
+})
 
-func init() {
-	if _, err := RegisterHierarchy(sharedNUCA{}); err != nil {
-		panic(err)
-	}
-}
+func init() { registry.Must(RegisterHierarchy(sharedNUCA{})) }
 
 // RegisterHierarchy adds a hierarchy to the registry and returns its
 // HierarchyID handle. The name and aliases must be non-empty and unique
 // (case-insensitively) across the registry.
 func RegisterHierarchy(h Hierarchy) (HierarchyID, error) {
-	name := strings.TrimSpace(h.Name())
-	if name == "" {
-		return 0, fmt.Errorf("chip: RegisterHierarchy needs a name")
-	}
-	keys := []string{strings.ToLower(name)}
-	for _, a := range h.Aliases() {
-		a = strings.ToLower(strings.TrimSpace(a))
-		if a == "" {
-			return 0, fmt.Errorf("chip: hierarchy %q has an empty alias", name)
-		}
-		if a != keys[0] {
-			keys = append(keys, a)
-		}
-	}
-	hierMu.Lock()
-	defer hierMu.Unlock()
-	if len(hiers) >= 256 {
-		return 0, fmt.Errorf("chip: hierarchy registry full")
-	}
-	for _, k := range keys {
-		// The write lock is held: read the owner's name directly rather
-		// than through HierarchyID.String, which would re-enter the lock.
-		if id, dup := hierAliases[k]; dup {
-			return 0, fmt.Errorf("chip: hierarchy name %q already registered by %s", k, hiers[id].Name())
-		}
-	}
-	id := HierarchyID(len(hiers))
-	hiers = append(hiers, h)
-	for _, k := range keys {
-		hierAliases[k] = id
-	}
-	return id, nil
+	id, err := hierarchies.Add(h)
+	return HierarchyID(id), err
 }
 
 // HierarchyOf resolves a HierarchyID to its registered hierarchy; unknown
 // hierarchies are a hard error.
-func HierarchyOf(id HierarchyID) (Hierarchy, error) {
-	hierMu.RLock()
-	defer hierMu.RUnlock()
-	if int(id) >= len(hiers) {
-		return nil, fmt.Errorf("chip: hierarchy %d is not registered", uint8(id))
-	}
-	return hiers[id], nil
-}
+func HierarchyOf(id HierarchyID) (Hierarchy, error) { return hierarchies.Get(int(id)) }
 
 // Hierarchies returns every registered hierarchy in HierarchyID order.
-func Hierarchies() []Hierarchy {
-	hierMu.RLock()
-	defer hierMu.RUnlock()
-	out := make([]Hierarchy, len(hiers))
-	copy(out, hiers)
-	return out
-}
+func Hierarchies() []Hierarchy { return hierarchies.All() }
+
+// NumHierarchies returns how many hierarchies are registered; their
+// handles run from 0 to NumHierarchies()-1.
+func NumHierarchies() int { return hierarchies.Len() }
 
 // String returns the hierarchy's display name.
 func (id HierarchyID) String() string {
@@ -196,18 +154,8 @@ func (id HierarchyID) String() string {
 // display names and the CLI shorthands, case-insensitively
 // (shared-nuca | nuca-xor | private | clustered | ...).
 func ParseHierarchy(s string) (HierarchyID, error) {
-	key := strings.ToLower(strings.TrimSpace(s))
-	hierMu.RLock()
-	id, ok := hierAliases[key]
-	hierMu.RUnlock()
-	if !ok {
-		var names []string
-		for _, h := range Hierarchies() {
-			names = append(names, strings.ToLower(h.Name()))
-		}
-		return 0, fmt.Errorf("chip: unknown hierarchy %q (want %s)", s, strings.Join(names, " | "))
-	}
-	return id, nil
+	_, id, err := hierarchies.Lookup(s)
+	return HierarchyID(id), err
 }
 
 // MarshalText encodes the hierarchy by name, so JSON reports read

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
-	"sync"
 
 	"nocout/internal/noc"
 	"nocout/internal/physic"
+	"nocout/internal/registry"
 	"nocout/internal/topo"
 )
 
@@ -74,20 +73,19 @@ type Fabric struct {
 	Plan topo.Floorplan
 }
 
-// The registry. Registration is rare and reads are hot (every chip build,
-// String, and ParseDesign), so it is guarded by a RWMutex and safe for
-// concurrent use from experiment worker pools.
-var (
-	orgMu      sync.RWMutex
-	orgs       []Organization
-	orgAliases = map[string]Design{}
-)
+// designs is the design registry: a Design is an index into it.
+var designs = registry.New[Organization](256, registry.Texts{
+	NoName:       "chip: RegisterOrganization needs a name",
+	EmptyAlias:   "chip: organization %q has an empty alias",
+	Full:         "chip: design registry full",
+	Taken:        "chip: design name %q already registered by %s",
+	Unregistered: "chip: design %d is not registered",
+	Unknown:      "chip: unknown design %[1]q (want %[3]s)",
+})
 
 func init() {
 	for _, o := range []Organization{meshOrg, fbflyOrg, nocoutOrg{}, idealOrg{}} {
-		if _, err := RegisterOrganization(o); err != nil {
-			panic(err)
-		}
+		registry.Must(RegisterOrganization(o))
 	}
 }
 
@@ -95,59 +93,20 @@ func init() {
 // returns its Design handle. The name and aliases must be non-empty and
 // unique (case-insensitively) across the registry.
 func RegisterOrganization(o Organization) (Design, error) {
-	name := strings.TrimSpace(o.Name())
-	if name == "" {
-		return 0, fmt.Errorf("chip: RegisterOrganization needs a name")
-	}
-	keys := []string{strings.ToLower(name)}
-	for _, a := range o.Aliases() {
-		a = strings.ToLower(strings.TrimSpace(a))
-		if a == "" {
-			return 0, fmt.Errorf("chip: organization %q has an empty alias", name)
-		}
-		if a != keys[0] {
-			keys = append(keys, a)
-		}
-	}
-	orgMu.Lock()
-	defer orgMu.Unlock()
-	if len(orgs) >= 256 {
-		return 0, fmt.Errorf("chip: design registry full")
-	}
-	for _, k := range keys {
-		// The write lock is held: read the owner's name directly rather
-		// than through Design.String, which would re-enter the lock.
-		if d, dup := orgAliases[k]; dup {
-			return 0, fmt.Errorf("chip: design name %q already registered by %s", k, orgs[d].Name())
-		}
-	}
-	d := Design(len(orgs))
-	orgs = append(orgs, o)
-	for _, k := range keys {
-		orgAliases[k] = d
-	}
-	return d, nil
+	d, err := designs.Add(o)
+	return Design(d), err
 }
 
 // OrganizationOf resolves a Design handle to its registered organization;
 // unknown designs are a hard error.
-func OrganizationOf(d Design) (Organization, error) {
-	orgMu.RLock()
-	defer orgMu.RUnlock()
-	if int(d) >= len(orgs) {
-		return nil, fmt.Errorf("chip: design %d is not registered", uint8(d))
-	}
-	return orgs[d], nil
-}
+func OrganizationOf(d Design) (Organization, error) { return designs.Get(int(d)) }
 
 // Organizations returns every registered organization in Design order.
-func Organizations() []Organization {
-	orgMu.RLock()
-	defer orgMu.RUnlock()
-	out := make([]Organization, len(orgs))
-	copy(out, orgs)
-	return out
-}
+func Organizations() []Organization { return designs.All() }
+
+// NumOrganizations returns how many organizations are registered; their
+// Design handles run from 0 to NumOrganizations()-1.
+func NumOrganizations() int { return designs.Len() }
 
 // String returns the design name as used in the paper's figures.
 func (d Design) String() string {
@@ -162,18 +121,8 @@ func (d Design) String() string {
 // shorthands (mesh | fbfly | nocout | ideal | torus | cmesh | crossbar |
 // ...).
 func ParseDesign(s string) (Design, error) {
-	key := strings.ToLower(strings.TrimSpace(s))
-	orgMu.RLock()
-	d, ok := orgAliases[key]
-	orgMu.RUnlock()
-	if !ok {
-		var names []string
-		for _, o := range Organizations() {
-			names = append(names, strings.ToLower(o.Name()))
-		}
-		return 0, fmt.Errorf("chip: unknown design %q (want %s)", s, strings.Join(names, " | "))
-	}
-	return d, nil
+	_, d, err := designs.Lookup(s)
+	return Design(d), err
 }
 
 // MarshalText encodes the design by name, so JSON reports read

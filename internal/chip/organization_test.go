@@ -31,30 +31,9 @@ func (s stubOrg) AreaModel(cfg Config) (physic.Breakdown, physic.BufferKind) {
 // into other tests.
 func resetRegistry(t *testing.T) {
 	t.Helper()
-	orgMu.Lock()
-	savedOrgs := append([]Organization(nil), orgs...)
-	savedAliases := map[string]Design{}
-	for k, v := range orgAliases {
-		savedAliases[k] = v
-	}
-	orgMu.Unlock()
-	hierMu.Lock()
-	savedHiers := append([]Hierarchy(nil), hiers...)
-	savedHierAliases := map[string]HierarchyID{}
-	for k, v := range hierAliases {
-		savedHierAliases[k] = v
-	}
-	hierMu.Unlock()
-	t.Cleanup(func() {
-		orgMu.Lock()
-		orgs = savedOrgs
-		orgAliases = savedAliases
-		orgMu.Unlock()
-		hierMu.Lock()
-		hiers = savedHiers
-		hierAliases = savedHierAliases
-		hierMu.Unlock()
-	})
+	savedDesigns, savedHierarchies := designs, hierarchies
+	designs, hierarchies = designs.Clone(), hierarchies.Clone()
+	t.Cleanup(func() { designs, hierarchies = savedDesigns, savedHierarchies })
 }
 
 func TestRegisterOrganization(t *testing.T) {

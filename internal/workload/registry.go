@@ -4,40 +4,42 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"nocout/internal/registry"
 )
 
-// The workload registry, mirroring the chip package's Organization
-// registry: every string a CLI flag, sweep spec, or config file can carry
-// resolves here, case-insensitively and alias-aware. Registration is rare
-// and reads are hot (every sweep expansion), so an RWMutex guards
-// it; safe for concurrent use from experiment worker pools.
-var (
-	regMu   sync.RWMutex
-	regList []Workload
-	regKeys = map[string]Workload{}
-)
+// workloads is the workload registry: every string a CLI flag, sweep
+// spec, or config file can carry resolves here, case-insensitively and
+// alias-aware. It is the same table type as the chip package's design and
+// hierarchy registries; workloads have no handles, so it has no cap.
+var workloads = registry.New[Workload](0, registry.Texts{
+	NoName:     "workload: Register needs a name",
+	EmptyAlias: "workload: %q has an empty alias",
+	Taken:      "workload: name %q already registered by %s",
+	Unknown:    "workload: unknown workload %[1]q (want %[2]s, an alias, trace:<path>, or a registered scheme)",
+})
 
 func init() {
-	// The paper's six, in figure order, with their common CLI spellings.
-	for _, b := range []struct {
-		p       Params
-		aliases []string
-	}{
-		{DataServing, []string{"data-serving", "cassandra"}},
-		{MapReduceC, []string{"mapred-c"}},
-		{MapReduceW, []string{"mapred-w"}},
-		{SATSolver, []string{"sat-solver", "sat"}},
-		{WebFrontend, []string{"web-frontend", "frontend"}},
-		{WebSearch, []string{"web-search", "websearch", "search"}},
+	for _, w := range []Workload{
+		// The paper's six, in figure order, with their common CLI spellings.
+		Synth(DataServing, "data-serving", "cassandra"),
+		Synth(MapReduceC, "mapred-c"),
+		Synth(MapReduceW, "mapred-w"),
+		Synth(SATSolver, "sat-solver", "sat"),
+		Synth(WebFrontend, "web-frontend", "frontend"),
+		Synth(WebSearch, "web-search", "websearch", "search"),
+		// Worked examples of the heterogeneous families, registered through
+		// the same public path user workloads use. The Figure* studies pin
+		// the builtin six explicitly, so these never shift regenerated paper
+		// numbers.
+		ConsolidatedMix(),
+		MapReducePhased(),
 	} {
-		mustRegister(Synth(b.p, b.aliases...))
+		if err := Register(w); err != nil {
+			panic(err)
+		}
 	}
-	// Worked examples of the heterogeneous families, registered through
-	// the same public path user workloads use. The Figure* studies pin the
-	// builtin six explicitly, so these never shift regenerated paper
-	// numbers.
-	mustRegister(ConsolidatedMix())
-	mustRegister(MapReducePhased())
+	MustRegisterScheme("trace", LoadTrace)
 }
 
 // Register adds a workload to the registry so that every name-based entry
@@ -46,76 +48,40 @@ func init() {
 // contain ':' (reserved for schemes like "trace:<path>"). Safe for
 // concurrent use.
 func Register(w Workload) error {
-	name := strings.TrimSpace(w.Name())
-	if name == "" {
-		return fmt.Errorf("workload: Register needs a name")
-	}
-	keys := []string{strings.ToLower(name)}
-	for _, a := range w.Aliases() {
-		a = strings.ToLower(strings.TrimSpace(a))
-		if a == "" {
-			return fmt.Errorf("workload: %q has an empty alias", name)
-		}
-		if a != keys[0] {
-			keys = append(keys, a)
-		}
-	}
-	for _, k := range keys {
-		if strings.Contains(k, ":") {
+	for _, k := range append([]string{w.Name()}, w.Aliases()...) {
+		if k = strings.ToLower(strings.TrimSpace(k)); strings.Contains(k, ":") {
 			return fmt.Errorf("workload: name %q contains ':' (reserved for schemes)", k)
 		}
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	for _, k := range keys {
-		if prev, dup := regKeys[k]; dup {
-			return fmt.Errorf("workload: name %q already registered by %s", k, prev.Name())
-		}
-	}
-	regList = append(regList, w)
-	for _, k := range keys {
-		regKeys[k] = w
-	}
-	return nil
-}
-
-// mustRegister is Register for the package's own init-time registrations.
-func mustRegister(w Workload) Workload {
-	if err := Register(w); err != nil {
-		panic(err)
-	}
-	return w
+	_, err := workloads.Add(w)
+	return err
 }
 
 // All returns every registered workload: the paper's six in figure order,
 // then the example families, then user registrations in registration
 // order.
-func All() []Workload {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Workload, len(regList))
-	copy(out, regList)
-	return out
-}
+func All() []Workload { return workloads.All() }
 
 // Names returns the registered workload names in registration order.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, len(regList))
-	for i, w := range regList {
-		names[i] = w.Name()
-	}
-	return names
-}
+func Names() []string { return workloads.Names() }
 
 // TraceScheme prefixes a trace file path to form a workload name that
 // Parse resolves by loading the file: "trace:/path/to/ws.noctrace".
 const TraceScheme = "trace:"
 
-// Workload name schemes beyond the builtin "trace:": a scheme owns every
-// name spelled "<scheme>:<spec>" and parses the spec into a Workload.
-// The opensys package registers "opensys:" this way.
+// LoadTrace opens the trace file at path as a Workload; it is the
+// "trace:" scheme's parse function.
+func LoadTrace(path string) (Workload, error) {
+	t, err := OpenTraceFile(path)
+	if err != nil {
+		return nil, err // a nil Workload, not a nil *TraceFile
+	}
+	return t, nil
+}
+
+// Workload name schemes: a scheme owns every name spelled
+// "<scheme>:<spec>" and parses the spec into a Workload. This package
+// registers "trace:" this way, and the opensys package "opensys:".
 var (
 	schemeMu sync.RWMutex
 	schemes  = map[string]func(spec string) (Workload, error){}
@@ -124,16 +90,13 @@ var (
 // RegisterScheme adds a workload name scheme: Parse hands every
 // "<name>:<spec>" string to fn (spec is the part after the colon,
 // untrimmed). The scheme name is case-insensitive, must be non-empty,
-// colon-free, and not already taken ("trace" is builtin). Parsed
-// workloads must Name() themselves back to a string the scheme resolves,
-// so sweep points and campaign manifests rehydrate by name alone.
+// colon-free, and not already taken. Parsed workloads must Name()
+// themselves back to a string the scheme resolves, so sweep points and
+// campaign manifests rehydrate by name alone.
 func RegisterScheme(name string, fn func(spec string) (Workload, error)) error {
 	key := strings.ToLower(strings.TrimSpace(name))
 	if key == "" || strings.Contains(key, ":") {
 		return fmt.Errorf("workload: invalid scheme name %q", name)
-	}
-	if key == "trace" {
-		return fmt.Errorf("workload: scheme %q is builtin", key)
 	}
 	if fn == nil {
 		return fmt.Errorf("workload: scheme %q needs a parse function", key)
@@ -161,13 +124,6 @@ func MustRegisterScheme(name string, fn func(spec string) (Workload, error)) {
 // "opensys:arrival=poisson,...").
 func Parse(s string) (Workload, error) {
 	trimmed := strings.TrimSpace(s)
-	if strings.HasPrefix(strings.ToLower(trimmed), TraceScheme) {
-		t, err := OpenTraceFile(trimmed[len(TraceScheme):])
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
 	if i := strings.IndexByte(trimmed, ':'); i > 0 {
 		schemeMu.RLock()
 		fn := schemes[strings.ToLower(trimmed[:i])]
@@ -176,13 +132,6 @@ func Parse(s string) (Workload, error) {
 			return fn(trimmed[i+1:])
 		}
 	}
-	key := strings.ToLower(trimmed)
-	regMu.RLock()
-	w, ok := regKeys[key]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown workload %q (want %s, an alias, trace:<path>, or a registered scheme)",
-			s, strings.Join(Names(), " | "))
-	}
-	return w, nil
+	w, _, err := workloads.Lookup(s)
+	return w, err
 }

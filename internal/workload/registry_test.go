@@ -11,19 +11,9 @@ import (
 // the package state afterwards.
 func snapshotRegistry(t *testing.T) {
 	t.Helper()
-	regMu.Lock()
-	savedList := append([]Workload(nil), regList...)
-	savedKeys := map[string]Workload{}
-	for k, v := range regKeys {
-		savedKeys[k] = v
-	}
-	regMu.Unlock()
-	t.Cleanup(func() {
-		regMu.Lock()
-		regList = savedList
-		regKeys = savedKeys
-		regMu.Unlock()
-	})
+	saved := workloads
+	workloads = workloads.Clone()
+	t.Cleanup(func() { workloads = saved })
 }
 
 func TestRegistryBuiltins(t *testing.T) {

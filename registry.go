@@ -49,14 +49,7 @@ func RegisterDesign(o Organization) (Design, error) { return chip.RegisterOrgani
 
 // Designs returns every registered design in registration order: the
 // paper's four first, then Torus, CMesh, Crossbar, then user registrations.
-func Designs() []Design {
-	n := len(chip.Organizations())
-	out := make([]Design, n)
-	for i := range out {
-		out[i] = Design(i)
-	}
-	return out
-}
+func Designs() []Design { return handles[Design](chip.NumOrganizations()) }
 
 // OrganizationOf resolves a design handle to its registered organization;
 // unknown designs are a hard error.
@@ -126,11 +119,13 @@ func RegisterHierarchy(h Hierarchy) (HierarchyID, error) { return chip.RegisterH
 // Hierarchies returns every registered hierarchy handle in registration
 // order: SharedNUCA first, then XOR-placement, region-affine, PrivateLLC,
 // Clustered, then user registrations.
-func Hierarchies() []HierarchyID {
-	n := len(chip.Hierarchies())
-	out := make([]HierarchyID, n)
+func Hierarchies() []HierarchyID { return handles[HierarchyID](chip.NumHierarchies()) }
+
+// handles lists the registry handles 0 to n-1.
+func handles[H ~uint8](n int) []H {
+	out := make([]H, n)
 	for i := range out {
-		out[i] = HierarchyID(i)
+		out[i] = H(i)
 	}
 	return out
 }
@@ -284,13 +279,7 @@ type TraceInfo = workload.TraceInfo
 // the result is always a *TraceFile, which streams blocks lazily. Any
 // other file, a NOC2 capture included, fails with an error naming the
 // path: NOC3 is the one trace format.
-func LoadTrace(path string) (Workload, error) {
-	t, err := workload.OpenTraceFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
+func LoadTrace(path string) (Workload, error) { return workload.LoadTrace(path) }
 
 // RecordTraceFile records cores×perCore instructions from w at the given
 // seed straight into a NOC3 container at path — bounded-memory end to
