@@ -578,27 +578,32 @@ func TestSetPriorityRejectsMissingPort(t *testing.T) {
 	}
 }
 
+// runFork sends 20 packets into the fork network and runs it to cycle
+// until, checking its credit sums every cycle.
+func runFork(t *testing.T, until sim.Cycle) *RouterNetwork {
+	t.Helper()
+	rn := forkNet()
+	for _, d := range []NodeID{1, 2} {
+		rn.SetDeliver(d, func(sim.Cycle, *Packet) {})
+	}
+	e := sim.NewEngine()
+	e.Register(rn)
+	for i := 0; i < 20; i++ {
+		rn.Send(0, &Packet{ID: uint64(i), Class: Class(i % NumClasses), Src: NodeID(3 * (i % 2)), Dst: NodeID(1 + i%2), Size: 1 + i%4})
+	}
+	for e.Now() < until {
+		e.Step(1)
+		if err := rn.CheckCredits(); err != nil {
+			t.Fatalf("cycle %d: %v", e.Now(), err)
+		}
+	}
+	return rn
+}
+
 // CheckCredits must name the link, VC and terms of a broken credit sum,
 // for router links and both NI ends, on a network with traffic in flight.
 func TestCheckCreditsNamesTheBrokenLink(t *testing.T) {
-	running := func() *RouterNetwork {
-		rn := forkNet()
-		for _, d := range []NodeID{1, 2} {
-			rn.SetDeliver(d, func(sim.Cycle, *Packet) {})
-		}
-		e := sim.NewEngine()
-		e.Register(rn)
-		for i := 0; i < 20; i++ {
-			rn.Send(0, &Packet{ID: uint64(i), Class: Class(i % NumClasses), Src: NodeID(3 * (i % 2)), Dst: NodeID(1 + i%2), Size: 1 + i%4})
-		}
-		for e.Now() < 12 {
-			e.Step(1)
-			if err := rn.CheckCredits(); err != nil {
-				t.Fatalf("cycle %d: %v", e.Now(), err)
-			}
-		}
-		return rn
-	}
+	running := func() *RouterNetwork { return runFork(t, 12) }
 	for _, tc := range []struct {
 		name  string
 		spoil func(rn *RouterNetwork)
@@ -624,5 +629,30 @@ func TestCheckCreditsNamesTheBrokenLink(t *testing.T) {
 				t.Fatalf("%s: %q does not name %q", tc.name, err, w)
 			}
 		}
+	}
+}
+
+// TestLoadRejectsBrokenCreditSums raises one output's credits in a
+// snapshot of the fork network after 20 cycles of traffic. Every field
+// is in range, but the link could send more flits than its VC holds, so
+// the load must fail naming the router, output and VC. The snapshot as
+// taken loads.
+func TestLoadRejectsBrokenCreditSums(t *testing.T) {
+	const now = 20
+	rn := runFork(t, now)
+	load := func() error {
+		var enc ckpt.Enc
+		rn.State(ckpt.Encoding(&enc), now, nopPayload)
+		d := ckpt.NewDec(enc.Bytes())
+		forkNet().State(ckpt.Decoding(d), now, nopPayload)
+		return d.Err()
+	}
+	if err := load(); err != nil {
+		t.Fatalf("the snapshot as taken: %v", err)
+	}
+	rn.Routers[0].outs[0].credits[ClassResp] += 3
+	err := load()
+	if !errors.Is(err, ErrCreditConservation) || !strings.Contains(err.Error(), "r0 output out VC resp") {
+		t.Fatalf("raised credits: load error %v, want one naming r0 output out VC resp", err)
 	}
 }

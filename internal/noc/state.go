@@ -226,7 +226,8 @@ func (ip *InPort) linkState(s *ckpt.State, now sim.Cycle, t *pktTable, router st
 // zero at the snapshot and only the folded totals travel. A load needs
 // the network built with the donor's topology; each router's derived
 // state — its buffered count, occupancy set, arrival calendar and
-// last-grant stamps — is rebuilt from the restored VCs.
+// last-grant stamps — is rebuilt from the restored VCs, and a load whose
+// credit sums break conservation (CheckCredits) fails.
 func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk) {
 	t := &pktTable{}
 	if !s.Loading() {
@@ -318,5 +319,12 @@ func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk
 	}
 	if s.Err() == nil {
 		rn.stats.State(s)
+	}
+	// Each field may be in range while the credits of a link still let it
+	// send more flits than its downstream VC holds.
+	if s.Loading() && s.Err() == nil {
+		if err := rn.CheckCredits(); err != nil {
+			s.Corrupt("%w", err)
+		}
 	}
 }
