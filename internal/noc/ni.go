@@ -290,23 +290,24 @@ var ErrCreditConservation = errors.New("noc: credit conservation violated")
 func (rn *RouterNetwork) CheckCredits() error {
 	for _, r := range rn.Routers {
 		for _, op := range r.outs {
-			if err := op.checkCredits(r.Name); err != nil {
-				return err
+			if err := op.checkCredits(); err != nil {
+				return fmt.Errorf("%w: %s %v", ErrCreditConservation, r.Name, err)
 			}
 		}
 	}
 	for _, ni := range rn.NIs {
 		if ni != nil {
-			if err := ni.out.checkCredits(fmt.Sprintf("ni%d", ni.Node)); err != nil {
-				return err
+			if err := ni.out.checkCredits(); err != nil {
+				return fmt.Errorf("%w: ni%d %v", ErrCreditConservation, ni.Node, err)
 			}
 		}
 	}
 	return nil
 }
 
-// checkCredits checks one output's credit sum; sender names its owner.
-func (op *OutPort) checkCredits(sender string) error {
+// checkCredits checks one output's credit sum; CheckCredits names the
+// output's owner, so a sum that holds formats nothing.
+func (op *OutPort) checkCredits() error {
 	if !op.connected() {
 		return nil
 	}
@@ -323,8 +324,8 @@ func (op *OutPort) checkCredits(sender string) error {
 			down[vc] += op.down.vcs[vc].n
 		}
 		if sum := op.credits[vc] + returning[vc] + down[vc]; sum != op.downCap {
-			return fmt.Errorf("%w: %s output %s VC %v: credits %d + returning %d + downstream or on the link %d = %d, downstream capacity %d",
-				ErrCreditConservation, sender, op.name, Class(vc), op.credits[vc], returning[vc], down[vc], sum, op.downCap)
+			return fmt.Errorf("output %s VC %v: credits %d + returning %d + downstream or on the link %d = %d, downstream capacity %d",
+				op.name, Class(vc), op.credits[vc], returning[vc], down[vc], sum, op.downCap)
 		}
 	}
 	return nil

@@ -603,7 +603,6 @@ func runFork(t *testing.T, until sim.Cycle) *RouterNetwork {
 // CheckCredits must name the link, VC and terms of a broken credit sum,
 // for router links and both NI ends, on a network with traffic in flight.
 func TestCheckCreditsNamesTheBrokenLink(t *testing.T) {
-	running := func() *RouterNetwork { return runFork(t, 12) }
 	for _, tc := range []struct {
 		name  string
 		spoil func(rn *RouterNetwork)
@@ -618,7 +617,7 @@ func TestCheckCreditsNamesTheBrokenLink(t *testing.T) {
 		{"NI eject side", func(rn *RouterNetwork) { rn.Routers[1].outs[1].credits[ClassReq]-- },
 			[]string{"r1 output to2 VC req", "capacity 8"}},
 	} {
-		rn := running()
+		rn := runFork(t, 12)
 		tc.spoil(rn)
 		err := rn.CheckCredits()
 		if !errors.Is(err, ErrCreditConservation) {

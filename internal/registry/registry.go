@@ -16,12 +16,9 @@ import (
 	"sync"
 )
 
-// Named is a registry entry.
+// Named is a registry entry: a name and extra spellings.
 type Named interface {
-	// Name is how the entry prints, marshals, and is primarily parsed.
 	Name() string
-	// Aliases lists extra (lowercase) spellings; the lowercased Name is
-	// always accepted and need not be repeated.
 	Aliases() []string
 }
 
