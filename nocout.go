@@ -45,7 +45,7 @@
 // Workload sources are pluggable the same way: a Workload is a
 // behavioral value (name and aliases, software scalability limit,
 // per-core pipeline parameters, per-core instruction streams, prewarm
-// layout) resolved through its own registry — ParseWorkload accepts any
+// layout) resolved through a registry — ParseWorkload accepts any
 // registered name or alias, case-insensitively, plus the
 // "trace:<path>" scheme for recorded traces. The paper's six
 // synthetics are builtin; multiprogrammed mixes (NewMix, with a
@@ -79,6 +79,12 @@
 // hierarchy works in WithHierarchies sweeps, CLI flags (-hierarchy,
 // -hierarchies), and JSON reports. See EXPERIMENTS.md's "writing a
 // custom Hierarchy" walkthrough.
+//
+// The design, hierarchy and workload registries are one table type
+// behind three name spaces: each keeps its entries in registration order
+// (an entry's index is its Design or HierarchyID handle), resolves every
+// name and alias case-insensitively, and rejects an empty or taken
+// spelling with its own error wording.
 package nocout
 
 import (
