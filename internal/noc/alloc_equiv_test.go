@@ -18,7 +18,7 @@ func preload(r *Router, p int, f Flit) {
 }
 
 // refAllocate is the full-scan switch allocator the event-driven one
-// replaced, kept as the reference: it drains every due credit first, as
+// replaced, kept as the reference: it counts every due credit first, as
 // the old tick did, then offers every (port, VC) pair in arbitration
 // order, skipping VCs with no arrived flit, routing each front packet
 // afresh and marking used ports in per-cycle masks. It reads and writes
@@ -26,16 +26,7 @@ func preload(r *Router, p int, f Flit) {
 // stamps).
 func refAllocate(r *Router, now sim.Cycle) {
 	for _, op := range r.outs {
-		if op.creditIn == nil {
-			continue
-		}
-		for {
-			c, ok := op.creditIn.Pop(now)
-			if !ok {
-				break
-			}
-			op.credits[c.VC]++
-		}
+		op.settle(now)
 	}
 	if r.buffered == 0 {
 		return
@@ -73,7 +64,7 @@ func refAllocate(r *Router, now sim.Cycle) {
 		}
 		f := q.front()
 		out := r.route(f.Pkt)
-		if out < 0 || out >= len(r.outs) || r.outs[out].link == nil {
+		if out < 0 || out >= len(r.outs) || !r.outs[out].connected() {
 			panic("reference allocator: invalid route")
 		}
 		if outUsed[out] {
@@ -108,9 +99,9 @@ func refAllocate(r *Router, now sim.Cycle) {
 		if f.Tail() {
 			op.owner[cd.VC] = nil
 		}
-		op.link.Push(now, f)
-		if ip.creditOut != nil {
-			ip.creditOut.Push(now, Credit{VC: cd.VC})
+		op.send(now, f)
+		if ip.from != nil {
+			ip.from.returnCredit(now, cd.VC)
 		}
 		r.flits++
 		op.sent++
@@ -124,35 +115,33 @@ func refAllocate(r *Router, now sim.Cycle) {
 // route table, optionally a head-room policy and a static priority order,
 // VCs holding runs of packets whose front may be a head or a body flit,
 // output-VC owners that sometimes match a front packet, random credit
-// counts, and returned credits on each credit pipe both due at now and
-// due a cycle later. Every output feeds one shared link pipe and every
-// input returns credits on one shared pipe, so the pipes record grants in
-// grant order. Two calls with one seed build identical states.
-func randRouter(seed uint64, ports int, prio bool, now sim.Cycle) (r *Router, link *sim.Pipe[Flit], ret *sim.Pipe[Credit]) {
+// counts, and on each output a pending returned credit that is usable at
+// now, usable a cycle later, or absent. Every output writes into one
+// shared eject ring, sink's, so the ring records grants in grant order,
+// and every input returns credits to one shared upstream port, up, that
+// stages them, so its staged list records returns in grant order. Two
+// calls with one seed build identical states.
+func randRouter(seed uint64, ports int, prio bool, now sim.Cycle) (r *Router, sink *NI, up *OutPort) {
 	rng := sim.NewRNG(seed)
 	r = NewRouter(0, "eq", 1, nil)
 	for p := 0; p < ports; p++ {
 		r.AddIn(fmt.Sprintf("in%d", p), 1+rng.Intn(4))
 	}
 	outs := 1 + rng.Intn(min(ports+1, 6))
-	link = sim.NewPipe[Flit]("grants", 1)
-	ret = sim.NewPipe[Credit]("returns", 1)
+	sink = &NI{ej: flitRing{buf: make([]linkFlit, 3*outs)}}
+	up = &OutPort{name: "returns", staging: true}
 	for o := 0; o < outs; o++ {
 		op := r.outs[r.AddOut(fmt.Sprintf("out%d", o))]
-		op.link = link
-		op.creditIn = sim.NewPipe[Credit](op.name+".credit", 1)
+		op.ni, op.delay = sink, 1
 		for c := range op.credits {
 			op.credits[c] = rng.Intn(4)
 		}
-		for k := rng.Intn(4); k > 0; k-- {
-			op.creditIn.Push(now-1, Credit{VC: Class(rng.Intn(NumClasses))})
-		}
-		for k := rng.Intn(3); k > 0; k-- {
-			op.creditIn.Push(now, Credit{VC: Class(rng.Intn(NumClasses))})
+		if k := rng.Intn(3); k > 0 {
+			op.ret = creditReturn{due: now + sim.Cycle(k-1), vc: Class(rng.Intn(NumClasses))}
 		}
 	}
 	for _, ip := range r.ins {
-		ip.creditOut = ret
+		ip.from = up
 	}
 	const dsts = 16
 	table := make([]int, dsts)
@@ -225,12 +214,12 @@ func randRouter(seed uint64, ports int, prio bool, now sim.Cycle) (r *Router, li
 			}
 		}
 	}
-	return r, link, ret
+	return r, sink, up
 }
 
 // routerView is the observable state the two allocators must agree on.
 type routerView struct {
-	Grants   []string // flits on the shared link, in grant order
+	Grants   []string // flits in the shared eject ring, in grant order
 	Returns  []Class  // credits returned upstream, in grant order
 	Credits  [][NumClasses]int
 	Owners   [][NumClasses]uint64
@@ -240,20 +229,22 @@ type routerView struct {
 	Sent     []int64
 }
 
-// view captures r's state at cycle now. Credits count the returned
-// credits due by now as held, since a drain at now would add exactly
-// those.
-func view(r *Router, link *sim.Pipe[Flit], ret *sim.Pipe[Credit], now sim.Cycle) routerView {
+// view captures r's state at cycle now. Credits count a pending return
+// due by now as held, since a grant at now would count exactly that.
+func view(r *Router, sink *NI, up *OutPort, now sim.Cycle) routerView {
 	v := routerView{Buffered: r.buffered, Flits: r.flits}
-	link.Each(func(_ sim.Cycle, f Flit) { v.Grants = append(v.Grants, fmt.Sprintf("%d.%d", f.Pkt.ID, f.Seq)) })
-	ret.Each(func(_ sim.Cycle, c Credit) { v.Returns = append(v.Returns, c.VC) })
+	for i := 0; i < sink.ej.n; i++ {
+		f := sink.ej.nth(i)
+		v.Grants = append(v.Grants, fmt.Sprintf("%d.%d", f.Pkt.ID, f.Seq))
+	}
+	for _, c := range up.stagedRet {
+		v.Returns = append(v.Returns, c.vc)
+	}
 	for _, op := range r.outs {
 		cr := op.credits
-		op.creditIn.Each(func(at sim.Cycle, c Credit) {
-			if at <= now {
-				cr[c.VC]++
-			}
-		})
+		if op.ret.due != 0 && op.ret.due <= now {
+			cr[op.ret.vc]++
+		}
 		v.Credits = append(v.Credits, cr)
 		var own [NumClasses]uint64
 		for c, p := range op.owner {
@@ -290,12 +281,12 @@ func TestAllocatorMatchesFullScan(t *testing.T) {
 	seed, grants := uint64(0), 0
 	check := func(ports int, prio bool, now sim.Cycle) {
 		seed++
-		ref, refLink, refRet := randRouter(seed, ports, prio, now)
-		got, gotLink, gotRet := randRouter(seed, ports, prio, now)
+		ref, refSink, refUp := randRouter(seed, ports, prio, now)
+		got, gotSink, gotUp := randRouter(seed, ports, prio, now)
 		for at := now; at < now+3; at++ {
 			refAllocate(ref, at)
 			got.allocate(at)
-			want, have := view(ref, refLink, refRet, at), view(got, gotLink, gotRet, at)
+			want, have := view(ref, refSink, refUp, at), view(got, gotSink, gotUp, at)
 			if !reflect.DeepEqual(have, want) {
 				t.Fatalf("%d ports, priority %v, seed %d, cycle %d (start %d):\n got  %+v\n want %+v",
 					ports, prio, seed, at, (at-1)%sim.Cycle(ports*NumClasses), have, want)
@@ -309,7 +300,7 @@ func TestAllocatorMatchesFullScan(t *testing.T) {
 				}
 			}
 		}
-		grants += gotLink.Len()
+		grants += gotSink.ej.n
 	}
 	for _, ports := range []int{1, 2, 5, 15, 21, 22, 43, 70} {
 		n := ports * NumClasses

@@ -18,8 +18,13 @@ type NI struct {
 	nextSeq [NumClasses]int
 	out     OutPort // local port into the router's local input
 
-	eject       *sim.Pipe[Flit]
-	ejectCredit *sim.Pipe[Credit]
+	// ej holds the flits the router's eject link has written, each
+	// stamped with its arrival cycle; from is that link, and each flit
+	// taken out returns its credit to it. The NI takes a flit the cycle
+	// it arrives, so every flit in ej is still on the link.
+	ej    flitRing
+	from  *OutPort
+	waker sim.Waker // engine wake handle every eject-link write raises
 
 	deliver func(now sim.Cycle, p *Packet)
 	stats   *Stats
@@ -30,6 +35,9 @@ type NI struct {
 func NewNI(n NodeID, stats *Stats) *NI {
 	return &NI{Node: n, stats: stats}
 }
+
+// name names the NI in errors.
+func (ni *NI) name() string { return fmt.Sprintf("ni%d", ni.Node) }
 
 // SetDeliver registers the packet delivery callback.
 func (ni *NI) SetDeliver(fn func(now sim.Cycle, p *Packet)) { ni.deliver = fn }
@@ -52,21 +60,37 @@ func ConnectNI(ni *NI, r *Router, in, out int, injDelay, ejDelay sim.Cycle, ejec
 // ConnectNIInject wires only the NI's inject side into router input port in.
 func ConnectNIInject(ni *NI, r *Router, in int, injDelay sim.Cycle) {
 	ni.out.name = "inject"
-	r.feed(in, &ni.out, injDelay, fmt.Sprintf("%s->ni%d.credit", r.Name, ni.Node))
+	r.feed(in, &ni.out, injDelay)
 }
 
-// ConnectNIEject wires only the NI's eject side to router output port out.
+// ConnectNIEject wires only the NI's eject side to router output port
+// out. The NI's eject ring holds ejectBuf flits per class, the buffering
+// the router's credits count.
 func ConnectNIEject(ni *NI, r *Router, out int, ejDelay sim.Cycle, ejectBuf int) {
 	if ejectBuf < 1 {
 		ejectBuf = 1
 	}
-	ej := sim.NewPipe[Flit](fmt.Sprintf("%s->ni%d", r.Name, ni.Node), r.PipeDelay+ejDelay)
-	ejCr := sim.NewPipe[Credit](fmt.Sprintf("ni%d->%s.credit", ni.Node, r.Name), 1)
+	delay := r.PipeDelay + ejDelay
+	if delay < 1 || ni.from != nil {
+		panic(fmt.Sprintf("noc: ni%d eject side: a link needs a delay of at least 1 cycle (got %d) and an NI no other link feeds", ni.Node, delay))
+	}
 	op := r.outs[out]
-	op.wire(ejCr, ejectBuf)
-	op.link = ej
-	ni.eject = ej
-	ni.ejectCredit = ejCr
+	op.wire(ejectBuf)
+	op.ni, op.delay = ni, delay
+	ni.from = op
+	ni.ej.buf = make([]linkFlit, ejectBuf*NumClasses)
+}
+
+// arrive writes flit f into the eject ring and wakes the NI for its
+// arrival.
+func (ni *NI) arrive(f linkFlit) {
+	if ni.ej.n == len(ni.ej.buf) {
+		panic(fmt.Sprintf("noc: ni%d eject ring overflow (credit protocol violated)", ni.Node))
+	}
+	ni.ej.push(f)
+	if ni.waker != nil {
+		ni.waker.Wake(f.at)
+	}
 }
 
 // Send enqueues a packet for injection. The inject queue is unbounded; real
@@ -89,61 +113,52 @@ func (ni *NI) Pending() int {
 }
 
 // Tick delivers the flits ejected by now, returning their credits at
-// once, then injects at most one flit. Inject-side credits are drained
-// only when a class waiting to inject has none left.
+// once, then injects at most one flit. An inject-side return is counted
+// only when a class waiting to inject has no credit left.
 func (ni *NI) Tick(now sim.Cycle) {
-	if ni.eject != nil {
-		for {
-			f, ok := ni.eject.Pop(now)
-			if !ok {
-				break
+	for ni.ej.ready(now) {
+		f := ni.ej.front()
+		ni.ej.pop()
+		ni.from.returnCredit(now, f.Pkt.Class)
+		p := f.Pkt
+		p.arrived++
+		if p.arrived == p.Size {
+			p.DeliveredAt = now
+			if ni.stats != nil {
+				ni.stats.RecordDelivery(p)
 			}
-			ni.ejectCredit.Push(now, Credit{VC: f.Pkt.Class})
-			p := f.Pkt
-			p.arrived++
-			if p.arrived == p.Size {
-				p.DeliveredAt = now
-				if ni.stats != nil {
-					ni.stats.RecordDelivery(p)
-				}
-				if ni.deliver == nil {
-					panic(fmt.Sprintf("noc: node %d has no delivery callback", ni.Node))
-				}
-				ni.deliver(now, p)
+			if ni.deliver == nil {
+				panic(fmt.Sprintf("noc: node %d has no delivery callback", ni.Node))
 			}
+			ni.deliver(now, p)
 		}
 	}
 	ni.inject(now)
 }
 
 // BindWaker implements sim.WakeBinder: the inject queues and the eject
-// pipe become wake sources. Inject-side credit returns are not wake events
-// for the same reason as the router's: they enable no work while the
-// inject queues are empty, a non-empty inject queue keeps the NI awake,
-// and inject drains them when it runs out. The NI must be fully connected
-// before registration.
+// link become wake sources. Inject-side credit returns are not wake
+// events for the same reason as the router's: they enable no work while
+// the inject queues are empty, a non-empty inject queue keeps the NI
+// awake, and inject counts them when it runs out.
 func (ni *NI) BindWaker(w sim.Waker) {
 	for c := range ni.injectQ {
 		ni.injectQ[c].SetWaker(w)
 	}
-	if ni.eject != nil {
-		ni.eject.SetWaker(w)
-	}
+	ni.waker = w
 }
 
 // NextWake implements sim.Sleeper: awake every cycle while packets wait to
 // inject (injection may be credit-gated, and returned credits wake no
-// one), asleep until the next in-flight ejecting flit otherwise.
+// one), asleep until the next flit on the eject link arrives otherwise.
 func (ni *NI) NextWake(now sim.Cycle) sim.Cycle {
 	for c := range ni.injectQ {
 		if ni.injectQ[c].Len() > 0 {
 			return now + 1
 		}
 	}
-	if ni.eject != nil {
-		if at, ok := ni.eject.NextAt(); ok {
-			return at
-		}
+	if ni.ej.n > 0 {
+		return ni.ej.nth(0).at
 	}
 	return sim.NeverWake
 }
@@ -161,7 +176,7 @@ func (ni *NI) inject(now sim.Cycle) {
 			continue
 		}
 		if ni.out.credits[c] <= 0 {
-			ni.out.drainCredits(now)
+			ni.out.settle(now)
 			if ni.out.credits[c] <= 0 {
 				continue
 			}
@@ -281,12 +296,12 @@ var ErrCreditConservation = errors.New("noc: credit conservation violated")
 
 // CheckCredits verifies credit conservation on every wired link, router to
 // router and at both NI ends: for each output and VC, the credits the
-// sender holds, plus the credits returning on the credit pipe, plus the
-// flits downstream or on the link — in the downstream VC, arrived or
-// not, staged on a cross-domain link, or in an NI's eject pipe (an NI
-// consumes on arrival) — must equal the downstream buffer capacity. A
-// lost or double-counted credit breaks the sum within a cycle. It must
-// only run while no domain is stepping.
+// sender holds, plus the credits returning — the pending return and any
+// a cross-domain link stages — plus the flits downstream or on the link
+// — in the downstream VC or NI eject ring, arrived or not, or staged on a
+// cross-domain link — must equal the downstream buffer capacity. A lost
+// or double-counted credit breaks the sum within a cycle. It must only
+// run while no domain is stepping.
 func (rn *RouterNetwork) CheckCredits() error {
 	for _, r := range rn.Routers {
 		for _, op := range r.outs {
@@ -298,7 +313,7 @@ func (rn *RouterNetwork) CheckCredits() error {
 	for _, ni := range rn.NIs {
 		if ni != nil {
 			if err := ni.out.checkCredits(); err != nil {
-				return fmt.Errorf("%w: ni%d %v", ErrCreditConservation, ni.Node, err)
+				return fmt.Errorf("%w: %s %v", ErrCreditConservation, ni.name(), err)
 			}
 		}
 	}
@@ -312,17 +327,25 @@ func (op *OutPort) checkCredits() error {
 		return nil
 	}
 	var returning, down [NumClasses]int
-	op.creditIn.Each(func(_ sim.Cycle, c Credit) { returning[c.VC]++ })
-	if op.link != nil {
-		op.link.Each(func(_ sim.Cycle, f Flit) { down[f.Pkt.Class]++ })
+	if op.ret.due != 0 {
+		returning[op.ret.vc]++
+	}
+	for _, c := range op.stagedRet {
+		returning[c.vc]++
+	}
+	if op.down != nil {
+		for vc := range down {
+			down[vc] = op.down.vcs[vc].n
+		}
+	} else {
+		for q, i := &op.ni.ej, 0; i < q.n; i++ {
+			down[q.nth(i).Pkt.Class]++
+		}
 	}
 	for _, f := range op.staged {
 		down[f.Pkt.Class]++
 	}
 	for vc := range op.credits {
-		if op.down != nil {
-			down[vc] += op.down.vcs[vc].n
-		}
 		if sum := op.credits[vc] + returning[vc] + down[vc]; sum != op.downCap {
 			return fmt.Errorf("output %s VC %v: credits %d + returning %d + downstream or on the link %d = %d, downstream capacity %d",
 				op.name, Class(vc), op.credits[vc], returning[vc], down[vc], sum, op.downCap)

@@ -44,11 +44,13 @@ type Cand struct {
 // A link into a router input is a direct write: the granting router (or
 // the injecting NI) stores the flit, stamped with its arrival cycle, in
 // the downstream VC's ring and marks that cycle in the downstream
-// router's arrival calendar. A tick costs the flits and credits it
-// moves, not the router's radix: Tick merges one calendar slot into the
-// occupancy set, allocation walks only VCs holding an arrived flit,
-// credits are drained only when one decides a grant, and routes are
-// looked up per destination.
+// router's arrival calendar. A credit comes back the same way: the
+// downstream grant writes it into the upstream OutPort, where it waits
+// one cycle as the port's pending return. A tick costs the flits and
+// credits it moves, not the router's radix: Tick merges one calendar
+// slot into the occupancy set, allocation walks only VCs holding an
+// arrived flit, a pending return is counted only when a grant needs it,
+// and routes are looked up per destination.
 type Router struct {
 	ID        NodeID
 	Name      string
@@ -136,22 +138,22 @@ func (r *Router) NumOut() int { return len(r.outs) }
 
 // InPort is a router input with one FIFO buffer per virtual channel.
 type InPort struct {
-	name      string
-	cap       int // flits per VC
-	vcs       [NumClasses]flitRing
-	r         *Router
-	base      int      // candidate index of the port's first VC: port*NumClasses
-	from      *OutPort // the link writing into this input; nil until wired
-	creditOut *sim.Pipe[Credit]
+	name string
+	cap  int // flits per VC
+	vcs  [NumClasses]flitRing
+	r    *Router
+	base int      // candidate index of the port's first VC: port*NumClasses
+	from *OutPort // the link writing into this input; nil until wired
 }
 
-// flitRing is a fixed-capacity flit FIFO holding a VC's arrived flits
-// and, behind them, the flits still on the link into it. Credits bound
-// the two together at the port capacity, so the buffer is allocated once
-// (at wiring) and reused forever, and a link's write always finds room.
-// A VC is fed by one link, which sends at most one flit per cycle after a
-// fixed delay, so the ring is in send order and its arrival cycles rise:
-// the flits that have arrived by a cycle are a prefix of it.
+// flitRing is a fixed-capacity flit FIFO holding a VC's (or an NI's eject
+// side's) arrived flits and, behind them, the flits still on the link
+// into it. Credits bound the two together at the buffer's capacity, so
+// the buffer is allocated once (at wiring) and reused forever, and a
+// link's write always finds room. A ring is fed by one link, which sends
+// at most one flit per cycle after a fixed delay, so the ring is in send
+// order and its arrival cycles rise: the flits that have arrived by a
+// cycle are a prefix of it.
 type flitRing struct {
 	buf  []linkFlit
 	head int
@@ -205,18 +207,25 @@ func (q *flitRing) pop() {
 }
 
 // OutPort is a router output, or an NI's inject side: the link it drives
-// plus the downstream credit state. A link into a router input writes
-// each flit straight into the downstream VC; a link into an NI's eject
-// side, which has no VC buffer, is a pipe.
+// plus the downstream credit state. The link writes each flit straight
+// into its consumer — a router input's VC, or an NI's eject ring — and
+// the consumer writes each credit it frees straight back into the port.
 type OutPort struct {
 	name     string
-	delay    sim.Cycle       // cycles from grant to arrival at down
-	down     *InPort         // router input the link writes into; nil for an eject link
-	link     *sim.Pipe[Flit] // eject link into an NI; nil for a router link
-	creditIn *sim.Pipe[Credit]
+	delay    sim.Cycle // cycles from grant to arrival downstream
+	down     *InPort   // router input the link writes into; nil for an eject link
+	ni       *NI       // NI the eject link writes into; nil for a router link
 	credits  [NumClasses]int
 	owner    [NumClasses]*Packet
 	lengthMM float64
+
+	// ret is the credit returned to the port and not yet counted in
+	// credits: the consumer frees at most one buffer slot per cycle (an
+	// input grants at most one flit, an NI ejects at most one), and a
+	// credit is usable the cycle after its return, so one pending return
+	// is all a link can hold. A return counts the one before it, and a
+	// grant short of credits counts it once it is due.
+	ret creditReturn
 
 	// downCap is the downstream per-VC buffering, recorded at wiring for
 	// CheckCredits.
@@ -229,54 +238,118 @@ type OutPort struct {
 	// than of the order concurrent routers would update a shared counter.
 	sent, sentFolded int64
 
-	// A router link whose two ends tick in different scheduling domains
-	// (see BuildShardPlan) stages: send appends to staged, written only
-	// by the producer's domain, and CommitStaged, called only from the
-	// consumer's domain between windows, writes the flits downstream.
-	staging bool
-	staged  []linkFlit
+	// A link whose two ends tick in different scheduling domains (see
+	// BuildShardPlan) stages both directions here. send appends to
+	// staged, written only by the producer's domain, and CommitStaged,
+	// called only from the consumer's domain between windows, writes the
+	// flits downstream. returnCredit appends to stagedRet, written only by
+	// the consumer's domain, and the port's creditStage, committed only in
+	// the producer's domain, replays the returns into ret.
+	staging   bool
+	staged    []linkFlit
+	stagedRet []creditReturn
 }
 
-// wire records the port's credit-return pipe and starts it with a full
-// buffer of credits per VC.
-func (op *OutPort) wire(creditIn *sim.Pipe[Credit], capacity int) {
-	op.creditIn, op.downCap = creditIn, capacity
+// creditReturn is a credit for VC vc returned to an OutPort, usable from
+// cycle due on; a due of 0 means no credit.
+type creditReturn struct {
+	due sim.Cycle
+	vc  Class
+}
+
+// wire starts the port with a full buffer of credits per VC.
+func (op *OutPort) wire(capacity int) {
+	op.downCap = capacity
 	for c := range op.credits {
 		op.credits[c] = capacity
 	}
 }
 
 // connected reports whether the port drives a link.
-func (op *OutPort) connected() bool { return op.down != nil || op.link != nil }
+func (op *OutPort) connected() bool { return op.down != nil || op.ni != nil }
 
 // send puts flit f, granted at cycle now, on the port's link.
 func (op *OutPort) send(now sim.Cycle, f Flit) {
-	if op.down == nil {
-		op.link.Push(now, f)
-		return
-	}
 	lf := linkFlit{Flit: f, at: now + op.delay}
 	if op.staging {
 		op.staged = append(op.staged, lf)
 		return
 	}
-	op.down.arrive(lf)
+	op.deliver(lf)
 }
 
-// Stage switches a cross-domain router link into staging. Only the shard
-// planner calls it, once, before the simulation starts.
+// deliver writes flit f into the link's consumer.
+func (op *OutPort) deliver(f linkFlit) {
+	if op.down != nil {
+		op.down.arrive(f)
+	} else {
+		op.ni.arrive(f)
+	}
+}
+
+// returnCredit gives the port back one credit for VC vc, freed
+// downstream at cycle now and usable from now+1.
+func (op *OutPort) returnCredit(now sim.Cycle, vc Class) {
+	if op.staging {
+		op.stagedRet = append(op.stagedRet, creditReturn{due: now + 1, vc: vc})
+		return
+	}
+	op.pend(creditReturn{due: now + 1, vc: vc})
+}
+
+// pend makes c the pending return. The return it replaces was made on an
+// earlier cycle, so it is due by now and is counted; two returns on one
+// cycle would break the one-slot-per-cycle rule and panic.
+func (op *OutPort) pend(c creditReturn) {
+	if r := op.ret; r.due != 0 {
+		if r.due >= c.due {
+			panic(fmt.Sprintf("noc: output %s: two credits returned on cycle %d (credit protocol violated)", op.name, c.due-1))
+		}
+		op.credits[r.vc]++
+	}
+	op.ret = c
+}
+
+// settle counts the pending return if it is usable at cycle now. A grant
+// short of credits calls it: a return made on an earlier cycle counts,
+// one made this cycle does not, in whatever order the two ends tick.
+func (op *OutPort) settle(now sim.Cycle) {
+	if r := op.ret; r.due != 0 && r.due <= now {
+		op.credits[r.vc]++
+		op.ret = creditReturn{}
+	}
+}
+
+// Stage switches a cross-domain link into staging in both directions.
+// Only the shard planner calls it, once, before the simulation starts.
 func (op *OutPort) Stage() { op.staging = true }
 
-// CommitStaged implements sim.CrossStage: it writes the staged flits
-// downstream in send order, as send would have, so delivery is exactly
-// what the single-domain kernel produces. The staged buffer's capacity is
-// retained, so a steady-state commit allocates nothing.
+// CommitStaged implements sim.CrossStage for the link's flits: it writes
+// the staged flits downstream in send order, as send would have, so
+// delivery is exactly what the single-domain kernel produces. The staged
+// buffer's capacity is retained, so a steady-state commit allocates
+// nothing.
 func (op *OutPort) CommitStaged() {
 	for i := range op.staged {
-		op.down.arrive(op.staged[i])
+		op.deliver(op.staged[i])
 		op.staged[i] = linkFlit{} // release the packet for GC
 	}
 	op.staged = op.staged[:0]
+}
+
+// creditStage is a staged link's credit direction as a sim.CrossStage:
+// committed in the producer's domain, it replays the credits the
+// consumer's domain returned, in return order, as returnCredit would
+// have.
+type creditStage OutPort
+
+// CommitStaged implements sim.CrossStage.
+func (cs *creditStage) CommitStaged() {
+	op := (*OutPort)(cs)
+	for _, c := range op.stagedRet {
+		op.pend(c)
+	}
+	op.stagedRet = op.stagedRet[:0]
 }
 
 // arrive writes flit f into its VC, marks its arrival cycle in the
@@ -304,20 +377,6 @@ func (r *Router) slot(at sim.Cycle) []uint64 {
 	w := len(r.occ)
 	s := int(at&r.calMask) * w
 	return r.cal[s : s+w]
-}
-
-// drainCredits adds every credit returned by cycle now to the per-VC
-// counts. Credits gate grants and wake nothing, so a port drains them only
-// when a grant needs more than it holds: a drain at now sees exactly the
-// due credits a drain at tick start would have seen.
-func (op *OutPort) drainCredits(now sim.Cycle) {
-	for {
-		c, ok := op.creditIn.Pop(now)
-		if !ok {
-			return
-		}
-		op.credits[c.VC]++
-	}
 }
 
 // AddIn appends an input port with the given per-VC buffer capacity and
@@ -418,29 +477,27 @@ func (r *Router) OutLinkLengthsMM() []float64 {
 func Connect(a *Router, out int, b *Router, in int, linkDelay sim.Cycle, lengthMM float64) {
 	op := a.outs[out]
 	op.lengthMM = lengthMM
-	b.feed(in, op, a.PipeDelay+linkDelay, fmt.Sprintf("%s.%s->%s.%s.credit", a.Name, op.name, b.Name, b.ins[in].name))
+	b.feed(in, op, a.PipeDelay+linkDelay)
 }
 
 // feed makes op the link into input port in, delay cycles from grant to
-// arrival, and gives it a credit-return pipe of the given name.
-func (r *Router) feed(in int, op *OutPort, delay sim.Cycle, creditName string) {
+// arrival.
+func (r *Router) feed(in int, op *OutPort, delay sim.Cycle) {
 	ip := r.ins[in]
 	if delay < 1 || ip.from != nil {
 		panic(fmt.Sprintf("noc: %s input %s: a link needs a delay of at least 1 cycle (got %d) and an input no other link feeds", r.Name, ip.name, delay))
 	}
-	credits := sim.NewPipe[Credit](creditName, 1)
-	op.wire(credits, ip.cap)
+	op.wire(ip.cap)
 	op.down, op.delay = ip, delay
-	ip.from, ip.creditOut = op, credits
+	ip.from = op
 	r.fitCal(delay)
 }
 
 // Tick advances the router one cycle: merge the VCs flits arrive in now
 // into the occupancy set, then perform switch allocation (one flit per input
 // and per output per cycle, packet-atomic per output VC, credit-gated).
-// Returned credits stay in their pipes until a grant needs them. Tick
-// must run on every cycle a flit arrives, which its wakes and NextWake
-// guarantee.
+// Tick must run on every cycle a flit arrives, which its wakes and
+// NextWake guarantee.
 func (r *Router) Tick(now sim.Cycle) {
 	slot := r.slot(now)
 	for w, word := range slot {
@@ -456,16 +513,16 @@ func (r *Router) Tick(now sim.Cycle) {
 // BindWaker implements sim.WakeBinder: every flit written into the
 // router's inputs wakes it through w for the flit's arrival cycle, so a
 // quiescent router is re-armed the moment traffic is sent toward it.
-// Credit-return pipes are deliberately not wake sources: a returned
-// credit enables no work on its own, and a grant that needs credits
-// drains them from the pipe on the spot.
+// Credit returns are deliberately not wake sources: a returned credit
+// enables no work on its own, and a grant that needs credits counts the
+// pending return on the spot.
 func (r *Router) BindWaker(w sim.Waker) { r.waker = w }
 
 // NextWake implements sim.Sleeper. A router holding arrived flits must
 // keep arbitrating every cycle (it may be credit-blocked, and the
-// blocking credit arrives on a pipe that wakes no one); an empty router
-// sleeps until the earliest arrival its calendar holds, and indefinitely
-// (NeverWake) when nothing is on its links — their writes wake it.
+// blocking credit's return wakes no one); an empty router sleeps until
+// the earliest arrival its calendar holds, and indefinitely (NeverWake)
+// when nothing is on its links — their writes wake it.
 func (r *Router) NextWake(now sim.Cycle) sim.Cycle {
 	if r.buffered > 0 {
 		return now + 1
@@ -557,7 +614,7 @@ func (r *Router) try(now sim.Cycle, p int, vc Class) {
 		}
 	}
 	if op.credits[vc] < need {
-		op.drainCredits(now)
+		op.settle(now)
 		if op.credits[vc] < need {
 			return
 		}
@@ -577,8 +634,8 @@ func (r *Router) try(now sim.Cycle, p int, vc Class) {
 		op.owner[vc] = nil
 	}
 	op.send(now, f)
-	if ip.creditOut != nil {
-		ip.creditOut.Push(now, Credit{VC: vc})
+	if ip.from != nil {
+		ip.from.returnCredit(now, vc)
 	}
 	r.flits++
 	op.sent++

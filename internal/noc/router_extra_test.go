@@ -334,7 +334,7 @@ func TestRouterLinkLoadRejectsImpossibleFlits(t *testing.T) {
 		for _, r := range rn.Routers {
 			for _, in := range r.ins {
 				onLink = onLink[:0]
-				in.eachInFlight(e.Now(), func(f *linkFlit) { onLink = append(onLink, *f) })
+				in.from.eachInFlight(e.Now(), func(f *linkFlit) { onLink = append(onLink, *f) })
 				for c := range in.vcs {
 					if len(onLink) > 0 && vc < 0 && sim.Cycle(in.cap-in.vcs[c].arrived(e.Now())+1) <= in.from.delay {
 						ip, name, vc = in, r.Name+" input "+in.name, c
@@ -406,6 +406,192 @@ func TestRouterLinkLoadRejectsImpossibleFlits(t *testing.T) {
 	}
 }
 
+// ejectNet is NI 0 → r0 → NI 1, with a 9-cycle eject link into a ring
+// of one flit per class, so the eject side holds flits on its link and a
+// few more would overfill it.
+func ejectNet() *RouterNetwork {
+	rn := NewRouterNetwork("eject", 2)
+	r0 := NewRouter(100, "r0", 1, func(*Packet) int { return 0 })
+	r0.AddIn("in", 2)
+	r0.AddOut("out")
+	ni0, ni1 := NewNI(0, rn.StatsRef()), NewNI(1, rn.StatsRef())
+	ConnectNIInject(ni0, r0, 0, 1)
+	ConnectNIEject(ni1, r0, 0, 8, 1)
+	rn.NIs[0], rn.NIs[1] = ni0, ni1
+	rn.Routers = []*Router{r0}
+	rn.SetDeliver(1, func(sim.Cycle, *Packet) {})
+	return rn
+}
+
+// TestEjectAndCreditLoadRejectsImpossibleEntries snapshots a busy eject
+// link with flits on it and a credit returned on the snapshot cycle, and
+// rewrites what the save writes for the link in ways no save can: a flit
+// arriving at the snapshot cycle, one beyond the link's delay, one not
+// after the flit sent before it, flits past the ring's capacity, a
+// credit due more than a cycle after the snapshot, and two credits due
+// on the cycle after it. Each load must fail with a corrupt-state error
+// naming the NI or the output. The link as it was loads, and so does the
+// form a save made before credits were counters wrote: a credit usable
+// at the snapshot cycle as a return due by it, which a load counts.
+func TestEjectAndCreditLoadRejectsImpossibleEntries(t *testing.T) {
+	rn := ejectNet()
+	e := sim.NewEngine()
+	e.Register(rn)
+	for i := 0; i < 30; i++ {
+		rn.Send(0, &Packet{ID: uint64(i), Class: Class(i % NumClasses), Src: 0, Dst: 1, Size: 1 + i%3})
+	}
+	ni, op := rn.NIs[1], rn.Routers[0].outs[0]
+	for e.Now() < 200 && (ni.ej.n < 2 || op.ret.due != e.Now()+1) {
+		e.Step(1)
+	}
+	now := e.Now()
+	if ni.ej.n < 2 || op.ret.due != now+1 {
+		t.Fatalf("no cycle up to %d has two flits on the eject link and a credit returned on it", now)
+	}
+	var onLink []linkFlit
+	op.eachInFlight(now, func(f *linkFlit) { onLink = append(onLink, *f) })
+	overfull := make([]linkFlit, len(ni.ej.buf)+1)
+	for i := range overfull {
+		overfull[i] = linkFlit{Flit: ni.ej.front(), at: now + 1 + sim.Cycle(i)}
+	}
+	pending := op.ret
+
+	// save writes rn with flits on the eject link and credit returns to
+	// r0's output instead of the ones there — the ring emptied and the
+	// link staging both — and credits[ClassReq] lowered by drop.
+	save := func(flits []linkFlit, rets []creditReturn, drop int) []byte {
+		n := ni.ej.n
+		ni.ej.n, op.staged, op.ret, op.stagedRet = 0, flits, creditReturn{}, rets
+		op.credits[ClassReq] -= drop
+		var enc ckpt.Enc
+		rn.State(ckpt.Encoding(&enc), now, nopPayload)
+		ni.ej.n, op.staged, op.ret, op.stagedRet = n, nil, pending, nil
+		op.credits[ClassReq] += drop
+		return enc.Bytes()
+	}
+	load := func(b []byte) (*RouterNetwork, error) {
+		d := ckpt.NewDec(b)
+		got := ejectNet()
+		got.State(ckpt.Decoding(d), now, nopPayload)
+		return got, d.Err()
+	}
+	asIs := save(onLink, []creditReturn{pending}, 0)
+	got, err := load(asIs)
+	if err != nil {
+		t.Fatalf("the link's own flits and credit at cycle %d: %v", now, err)
+	}
+	if b := save(onLink, []creditReturn{pending}, 0); !bytes.Equal(b, asIs) {
+		t.Fatal("saving changed the network")
+	}
+	var enc ckpt.Enc
+	got.State(ckpt.Encoding(&enc), now, nopPayload)
+	if !bytes.Equal(enc.Bytes(), asIs) {
+		t.Fatal("a loaded network saves other bytes than it loaded")
+	}
+	undrained := save(onLink, []creditReturn{{due: now - 3, vc: ClassReq}, pending}, 1)
+	if got, err = load(undrained); err != nil {
+		t.Fatalf("a credit due by cycle %d written as a return: %v", now, err)
+	}
+	enc = ckpt.Enc{}
+	got.State(ckpt.Encoding(&enc), now, nopPayload)
+	if !bytes.Equal(enc.Bytes(), asIs) {
+		t.Fatal("a credit due by the snapshot cycle written as a return loads as another state than the counted credit")
+	}
+
+	rewrite := func(edit func(fs []linkFlit) []linkFlit) []linkFlit {
+		return edit(append([]linkFlit(nil), onLink...))
+	}
+	delay := op.delay
+	for _, tc := range []struct {
+		name  string
+		flits []linkFlit
+		rets  []creditReturn
+		owner string
+		want  string
+	}{
+		{"flit arriving at the snapshot cycle", rewrite(func(fs []linkFlit) []linkFlit { fs[0].at = now; return fs }), nil,
+			"ni1 eject side", "not after the snapshot cycle"},
+		{"flit arriving beyond the link's delay", rewrite(func(fs []linkFlit) []linkFlit { fs[len(fs)-1].at = now + delay + 1; return fs }), nil,
+			"ni1 eject side", "beyond its"},
+		{"flits out of send order", rewrite(func(fs []linkFlit) []linkFlit { return append(fs, fs[len(fs)-1]) }), nil,
+			"ni1 eject side", "not after the flit sent before it"},
+		{"flits past the ring's capacity", overfull, nil, "ni1 eject side", "holds more than"},
+		{"credit due two cycles on", onLink, []creditReturn{{due: now + 2, vc: pending.vc}},
+			"r0 output out", "more than one cycle after"},
+		{"two credits due the next cycle", onLink, []creditReturn{pending, {due: now + 1, vc: ClassResp}},
+			"r0 output out", "two credits returned"},
+	} {
+		rets := tc.rets
+		if rets == nil {
+			rets = []creditReturn{pending}
+		}
+		_, err := load(save(tc.flits, rets, 0))
+		if err == nil || !strings.HasPrefix(err.Error(), "ckpt: ") ||
+			!strings.Contains(err.Error(), tc.owner) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s at cycle %d: load returned %v, want a corrupt-state error naming %s and %q", tc.name, now, err, tc.owner, tc.want)
+		}
+	}
+}
+
+// TestCreditReturnAdmitsTheNextGrantACycleLater runs one packet through
+// a two-router chain whose inputs hold one flit per VC, so each grant of
+// the upstream router after its first waits for the credit the downstream
+// router returns when it grants the flit before. A credit returned at
+// cycle t must admit that grant at t+1, not at t: with the upstream
+// router ticking before the downstream one and after it, on the naive
+// and the scheduled kernel.
+func TestCreditReturnAdmitsTheNextGrantACycleLater(t *testing.T) {
+	const size = 6
+	for _, upFirst := range []bool{true, false} {
+		for _, scheduled := range []bool{true, false} {
+			rn := NewRouterNetwork("chain", 2)
+			r0 := NewRouter(100, "r0", 1, func(*Packet) int { return 0 })
+			r1 := NewRouter(101, "r1", 1, func(*Packet) int { return 0 })
+			for _, r := range []*Router{r0, r1} {
+				r.AddIn("in", 1)
+				r.AddOut("out")
+			}
+			Connect(r0, 0, r1, 0, 1, 1.0)
+			ni0, ni1 := NewNI(0, rn.StatsRef()), NewNI(1, rn.StatsRef())
+			ConnectNIInject(ni0, r0, 0, 1)
+			ConnectNIEject(ni1, r1, 0, 1, 8)
+			rn.NIs[0], rn.NIs[1] = ni0, ni1
+			rn.Routers = []*Router{r1, r0}
+			if upFirst {
+				rn.Routers = []*Router{r0, r1}
+			}
+			delivered := false
+			rn.SetDeliver(1, func(sim.Cycle, *Packet) { delivered = true })
+			e := sim.NewEngine()
+			e.SetScheduled(scheduled)
+			e.Register(rn)
+			rn.Send(0, &Packet{ID: 1, Class: ClassReq, Src: 0, Dst: 1, Size: size})
+
+			var up, down []sim.Cycle
+			for e.Now() < 100 {
+				f0, f1 := r0.flits, r1.flits
+				e.Step(1)
+				if r0.flits > f0 {
+					up = append(up, e.Now())
+				}
+				if r1.flits > f1 {
+					down = append(down, e.Now())
+				}
+			}
+			if !delivered || len(up) != size || len(down) != size {
+				t.Fatalf("upstream first %v, scheduled %v: delivered %v, upstream grants %v, downstream grants %v", upFirst, scheduled, delivered, up, down)
+			}
+			for k := 1; k < size; k++ {
+				if up[k] != down[k-1]+1 {
+					t.Errorf("upstream first %v, scheduled %v: the credit returned at cycle %d admitted the next grant at cycle %d, want %d (upstream grants %v, downstream grants %v)",
+						upFirst, scheduled, down[k-1], up[k], down[k-1]+1, up, down)
+					break
+				}
+			}
+		}
+	}
+}
+
 // TestRouterLongLinks wires a 100-cycle NI inject link and a 100-cycle
 // router link, far longer than a small arrival calendar spans, and runs
 // multi-flit traffic over them on the naive and scheduled kernels in
@@ -467,8 +653,8 @@ func TestRouterLongLinks(t *testing.T) {
 		}
 		if snap == nil {
 			n0, n1 := 0, 0
-			sched.Routers[0].ins[0].eachInFlight(se.Now(), func(*linkFlit) { n0++ })
-			sched.Routers[1].ins[0].eachInFlight(se.Now(), func(*linkFlit) { n1++ })
+			sched.Routers[0].ins[0].from.eachInFlight(se.Now(), func(*linkFlit) { n0++ })
+			sched.Routers[1].ins[0].from.eachInFlight(se.Now(), func(*linkFlit) { n1++ })
 			if n0 > 0 && n1 > 0 {
 				snap, snapAt, want = b, se.Now(), append([]delivery(nil), schedGot...)
 			}
@@ -610,8 +796,13 @@ func TestCheckCreditsNamesTheBrokenLink(t *testing.T) {
 	}{
 		{"lost router credit", func(rn *RouterNetwork) { rn.Routers[0].outs[0].credits[ClassResp]-- },
 			[]string{"r0 output out VC resp", "capacity 2"}},
-		{"double-counted return", func(rn *RouterNetwork) { rn.Routers[0].outs[0].creditIn.Push(12, Credit{VC: ClassReq}) },
-			[]string{"r0 output out VC req", "returning"}},
+		{"double-counted return", func(rn *RouterNetwork) {
+			// Count the pending return, as a grant would, then make a
+			// return no grant made the pending one.
+			op := rn.Routers[0].outs[0]
+			op.settle(13)
+			op.ret = creditReturn{due: 13, vc: ClassReq}
+		}, []string{"r0 output out VC req", "returning"}},
 		{"NI inject side", func(rn *RouterNetwork) { rn.NIs[3].out.credits[ClassSnoop]++ },
 			[]string{"ni3 output inject VC snoop"}},
 		{"NI eject side", func(rn *RouterNetwork) { rn.Routers[1].outs[1].credits[ClassReq]-- },

@@ -9,13 +9,13 @@ import (
 // This file classifies a RouterNetwork's links against a router-to-domain
 // assignment for the conservative parallel kernel (sim.Sharded): any link
 // whose producer and consumer land in different domains is switched into
-// staged mode and listed as an in-edge of the consuming domain, and the
-// minimum delay over those links becomes the synchronization lookahead.
-// A router link stages at its OutPort; eject and credit-return links are
-// pipes and stage in the pipe.
+// staged mode, and both of its directions stage at its OutPort. Its flits
+// are an in-edge of the consuming domain and its credit returns one of
+// the producing domain, and the minimum delay over those directions — a
+// credit returns in one cycle — becomes the synchronization lookahead.
 //
-// Discovery is purely structural — router links by the input they write,
-// pipes by object identity across router ports and NI endpoints — so it
+// Discovery is purely structural — every link is found at its consumer,
+// a router input or an NI's eject side, by the OutPort feeding it — so it
 // works unchanged for every fabric built from Routers and NIs (mesh,
 // torus, cmesh, flattened butterfly, crossbar, NOC-Out's trees + LLC
 // network) and for any future one, with no per-topology code.
@@ -59,29 +59,13 @@ func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan
 		InEdges:   make([][]sim.CrossStage, domains),
 	}
 
-	// Producer/consumer domain of every router, router output, eject pipe
-	// and credit pipe, keyed by identity.
+	// Domain of every router and router output, keyed by identity.
 	routerDomOf := map[*Router]int{}
 	outDom := map[*OutPort]int{}
-	ejectProd := map[*sim.Pipe[Flit]]int{}
-	credProd := map[*sim.Pipe[Credit]]int{}
-	credCons := map[*sim.Pipe[Credit]]int{}
 	for i, r := range rn.Routers {
-		d := routerDom[i]
-		routerDomOf[r] = d
-		for _, ip := range r.ins {
-			if ip.creditOut != nil {
-				credProd[ip.creditOut] = d
-			}
-		}
+		routerDomOf[r] = routerDom[i]
 		for _, op := range r.outs {
-			outDom[op] = d
-			if op.link != nil {
-				ejectProd[op.link] = d
-			}
-			if op.creditIn != nil {
-				credCons[op.creditIn] = d
-			}
+			outDom[op] = routerDom[i]
 		}
 	}
 
@@ -101,8 +85,8 @@ func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan
 				panic(fmt.Sprintf("noc: node %d injects into no known router", n))
 			}
 			p.NIDom[n] = d
-		case ni.eject != nil:
-			d, ok := ejectProd[ni.eject]
+		case ni.from != nil:
+			d, ok := outDom[ni.from]
 			if !ok {
 				panic(fmt.Sprintf("noc: node %d ejects from no known router", n))
 			}
@@ -110,62 +94,36 @@ func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan
 		default:
 			p.NIDom[n] = 0 // orphan NI: any domain works, it moves nothing
 		}
-		d := p.NIDom[n]
-		if ni.out.creditIn != nil {
-			credCons[ni.out.creditIn] = d
-		}
-		if ni.ejectCredit != nil {
-			credProd[ni.ejectCredit] = d
-		}
 	}
 
 	// Collect cross edges by scanning consumers in a fixed order (routers
 	// then NIs, ports in wiring order), so each domain's commit order is
-	// deterministic. A pipe without a known producer is endpoint-internal
-	// and never crosses; an NI's inject link never crosses by construction.
-	cross := func(e sim.CrossStage, delay sim.Cycle, cons int) {
-		p.InEdges[cons] = append(p.InEdges[cons], e)
+	// deterministic. A link fed by an NI's inject side has no router
+	// output as its producer and never crosses, by construction.
+	cross := func(e sim.CrossStage, delay sim.Cycle, d int) {
+		p.InEdges[d] = append(p.InEdges[d], e)
 		p.CrossLinks++
 		if delay < p.Lookahead {
 			p.Lookahead = delay
 		}
 	}
-	stageEject := func(pipe *sim.Pipe[Flit], cons int) {
-		if prod, ok := ejectProd[pipe]; ok && prod != cons {
-			pipe.Stage()
-			cross(pipe, pipe.Delay(), cons)
-		}
-	}
-	stageCred := func(pipe *sim.Pipe[Credit], cons int) {
-		if prod, ok := credProd[pipe]; ok && prod != cons {
-			pipe.Stage()
-			cross(pipe, pipe.Delay(), cons)
+	stage := func(op *OutPort, cons int) {
+		if prod, ok := outDom[op]; ok && prod != cons {
+			op.Stage()
+			cross(op, op.delay, cons)
+			cross((*creditStage)(op), 1, prod)
 		}
 	}
 	for i, r := range rn.Routers {
-		d := routerDom[i]
 		for _, ip := range r.ins {
-			if prod, ok := outDom[ip.from]; ok && prod != d {
-				ip.from.Stage()
-				cross(ip.from, ip.from.delay, d)
-			}
-		}
-		for _, op := range r.outs {
-			if op.creditIn != nil {
-				stageCred(op.creditIn, d)
+			if ip.from != nil {
+				stage(ip.from, routerDom[i])
 			}
 		}
 	}
 	for n, ni := range rn.NIs {
-		if ni == nil {
-			continue
-		}
-		d := p.NIDom[n]
-		if ni.eject != nil {
-			stageEject(ni.eject, d)
-		}
-		if ni.out.creditIn != nil {
-			stageCred(ni.out.creditIn, d)
+		if ni != nil && ni.from != nil {
+			stage(ni.from, p.NIDom[n])
 		}
 	}
 

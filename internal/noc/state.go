@@ -16,12 +16,16 @@ import (
 // and re-links the same sharing structure. Payloads are opaque here (the
 // protocol layer sits above noc), so callers supply the payload walk.
 //
-// Link ownership: every flit link is walked at its consumer (router
-// input ports and NI eject sides) and every credit pipe at its consumer
+// Link ownership: every link's flits are walked at its consumer (router
+// input ports and NI eject sides) and its credit returns at its producer
 // (router output ports and NI inject sides), so each link is walked
-// exactly once. A router link walks as the pipe it replaced: its
-// in-flight flits — those behind the arrived ones in the input's VCs,
+// exactly once in each direction. Both directions walk as the pipes they
+// replaced. A link's flits are its in-flight ones — those behind the
+// arrived ones in the input's VCs, or every flit in an NI's eject ring,
 // then any its OutPort stages — in send order with their arrival cycles.
+// Its credits are the counts usable at the snapshot cycle, then, as pipe
+// entries, the returns not yet usable: a pending return made at the
+// snapshot cycle and any a cross-domain link stages.
 
 // PayloadWalk walks one packet payload (*payload is nil while a load
 // walks a fresh packet).
@@ -105,9 +109,6 @@ func (t *pktTable) flit(f *Flit, s *ckpt.State) {
 	}
 }
 
-// State walks a credit's VC.
-func (c *Credit) State(s *ckpt.State) { ckpt.Uint(s, &c.VC, NumClasses-1) }
-
 // forEachPacket walks every live packet reference at cycle now in the
 // fixed traversal order the codec relies on.
 func (rn *RouterNetwork) forEachPacket(now sim.Cycle, visit func(p *Packet)) {
@@ -118,8 +119,8 @@ func (rn *RouterNetwork) forEachPacket(now sim.Cycle, visit func(p *Packet)) {
 		for c := range ni.injectQ {
 			ni.injectQ[c].Each(func(p *Packet) { visit(p) })
 		}
-		if ni.eject != nil {
-			ni.eject.Each(func(_ sim.Cycle, f Flit) { visit(f.Pkt) })
+		if ni.from != nil {
+			ni.from.eachInFlight(now, func(f *linkFlit) { visit(f.Pkt) })
 		}
 	}
 	for _, r := range rn.Routers {
@@ -130,7 +131,9 @@ func (rn *RouterNetwork) forEachPacket(now sim.Cycle, visit func(p *Packet)) {
 					visit(q.nth(i).Pkt)
 				}
 			}
-			ip.eachInFlight(now, func(f *linkFlit) { visit(f.Pkt) })
+			if ip.from != nil {
+				ip.from.eachInFlight(now, func(f *linkFlit) { visit(f.Pkt) })
+			}
 		}
 		for _, op := range r.outs {
 			for c := range op.owner {
@@ -142,56 +145,60 @@ func (rn *RouterNetwork) forEachPacket(now sim.Cycle, visit func(p *Packet)) {
 	}
 }
 
-// eachInFlight calls fn for every flit on the link into ip at cycle
-// now, in send order: the VCs' flits behind those arrived by now, merged
-// by arrival cycle, then the flits the link's OutPort stages.
-func (ip *InPort) eachInFlight(now sim.Cycle, fn func(f *linkFlit)) {
-	var next [NumClasses]int
-	for c := range ip.vcs {
-		next[c] = ip.vcs[c].arrived(now)
-	}
-	for {
-		var first *linkFlit
-		vc := 0
+// eachInFlight calls fn for every flit on the link at cycle now, in send
+// order: those in the consumer behind the flits arrived by now — the
+// input's VCs merged by arrival cycle, or the NI's eject ring — then the
+// flits the link stages.
+func (op *OutPort) eachInFlight(now sim.Cycle, fn func(f *linkFlit)) {
+	if ip := op.down; ip != nil {
+		var next [NumClasses]int
 		for c := range ip.vcs {
-			if q := &ip.vcs[c]; next[c] < q.n && (first == nil || q.nth(next[c]).at < first.at) {
-				first, vc = q.nth(next[c]), c
+			next[c] = ip.vcs[c].arrived(now)
+		}
+		for {
+			var first *linkFlit
+			vc := 0
+			for c := range ip.vcs {
+				if q := &ip.vcs[c]; next[c] < q.n && (first == nil || q.nth(next[c]).at < first.at) {
+					first, vc = q.nth(next[c]), c
+				}
 			}
+			if first == nil {
+				break
+			}
+			fn(first)
+			next[vc]++
 		}
-		if first == nil {
-			break
+	} else {
+		for q, i := &op.ni.ej, op.ni.ej.arrived(now); i < q.n; i++ {
+			fn(q.nth(i))
 		}
-		fn(first)
-		next[vc]++
 	}
-	if ip.from != nil {
-		for i := range ip.from.staged {
-			fn(&ip.from.staged[i])
-		}
+	for i := range op.staged {
+		fn(&op.staged[i])
 	}
 }
 
-// linkState walks the link into ip as the pipe it replaced wrote it: the
-// in-flight flit count, then each flit with its arrival cycle
+// linkState walks the link's flits as the pipe it replaced wrote them:
+// the in-flight count, then each flit with its arrival cycle
 // delta-encoded. A load checks what a save can write — each flit arrives
 // after the snapshot cycle now, within the link's delay, after the flit
-// sent before it, and into a VC with room — and writes the flits into
-// their VCs, the ones a cross-domain link had staged included.
-func (ip *InPort) linkState(s *ckpt.State, now sim.Cycle, t *pktTable, router string) {
+// sent before it, and into a ring with room — and writes the flits into
+// the consumer, the ones a cross-domain link had staged included. The
+// consumer's rings must hold only arrived flits when a load starts.
+func (op *OutPort) linkState(s *ckpt.State, now sim.Cycle, t *pktTable) {
 	prev := sim.Cycle(0)
 	if !s.Loading() {
-		n := len(ip.from.staged)
-		for c := range ip.vcs {
-			n += ip.vcs[c].n - ip.vcs[c].arrived(now)
-		}
+		n := 0
+		op.eachInFlight(now, func(*linkFlit) { n++ })
 		s.Count(n)
-		ip.eachInFlight(now, func(f *linkFlit) {
+		op.eachInFlight(now, func(f *linkFlit) {
 			ckpt.Delta(s, &f.at, &prev)
 			t.flit(&f.Flit, s)
 		})
 		return
 	}
-	ip.from.staged = nil
+	op.staged = nil
 	last := now
 	for n := s.Count(0); n > 0 && s.Err() == nil; n-- {
 		var f linkFlit
@@ -200,19 +207,103 @@ func (ip *InPort) linkState(s *ckpt.State, now sim.Cycle, t *pktTable, router st
 		if s.Err() != nil {
 			return
 		}
-		q := &ip.vcs[f.Pkt.Class]
+		q := op.ring(f.Pkt.Class)
 		switch {
 		case f.at <= now:
-			s.Corrupt("%s input %s: flit on the link arrives at cycle %d, not after the snapshot cycle %d", router, ip.name, f.at, now)
-		case f.at > now+ip.from.delay:
-			s.Corrupt("%s input %s: flit arrives at cycle %d, beyond its %d-cycle link from cycle %d", router, ip.name, f.at, ip.from.delay, now)
+			s.Corrupt("%s: flit on the link arrives at cycle %d, not after the snapshot cycle %d", op.consumer(), f.at, now)
+		case f.at > now+op.delay:
+			s.Corrupt("%s: flit arrives at cycle %d, beyond its %d-cycle link from cycle %d", op.consumer(), f.at, op.delay, now)
 		case f.at <= last:
-			s.Corrupt("%s input %s: flit arrives at cycle %d, not after the flit sent before it (cycle %d)", router, ip.name, f.at, last)
+			s.Corrupt("%s: flit arrives at cycle %d, not after the flit sent before it (cycle %d)", op.consumer(), f.at, last)
+		case q.n == len(q.buf) && op.down != nil:
+			s.Corrupt("%s: VC %v holds more than its %d flits", op.consumer(), f.Pkt.Class, len(q.buf))
 		case q.n == len(q.buf):
-			s.Corrupt("%s input %s: VC %v holds more than its %d flits", router, ip.name, f.Pkt.Class, len(q.buf))
+			s.Corrupt("%s: eject ring holds more than its %d flits", op.consumer(), len(q.buf))
 		default:
 			q.push(f)
 			last = f.at
+		}
+	}
+}
+
+// ring returns the ring a flit of class c lands in at the link's
+// consumer.
+func (op *OutPort) ring(c Class) *flitRing {
+	if op.down != nil {
+		return &op.down.vcs[c]
+	}
+	return &op.ni.ej
+}
+
+// consumer names the link's consumer for a load error.
+func (op *OutPort) consumer() string {
+	if op.down != nil {
+		return op.down.r.Name + " input " + op.down.name
+	}
+	return op.ni.name() + " eject side"
+}
+
+// creditsState walks the port's credit counters. A save writes each VC's
+// credits usable at the snapshot cycle now, the pending return counted
+// if it is due, and leaves the port as it is.
+func (op *OutPort) creditsState(s *ckpt.State, now sim.Cycle) {
+	for c := range op.credits {
+		n := op.credits[c]
+		if r := op.ret; r.due != 0 && r.due <= now && r.vc == Class(c) {
+			n++
+		}
+		ckpt.Int(s, &n)
+		if s.Loading() {
+			op.credits[c] = n
+		}
+	}
+}
+
+// returnsState walks the credits returned to the port and not yet usable
+// at the snapshot cycle now as the one-cycle credit pipe they replaced:
+// the count, then each return's due cycle, delta-encoded, and VC. A save
+// writes the pending return if it was made at now, then the returns a
+// cross-domain link stages. A load counts a return due by now, as the
+// pipe's next drain would have, and takes one due at now+1 as pending; a
+// pipe delivers a return one cycle after it is made, at most one per
+// cycle, so a load fails on a return due later or on a second one due
+// at now+1.
+func (op *OutPort) returnsState(s *ckpt.State, now sim.Cycle, owner func() string) {
+	prev := sim.Cycle(0)
+	walk := func(c *creditReturn) {
+		ckpt.Delta(s, &c.due, &prev)
+		ckpt.Uint(s, &c.vc, NumClasses-1)
+	}
+	if !s.Loading() {
+		pending := op.ret.due > now
+		n := len(op.stagedRet)
+		if pending {
+			n++
+		}
+		s.Count(n)
+		if pending {
+			r := op.ret
+			walk(&r)
+		}
+		for _, r := range op.stagedRet {
+			walk(&r)
+		}
+		return
+	}
+	op.ret, op.stagedRet = creditReturn{}, nil
+	for n := s.Count(0); n > 0 && s.Err() == nil; n-- {
+		var r creditReturn
+		walk(&r)
+		switch {
+		case s.Err() != nil:
+		case r.due <= now:
+			op.credits[r.vc]++
+		case r.due > now+1:
+			s.Corrupt("%s output %s: credit returned for cycle %d, more than one cycle after the snapshot cycle %d", owner(), op.name, r.due, now)
+		case op.ret.due != 0:
+			s.Corrupt("%s output %s: two credits returned for cycle %d", owner(), op.name, r.due)
+		default:
+			op.ret = r
 		}
 	}
 }
@@ -252,14 +343,17 @@ func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk
 			ckpt.Int(s, &ni.nextSeq[c])
 		}
 		ckpt.Int(s, &ni.rr)
-		for c := range ni.out.credits {
-			ckpt.Int(s, &ni.out.credits[c])
+		ni.out.creditsState(s, now)
+		if ni.out.connected() {
+			ni.out.returnsState(s, now, ni.name)
 		}
-		if ni.out.creditIn != nil {
-			ni.out.creditIn.State(s, (*Credit).State)
-		}
-		if ni.eject != nil {
-			ni.eject.State(s, t.flit)
+		if ni.from != nil {
+			if s.Loading() {
+				q := &ni.ej
+				clear(q.buf)
+				q.head, q.n = 0, 0
+			}
+			ni.from.linkState(s, now, t)
 		}
 	}
 
@@ -286,7 +380,7 @@ func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk
 				}
 			}
 			if ip.from != nil {
-				ip.linkState(s, now, t, r.Name)
+				ip.from.linkState(s, now, t)
 			}
 			for c := range ip.vcs {
 				if s.Loading() && r.prio != nil && ip.vcs[c].n > 0 && !hasBit(r.covered, ip.base+c) {
@@ -295,9 +389,7 @@ func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk
 			}
 		}
 		for _, op := range r.outs {
-			for c := range op.credits {
-				ckpt.Int(s, &op.credits[c])
-			}
+			op.creditsState(s, now)
 			for c := range op.owner {
 				owned := op.owner[c] != nil
 				s.Bool(&owned)
@@ -309,8 +401,8 @@ func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk
 			}
 			ckpt.Int(s, &op.sent)
 			op.sentFolded = op.sent
-			if op.creditIn != nil {
-				op.creditIn.State(s, (*Credit).State)
+			if op.connected() {
+				op.returnsState(s, now, func() string { return r.Name })
 			}
 		}
 		if s.Loading() && s.Err() == nil {

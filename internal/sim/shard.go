@@ -12,34 +12,39 @@ import (
 //
 // # The horizon rule
 //
-// Domains exchange values only through staged Pipes (Pipe.Stage), whose
-// delay is at least the plan's lookahead L. Execution proceeds in rounds:
+// Domains exchange values only through staged cross-domain channels
+// (CrossStage): the producer's writes are held aside and reach the
+// consumer no sooner than the plan's lookahead L after they are made.
+// Execution proceeds in rounds:
 //
-//  1. Commit: each domain drains its incoming staged pipes (in a fixed
-//     per-domain order) into the consumer-visible queues, arming local
+//  1. Commit: each domain commits its incoming stages (in a fixed
+//     per-domain order) into the consumer-visible state, arming local
 //     consumers.
 //  2. Each domain publishes its next armed cycle N_d; a barrier waits for
 //     all of them. The last arriver computes minN = min over domains and
 //     the window end W = min(target, minN+L-1) (W = target when nothing is
 //     armed before it).
-//  3. Each domain runs its engine to W independently. Any push a domain
-//     performs happens during a tick, and ticks only occur at armed cycles
+//  3. Each domain runs its engine to W independently. Any write a domain
+//     stages happens during a tick, and ticks only occur at armed cycles
 //     u >= N_d >= minN, so a cross-domain value's delivery cycle is
-//     u + delay >= minN + L > W: nothing pushed during the window can be
+//     u + delay >= minN + L > W: nothing staged during the window can be
 //     consumable inside it. A second barrier ends the round.
 //
 // Both barriers transfer no data beyond the published horizons; the window
 // W is a pure function of the N_d values, which are themselves pure
 // functions of simulation state. Results are therefore bit-identical for
-// any goroutine interleaving and — because staged commits replay pushes in
-// push order — bit-identical to the single-goroutine scheduled kernel.
+// any goroutine interleaving and — because staged commits replay writes
+// in the order they were made — bit-identical to the single-goroutine
+// scheduled kernel.
 //
 // Idle-heavy phases get windows as wide as the distance to the next armed
 // cycle; saturated phases degrade to lookahead-sized windows, where the
 // barrier cost is amortized by the per-cycle simulation work.
 
-// CrossStage is the type-erased handle of a staged cross-domain Pipe; the
-// coordinator only ever commits them.
+// CrossStage is the type-erased handle of one direction of a staged
+// cross-domain link: CommitStaged, called only from the consuming
+// domain's goroutine between windows, delivers what the producing domain
+// staged during the last window. The coordinator only ever commits them.
 type CrossStage interface {
 	CommitStaged()
 }
@@ -50,12 +55,12 @@ const maxLookahead Cycle = 1 << 40
 
 // Sharded steps a set of domain engines under the conservative horizon
 // protocol. All engines must start at the same cycle (0 for a freshly
-// built chip) and every pipe crossing a domain boundary must be staged and
-// listed in the consuming domain's in-edge list.
+// built chip) and every link direction crossing a domain boundary must be
+// staged and listed in the consuming domain's in-edge list.
 type Sharded struct {
 	doms []*Engine
 	in   [][]CrossStage // per consumer domain, fixed commit order
-	look Cycle          // min delay over all staged pipes, >= 1
+	look Cycle          // min delay over all staged link directions, >= 1
 	now  Cycle
 
 	bar       *barrier
@@ -64,9 +69,9 @@ type Sharded struct {
 }
 
 // NewSharded returns a coordinator over two or more domain engines (a
-// single domain is just its Engine). inEdges[d] lists the staged pipes
-// consumed by domain d; lookahead is the minimum delay over all staged
-// pipes (clamped to at least 1).
+// single domain is just its Engine). inEdges[d] lists the stages
+// consumed by domain d; lookahead is the minimum delay over all of them
+// (clamped to at least 1).
 func NewSharded(doms []*Engine, inEdges [][]CrossStage, lookahead Cycle) *Sharded {
 	if len(doms) < 2 {
 		panic("sim: NewSharded needs at least two domains")

@@ -5,9 +5,12 @@
 //
 // # Determinism rules
 //
-//   - Components communicate only through Pipe values (or through message
-//     queues drained at the start of the receiver's Tick), never by calling
-//     into each other mid-cycle.
+//   - A component hands another a value only with a delivery cycle after
+//     the current one — through a Pipe, or by writing it into the
+//     consumer's own buffer stamped with that cycle, as the noc package's
+//     links and credit returns do — or through message queues drained at
+//     the start of the receiver's Tick. No component acts on a value
+//     before its delivery cycle.
 //   - Within a cycle the Engine ticks components in registration order; a
 //     correct component only consumes values that were pushed on an earlier
 //     cycle, so registration order never changes results.

@@ -7,9 +7,8 @@ import "nocout/internal/ckpt"
 // their private state. Two properties make restore exact:
 //
 //   - Pipe/Queue state is serialized as the consumer-visible sequence
-//     (live entries in delivery order, then any cross-domain staged
-//     entries in push order — exactly what the next CommitStaged would
-//     publish), so a restored chip may run under any domain count.
+//     (entries in delivery order), so a restored chip may run under any
+//     domain count.
 //   - RestoreAt re-arms every registered component for the cycle after
 //     the snapshot instead of trying to reconstruct the wake calendar.
 //     A spurious tick is identity-preserving by the naive-kernel
@@ -17,42 +16,30 @@ import "nocout/internal/ckpt"
 //     each component's first NextWake report rebuilds the calendar from
 //     its restored inputs.
 
-// Each calls fn for every in-flight entry in consumer-visible order:
-// the live queue in delivery order, then staged entries in push order.
-// The pipe is not disturbed.
+// Each calls fn for every in-flight entry in delivery order. The pipe is
+// not disturbed.
 func (p *Pipe[T]) Each(fn func(at Cycle, v T)) {
 	for i := p.head; i < len(p.q); i++ {
 		fn(p.q[i].at, p.q[i].v)
 	}
-	for i := range p.staged {
-		fn(p.staged[i].at, p.staged[i].v)
-	}
 }
 
-// State walks the pipe's in-flight entries in consumer-visible order;
-// walk walks one value. Delivery cycles are delta-encoded from the
-// predecessor (FIFO pipes deliver in near-sorted cycle order). Loading
-// replaces the contents and raises no wakes — Engine.RestoreAt re-arms
-// consumers wholesale — and leaves the wiring (name, delay, waker,
-// staging mode) untouched.
+// State walks the pipe's in-flight entries in delivery order; walk walks
+// one value. Delivery cycles are delta-encoded from the predecessor (FIFO
+// pipes deliver in near-sorted cycle order). Loading replaces the
+// contents and raises no wakes — Engine.RestoreAt re-arms consumers
+// wholesale — and leaves the wiring (delay, waker) untouched.
 func (p *Pipe[T]) State(s *ckpt.State, walk func(v *T, s *ckpt.State)) {
-	live := p.Len()
-	n := s.Count(live + len(p.staged))
+	n := s.Count(p.Len())
 	if s.Loading() {
-		p.q, p.head, p.staged = p.q[:0], 0, p.staged[:0]
+		p.q, p.head = p.q[:0], 0
 	}
 	prev := Cycle(0)
 	for i := 0; i < n && s.Err() == nil; i++ {
-		var en *pipeEntry[T]
-		switch {
-		case s.Loading():
+		if s.Loading() {
 			p.q = append(p.q, pipeEntry[T]{})
-			en = &p.q[i]
-		case i < live:
-			en = &p.q[p.head+i]
-		default:
-			en = &p.staged[i-live]
 		}
+		en := &p.q[p.head+i]
 		ckpt.Delta(s, &en.at, &prev)
 		walk(&en.v, s)
 	}
