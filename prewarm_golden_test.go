@@ -70,10 +70,10 @@ var warmGolden = []struct {
 	sha      string
 	bytes    int64
 }{
-	{Mesh, "MapReduce-C", "8fba787eda46c38ac23ad714588b86409e48b88dd50d82529677e6da653057e2", 1138431},
-	{Mesh, "Data Serving", "b2ea35c42d67cd6c0b05ccbde50d880e6fa489bced5b15a61ce7b0865d87eb90", 1224040},
-	{NOCOut, "MapReduce-C", "fd721eb32efa5394fedeb4a6a8f1d43edf7d35fcc089f47b8c151fb07fd2bb16", 1170055},
-	{NOCOut, "Data Serving", "1d03c95d523729e120fddab9d02beb41ccefffe2a159bbac8828daf9c270465f", 1261594},
+	{Mesh, "MapReduce-C", "d2276ebb919a3deffcec32d08c275f277ce9985f90d32f695f40ec85900efc9b", 1134454},
+	{Mesh, "Data Serving", "b417da6d4e03eb273397fd955c7c2d323a1d95fd689704b3811b9dcfd8fedf85", 1219738},
+	{NOCOut, "MapReduce-C", "84d64e0b67ed0c98da6862ff4cbe6e997428e0f449dca911e1deb4de07f630b2", 1167124},
+	{NOCOut, "Data Serving", "7afc5c636a375246a23f6a9ad6ac540d0e9a17af0236951ae3ba1209ed834bb3", 1258618},
 }
 
 // countingWriter counts the bytes written through it.
@@ -123,13 +123,13 @@ var formatGolden = []struct {
 	{"ideal", Ideal, "Data Serving",
 		"a439f776e28a5c85712d0f295024e384edcbe26c27485e6a5719596cca18880d", 947300},
 	{"opensys-mmpp", Mesh, "opensys:arrival=mmpp,base=web-search,rate=4,size=256,queue=64",
-		"7a9a1f221c2a192a7c6f443a0b45392b7cf70bd25fdbe1c6dd6795e769eda78e", 920068},
+		"84b9398e90dd1d645653212cd1ac813992061f1df55e3cf16ae6415bc0775f02", 918950},
 	{"opensys-burst-phases", Mesh, "opensys:arrival=burst,base=data-serving,rate=0.5,size=128,queue=32,hurst=0.9,peak=1.2,phases=1.5x4000;0.5x4000",
-		"e2af3caa029961a022b7e7c17bd598113ea13095692e04267eabe04af9ff3605", 928828},
+		"3f5a09f74511501409aca0cc696ab5127e73f792169fc802cad33970a254c31d", 927660},
 	{"phased", Mesh, "MapReduce-Phased",
-		"b31018f7964f74ea401cc316bae3d62c6e102bea723144aa3c081b4822e27fa5", 847583},
+		"00dd5d5d33d9db277a7c563afc02b4f5ccdebc0666faa116e4ff9aa713f69205", 846606},
 	{"noc3", Mesh, "noc3",
-		"0f22ee276ed5694675e1cc3c6ec0158d92d478bf43253c52c909e8384c624cf1", 814632},
+		"153de908e06946ba25e00beeb18fee7237a053a63aac9f2af54fbf0488db9bd3", 813766},
 }
 
 // formatGoldenUnfused holds the hashes that differ on a host whose
@@ -141,7 +141,7 @@ var formatGolden = []struct {
 // simulator, pinned here as two exact values rather than hidden; once
 // the draw is made host-independent, one of them goes.
 var formatGoldenUnfused = map[string]string{
-	"opensys-burst-phases": "5cae13534bab5fb3bbb6af66b1a938fcada0d561fd71137c5c4366fa7df68858",
+	"opensys-burst-phases": "1eb03a66abab1ba5c6d99f3299540e2009abf4e7efe70ddf93f26746880cfb59",
 }
 
 // expFused reports whether math.Exp takes its fused-multiply-add path on
