@@ -104,9 +104,8 @@ func drive(net noc.Network, rn *noc.RouterNetwork, nodes []noc.NodeID, rate floa
 // TestCreditConservationOnFabrics checks credit conservation on every link
 // after every cycle of saturated traffic on each router-based fabric —
 // head-room bubble flow control on the torus, more than 64 ports on the
-// crossbar, static-priority trees and staged credit drains on NOC-Out —
-// then again on a fresh network restored from a mid-run snapshot as it
-// runs on.
+// crossbar, static-priority trees on NOC-Out — then again on a fresh
+// network restored from a mid-run snapshot as it runs on.
 func TestCreditConservationOnFabrics(t *testing.T) {
 	const snapAt, restoredFor = 400, 200
 	for _, f := range []fabric64{meshFabric, torusFabric, fbflyFabric, crossbarFabric, nocoutFabric} {

@@ -299,9 +299,12 @@ var ErrCreditConservation = errors.New("noc: credit conservation violated")
 // sender holds, plus the credits returning — the pending return and any
 // a cross-domain link stages — plus the flits downstream or on the link
 // — in the downstream VC or NI eject ring, arrived or not, or staged on a
-// cross-domain link — must equal the downstream buffer capacity. A lost
-// or double-counted credit breaks the sum within a cycle. It must only
-// run while no domain is stepping.
+// cross-domain link — must equal the downstream buffer capacity, and the
+// sender's credits must not fall below zero. A lost or double-counted
+// credit breaks the sum within a cycle. A negative count balanced by one
+// flit too many downstream keeps the sum but lets a class take another
+// class's slot in an NI's shared eject ring. It must only run while no
+// domain is stepping.
 func (rn *RouterNetwork) CheckCredits() error {
 	for _, r := range rn.Routers {
 		for _, op := range r.outs {
@@ -349,6 +352,9 @@ func (op *OutPort) checkCredits() error {
 		if sum := op.credits[vc] + returning[vc] + down[vc]; sum != op.downCap {
 			return fmt.Errorf("output %s VC %v: credits %d + returning %d + downstream or on the link %d = %d, downstream capacity %d",
 				op.name, Class(vc), op.credits[vc], returning[vc], down[vc], sum, op.downCap)
+		}
+		if op.credits[vc] < 0 {
+			return fmt.Errorf("output %s VC %v: credits %d, below zero", op.name, Class(vc), op.credits[vc])
 		}
 	}
 	return nil

@@ -427,12 +427,14 @@ func ejectNet() *RouterNetwork {
 // link with flits on it and a credit returned on the snapshot cycle, and
 // rewrites what the save writes for the link in ways no save can: a flit
 // arriving at the snapshot cycle, one beyond the link's delay, one not
-// after the flit sent before it, flits past the ring's capacity, a
-// credit due more than a cycle after the snapshot, and two credits due
-// on the cycle after it. Each load must fail with a corrupt-state error
-// naming the NI or the output. The link as it was loads, and so does the
-// form a save made before credits were counters wrote: a credit usable
-// at the snapshot cycle as a return due by it, which a load counts.
+// after the flit sent before it, flits past the ring's capacity, one
+// flit more of a class than its buffering balanced by a credit count
+// below zero, a credit due more than a cycle after the snapshot, and two
+// credits due on the cycle after it. Each load must fail with a
+// corrupt-state error naming the NI or the output. The link as it was
+// loads, and so does the form a save made before credits were counters
+// wrote: a credit usable at the snapshot cycle as a return due by it,
+// which a load counts.
 func TestEjectAndCreditLoadRejectsImpossibleEntries(t *testing.T) {
 	rn := ejectNet()
 	e := sim.NewEngine()
@@ -441,15 +443,22 @@ func TestEjectAndCreditLoadRejectsImpossibleEntries(t *testing.T) {
 		rn.Send(0, &Packet{ID: uint64(i), Class: Class(i % NumClasses), Src: 0, Dst: 1, Size: 1 + i%3})
 	}
 	ni, op := rn.NIs[1], rn.Routers[0].outs[0]
-	for e.Now() < 200 && (ni.ej.n < 2 || op.ret.due != e.Now()+1) {
+	for e.Now() < 200 && (ni.ej.n < 2 || ni.ej.n == len(ni.ej.buf) || op.ret.due != e.Now()+1) {
 		e.Step(1)
 	}
 	now := e.Now()
-	if ni.ej.n < 2 || op.ret.due != now+1 {
-		t.Fatalf("no cycle up to %d has two flits on the eject link and a credit returned on it", now)
+	if ni.ej.n < 2 || ni.ej.n == len(ni.ej.buf) || op.ret.due != now+1 {
+		t.Fatalf("no cycle up to %d has two flits on the eject link, room for a third and a credit returned on it", now)
 	}
 	var onLink []linkFlit
 	op.eachInFlight(now, func(f *linkFlit) { onLink = append(onLink, *f) })
+	// One more flit of the last flit's class, whose one buffer slot that
+	// flit already holds, and a credit count lowered to keep the sum.
+	last := onLink[len(onLink)-1]
+	if op.credits[last.Pkt.Class] != 0 || last.at+1 > now+op.delay {
+		t.Fatalf("cycle %d: class %v holds %d credits, last flit arrives at %d", now, last.Pkt.Class, op.credits[last.Pkt.Class], last.at)
+	}
+	extra := append(append([]linkFlit(nil), onLink...), linkFlit{Flit: last.Flit, at: last.at + 1})
 	overfull := make([]linkFlit, len(ni.ej.buf)+1)
 	for i := range overfull {
 		overfull[i] = linkFlit{Flit: ni.ej.front(), at: now + 1 + sim.Cycle(i)}
@@ -458,15 +467,19 @@ func TestEjectAndCreditLoadRejectsImpossibleEntries(t *testing.T) {
 
 	// save writes rn with flits on the eject link and credit returns to
 	// r0's output instead of the ones there — the ring emptied and the
-	// link staging both — and credits[ClassReq] lowered by drop.
-	save := func(flits []linkFlit, rets []creditReturn, drop int) []byte {
+	// link staging both — and credits[c] lowered by one.
+	save := func(flits []linkFlit, rets []creditReturn, c Class, drop bool) []byte {
 		n := ni.ej.n
 		ni.ej.n, op.staged, op.ret, op.stagedRet = 0, flits, creditReturn{}, rets
-		op.credits[ClassReq] -= drop
+		if drop {
+			op.credits[c]--
+		}
 		var enc ckpt.Enc
 		rn.State(ckpt.Encoding(&enc), now, nopPayload)
 		ni.ej.n, op.staged, op.ret, op.stagedRet = n, nil, pending, nil
-		op.credits[ClassReq] += drop
+		if drop {
+			op.credits[c]++
+		}
 		return enc.Bytes()
 	}
 	load := func(b []byte) (*RouterNetwork, error) {
@@ -475,12 +488,12 @@ func TestEjectAndCreditLoadRejectsImpossibleEntries(t *testing.T) {
 		got.State(ckpt.Decoding(d), now, nopPayload)
 		return got, d.Err()
 	}
-	asIs := save(onLink, []creditReturn{pending}, 0)
+	asIs := save(onLink, []creditReturn{pending}, 0, false)
 	got, err := load(asIs)
 	if err != nil {
 		t.Fatalf("the link's own flits and credit at cycle %d: %v", now, err)
 	}
-	if b := save(onLink, []creditReturn{pending}, 0); !bytes.Equal(b, asIs) {
+	if b := save(onLink, []creditReturn{pending}, 0, false); !bytes.Equal(b, asIs) {
 		t.Fatal("saving changed the network")
 	}
 	var enc ckpt.Enc
@@ -488,7 +501,7 @@ func TestEjectAndCreditLoadRejectsImpossibleEntries(t *testing.T) {
 	if !bytes.Equal(enc.Bytes(), asIs) {
 		t.Fatal("a loaded network saves other bytes than it loaded")
 	}
-	undrained := save(onLink, []creditReturn{{due: now - 3, vc: ClassReq}, pending}, 1)
+	undrained := save(onLink, []creditReturn{{due: now - 3, vc: ClassReq}, pending}, ClassReq, true)
 	if got, err = load(undrained); err != nil {
 		t.Fatalf("a credit due by cycle %d written as a return: %v", now, err)
 	}
@@ -506,26 +519,29 @@ func TestEjectAndCreditLoadRejectsImpossibleEntries(t *testing.T) {
 		name  string
 		flits []linkFlit
 		rets  []creditReturn
+		drop  bool // lower the last flit's class's credits by one
 		owner string
 		want  string
 	}{
-		{"flit arriving at the snapshot cycle", rewrite(func(fs []linkFlit) []linkFlit { fs[0].at = now; return fs }), nil,
+		{"flit arriving at the snapshot cycle", rewrite(func(fs []linkFlit) []linkFlit { fs[0].at = now; return fs }), nil, false,
 			"ni1 eject side", "not after the snapshot cycle"},
-		{"flit arriving beyond the link's delay", rewrite(func(fs []linkFlit) []linkFlit { fs[len(fs)-1].at = now + delay + 1; return fs }), nil,
+		{"flit arriving beyond the link's delay", rewrite(func(fs []linkFlit) []linkFlit { fs[len(fs)-1].at = now + delay + 1; return fs }), nil, false,
 			"ni1 eject side", "beyond its"},
-		{"flits out of send order", rewrite(func(fs []linkFlit) []linkFlit { return append(fs, fs[len(fs)-1]) }), nil,
+		{"flits out of send order", rewrite(func(fs []linkFlit) []linkFlit { return append(fs, fs[len(fs)-1]) }), nil, false,
 			"ni1 eject side", "not after the flit sent before it"},
-		{"flits past the ring's capacity", overfull, nil, "ni1 eject side", "holds more than"},
-		{"credit due two cycles on", onLink, []creditReturn{{due: now + 2, vc: pending.vc}},
+		{"flits past the ring's capacity", overfull, nil, false, "ni1 eject side", "holds more than"},
+		{"a class past its buffering, credits below zero", extra, nil, true,
+			"r0 output out VC " + last.Pkt.Class.String(), "below zero"},
+		{"credit due two cycles on", onLink, []creditReturn{{due: now + 2, vc: pending.vc}}, false,
 			"r0 output out", "more than one cycle after"},
-		{"two credits due the next cycle", onLink, []creditReturn{pending, {due: now + 1, vc: ClassResp}},
+		{"two credits due the next cycle", onLink, []creditReturn{pending, {due: now + 1, vc: ClassResp}}, false,
 			"r0 output out", "two credits returned"},
 	} {
 		rets := tc.rets
 		if rets == nil {
 			rets = []creditReturn{pending}
 		}
-		_, err := load(save(tc.flits, rets, 0))
+		_, err := load(save(tc.flits, rets, last.Pkt.Class, tc.drop))
 		if err == nil || !strings.HasPrefix(err.Error(), "ckpt: ") ||
 			!strings.Contains(err.Error(), tc.owner) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s at cycle %d: load returned %v, want a corrupt-state error naming %s and %q", tc.name, now, err, tc.owner, tc.want)

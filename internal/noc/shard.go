@@ -26,8 +26,8 @@ type ShardPlan struct {
 	RouterDom  []int // domain per rn.Routers index
 	NIDom      []int // domain per rn.NIs index (NodeID); -1 where no NI exists
 	Lookahead  sim.Cycle
-	InEdges    [][]sim.CrossStage // staged links consumed per domain, fixed order
-	CrossLinks int                // staged link count, for diagnostics
+	InEdges    [][]sim.CrossStage // staged link directions consumed per domain, fixed order
+	CrossLinks int                // staged link directions (two per cross-domain link), for diagnostics
 }
 
 // NodeDomain returns the domain owning node n's NI. Protocol agents must

@@ -311,10 +311,11 @@ func (op *OutPort) returnsState(s *ckpt.State, now sim.Cycle, owner func() strin
 // State walks the network's in-flight state; payload walks each
 // packet's payload. now is the snapshot cycle: a save writes the flits
 // that have arrived by it as buffered and the rest as on their links,
-// and a load checks each link's flits against it. A save first folds the
-// network's local
-// accounting into the shared Stats, so per-router and per-port deltas are
-// zero at the snapshot and only the folded totals travel. A load needs
+// and the credits usable by it as counted and the rest as returning, and
+// a load checks each link's flits and credit returns against it. A save
+// first folds the network's local accounting into the shared Stats, so
+// per-router and per-port deltas are zero at the snapshot and only the
+// folded totals travel; it changes nothing else. A load needs
 // the network built with the donor's topology; each router's derived
 // state — its buffered count, occupancy set, arrival calendar and
 // last-grant stamps — is rebuilt from the restored VCs, and a load whose
