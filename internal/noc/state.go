@@ -207,7 +207,12 @@ func (op *OutPort) linkState(s *ckpt.State, now sim.Cycle, t *pktTable) {
 		if s.Err() != nil {
 			return
 		}
-		q := op.ring(f.Pkt.Class)
+		var q *flitRing
+		if op.down != nil {
+			q = &op.down.vcs[f.Pkt.Class]
+		} else {
+			q = &op.ni.ej
+		}
 		switch {
 		case f.at <= now:
 			s.Corrupt("%s: flit on the link arrives at cycle %d, not after the snapshot cycle %d", op.consumer(), f.at, now)
@@ -224,15 +229,6 @@ func (op *OutPort) linkState(s *ckpt.State, now sim.Cycle, t *pktTable) {
 			last = f.at
 		}
 	}
-}
-
-// ring returns the ring a flit of class c lands in at the link's
-// consumer.
-func (op *OutPort) ring(c Class) *flitRing {
-	if op.down != nil {
-		return &op.down.vcs[c]
-	}
-	return &op.ni.ej
 }
 
 // consumer names the link's consumer for a load error.
