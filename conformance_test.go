@@ -1,6 +1,7 @@
 package nocout
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -130,11 +131,15 @@ func TestKernelConformance(t *testing.T) {
 }
 
 // lockstepKernels builds cfg's chip on the scheduled and on the naive
-// kernel, steps both one cycle at a time for cycles cycles, fails on the
-// first cycle whose state hashes differ or on differing final Metrics,
-// and returns the final Metrics.
+// kernel, steps both one cycle at a time for cycles cycles, and returns
+// the final Metrics. It fails on the first cycle whose state hashes
+// differ, on differing snapshot bytes every snapshotEvery cycles and at
+// the end, or on differing final Metrics. The snapshot is the whole
+// behavioral state, which the hash sees only once a counter moves: ROB
+// entries, commit credit, cache tags, RNG positions.
 func lockstepKernels(t *testing.T, cfg Config, w workload.Workload, cycles sim.Cycle) chip.Metrics {
 	t.Helper()
+	const snapshotEvery = 1000
 	build := func(scheduled bool) *chip.Chip {
 		c := chip.New(cfg, w)
 		c.Engine.SetScheduled(scheduled)
@@ -145,11 +150,24 @@ func lockstepKernels(t *testing.T, cfg Config, w workload.Workload, cycles sim.C
 	if !s.Engine.Scheduled() || n.Engine.Scheduled() {
 		t.Fatal("kernel mode not applied")
 	}
+	var bs, bn bytes.Buffer
+	snapshot := func(c *chip.Chip, buf *bytes.Buffer) []byte {
+		buf.Reset()
+		if err := c.Snapshot(buf); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		return buf.Bytes()
+	}
 	for cy := sim.Cycle(1); cy <= cycles; cy++ {
 		s.Engine.Step(1)
 		n.Engine.Step(1)
 		if hs, hn := s.StateHash(), n.StateHash(); hs != hn {
 			t.Fatalf("state hash diverged at cycle %d: scheduled %#x naive %#x", cy, hs, hn)
+		}
+		if cy%snapshotEvery == 0 || cy == cycles {
+			if !bytes.Equal(snapshot(s, &bs), snapshot(n, &bn)) {
+				t.Fatalf("snapshot bytes diverged at cycle %d", cy)
+			}
 		}
 	}
 	ms, mn := s.Metrics(), n.Metrics()
