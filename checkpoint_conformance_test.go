@@ -2,8 +2,10 @@ package nocout
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nocout/internal/chip"
@@ -227,6 +229,86 @@ func TestCheckpointRejectsMismatchedSystem(t *testing.T) {
 	bad.Cores = 16
 	if _, err := chip.Restore(bad, w, 1, bytes.NewReader(snap)); err == nil {
 		t.Fatal("restore into a different design must fail")
+	}
+}
+
+// TestCheckpointRejectsLastSeenOffSnapshotCycle: a snapshot settles each
+// core's and memory channel's lazy accounting at the snapshot cycle, so
+// a lastSeen at any other cycle is corruption. Restored, its first
+// catch-up would replay commits and stall cycles that never ran, or skip
+// ones that did. The test edits core 0's and channel 0's lastSeen by one
+// cycle either way, and each restore must fail naming the component.
+func TestCheckpointRejectsLastSeenOffSnapshotCycle(t *testing.T) {
+	w, err := workload.Parse("Data Serving")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(Mesh)
+	cfg.Cores = 16
+	donor, snap, _ := warmSnapshot(t, cfg, w, 1, 2000)
+	at := donor.NowCycle()
+	cont, err := ckpt.Parse(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := chip.New(cfg, w)
+	// Section kinds 2 and 5 hold the cores and the memory channels; walking
+	// the first component of each on a scratch chip finds where its walk
+	// ends, and both walks end with lastSeen and one more uvarint.
+	for _, c := range []struct {
+		kind uint64
+		name string
+		walk func(*ckpt.State)
+	}{
+		{2, "core 0", func(s *ckpt.State) { scratch.Cores[0].State(s, at) }},
+		{5, "memory channel 0", func(s *ckpt.State) { scratch.MCs[0].State(s, at) }},
+	} {
+		sec := -1
+		for i := 0; i < cont.Len(); i++ {
+			if cont.Kind(i) == c.kind {
+				sec = i
+			}
+		}
+		d, err := cont.Open(sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := d.Raw(d.Remaining())
+		d, _ = cont.Open(sec)
+		c.walk(ckpt.Decoding(d))
+		if d.Err() != nil {
+			t.Fatalf("%s: %v", c.name, d.Err())
+		}
+		// The walk's last field starts after the last byte before its end
+		// with the varint continuation bit clear.
+		lastField := len(payload) - d.Remaining() - 1
+		for lastField > 0 && payload[lastField-1]&0x80 != 0 {
+			lastField--
+		}
+		want := binary.AppendVarint(nil, int64(at))
+		off := lastField - len(want)
+		if off < 0 || !bytes.Equal(payload[off:lastField], want) {
+			t.Fatalf("%s: no lastSeen %d before the walk's last field", c.name, at)
+		}
+		for _, skew := range []sim.Cycle{-1, 1} {
+			edited := binary.AppendVarint(append([]byte(nil), payload[:off]...), int64(at+skew))
+			edited = append(edited, payload[lastField:]...)
+			var buf bytes.Buffer
+			cw := ckpt.NewWriter(&buf)
+			for i := 0; i < cont.Len(); i++ {
+				p := edited
+				if i != sec {
+					dd, _ := cont.Open(i)
+					p = dd.Raw(dd.Remaining())
+				}
+				cw.Section(cont.Kind(i), p)
+			}
+			_, err := chip.Restore(cfg, w, 1, &buf)
+			if err == nil || !strings.Contains(err.Error(), c.name+" ") {
+				t.Fatalf("%s at lastSeen %d of snapshot cycle %d: restore returned %v, want an error naming it",
+					c.name, at+skew, at, err)
+			}
+		}
 	}
 }
 

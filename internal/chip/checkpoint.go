@@ -81,9 +81,9 @@ var sections = [...]struct {
 	walk func(c *Chip, s *ckpt.State, m *meta) error
 }{
 	{secMeta, (*Chip).metaState},
-	{secCores, func(c *Chip, s *ckpt.State, _ *meta) error {
+	{secCores, func(c *Chip, s *ckpt.State, m *meta) error {
 		for _, co := range c.Cores {
-			co.State(s)
+			co.State(s, m.Cycle)
 			w, ok := co.Stream().(ckpt.Walker)
 			if !ok {
 				return fmt.Errorf("chip: core %d stream %T does not support checkpointing", co.ID, co.Stream())
@@ -104,9 +104,9 @@ var sections = [...]struct {
 		}
 		return nil
 	}},
-	{secMCs, func(c *Chip, s *ckpt.State, _ *meta) error {
+	{secMCs, func(c *Chip, s *ckpt.State, m *meta) error {
 		for _, mc := range c.MCs {
-			mc.State(s)
+			mc.State(s, m.Cycle)
 		}
 		return nil
 	}},
@@ -159,8 +159,9 @@ func (c *Chip) metaState(s *ckpt.State, m *meta) error {
 // measurement boundary right after Warmup.
 func (c *Chip) Snapshot(w io.Writer) error {
 	// Settle every component's lazy accounting at the snapshot cycle, so
-	// each serialized lastSeen equals the snapshot cycle and the restored
-	// chip's first (re-armed) tick replays no catch-up window.
+	// each serialized lastSeen equals the snapshot cycle (a load checks
+	// it) and the restored chip's first (re-armed) tick replays no
+	// catch-up window.
 	c.FlushAll()
 
 	cw := ckpt.NewWriter(w)

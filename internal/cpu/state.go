@@ -1,6 +1,9 @@
 package cpu
 
-import "nocout/internal/ckpt"
+import (
+	"nocout/internal/ckpt"
+	"nocout/internal/sim"
+)
 
 // Checkpoint walk of the core's architectural state: the in-flight
 // instruction window, the fractional commit credit, fetch and
@@ -9,17 +12,19 @@ import "nocout/internal/ckpt"
 // stream, waker) are structural; measurement Stats are excluded — the
 // restore path re-zeroes them exactly as the warmup boundary does.
 // Callers must Flush the core before saving so lastSeen equals the
-// snapshot cycle and no lazy accounting is pending.
+// snapshot cycle and no lazy accounting is pending; a load rejects a
+// lastSeen at any other cycle, whose first catch-up would replay cycles
+// that never ran or skip ones that did.
 
 // Stream returns the workload stream driving this core, so the chip can
 // checkpoint its cursor alongside the core.
 func (c *Core) Stream() Stream { return c.stream }
 
-// State implements ckpt.Walker. The ROB ring is walked logically from
-// its head, and a load rebuilds it from slot 0, so the restored ring is
-// head-normalized — invisible to execution, which only ever indexes
-// relative to head.
-func (c *Core) State(s *ckpt.State) {
+// State walks the core's state at snapshot cycle at. The ROB ring is
+// walked logically from its head, and a load rebuilds it from slot 0, so
+// the restored ring is head-normalized — invisible to execution, which
+// only ever indexes relative to head.
+func (c *Core) State(s *ckpt.State, at sim.Cycle) {
 	n := s.Count(c.count)
 	if s.Loading() {
 		if n > len(c.rob) {
@@ -48,5 +53,8 @@ func (c *Core) State(s *ckpt.State) {
 	s.U64(&c.retryInstr.DAddr)
 	ckpt.Int(s, &c.outstanding)
 	ckpt.Int(s, &c.lastSeen)
+	if s.Loading() && c.lastSeen != at {
+		s.Corrupt("core %d accounted to cycle %d, not the snapshot cycle %d", c.ID, c.lastSeen, at)
+	}
 	c.rng.State(s)
 }
