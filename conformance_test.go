@@ -111,22 +111,32 @@ func TestDesignConformance(t *testing.T) {
 // TestKernelConformance is the event-scheduled kernel's contract: for
 // every registered design, the scheduled (quiescence-aware) kernel and the
 // naive tick-everything kernel produce identical cycle-by-cycle state
-// hashes over the conformance suite's measurement, and identical final
-// Metrics. Any missed wake, stale arbitration rotation, or lazily
-// mis-accounted counter shows up here within a cycle or two.
+// hashes over the conformance suite's measurement, identical snapshots,
+// and identical final Metrics. Any missed wake, stale arbitration
+// rotation, or lazily mis-accounted counter shows up here within a cycle
+// or two. Data Serving on Mesh and NOC-Out is the stall-heavy input: its
+// cores block fetch on L1-I misses most often and sleep through each
+// stall while their windows still commit.
 func TestKernelConformance(t *testing.T) {
-	w, err := workload.Parse("MapReduce-C")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range Designs() {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := DefaultConfig(d)
-			cfg.Cores = 16
-			lockstepKernels(t, cfg, w, confQ.Warmup+confQ.Window)
-		})
+	for _, c := range []struct {
+		prefix, workload string
+		designs          []Design
+	}{
+		{"", "MapReduce-C", Designs()},
+		{"DataServing/", "Data Serving", []Design{Mesh, NOCOut}},
+	} {
+		w, err := workload.Parse(c.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range c.designs {
+			t.Run(c.prefix+d.String(), func(t *testing.T) {
+				t.Parallel()
+				cfg := DefaultConfig(d)
+				cfg.Cores = 16
+				lockstepKernels(t, cfg, w, confQ.Warmup+confQ.Window)
+			})
+		}
 	}
 }
 

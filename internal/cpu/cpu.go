@@ -77,7 +77,12 @@ type TimedStream interface {
 // RetireObserver is a Stream that wants commit-time notification: the
 // core reports every batch of retired instructions with the cycle it
 // happened, which is how open-system sources timestamp request
-// completions exactly. Closed-loop streams simply don't implement it.
+// completions exactly. Batches arrive in cycle order, but a core that
+// sleeps while fetch waits on a fill reports the commits of the cycles
+// it slept through during a later catch-up (the fill, or a Flush), so
+// now may lie in the past. A Flush at a cycle has reported every batch
+// up to it, so any read that follows the Flush sees them all.
+// Closed-loop streams simply don't implement it.
 type RetireObserver interface {
 	OnRetire(now sim.Cycle, n int)
 }
@@ -208,21 +213,20 @@ func (c *Core) ResetStats() { c.Stats = Stats{} }
 // it early.
 func (c *Core) BindWaker(w sim.Waker) { c.waker = w }
 
-// NextWake implements sim.Sleeper. A core is quiescent until an L1 fill
-// when no pipeline stage can progress without one: fetch is blocked
-// (I-miss stall, a serializing load, or a full ROB) and commit is blocked
-// (the window head waits on a miss, or the window is empty). Every such
-// state has an outstanding MSHR, so the fill listener is guaranteed to
-// re-arm the core. A timed core whose window is empty, with no
-// instruction held for retry, last fetched KindIdle: it sleeps until its
-// stream's IdleUntil cycle, on which NextAt first answers work.
+// NextWake implements sim.Sleeper. A core sleeps until an L1 fill
+// whenever fetch waits on one (an I-miss stall or a serializing load),
+// even while its window can still commit: syncTo replays those commits
+// when the fill or a Flush settles the core. A full window whose head
+// waits on a miss sleeps the same way. Every such state has an
+// outstanding MSHR, so the fill listener is guaranteed to re-arm the
+// core. A timed core whose window is empty, with no instruction held for
+// retry, last fetched KindIdle: it sleeps until its stream's IdleUntil
+// cycle, on which NextAt first answers work.
 func (c *Core) NextWake(now sim.Cycle) sim.Cycle {
 	if !c.enabled {
 		return sim.NeverWake
 	}
-	fetchBlocked := c.fetchStall || c.serialize || c.count == len(c.rob)
-	commitBlocked := c.headBlocked() || c.count == 0
-	if fetchBlocked && commitBlocked {
+	if c.fetchStall || c.serialize || c.count == len(c.rob) && c.headBlocked() {
 		return sim.NeverWake
 	}
 	// An empty window here has fetch unblocked (the case above caught the
@@ -240,13 +244,16 @@ func (c *Core) headBlocked() bool {
 	return c.count > 0 && c.rob[c.head].mem && c.rob[c.head].waiting
 }
 
-// syncTo accounts the idle cycles in (c.lastSeen, upto] that the scheduled
-// kernel never ticked, replicating bit-for-bit what Tick would have done in
-// each: a cycle count, the commit-credit accrual, and the stall
-// attribution — all against the state frozen at the last tick, either
-// blocked on a fill or idle on an empty stream (nothing to commit, a
-// KindIdle fetch, no stall to attribute). It must run before any state
-// mutation (a fill, or the body of a live Tick).
+// syncTo replays the cycles in (c.lastSeen, upto] that the scheduled
+// kernel never ticked, bit-for-bit as Tick would have run each: the
+// commit-credit accrual, in-order commit (OnRetire with the replayed
+// cycle), the cycle count and the stall attribution. No fetch runs in
+// them: the core sleeps only while fetch waits on a fill, behind a full
+// window, or on an idle stream (NextWake), so commit is the one stage
+// that moves. Once the credit sits at the cap and nothing can commit,
+// every further cycle repeats the last, and the remainder closes in one
+// step. It must run before any state mutation (a fill, or the body of a
+// live Tick).
 func (c *Core) syncTo(upto sim.Cycle) {
 	if upto <= c.lastSeen {
 		return
@@ -255,22 +262,16 @@ func (c *Core) syncTo(upto sim.Cycle) {
 		c.lastSeen = upto
 		return
 	}
-	k := int64(upto - c.lastSeen)
-	c.lastSeen = upto
-	// Replay the per-cycle float credit accrual exactly until it saturates
-	// (a handful of iterations), then close the remainder in one step —
-	// once credit sits at the cap, further idle cycles leave it there.
 	max := float64(c.params.Width)
-	for k > 0 && c.credit != max {
-		c.credit += 1.0 / c.params.BaseCPI
-		if c.credit > max {
-			c.credit = max
-		}
+	for c.lastSeen < upto && (c.credit != max || c.count > 0 && !c.headBlocked()) {
+		c.lastSeen++
 		c.Stats.Cycles++
-		c.accountStall()
-		k--
+		if c.commit(c.lastSeen) == 0 {
+			c.accountStall()
+		}
 	}
-	if k > 0 {
+	if k := int64(upto - c.lastSeen); k > 0 {
+		c.lastSeen = upto
 		c.Stats.Cycles += k
 		if ctr := c.stallCounter(); ctr != nil {
 			*ctr += k
@@ -278,8 +279,10 @@ func (c *Core) syncTo(upto sim.Cycle) {
 	}
 }
 
-// Flush implements sim.Flusher: it brings the lazily-accounted cycle and
-// stall counters up to date (measurement boundaries, state hashes).
+// Flush implements sim.Flusher: it replays the cycles the core slept
+// through up to now (commits and their OnRetire reports, cycle and stall
+// counters), so every read that follows — Warmup's reset, Metrics,
+// StateHash, Snapshot — sees what the naive kernel would have.
 func (c *Core) Flush(now sim.Cycle) { c.syncTo(now) }
 
 // onFill is the L1 fill callback.

@@ -1,16 +1,34 @@
 package cpu
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
+	"nocout/internal/ckpt"
 	"nocout/internal/coherence"
 	"nocout/internal/sim"
 )
 
+// retired is one OnRetire report.
+type retired struct {
+	at sim.Cycle
+	n  int
+}
+
+// retireLog is a RetireObserver that records every report in call order.
+type retireLog struct{ log []retired }
+
+func (l *retireLog) OnRetire(now sim.Cycle, n int) { l.log = append(l.log, retired{now, n}) }
+
+func (l *retireLog) reports() []retired { return l.log }
+
 // scriptStream is a TimedStream on a scripted arrival schedule: arrival i
 // releases progs[i], one instruction per NextAt, and the stream answers
-// KindIdle while nothing is released. It records every NextAt cycle.
+// KindIdle while nothing is released. It records every NextAt cycle and
+// every OnRetire report.
 type scriptStream struct {
+	retireLog
 	arrivals []sim.Cycle
 	progs    [][]Instr
 	next     int     // index of the first arrival not yet released
@@ -63,32 +81,71 @@ func aluBurst(n int) []Instr {
 	return out
 }
 
+// loopStream is a closed-loop program, repeated, that records every
+// OnRetire report.
+type loopStream struct {
+	retireLog
+	prog []Instr
+	i    int
+}
+
+func (s *loopStream) Next() Instr {
+	in := s.prog[s.i%len(s.prog)]
+	s.i++
+	return in
+}
+
+// tickedCore is a core registered through a wrapper that records the
+// cycle of every tick.
+type tickedCore struct {
+	*Core
+	ticks []sim.Cycle
+}
+
+func (c *tickedCore) Tick(now sim.Cycle) {
+	c.ticks = append(c.ticks, now)
+	c.Core.Tick(now)
+}
+
+// ticksIn counts ticks on cycles in [lo, hi].
+func (c *tickedCore) ticksIn(lo, hi sim.Cycle) int {
+	n := 0
+	for _, at := range c.ticks {
+		if at >= lo && at <= hi {
+			n++
+		}
+	}
+	return n
+}
+
 // idleSide is one core with its own stream, L1 and engine.
 type idleSide struct {
-	core   *Core
-	stream *scriptStream
+	core   *tickedCore
+	stream *scriptStream // nil when the core runs a loopStream
 	l1     *fakeL1
 	eng    *sim.Engine
 }
 
 // idleRig runs one script on a scheduled and on a naive engine. outcome
-// builds each side's L1 outcome function, so scripted L1 state is not
-// shared between the two.
+// and stream build each side's L1 outcome function and stream, so
+// scripted state is not shared between the two.
 type idleRig struct{ sched, naive idleSide }
 
-func newIdleRig(outcome func() func(uint64, coherence.AccessKind) coherence.Outcome, arrivals []sim.Cycle, progs [][]Instr) *idleRig {
+func newRig(p Params, outcome func() func(uint64, coherence.AccessKind) coherence.Outcome, stream func() Stream) *idleRig {
 	side := func(scheduled bool) idleSide {
-		s := idleSide{
-			stream: &scriptStream{arrivals: arrivals, progs: progs},
-			l1:     &fakeL1{outcome: outcome()},
-			eng:    sim.NewEngine(),
-		}
-		s.core = New(0, DefaultParams(), s.l1, s.stream)
+		st := stream()
+		s := idleSide{l1: &fakeL1{outcome: outcome()}, eng: sim.NewEngine()}
+		s.stream, _ = st.(*scriptStream)
+		s.core = &tickedCore{Core: New(0, p, s.l1, st)}
 		s.eng.SetScheduled(scheduled)
 		s.eng.Register(s.core)
 		return s
 	}
 	return &idleRig{sched: side(true), naive: side(false)}
+}
+
+func newIdleRig(outcome func() func(uint64, coherence.AccessKind) coherence.Outcome, arrivals []sim.Cycle, progs [][]Instr) *idleRig {
+	return newRig(DefaultParams(), outcome, func() Stream { return &scriptStream{arrivals: arrivals, progs: progs} })
 }
 
 func hitAll() func(uint64, coherence.AccessKind) coherence.Outcome { return alwaysHit }
@@ -109,18 +166,40 @@ func (r *idleRig) fill(at sim.Cycle, line uint64, instr, write bool) {
 	r.stepTo(at)
 }
 
-// same requires the sleeping core's settled Stats and commit credit to
-// equal the naively ticked core's at cycle at.
+// same requires the sleeping core's settled Stats, checkpoint walk (the
+// window, commit credit, fetch state and lastSeen) and OnRetire reports
+// to equal the naively ticked core's at cycle at.
 func (r *idleRig) same(t *testing.T, at sim.Cycle) {
 	t.Helper()
 	r.stepTo(at)
 	r.sched.eng.Flush()
 	r.naive.eng.Flush()
-	cs, cn := r.sched.core, r.naive.core
-	if cs.Stats != cn.Stats || cs.credit != cn.credit {
-		t.Fatalf("cycle %d: scheduled core %+v credit %v, naive core %+v credit %v",
-			at, cs.Stats, cs.credit, cn.Stats, cn.credit)
+	cs, cn := r.sched.core.Core, r.naive.core.Core
+	if cs.Stats != cn.Stats || !bytes.Equal(walk(cs), walk(cn)) {
+		t.Fatalf("cycle %d: scheduled core %+v credit %v window %d, naive core %+v credit %v window %d",
+			at, cs.Stats, cs.credit, cs.count, cn.Stats, cn.credit, cn.count)
 	}
+	ls, ln := reports(cs), reports(cn)
+	if !slices.Equal(ls, ln) {
+		i := 0
+		for i < min(len(ls), len(ln)) && ls[i] == ln[i] {
+			i++
+		}
+		t.Fatalf("cycle %d: OnRetire reports differ from report %d: scheduled %v, naive %v",
+			at, i, ls[i:min(i+3, len(ls))], ln[i:min(i+3, len(ln))])
+	}
+}
+
+// walk returns the core's checkpoint walk bytes.
+func walk(c *Core) []byte {
+	var e ckpt.Enc
+	c.State(ckpt.Encoding(&e), c.lastSeen)
+	return e.Bytes()
+}
+
+// reports returns the OnRetire reports c's stream has recorded.
+func reports(c *Core) []retired {
+	return c.retire.(interface{ reports() []retired }).reports()
 }
 
 // TestIdleCoreSleepsUntilArrival: a core with an empty window and an idle
@@ -213,5 +292,84 @@ func TestStoreFillWakesSleepingCore(t *testing.T) {
 	r.same(t, 5100)
 	if r.sched.core.Stats.Instrs != 4 {
 		t.Fatalf("committed %d instructions, want 4", r.sched.core.Stats.Instrs)
+	}
+}
+
+// TestCommitReplaysThroughFetchStall: a closed-loop core whose fetch
+// waits about 200 cycles on a fill, while its window still holds
+// committable instructions, sleeps through the stall: it ticks on the
+// cycle that blocks fetch and on the fill's cycle, no more. Its commits
+// in between are replayed, so flushed on every cycle, or only when the
+// fill lands, its Stats, checkpoint walk and OnRetire reports equal a
+// naively ticked core's. Fetch blocks once on an L1-I miss and once on a
+// serializing load miss.
+func TestCommitReplaysThroughFetchStall(t *testing.T) {
+	const (
+		stall = 200
+		end   = 600
+	)
+	iLine, dLine := uint64(0x8000/64), uint64(0x400000/64)
+	prog := func(blocker Instr) []Instr {
+		return append(append(aluBurst(150), blocker), aluBurst(50)...)
+	}
+	// missOnce misses the first access of kind to line and hits the rest.
+	missOnce := func(kind coherence.AccessKind, line uint64) func() func(uint64, coherence.AccessKind) coherence.Outcome {
+		return func() func(uint64, coherence.AccessKind) coherence.Outcome {
+			missed := false
+			return func(l uint64, k coherence.AccessKind) coherence.Outcome {
+				if k == kind && l == line && !missed {
+					missed = true
+					return coherence.Miss
+				}
+				return coherence.Hit
+			}
+		}
+	}
+	serial := DefaultParams()
+	serial.DepChance = 1 // every load miss serializes
+	for _, c := range []struct {
+		name    string
+		p       Params
+		prog    []Instr
+		outcome func() func(uint64, coherence.AccessKind) coherence.Outcome
+		line    uint64
+		instr   bool
+		blocked func(*Core) bool
+	}{
+		{"ifetch", DefaultParams(), prog(Instr{Kind: KindALU, IAddr: 0x8000}),
+			missOnce(coherence.Ifetch, iLine), iLine, true, func(c *Core) bool { return c.fetchStall }},
+		{"serialize", serial, prog(Instr{Kind: KindLoad, IAddr: 0x1000, DAddr: 0x400000}),
+			missOnce(coherence.Load, dLine), dLine, false, func(c *Core) bool { return c.serialize }},
+	} {
+		for _, every := range []sim.Cycle{1, end} {
+			r := newRig(c.p, c.outcome, func() Stream { return &loopStream{prog: c.prog} })
+			var blockedAt, fillAt sim.Cycle
+			for cy := sim.Cycle(1); cy <= end; cy++ {
+				if cy == fillAt {
+					r.fill(cy, c.line, c.instr, false)
+				}
+				r.stepTo(cy)
+				if cy%every == 0 {
+					r.same(t, cy)
+				}
+				if n := r.naive.core.Core; blockedAt == 0 && c.blocked(n) {
+					if n.count == 0 || n.headBlocked() {
+						t.Fatalf("%s: fetch blocked at cycle %d with nothing to commit", c.name, cy)
+					}
+					blockedAt, fillAt = cy, cy+stall
+				}
+			}
+			if blockedAt == 0 {
+				t.Fatalf("%s: fetch never blocked", c.name)
+			}
+			r.same(t, end)
+			if n := r.sched.core.ticksIn(blockedAt, fillAt); n > 2 {
+				t.Fatalf("%s: scheduled core ticked %d times from the stall at cycle %d to the fill at %d, want at most 2",
+					c.name, n, blockedAt, fillAt)
+			}
+			if r.sched.core.Stats.Instrs < 300 {
+				t.Fatalf("%s: committed %d instructions by cycle %d", c.name, r.sched.core.Stats.Instrs, end)
+			}
+		}
 	}
 }
