@@ -102,35 +102,45 @@ func BenchmarkKernelLowInjection(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelChip measures a full 64-core chip (NOC-Out, Web Search)
-// on both kernels at bench quality: cores sleep through fetch stalls,
+// BenchmarkKernelChip measures full 64-core chips on both kernels at
+// bench quality: NOC-Out × Web Search, and Mesh × Data Serving, the
+// benchmark ledger's full-64 chip. Cores sleep through fetch stalls,
 // routers and banks sleep between bursts, so the scheduled kernel wins
 // even though the chip never fully quiesces.
 func BenchmarkKernelChip(b *testing.B) {
-	w, err := workload.Parse("Web Search")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig(NOCOut)
-	for _, m := range []struct {
-		name      string
-		scheduled bool
-	}{{"naive", false}, {"scheduled", true}} {
-		b.Run(m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := chip.New(cfg, w)
-				c.Engine.SetScheduled(m.scheduled)
-				c.PrewarmCaches()
-				c.Warmup(benchQ.Warmup)
-				c.Run(benchQ.Window)
-				if mt := c.Metrics(); mt.AggIPC <= 0 {
-					b.Fatalf("implausible run: %+v", mt)
+	for _, c := range []struct {
+		name     string
+		design   Design
+		workload string
+	}{
+		{"NOC-Out-WebSearch", NOCOut, "Web Search"},
+		{"Mesh-DataServing", Mesh, "Data Serving"},
+	} {
+		w, err := workload.Parse(c.workload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := DefaultConfig(c.design)
+		for _, m := range []struct {
+			name      string
+			scheduled bool
+		}{{"naive", false}, {"scheduled", true}} {
+			b.Run(c.name+"/"+m.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ch := chip.New(cfg, w)
+					ch.Engine.SetScheduled(m.scheduled)
+					ch.PrewarmCaches()
+					ch.Warmup(benchQ.Warmup)
+					ch.Run(benchQ.Window)
+					if mt := ch.Metrics(); mt.AggIPC <= 0 {
+						b.Fatalf("implausible run: %+v", mt)
+					}
 				}
-			}
-			simCycles := int64(benchQ.Warmup+benchQ.Window) * int64(b.N)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simCycles), "ns/simcycle")
-		})
+				simCycles := int64(benchQ.Warmup+benchQ.Window) * int64(b.N)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simCycles), "ns/simcycle")
+			})
+		}
 	}
 }
 
