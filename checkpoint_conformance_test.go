@@ -247,10 +247,7 @@ func TestCheckpointRejectsLastSeenOffSnapshotCycle(t *testing.T) {
 	cfg.Cores = 16
 	donor, snap, _ := warmSnapshot(t, cfg, w, 1, 2000)
 	at := donor.NowCycle()
-	cont, err := ckpt.Parse(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cont, payloads := sections(t, snap)
 	scratch := chip.New(cfg, w)
 	// Section kinds 2 and 5 hold the cores and the memory channels; walking
 	// the first component of each on a scratch chip finds where its walk
@@ -269,12 +266,8 @@ func TestCheckpointRejectsLastSeenOffSnapshotCycle(t *testing.T) {
 				sec = i
 			}
 		}
-		d, err := cont.Open(sec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := d.Raw(d.Remaining())
-		d, _ = cont.Open(sec)
+		payload := payloads[sec]
+		d := ckpt.NewDec(payload)
 		c.walk(ckpt.Decoding(d))
 		if d.Err() != nil {
 			t.Fatalf("%s: %v", c.name, d.Err())
@@ -293,17 +286,7 @@ func TestCheckpointRejectsLastSeenOffSnapshotCycle(t *testing.T) {
 		for _, skew := range []sim.Cycle{-1, 1} {
 			edited := binary.AppendVarint(append([]byte(nil), payload[:off]...), int64(at+skew))
 			edited = append(edited, payload[lastField:]...)
-			var buf bytes.Buffer
-			cw := ckpt.NewWriter(&buf)
-			for i := 0; i < cont.Len(); i++ {
-				p := edited
-				if i != sec {
-					dd, _ := cont.Open(i)
-					p = dd.Raw(dd.Remaining())
-				}
-				cw.Section(cont.Kind(i), p)
-			}
-			_, err := chip.Restore(cfg, w, 1, &buf)
+			_, err := chip.Restore(cfg, w, 1, bytes.NewReader(reframe(cont, payloads, sec, edited)))
 			if err == nil || !strings.Contains(err.Error(), c.name+" ") {
 				t.Fatalf("%s at lastSeen %d of snapshot cycle %d: restore returned %v, want an error naming it",
 					c.name, at+skew, at, err)
@@ -355,34 +338,15 @@ func TestCheckpointCorruptPayload(t *testing.T) {
 			cfg := DefaultConfig(d)
 			cfg.Cores = 16
 			_, snap, _ := warmSnapshot(t, cfg, w, 1, 2000)
-			cont, err := ckpt.Parse(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payloads := make([][]byte, cont.Len())
-			for i := range payloads {
-				dec, err := cont.Open(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				payloads[i] = dec.Raw(dec.Remaining())
-			}
+			cont, payloads := sections(t, snap)
 			rng := sim.NewRNG(uint64(len(snap)))
 			accepted := 0
 			for sec, p := range payloads {
 				for m := 0; m < perSection && len(p) > 0; m++ {
 					off := int(rng.Uint64() % uint64(len(p)))
-					val := p[off] ^ byte(1+rng.Uint64()%255)
-					var buf bytes.Buffer
-					cw := ckpt.NewWriter(&buf)
-					for i, q := range payloads {
-						if i == sec {
-							q = append([]byte(nil), q...)
-							q[off] = val
-						}
-						cw.Section(cont.Kind(i), q)
-					}
-					if restoreSurvives(t, cfg, w, buf.Bytes(), sec, off) {
+					q := append([]byte(nil), p...)
+					q[off] ^= byte(1 + rng.Uint64()%255)
+					if restoreSurvives(t, cfg, w, reframe(cont, payloads, sec, q), sec, off) {
 						accepted++
 					}
 				}
@@ -390,6 +354,39 @@ func TestCheckpointCorruptPayload(t *testing.T) {
 			t.Logf("%v/%s: %d of %d mutations restored", d, spec, accepted, cont.Len()*perSection)
 		}
 	}
+}
+
+// sections parses a snapshot container and returns it with every
+// section's payload.
+func sections(t *testing.T, snap []byte) (*ckpt.Container, [][]byte) {
+	t.Helper()
+	cont, err := ckpt.Parse(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([][]byte, cont.Len())
+	for i := range payloads {
+		dec, err := cont.Open(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = dec.Raw(dec.Remaining())
+	}
+	return cont, payloads
+}
+
+// reframe writes cont's sections with payloads, section sec's replaced
+// by edited, into a new container under valid CRCs.
+func reframe(cont *ckpt.Container, payloads [][]byte, sec int, edited []byte) []byte {
+	var buf bytes.Buffer
+	cw := ckpt.NewWriter(&buf)
+	for i, p := range payloads {
+		if i == sec {
+			p = edited
+		}
+		cw.Section(cont.Kind(i), p)
+	}
+	return buf.Bytes()
 }
 
 // restoreSurvives restores a mutated container, failing the test if the

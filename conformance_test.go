@@ -178,7 +178,7 @@ func lockstepKernels(t *testing.T, cfg Config, w workload.Workload, cycles sim.C
 		s.Engine.Step(1)
 		lazy.Engine.Step(1)
 		n.Engine.Step(1)
-		lazy.Net.Stats()
+		lazy.Net.Stats() // folds, as StateHash does on s and n
 		if hs, hn := s.StateHash(), n.StateHash(); hs != hn {
 			t.Fatalf("state hash diverged at cycle %d: scheduled %#x naive %#x", cy, hs, hn)
 		}
