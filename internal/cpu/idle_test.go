@@ -299,9 +299,9 @@ func TestStoreFillWakesSleepingCore(t *testing.T) {
 // waits about 200 cycles on a fill, while its window still holds
 // committable instructions, sleeps through the stall: it ticks on the
 // cycle that blocks fetch and on the fill's cycle, no more. Its commits
-// in between are replayed, so flushed on every cycle, or only when the
-// fill lands, its Stats, checkpoint walk and OnRetire reports equal a
-// naively ticked core's. Fetch blocks once on an L1-I miss and once on a
+// in between are replayed, so flushed on every cycle, or only at the
+// end, its Stats, checkpoint walk and OnRetire reports equal a naively
+// ticked core's. Fetch blocks once on an L1-I miss and once on a
 // serializing load miss.
 func TestCommitReplaysThroughFetchStall(t *testing.T) {
 	const (
