@@ -162,7 +162,7 @@ func (c *Chip) Snapshot(w io.Writer) error {
 	// each serialized lastSeen equals the snapshot cycle (a load checks
 	// it) and the restored chip's first (re-armed) tick replays no
 	// catch-up window.
-	c.FlushAll()
+	c.flushAll()
 
 	cw := ckpt.NewWriter(w)
 	var e ckpt.Enc

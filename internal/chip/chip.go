@@ -101,7 +101,7 @@ type Chip struct {
 	// Shard is the conservative parallel coordinator when the chip was
 	// built with NewSharded and more than one domain; nil otherwise.
 	// Doms holds the per-domain engines (Doms[0] == Engine). Stepping a
-	// sharded chip must go through Warmup/Run/FlushAll so every domain
+	// sharded chip must go through Warmup and Run so every domain
 	// advances under the synchronization protocol; Engine remains usable
 	// directly only on single-domain chips.
 	Shard *sim.Sharded
@@ -357,9 +357,9 @@ func (c *Chip) clock() sim.Clock {
 	return c.Engine
 }
 
-// FlushAll settles lazy accounting across all domains (Engine.Flush on a
-// single-domain chip). Exposed for tests that hash mid-run state.
-func (c *Chip) FlushAll() { c.clock().Flush() }
+// flushAll settles lazy accounting across all domains (Engine.Flush on a
+// single-domain chip).
+func (c *Chip) flushAll() { c.clock().Flush() }
 
 // NowCycle returns the chip-wide clock: all domains agree on it whenever
 // the chip is not mid-step.
@@ -373,14 +373,14 @@ func (c *Chip) Warmup(n sim.Cycle) {
 	c.clock().Step(n)
 	// Sleeping components account stall/utilization counters lazily; settle
 	// them against the warm-up before zeroing.
-	c.FlushAll()
+	c.flushAll()
 	c.resetMeasurementStats()
 }
 
 // resetMeasurementStats zeroes every measurement counter, defining the
 // measurement boundary. Warmup and the checkpoint-restore path share it,
 // so post-restore counter state cannot drift from the warmup path. Lazy
-// accounting must be settled (FlushAll) before the call.
+// accounting must be settled (flushAll) before the call.
 func (c *Chip) resetMeasurementStats() {
 	for _, co := range c.Cores {
 		co.ResetStats()
@@ -394,7 +394,7 @@ func (c *Chip) resetMeasurementStats() {
 	for _, mc := range c.MCs {
 		mc.Stats = mem.Stats{}
 	}
-	*c.Net.Stats() = noc.Stats{}
+	c.Net.ResetStats()
 	for _, t := range c.trackers {
 		t.OpenReset()
 	}
@@ -436,7 +436,7 @@ func (c *Chip) NetRouters() []*noc.Router { return c.Fabric.Routers }
 
 // Metrics gathers the chip's counters.
 func (c *Chip) Metrics() Metrics {
-	c.FlushAll() // settle lazily-accounted counters of sleeping components
+	c.flushAll() // settle lazily-accounted counters of sleeping components
 	var m Metrics
 	m.ActiveCores = c.active
 	var cycles int64
@@ -469,7 +469,7 @@ func (c *Chip) Metrics() Metrics {
 	for _, b := range c.Banks {
 		m.Dir.Add(b.Stats)
 	}
-	m.Net = *c.Net.Stats()
+	m.Net = c.Net.Stats()
 	m.AvgNetLatency = m.Net.AvgLatencyAll()
 	m.AvgRespLatency = m.Net.AvgLatency(noc.ClassResp)
 	m.PerMemberIPC = c.perMemberIPC(cycles)
@@ -524,12 +524,15 @@ func Measure(cfg Config, w workload.Workload, warmup, window sim.Cycle) Metrics 
 
 // StateHash digests the architecturally visible simulation state — the
 // clock, network counters, and every agent's statistics and occupancy —
-// into one FNV-1a word. The kernel conformance suite compares it
-// cycle-by-cycle between the scheduled and naive kernels, and the sharded
-// suite between domain counts: any divergence in timing or protocol
-// behaviour shows up in these counters within a cycle or two of occurring.
+// into one FNV-1a word. It settles lazy accounting, as every reader
+// does, and reads the network's counters without draining them, so how
+// often anyone hashes changes no bit of a later snapshot. The test
+// suite's lockstep oracle compares it every cycle between chips that
+// must agree (the scheduled and naive kernels, domain counts, a donor
+// and its restore): any divergence in timing or protocol behaviour shows
+// up in these counters within a cycle or two of occurring.
 func (c *Chip) StateHash() uint64 {
-	c.FlushAll()
+	c.flushAll()
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		h ^= v

@@ -44,8 +44,8 @@ func (ni *NI) SetDeliver(fn func(now sim.Cycle, p *Packet)) { ni.deliver = fn }
 
 // SetStats retargets the NI's counter sink. The shard planner points every
 // NI at its domain's private shard so concurrent domains never write one
-// Stats struct; RouterNetwork.fold drains the shards back into the shared
-// counters (integer adds, so the merge is exact in any order).
+// Stats struct; RouterNetwork.sum adds the shards to the shared counters
+// (integer adds, so the merge is exact in any order).
 func (ni *NI) SetStats(s *Stats) { ni.stats = s }
 
 // ConnectNI wires an NI to its router: the NI's inject side feeds router
@@ -226,36 +226,63 @@ func (rn *RouterNetwork) StatsRef() *Stats { return &rn.stats }
 // network, which is the only reason this method exists.
 func (rn *RouterNetwork) RN() *RouterNetwork { return rn }
 
-// Stats implements Network. It folds the routers' (and, when sharded, the
-// per-domain NI shards') local accounting into the shared counters first,
-// so callers always see up-to-date totals; callers that reset the
-// counters with *Stats() = Stats{} therefore discard exactly the activity
-// up to this call.
-func (rn *RouterNetwork) Stats() *Stats {
-	rn.fold()
-	return &rn.stats
+// Stats implements Network: the totals since the last ResetStats, by
+// value. Reading drains nothing. It adds the routers' pending deltas
+// (and, when sharded, the per-domain NI shards) to a copy of the folded
+// counters, in the order fold adds them, so how often anyone reads the
+// counters leaves the network's state alone.
+func (rn *RouterNetwork) Stats() Stats {
+	s := rn.stats
+	rn.sum(&s, false)
+	return s
 }
 
-// fold drains local accounting deltas into rn.stats: router flit/link
-// counters in router order (the FlitLinkMM float accumulation order is
-// fixed, so it is bit-identical across kernels and domain counts), then
-// the per-domain NI shards in domain order (integer counters, exact).
-// It must only run while no domain is stepping.
-func (rn *RouterNetwork) fold() {
+// ResetStats implements Network.
+func (rn *RouterNetwork) ResetStats() {
+	rn.fold()
+	rn.stats = Stats{}
+}
+
+// fold drains the pending deltas into the folded counters. Only the
+// measurement reset and a snapshot save call it, so the float FlitLinkMM
+// sum depends on those boundaries and on flit movement alone, whoever
+// reads the counters in between. It must only run while no domain is
+// stepping.
+func (rn *RouterNetwork) fold() { rn.sum(&rn.stats, true) }
+
+// sum adds the pending deltas to s: router flit/link counters in router
+// and port order (the FlitLinkMM float accumulation order is fixed, so it
+// is bit-identical across kernels and domain counts), then the
+// per-domain NI shards in domain order (integer counters, exact). With
+// drain it marks them added, so each delta is folded once.
+func (rn *RouterNetwork) sum(s *Stats, drain bool) {
 	for _, r := range rn.Routers {
-		r.foldInto(&rn.stats)
+		s.FlitHops += r.flits - r.flitsFolded
+		for _, op := range r.outs {
+			if d := op.sent - op.sentFolded; d != 0 {
+				s.FlitLinkMM += op.lengthMM * float64(d)
+			}
+			if drain {
+				op.sentFolded = op.sent
+			}
+		}
+		if drain {
+			r.flitsFolded = r.flits
+		}
 	}
 	for d := range rn.shards {
 		sh := &rn.shards[d]
-		rn.stats.Injected += sh.Injected
-		rn.stats.Delivered += sh.Delivered
-		rn.stats.PacketHops += sh.PacketHops
-		rn.stats.InjectFlits += sh.InjectFlits
+		s.Injected += sh.Injected
+		s.Delivered += sh.Delivered
+		s.PacketHops += sh.PacketHops
+		s.InjectFlits += sh.InjectFlits
 		for c := 0; c < NumClasses; c++ {
-			rn.stats.LatencySum[c] += sh.LatencySum[c]
-			rn.stats.Count[c] += sh.Count[c]
+			s.LatencySum[c] += sh.LatencySum[c]
+			s.Count[c] += sh.Count[c]
 		}
-		*sh = Stats{}
+		if drain {
+			*sh = Stats{}
+		}
 	}
 }
 

@@ -107,8 +107,11 @@ type Network interface {
 	Send(now sim.Cycle, p *Packet)
 	// SetDeliver registers the packet-delivery callback for a node.
 	SetDeliver(n NodeID, fn func(now sim.Cycle, p *Packet))
-	// Stats exposes the shared traffic/latency counters.
-	Stats() *Stats
+	// Stats returns the traffic/latency totals since the last
+	// ResetStats. Reading them changes no state.
+	Stats() Stats
+	// ResetStats zeroes the totals: the measurement boundary.
+	ResetStats()
 }
 
 // Stats aggregates network activity for performance and energy reporting.

@@ -81,7 +81,7 @@ type Router struct {
 	waker    sim.Waker // engine wake handle every arrival raises
 
 	// flitsFolded marks how much of flits has been drained into the
-	// network-wide Stats; see RouterNetwork.fold. Hot-path accounting is
+	// network-wide Stats; see RouterNetwork.sum. Hot-path accounting is
 	// strictly router-local (no shared counters), so domains can tick
 	// routers concurrently without contention or ordering sensitivity.
 	flitsFolded int64
@@ -234,8 +234,9 @@ type OutPort struct {
 	// sent counts flits pushed onto this link; sentFolded marks how much
 	// has been drained into Stats.FlitLinkMM. Folding computes
 	// lengthMM * Δsent in a fixed port order, so the floating-point sum is
-	// a pure function of flit movement — identical across kernels — rather
-	// than of the order concurrent routers would update a shared counter.
+	// a function of flit movement and of where the folds fall (see
+	// RouterNetwork.fold) — identical across kernels — rather than of the
+	// order concurrent routers would update a shared counter.
 	sent, sentFolded int64
 
 	// A link whose two ends tick in different scheduling domains (see
@@ -443,20 +444,6 @@ func (r *Router) BufferFlits() int {
 // FlitsRouted returns the number of flits this router has switched, for
 // per-router energy accounting.
 func (r *Router) FlitsRouted() int64 { return r.flits }
-
-// foldInto drains the router's hot-path accounting deltas into the
-// network-wide counters. Only RouterNetwork.fold calls it, always in
-// router order and never while the router is being ticked.
-func (r *Router) foldInto(s *Stats) {
-	s.FlitHops += r.flits - r.flitsFolded
-	r.flitsFolded = r.flits
-	for _, op := range r.outs {
-		if d := op.sent - op.sentFolded; d != 0 {
-			s.FlitLinkMM += op.lengthMM * float64(d)
-			op.sentFolded = op.sent
-		}
-	}
-}
 
 // OutLinkLengthsMM returns the physical length of every connected output
 // link, for the area (repeaters) and energy (wire fJ/bit/mm) models.

@@ -157,7 +157,7 @@ func MeasureLoad(net Network, nodes []NodeID, pattern Pattern, rate float64, war
 	e.Register(injector)
 
 	e.Step(warmup)
-	*net.Stats() = Stats{}
+	net.ResetStats()
 	e.Step(window)
 
 	st := net.Stats()

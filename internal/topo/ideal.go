@@ -123,7 +123,10 @@ func (id *Ideal) SetDeliver(n noc.NodeID, fn func(now sim.Cycle, p *noc.Packet))
 }
 
 // Stats implements noc.Network.
-func (id *Ideal) Stats() *noc.Stats { return &id.stats }
+func (id *Ideal) Stats() noc.Stats { return id.stats }
+
+// ResetStats implements noc.Network.
+func (id *Ideal) ResetStats() { id.stats = noc.Stats{} }
 
 // Tick delivers every packet scheduled for a due cycle, recycling the
 // drained buckets.

@@ -488,7 +488,7 @@ func powerOf(c *chip.Chip, cycles int64) physic.Power {
 		// unreachable for any run that produced a chip.
 		panic(err)
 	}
-	return physic.NetworkPowerKind(*c.Net.Stats(), c.NetRouters(), cycles, cfg.LinkBits, area, kind)
+	return physic.NetworkPowerKind(c.Net.Stats(), c.NetRouters(), cycles, cfg.LinkBits, area, kind)
 }
 
 // AreaModel returns the configuration's NoC area breakdown and buffer
