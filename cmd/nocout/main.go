@@ -73,8 +73,6 @@ func run() error {
 	hier := flag.String("hierarchy", "", "memory hierarchy; empty keeps the SharedNUCA baseline (see -list)")
 	hiers := flag.String("hierarchies", "", "comma-separated hierarchy sweep, overrides -hierarchy (see -list)")
 	list := flag.Bool("list", false, "list registered designs, hierarchies, and workloads, then exit")
-	listWLs := flag.Bool("list-workloads", false, "list registered workloads with aliases, then exit")
-	listHiers := flag.Bool("list-hierarchies", false, "list registered memory hierarchies with aliases, then exit")
 	cores := flag.Int("cores", 64, "core count (power of two)")
 	linkBits := flag.Int("linkbits", 128, "NoC link width in bits")
 	memLat := flag.Int("mem-lat", 0, "memory device access latency in cycles (0 = DDR3-1667 default, 90)")
@@ -128,43 +126,37 @@ func run() error {
 		}()
 	}
 
-	if *list || *listWLs || *listHiers {
+	if *list {
 		// All three namespaces come from the registries, so user
 		// registrations show up here with no CLI changes.
-		if *list {
-			fmt.Println("designs:")
-			for _, d := range nocout.Designs() {
-				org, err := nocout.OrganizationOf(d)
-				if err != nil {
-					return err
-				}
-				aliases := append([]string{strings.ToLower(org.Name())}, org.Aliases()...)
-				fmt.Printf("  %-22s aliases: %s\n", org.Name(), strings.Join(aliases, ", "))
+		fmt.Println("designs:")
+		for _, d := range nocout.Designs() {
+			org, err := nocout.OrganizationOf(d)
+			if err != nil {
+				return err
 			}
+			aliases := append([]string{strings.ToLower(org.Name())}, org.Aliases()...)
+			fmt.Printf("  %-22s aliases: %s\n", org.Name(), strings.Join(aliases, ", "))
 		}
-		if *list || *listHiers {
-			fmt.Println("hierarchies:")
-			for _, id := range nocout.Hierarchies() {
-				h, err := nocout.HierarchyOf(id)
-				if err != nil {
-					return err
-				}
-				aliases := append([]string{strings.ToLower(h.Name())}, h.Aliases()...)
-				fmt.Printf("  %-22s aliases: %s\n", h.Name(), strings.Join(aliases, ", "))
+		fmt.Println("hierarchies:")
+		for _, id := range nocout.Hierarchies() {
+			h, err := nocout.HierarchyOf(id)
+			if err != nil {
+				return err
 			}
+			aliases := append([]string{strings.ToLower(h.Name())}, h.Aliases()...)
+			fmt.Printf("  %-22s aliases: %s\n", h.Name(), strings.Join(aliases, ", "))
 		}
-		if *list || *listWLs {
-			fmt.Println("workloads:")
-			for _, w := range nocout.RegisteredWorkloads() {
-				aliases := append([]string{strings.ToLower(w.Name())}, w.Aliases()...)
-				fmt.Printf("  %-22s max cores: %-3d  aliases: %s\n", w.Name(), w.MaxCores(), strings.Join(aliases, ", "))
-			}
-			fmt.Println("plus trace:<path> to replay a trace recorded with -record-trace")
-			fmt.Println("plus opensys:<k=v,...> for open-system traffic over any base workload")
-			fmt.Println("  keys: arrival=poisson|mmpp|burst, base, rate (req/kcycle/core), size (instrs),")
-			fmt.Println("        queue, ratio, dwell-hi, dwell-lo (mmpp), hurst, peak (burst),")
-			fmt.Println("        phases=MULTxCYCLES;..., skew=uniform|hotspot|transpose, grid, hot, hotfrac")
+		fmt.Println("workloads:")
+		for _, w := range nocout.RegisteredWorkloads() {
+			aliases := append([]string{strings.ToLower(w.Name())}, w.Aliases()...)
+			fmt.Printf("  %-22s max cores: %-3d  aliases: %s\n", w.Name(), w.MaxCores(), strings.Join(aliases, ", "))
 		}
+		fmt.Println("plus trace:<path> to replay a trace recorded with -record-trace")
+		fmt.Println("plus opensys:<k=v,...> for open-system traffic over any base workload")
+		fmt.Println("  keys: arrival=poisson|mmpp|burst, base, rate (req/kcycle/core), size (instrs),")
+		fmt.Println("        queue, ratio, dwell-hi, dwell-lo (mmpp), hurst, peak (burst),")
+		fmt.Println("        phases=MULTxCYCLES;..., skew=uniform|hotspot|transpose, grid, hot, hotfrac")
 		return nil
 	}
 

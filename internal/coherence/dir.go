@@ -594,17 +594,6 @@ func (b *Bank) SharerCount(line uint64) int {
 	return 0
 }
 
-// StuckTransactions returns a debug description of live transactions
-// (diagnostics for tests and tools).
-func (b *Bank) StuckTransactions() []string {
-	var out []string
-	for line, tr := range b.busy {
-		out = append(out, fmt.Sprintf("bank %d line %#x state %d acksLeft %d origin %v from core %d pending %d",
-			b.BankID, line, tr.state, tr.acksLeft, tr.origin.Type, tr.origin.SrcID, len(tr.pending)))
-	}
-	return out
-}
-
 // PrewarmShared functionally installs line as a clean LLC-resident line
 // with no sharers, modelling the paper's warmed-cache checkpoints. It must
 // only be called before simulation starts. Lines whose set is already full

@@ -345,12 +345,3 @@ func (l *L1) PrewarmData(line uint64, st LineState) {
 	slot, _, _ := l.dArr.Insert(line)
 	l.dState[slot] = st
 }
-
-// PrewarmInstr functionally installs line into the L1-I (state S).
-func (l *L1) PrewarmInstr(line uint64) {
-	if _, hit := l.iArr.Probe(line); hit {
-		return
-	}
-	slot, _, _ := l.iArr.Insert(line)
-	l.iState[slot] = StateS
-}

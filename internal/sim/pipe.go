@@ -60,9 +60,6 @@ func NewPipe[T any](name string, delay Cycle) *Pipe[T] {
 	return &Pipe[T]{delay: delay}
 }
 
-// Delay returns the pipe's fixed latency in cycles.
-func (p *Pipe[T]) Delay() Cycle { return p.delay }
-
 // SetWaker registers the consumer's wake handle; every subsequent push
 // re-arms the consumer for the pushed value's delivery cycle.
 func (p *Pipe[T]) SetWaker(w Waker) { p.waker = w }

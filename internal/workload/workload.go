@@ -233,12 +233,6 @@ func (g *Generator) dataAddr(isWrite bool) uint64 {
 	return base + g.p.LocalB + uint64(g.rng.Int64n(int64(g.p.DatasetB)))&^63
 }
 
-// InstrRegion returns the shared instruction region (base, size).
-func (p Params) InstrRegion() (base, size uint64) { return instrBase, p.InstrFootprint }
-
-// HotRegion returns the shared read-write region (base, size).
-func (p Params) HotRegion() (base, size uint64) { return hotBase, p.HotB }
-
 // LocalRegion returns a core's private local region (base, size).
 func (p Params) LocalRegion(core int) (base, size uint64) {
 	return datasetBase + uint64(core)*datasetStep, p.LocalB
