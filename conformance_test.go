@@ -149,50 +149,43 @@ func lockstepKernels(t *testing.T, cfg Config, w workload.Workload, cycles sim.C
 	build := func(scheduled bool) *chip.Chip {
 		c := chip.New(cfg, w)
 		c.Engine.SetScheduled(scheduled)
+		if c.Engine.Scheduled() != scheduled {
+			t.Fatal("kernel mode not applied")
+		}
 		c.PrewarmCaches()
 		return c
 	}
 	return lockstep(t, cycles, build(false), func() *chip.Chip { return build(true) })
 }
 
-// lockstep is the bit-identity oracle. It steps ref and, for each chip
-// that must match it, two chips built by its mate function — a hashed
-// copy and a lazily flushed twin — one cycle at a time for cycles
-// cycles, and returns ref's final Metrics. It compares StateHash on ref
-// and the hashed copies at the start and every cycle, and calls agree on
-// every chip every 1,000 cycles and at the end, numbering them ref 0,
-// then the hashed copies, then the twins. The snapshot is the whole
+// lockstep is the bit-identity oracle. It steps ref and two chips built
+// by mate — a hashed copy and a lazily flushed twin — one cycle at a
+// time for cycles cycles, and returns ref's final Metrics. It compares
+// StateHash on ref and the hashed copy at the start and every cycle, and
+// calls agree on ref (chip 0), the hashed copy (1) and the twin (2)
+// every 1,000 cycles and at the end. The snapshot is the whole
 // behavioral state, which the hash sees only once a counter moves: ROB
 // entries, commit credit, cache tags, RNG positions. StateHash flushes a
-// chip, so a hashed copy never settles a sleeping core over more than
-// one cycle; only agree flushes a twin, so its multi-cycle catch-ups
+// chip, so the hashed copy never settles a sleeping core over more than
+// one cycle; only agree flushes the twin, so its multi-cycle catch-ups
 // are held to the same snapshots.
-func lockstep(t *testing.T, cycles sim.Cycle, ref *chip.Chip, mates ...func() *chip.Chip) chip.Metrics {
+func lockstep(t *testing.T, cycles sim.Cycle, ref *chip.Chip, mate func() *chip.Chip) chip.Metrics {
 	t.Helper()
 	const agreeEvery = 1000
-	hashed := []*chip.Chip{ref}
-	var twins []*chip.Chip
-	for _, mate := range mates {
-		hashed = append(hashed, mate())
-		twins = append(twins, mate())
-	}
-	all := append(hashed[:len(hashed):len(hashed)], twins...)
+	hashed, twin := mate(), mate()
 	sameHash := func(cy sim.Cycle) {
-		want := ref.StateHash()
-		for i, c := range hashed[1:] {
-			if h := c.StateHash(); h != want {
-				t.Fatalf("state hash of chip %d diverged %d cycles in: %#x, reference %#x", i+1, cy, h, want)
-			}
+		if want, got := ref.StateHash(), hashed.StateHash(); got != want {
+			t.Fatalf("state hash diverged %d cycles in: %#x, reference %#x", cy, got, want)
 		}
 	}
 	sameHash(0)
 	for cy := sim.Cycle(1); cy <= cycles; cy++ {
-		for _, c := range all {
-			c.Run(1)
-		}
+		ref.Run(1)
+		hashed.Run(1)
+		twin.Run(1)
 		sameHash(cy)
 		if cy%agreeEvery == 0 || cy == cycles {
-			agree(t, fmt.Sprintf("%d cycles in", cy), all...)
+			agree(t, fmt.Sprintf("%d cycles in", cy), ref, hashed, twin)
 		}
 	}
 	return ref.Metrics()

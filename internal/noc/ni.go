@@ -44,7 +44,7 @@ func (ni *NI) SetDeliver(fn func(now sim.Cycle, p *Packet)) { ni.deliver = fn }
 
 // SetStats retargets the NI's counter sink. The shard planner points every
 // NI at its domain's private shard so concurrent domains never write one
-// Stats struct; RouterNetwork.sum adds the shards to the shared counters
+// Stats struct; RouterNetwork.Stats adds the shards to the shared counters
 // (integer adds, so the merge is exact in any order).
 func (ni *NI) SetStats(s *Stats) { ni.stats = s }
 
@@ -227,47 +227,21 @@ func (rn *RouterNetwork) StatsRef() *Stats { return &rn.stats }
 func (rn *RouterNetwork) RN() *RouterNetwork { return rn }
 
 // Stats implements Network: the totals since the last ResetStats, by
-// value. Reading drains nothing. It adds the routers' pending deltas
-// (and, when sharded, the per-domain NI shards) to a copy of the folded
-// counters, in the order fold adds them, so how often anyone reads the
-// counters leaves the network's state alone.
+// value. Reading drains nothing. It adds the pending deltas to a copy of
+// the folded counters: router flit/link counters in router and port
+// order (the FlitLinkMM float accumulation order is fixed, so it is
+// bit-identical across kernels and domain counts), then the per-domain
+// NI shards in domain order (integer counters, exact). fold adds them in
+// the same order, so how often anyone reads the counters leaves the
+// network's state alone.
 func (rn *RouterNetwork) Stats() Stats {
 	s := rn.stats
-	rn.sum(&s, false)
-	return s
-}
-
-// ResetStats implements Network.
-func (rn *RouterNetwork) ResetStats() {
-	rn.fold()
-	rn.stats = Stats{}
-}
-
-// fold drains the pending deltas into the folded counters. Only the
-// measurement reset and a snapshot save call it, so the float FlitLinkMM
-// sum depends on those boundaries and on flit movement alone, whoever
-// reads the counters in between. It must only run while no domain is
-// stepping.
-func (rn *RouterNetwork) fold() { rn.sum(&rn.stats, true) }
-
-// sum adds the pending deltas to s: router flit/link counters in router
-// and port order (the FlitLinkMM float accumulation order is fixed, so it
-// is bit-identical across kernels and domain counts), then the
-// per-domain NI shards in domain order (integer counters, exact). With
-// drain it marks them added, so each delta is folded once.
-func (rn *RouterNetwork) sum(s *Stats, drain bool) {
 	for _, r := range rn.Routers {
 		s.FlitHops += r.flits - r.flitsFolded
 		for _, op := range r.outs {
 			if d := op.sent - op.sentFolded; d != 0 {
 				s.FlitLinkMM += op.lengthMM * float64(d)
 			}
-			if drain {
-				op.sentFolded = op.sent
-			}
-		}
-		if drain {
-			r.flitsFolded = r.flits
 		}
 	}
 	for d := range rn.shards {
@@ -280,9 +254,37 @@ func (rn *RouterNetwork) sum(s *Stats, drain bool) {
 			s.LatencySum[c] += sh.LatencySum[c]
 			s.Count[c] += sh.Count[c]
 		}
-		if drain {
-			*sh = Stats{}
+	}
+	return s
+}
+
+// ResetStats implements Network.
+func (rn *RouterNetwork) ResetStats() {
+	rn.markFolded()
+	rn.stats = Stats{}
+}
+
+// fold drains the pending deltas into the folded counters. Only the
+// measurement reset and a snapshot save drain them, so the float
+// FlitLinkMM sum depends on those boundaries and on flit movement alone,
+// whoever reads the counters in between. It must only run while no
+// domain is stepping.
+func (rn *RouterNetwork) fold() {
+	rn.stats = rn.Stats()
+	rn.markFolded()
+}
+
+// markFolded marks every pending delta added: the routers' flit and link
+// counters and the per-domain NI shards.
+func (rn *RouterNetwork) markFolded() {
+	for _, r := range rn.Routers {
+		r.flitsFolded = r.flits
+		for _, op := range r.outs {
+			op.sentFolded = op.sent
 		}
+	}
+	for d := range rn.shards {
+		rn.shards[d] = Stats{}
 	}
 }
 

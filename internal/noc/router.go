@@ -81,7 +81,7 @@ type Router struct {
 	waker    sim.Waker // engine wake handle every arrival raises
 
 	// flitsFolded marks how much of flits has been drained into the
-	// network-wide Stats; see RouterNetwork.sum. Hot-path accounting is
+	// network-wide Stats; see RouterNetwork.fold. Hot-path accounting is
 	// strictly router-local (no shared counters), so domains can tick
 	// routers concurrently without contention or ordering sensitivity.
 	flitsFolded int64
