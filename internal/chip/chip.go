@@ -525,12 +525,13 @@ func Measure(cfg Config, w workload.Workload, warmup, window sim.Cycle) Metrics 
 // StateHash digests the architecturally visible simulation state — the
 // clock, network counters, and every agent's statistics and occupancy —
 // into one FNV-1a word. It settles lazy accounting, as every reader
-// does, and reads the network's counters without draining them, so how
-// often anyone hashes changes no bit of a later snapshot. The test
-// suite's lockstep oracle compares it every cycle between chips that
-// must agree (the scheduled and naive kernels, domain counts, a donor
-// and its restore): any divergence in timing or protocol behaviour shows
-// up in these counters within a cycle or two of occurring.
+// does. The network sums its counters on read from where they are
+// counted, so neither how often anyone hashes nor whether the chip was
+// saved in between changes a bit of the hash or of a later snapshot.
+// The test suite's lockstep oracle compares it every cycle between chips
+// that must agree (the scheduled and naive kernels, domain counts, a
+// donor and its restore): any divergence in timing or protocol behaviour
+// shows up in these counters within a cycle or two of occurring.
 func (c *Chip) StateHash() uint64 {
 	c.flushAll()
 	h := uint64(14695981039346656037)

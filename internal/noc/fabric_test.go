@@ -1,6 +1,8 @@
 package noc_test
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"nocout/internal/ckpt"
@@ -105,7 +107,9 @@ func drive(net noc.Network, rn *noc.RouterNetwork, nodes []noc.NodeID, rate floa
 // after every cycle of saturated traffic on each router-based fabric —
 // head-room bubble flow control on the torus, more than 64 ports on the
 // crossbar, static-priority trees on NOC-Out — then again on a fresh
-// network restored from a mid-run snapshot as it runs on.
+// network restored from a mid-run snapshot as it runs on. The restored
+// network's Stats must equal the donor's, FlitLinkMM bits included, and
+// its re-save the donor's bytes.
 func TestCreditConservationOnFabrics(t *testing.T) {
 	const snapAt, restoredFor = 400, 200
 	for _, f := range []fabric64{meshFabric, torusFabric, fbflyFabric, crossbarFabric, nocoutFabric} {
@@ -136,6 +140,14 @@ func TestCreditConservationOnFabrics(t *testing.T) {
 			}
 			if err := rn2.CheckCredits(); err != nil {
 				t.Fatalf("restored at %d: %v", snapAt, err)
+			}
+			if got, want := rn2.Stats(), rn.Stats(); got != want || math.Float64bits(got.FlitLinkMM) != math.Float64bits(want.FlitLinkMM) {
+				t.Fatalf("restored at %d: Stats %+v, donor's %+v", snapAt, got, want)
+			}
+			var again ckpt.Enc
+			rn2.State(ckpt.Encoding(&again), snapAt, func(*any, *ckpt.State) {})
+			if !bytes.Equal(again.Bytes(), enc.Bytes()) {
+				t.Fatalf("restored at %d: re-save differs from the donor's snapshot", snapAt)
 			}
 			tr2 := drive(net2, rn2, nil, 0.5, 2)
 			tr2.e.RestoreAt(snapAt)

@@ -10,7 +10,8 @@ import (
 // NI is a network interface: the boundary between a protocol agent (core,
 // LLC bank, memory controller) and the network. It serializes packets into
 // flits on the inject side (one flit per cycle through the local port,
-// credit-gated) and reassembles flits into packets on the eject side.
+// credit-gated) and reassembles flits into packets on the eject side, and
+// counts its own injections and deliveries.
 type NI struct {
 	Node NodeID
 
@@ -27,26 +28,23 @@ type NI struct {
 	waker sim.Waker // engine wake handle every eject-link write raises
 
 	deliver func(now sim.Cycle, p *Packet)
-	stats   *Stats
 	rr      int
+
+	// stats counts the packets and flits this NI injected and the packets
+	// it delivered since the last ResetStats: only the NI writes it, so
+	// NIs ticking in different domains share no counter.
+	// RouterNetwork.Stats adds it in.
+	stats Stats
 }
 
 // NewNI returns an unconnected network interface for node n.
-func NewNI(n NodeID, stats *Stats) *NI {
-	return &NI{Node: n, stats: stats}
-}
+func NewNI(n NodeID) *NI { return &NI{Node: n} }
 
 // name names the NI in errors.
 func (ni *NI) name() string { return fmt.Sprintf("ni%d", ni.Node) }
 
 // SetDeliver registers the packet delivery callback.
 func (ni *NI) SetDeliver(fn func(now sim.Cycle, p *Packet)) { ni.deliver = fn }
-
-// SetStats retargets the NI's counter sink. The shard planner points every
-// NI at its domain's private shard so concurrent domains never write one
-// Stats struct; RouterNetwork.Stats adds the shards to the shared counters
-// (integer adds, so the merge is exact in any order).
-func (ni *NI) SetStats(s *Stats) { ni.stats = s }
 
 // ConnectNI wires an NI to its router: the NI's inject side feeds router
 // input port in (injDelay cycles of wire), and router output port out feeds
@@ -97,9 +95,7 @@ func (ni *NI) arrive(f linkFlit) {
 // back-pressure comes from the protocol agents' MSHR limits.
 func (ni *NI) Send(now sim.Cycle, p *Packet) {
 	p.InjectedAt = now
-	if ni.stats != nil {
-		ni.stats.Injected++
-	}
+	ni.stats.Injected++
 	ni.injectQ[p.Class].Push(p)
 }
 
@@ -124,9 +120,7 @@ func (ni *NI) Tick(now sim.Cycle) {
 		p.arrived++
 		if p.arrived == p.Size {
 			p.DeliveredAt = now
-			if ni.stats != nil {
-				ni.stats.RecordDelivery(p)
-			}
+			ni.stats.RecordDelivery(p)
 			if ni.deliver == nil {
 				panic(fmt.Sprintf("noc: node %d has no delivery callback", ni.Node))
 			}
@@ -184,9 +178,7 @@ func (ni *NI) inject(now sim.Cycle) {
 		seq := ni.nextSeq[c]
 		ni.out.send(now, Flit{Pkt: p, Seq: seq})
 		ni.out.credits[c]--
-		if ni.stats != nil {
-			ni.stats.InjectFlits++
-		}
+		ni.stats.InjectFlits++
 		if seq == p.Size-1 {
 			ni.injectQ[c].Pop()
 			ni.nextSeq[c] = 0
@@ -200,17 +192,19 @@ func (ni *NI) inject(now sim.Cycle) {
 
 // RouterNetwork is a generic network built from Routers and NIs; the
 // concrete topologies (mesh, torus, flattened butterfly, crossbar,
-// NOC-Out) are constructed by the topo package.
+// NOC-Out) are constructed by the topo package. Every traffic counter
+// lives in the component that counts it — each router output's flit
+// count, each NI's injections and deliveries — and Stats sums them on
+// read, so no read or save changes one.
 type RouterNetwork struct {
 	Name    string
 	Routers []*Router
 	NIs     []*NI // indexed by NodeID; entries may be nil for internal nodes
-	stats   Stats
 
-	// shards are the per-domain NI counter sinks when the network is
-	// sharded (see BuildShardPlan); empty for single-domain use, where
-	// every NI writes rn.stats directly.
-	shards []Stats
+	// loaded holds the NI counters' totals a checkpoint load carried in,
+	// since a load restarts every NI's own counters at zero. Its FlitHops
+	// and FlitLinkMM are zero: Stats derives those from the output counts.
+	loaded Stats
 }
 
 // NewRouterNetwork returns an empty network shell with n NI slots.
@@ -218,74 +212,49 @@ func NewRouterNetwork(name string, n int) *RouterNetwork {
 	return &RouterNetwork{Name: name, NIs: make([]*NI, n)}
 }
 
-// StatsRef returns the shared counters for builders to hand to NIs.
-func (rn *RouterNetwork) StatsRef() *Stats { return &rn.stats }
-
 // RN returns rn itself. The benchmark module's tracer finds a chip's
 // routers by asserting interface{ RN() *RouterNetwork } on the chip's
 // network, which is the only reason this method exists.
 func (rn *RouterNetwork) RN() *RouterNetwork { return rn }
 
-// Stats implements Network: the totals since the last ResetStats, by
-// value. Reading drains nothing. It adds the pending deltas to a copy of
-// the folded counters: router flit/link counters in router and port
-// order (the FlitLinkMM float accumulation order is fixed, so it is
-// bit-identical across kernels and domain counts), then the per-domain
-// NI shards in domain order (integer counters, exact). fold adds them in
-// the same order, so how often anyone reads the counters leaves the
-// network's state alone.
+// Stats implements Network: the totals since the last ResetStats, summed
+// in one fixed order from the counters where they are counted. FlitHops
+// and FlitLinkMM come first, from the output counts in router and port
+// order: every grant counts one flit at its output, so the float
+// FlitLinkMM sum is a function of those counts alone, bit-identical
+// across kernels, domain counts and saves. The NIs' integer counters and
+// the totals a load carried are then added, which is exact in any order.
 func (rn *RouterNetwork) Stats() Stats {
-	s := rn.stats
+	s := rn.loaded
 	for _, r := range rn.Routers {
-		s.FlitHops += r.flits - r.flitsFolded
 		for _, op := range r.outs {
-			if d := op.sent - op.sentFolded; d != 0 {
-				s.FlitLinkMM += op.lengthMM * float64(d)
+			if op.sent != 0 {
+				s.FlitHops += op.sent
+				s.FlitLinkMM += op.lengthMM * float64(op.sent)
 			}
 		}
 	}
-	for d := range rn.shards {
-		sh := &rn.shards[d]
-		s.Injected += sh.Injected
-		s.Delivered += sh.Delivered
-		s.PacketHops += sh.PacketHops
-		s.InjectFlits += sh.InjectFlits
-		for c := 0; c < NumClasses; c++ {
-			s.LatencySum[c] += sh.LatencySum[c]
-			s.Count[c] += sh.Count[c]
+	for _, ni := range rn.NIs {
+		if ni != nil {
+			s.addNI(&ni.stats)
 		}
 	}
 	return s
 }
 
-// ResetStats implements Network.
+// ResetStats implements Network: it zeroes every counter Stats sums.
 func (rn *RouterNetwork) ResetStats() {
-	rn.markFolded()
-	rn.stats = Stats{}
-}
-
-// fold drains the pending deltas into the folded counters. Only the
-// measurement reset and a snapshot save drain them, so the float
-// FlitLinkMM sum depends on those boundaries and on flit movement alone,
-// whoever reads the counters in between. It must only run while no
-// domain is stepping.
-func (rn *RouterNetwork) fold() {
-	rn.stats = rn.Stats()
-	rn.markFolded()
-}
-
-// markFolded marks every pending delta added: the routers' flit and link
-// counters and the per-domain NI shards.
-func (rn *RouterNetwork) markFolded() {
 	for _, r := range rn.Routers {
-		r.flitsFolded = r.flits
 		for _, op := range r.outs {
-			op.sentFolded = op.sent
+			op.sent = 0
 		}
 	}
-	for d := range rn.shards {
-		rn.shards[d] = Stats{}
+	for _, ni := range rn.NIs {
+		if ni != nil {
+			ni.stats = Stats{}
+		}
 	}
+	rn.loaded = Stats{}
 }
 
 // Send implements Network.

@@ -108,9 +108,11 @@ type Network interface {
 	// SetDeliver registers the packet-delivery callback for a node.
 	SetDeliver(n NodeID, fn func(now sim.Cycle, p *Packet))
 	// Stats returns the traffic/latency totals since the last
-	// ResetStats. Reading them changes no state.
+	// ResetStats. Neither reading them nor saving the network changes
+	// them or any other state.
 	Stats() Stats
-	// ResetStats zeroes the totals: the measurement boundary.
+	// ResetStats zeroes the totals: the measurement boundary. It is the
+	// only thing that does.
 	ResetStats()
 }
 
@@ -128,12 +130,26 @@ type Stats struct {
 	InjectFlits int64
 }
 
-// RecordDelivery folds a delivered packet into the counters.
+// RecordDelivery counts a delivered packet: its delivery, its latency in
+// its class and its router traversals.
 func (s *Stats) RecordDelivery(p *Packet) {
 	s.Delivered++
 	s.LatencySum[p.Class] += int64(p.Latency())
 	s.Count[p.Class]++
 	s.PacketHops += int64(p.hops)
+}
+
+// addNI adds the counters an NI keeps — every field but FlitHops and
+// FlitLinkMM, which only router outputs count.
+func (s *Stats) addNI(o *Stats) {
+	s.Injected += o.Injected
+	s.Delivered += o.Delivered
+	s.PacketHops += o.PacketHops
+	s.InjectFlits += o.InjectFlits
+	for c := 0; c < NumClasses; c++ {
+		s.LatencySum[c] += o.LatencySum[c]
+		s.Count[c] += o.Count[c]
+	}
 }
 
 // AvgLatency returns the mean end-to-end latency of class c in cycles.

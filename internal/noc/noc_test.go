@@ -24,8 +24,8 @@ func lineNet(t *testing.T, n int, pipeDelay sim.Cycle, bufCap int) *RouterNetwor
 	for i := 0; i < n-1; i++ {
 		Connect(routers[i], 0, routers[i+1], 0, 1, 1.0)
 	}
-	src := NewNI(0, rn.StatsRef())
-	dst := NewNI(1, rn.StatsRef())
+	src := NewNI(0)
+	dst := NewNI(1)
 	ConnectNIInject(src, routers[0], 0, 1)
 	ConnectNIEject(dst, routers[n-1], 0, 1, 8)
 	rn.Routers = routers
@@ -161,7 +161,6 @@ func TestThroughputOneFlitPerCycle(t *testing.T) {
 func TestStaticPriorityOrdering(t *testing.T) {
 	// With a static priority favouring port 1 (network) over port 0
 	// (local), a saturated network port should win every arbitration.
-	stats := &Stats{}
 	r := NewRouter(0, "prio", 1, nil)
 	r.SetRoute(func(p *Packet) int { return 0 })
 	r.AddIn("local", 4)
@@ -176,7 +175,7 @@ func TestStaticPriorityOrdering(t *testing.T) {
 	in := sink.AddIn("in", 4)
 	sink.AddOut("out")
 	Connect(r, 0, sink, in, 1, 1)
-	ni := NewNI(0, stats)
+	ni := NewNI(0)
 	ConnectNI(ni, sink, sink.AddIn("ni", 4), 0, 1, 1, 64)
 	var got []uint64
 	ni.SetDeliver(func(now sim.Cycle, p *Packet) { got = append(got, p.ID) })

@@ -63,7 +63,7 @@ type Router struct {
 	prio     []Cand   // static arbitration order; nil means round-robin
 	covered  []uint64 // candidates prio lists, by index port*NumClasses+vc
 	numVCs   int      // implemented VCs (area accounting); 0 = NumClasses
-	flits    int64    // flits routed through this router (energy accounting)
+	flits    int64    // flits routed through this router since it was built (energy accounting)
 	buffered int      // arrived flits held in input VCs: Tick adds arrivals, a grant removes, a checkpoint load recounts
 	headRoom HeadRoomFunc
 
@@ -79,12 +79,6 @@ type Router struct {
 	occ, cal []uint64
 	calMask  sim.Cycle
 	waker    sim.Waker // engine wake handle every arrival raises
-
-	// flitsFolded marks how much of flits has been drained into the
-	// network-wide Stats; see RouterNetwork.fold. Hot-path accounting is
-	// strictly router-local (no shared counters), so domains can tick
-	// routers concurrently without contention or ordering sensitivity.
-	flitsFolded int64
 
 	// inUsed and outUsed hold the cycle of each port's last grant; a port
 	// whose stamp is now has already moved its one flit this cycle.
@@ -231,13 +225,12 @@ type OutPort struct {
 	// CheckCredits.
 	downCap int
 
-	// sent counts flits pushed onto this link; sentFolded marks how much
-	// has been drained into Stats.FlitLinkMM. Folding computes
-	// lengthMM * Δsent in a fixed port order, so the floating-point sum is
-	// a function of flit movement and of where the folds fall (see
-	// RouterNetwork.fold) — identical across kernels — rather than of the
-	// order concurrent routers would update a shared counter.
-	sent, sentFolded int64
+	// sent counts the flits a router output pushed onto this link since
+	// the last ResetStats; only the router's grants write it, so routers
+	// ticking in different domains share no counter. RouterNetwork.Stats
+	// derives FlitHops and FlitLinkMM from these counts in a fixed port
+	// order. An NI's inject side leaves it at zero.
+	sent int64
 
 	// A link whose two ends tick in different scheduling domains (see
 	// BuildShardPlan) stages both directions here. send appends to

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"reflect"
 	"strings"
@@ -48,7 +49,6 @@ func TestRoundRobinFairnessBetweenInputs(t *testing.T) {
 	// Two saturated inputs into one output: round-robin arbitration must
 	// deliver roughly equal shares.
 	rn := NewRouterNetwork("fair", 3)
-	stats := rn.StatsRef()
 	mux := NewRouter(100, "mux", 1, nil)
 	mux.SetRoute(func(p *Packet) int { return 0 })
 	mux.AddIn("a", 4)
@@ -64,11 +64,11 @@ func TestRoundRobinFairnessBetweenInputs(t *testing.T) {
 	Connect(srcA, 0, mux, 0, 1, 1)
 	Connect(srcB, 0, mux, 1, 1, 1)
 
-	niA := NewNI(0, stats)
+	niA := NewNI(0)
 	ConnectNIInject(niA, srcA, 0, 1)
-	niB := NewNI(1, stats)
+	niB := NewNI(1)
 	ConnectNIInject(niB, srcB, 0, 1)
-	dst := NewNI(2, stats)
+	dst := NewNI(2)
 	ConnectNIEject(dst, mux, 0, 1, 8)
 
 	counts := map[NodeID]int{}
@@ -139,7 +139,8 @@ func TestClassString(t *testing.T) {
 // forkNet is NIs 0 and 3 → r0 → r1, where r1 ejects to NI 1 or NI 2 by
 // destination. The two injectors contend for r0's one output, and
 // two-flit buffers spread multi-flit packets across both routers, so
-// VCs hold flits, empty and refill mid-packet.
+// VCs hold flits, empty and refill mid-packet. The three router links
+// have unequal fractional lengths, so the FlitLinkMM sum rounds.
 func forkNet() *RouterNetwork {
 	rn := NewRouterNetwork("fork", 4)
 	r0 := NewRouter(100, "r0", 1, func(p *Packet) int { return 0 })
@@ -150,15 +151,16 @@ func forkNet() *RouterNetwork {
 	r1.AddIn("in", 2)
 	r1.AddOut("to1")
 	r1.AddOut("to2")
-	Connect(r0, 0, r1, 0, 1, 1.0)
+	Connect(r0, 0, r1, 0, 1, 0.3)
 	for in, n := range []NodeID{0, 3} {
-		ni := NewNI(n, rn.StatsRef())
+		ni := NewNI(n)
 		ConnectNIInject(ni, r0, in, 1)
 		rn.NIs[n] = ni
 	}
 	for d := 1; d <= 2; d++ {
-		ni := NewNI(NodeID(d), rn.StatsRef())
+		ni := NewNI(NodeID(d))
 		ConnectNIEject(ni, r1, d-1, 1, 8)
+		r1.SetOutLength(d-1, 0.3*float64(2*d+1))
 		rn.NIs[d] = ni
 	}
 	rn.Routers = []*Router{r0, r1}
@@ -215,7 +217,9 @@ func checkDerived(t *testing.T, rn *RouterNetwork, now sim.Cycle) {
 // every cycle of saturated multi-flit traffic. Snapshots taken along the
 // run must then replay the original run's deliveries both in a fresh
 // network and in the original one rewound from a later cycle, whose
-// derived state and last-grant stamps a load must reset.
+// derived state, last-grant stamps and NI counters a load must reset.
+// Each restored network's Stats must equal the donor's at the snapshot,
+// FlitLinkMM bits included, and its re-save the donor's bytes.
 func TestRouterBufferedAndRouteCache(t *testing.T) {
 	type delivery struct {
 		ID uint64
@@ -248,13 +252,24 @@ func TestRouterBufferedAndRouteCache(t *testing.T) {
 			checkDerived(t, rn, e.Now())
 		}
 	}
-	restore := func(rn *RouterNetwork, e *sim.Engine, snap []byte, at sim.Cycle) {
+	save := func(rn *RouterNetwork, at sim.Cycle) []byte {
+		var enc ckpt.Enc
+		rn.State(ckpt.Encoding(&enc), at, nopPayload)
+		return enc.Bytes()
+	}
+	restore := func(rn *RouterNetwork, e *sim.Engine, snap []byte, at sim.Cycle, want Stats) {
 		d := ckpt.NewDec(snap)
-		rn.State(ckpt.Decoding(d), at, func(*any, *ckpt.State) {})
+		rn.State(ckpt.Decoding(d), at, nopPayload)
 		if d.Err() != nil {
 			t.Fatal(d.Err())
 		}
 		checkDerived(t, rn, at)
+		if got := rn.Stats(); got != want || math.Float64bits(got.FlitLinkMM) != math.Float64bits(want.FlitLinkMM) {
+			t.Fatalf("restored at %d: Stats %+v, donor's %+v", at, got, want)
+		}
+		if !bytes.Equal(save(rn, at), snap) {
+			t.Fatalf("restored at %d: re-save differs from the donor's snapshot", at)
+		}
 		e.RestoreAt(at)
 	}
 
@@ -264,12 +279,11 @@ func TestRouterBufferedAndRouteCache(t *testing.T) {
 	load(rn)
 	snaps := map[sim.Cycle][]byte{}
 	delivered := map[sim.Cycle]int{}
+	stats := map[sim.Cycle]Stats{}
 	held := 0
 	for at := sim.Cycle(10); at < 100; at += 7 {
 		run(rn, e, at)
-		var enc ckpt.Enc
-		rn.State(ckpt.Encoding(&enc), at, func(*any, *ckpt.State) {})
-		snaps[at], delivered[at] = enc.Bytes(), len(ref)
+		snaps[at], delivered[at], stats[at] = save(rn, at), len(ref), rn.Stats()
 		held += rn.Routers[0].buffered + rn.Routers[1].buffered
 	}
 	run(rn, e, end)
@@ -281,7 +295,7 @@ func TestRouterBufferedAndRouteCache(t *testing.T) {
 		want := ref[delivered[at]:]
 		var fresh []delivery
 		rn, e := build(&fresh)
-		restore(rn, e, snap, at)
+		restore(rn, e, snap, at, stats[at])
 		run(rn, e, end)
 
 		var rewound []delivery
@@ -289,7 +303,7 @@ func TestRouterBufferedAndRouteCache(t *testing.T) {
 		load(rn)
 		run(rn, e, at+9)
 		rewound = rewound[:0]
-		restore(rn, e, snap, at)
+		restore(rn, e, snap, at, stats[at])
 		run(rn, e, end)
 
 		for name, got := range map[string][]delivery{"fresh": fresh, "rewound": rewound} {
@@ -414,7 +428,7 @@ func ejectNet() *RouterNetwork {
 	r0 := NewRouter(100, "r0", 1, func(*Packet) int { return 0 })
 	r0.AddIn("in", 2)
 	r0.AddOut("out")
-	ni0, ni1 := NewNI(0, rn.StatsRef()), NewNI(1, rn.StatsRef())
+	ni0, ni1 := NewNI(0), NewNI(1)
 	ConnectNIInject(ni0, r0, 0, 1)
 	ConnectNIEject(ni1, r0, 0, 8, 1)
 	rn.NIs[0], rn.NIs[1] = ni0, ni1
@@ -568,7 +582,7 @@ func TestCreditReturnAdmitsTheNextGrantACycleLater(t *testing.T) {
 				r.AddOut("out")
 			}
 			Connect(r0, 0, r1, 0, 1, 1.0)
-			ni0, ni1 := NewNI(0, rn.StatsRef()), NewNI(1, rn.StatsRef())
+			ni0, ni1 := NewNI(0), NewNI(1)
 			ConnectNIInject(ni0, r0, 0, 1)
 			ConnectNIEject(ni1, r1, 0, 1, 8)
 			rn.NIs[0], rn.NIs[1] = ni0, ni1
@@ -629,7 +643,7 @@ func TestRouterLongLinks(t *testing.T) {
 		r1.AddIn("in", long+4)
 		r1.AddOut("ej")
 		Connect(r0, 0, r1, 0, long, 1.0)
-		src, dst := NewNI(0, rn.StatsRef()), NewNI(1, rn.StatsRef())
+		src, dst := NewNI(0), NewNI(1)
 		ConnectNIInject(src, r0, 0, long)
 		ConnectNIEject(dst, r1, 0, 1, 8)
 		rn.Routers = []*Router{r0, r1}
@@ -718,7 +732,7 @@ func TestStaticPriorityUncoveredVCPanics(t *testing.T) {
 	r.AddIn("net", 2)
 	r.AddOut("down")
 	r.SetPriority([]Cand{{Port: 0, VC: ClassResp}, {Port: 0, VC: ClassSnoop}})
-	src, dst := NewNI(0, nil), NewNI(1, nil)
+	src, dst := NewNI(0), NewNI(1)
 	ConnectNIInject(src, r, 0, 1)
 	ConnectNIEject(dst, r, 0, 1, 4)
 	dst.SetDeliver(func(sim.Cycle, *Packet) {})
@@ -747,7 +761,7 @@ func TestStaticPriorityUncoveredVCLoadFails(t *testing.T) {
 		r.AddIn("net", 2)
 		r.AddOut("down")
 		r.SetPriority([]Cand{{Port: 0, VC: ClassResp}, {Port: 0, VC: ClassSnoop}})
-		src, dst := NewNI(0, rn.StatsRef()), NewNI(1, rn.StatsRef())
+		src, dst := NewNI(0), NewNI(1)
 		ConnectNIInject(src, r, 0, 1)
 		ConnectNIEject(dst, r, 0, 1, 4)
 		rn.Routers = []*Router{r}

@@ -44,9 +44,10 @@ func (p *ShardPlan) NodeDomain(n NodeID) int {
 // BuildShardPlan classifies every link of rn under the given router-domain
 // assignment (parallel to rn.Routers, values in [0, domains)), derives NI
 // and node domains, switches cross-domain links into staged mode, and
-// extracts the lookahead. It also retargets every NI's counters at its
-// domain's private stats shard. The network must be fully built and not
-// yet registered with any engine.
+// extracts the lookahead. Every counter lives in the router output or NI
+// that counts it, so domains share none and need no counter set of their
+// own. The network must be fully built and not yet registered with any
+// engine.
 func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan {
 	if len(routerDom) != len(rn.Routers) {
 		panic("noc: BuildShardPlan domain assignment must cover every router")
@@ -124,15 +125,6 @@ func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan
 	for n, ni := range rn.NIs {
 		if ni != nil && ni.from != nil {
 			stage(ni.from, p.NIDom[n])
-		}
-	}
-
-	// Per-domain NI stats shards: concurrent domains must not share one
-	// counter struct. Router counters are already router-local.
-	rn.shards = make([]Stats, domains)
-	for n, ni := range rn.NIs {
-		if ni != nil {
-			ni.SetStats(&rn.shards[p.NIDom[n]])
 		}
 	}
 	return p

@@ -8,7 +8,7 @@ import (
 // Checkpoint walk of the router network. Topology, wiring, and routing
 // tables are structural; the state is every in-flight packet and flit,
 // the VC buffers, credit counters, output-VC ownership, the NIs'
-// inject/eject progress, and the folded traffic counters.
+// inject/eject progress, and the traffic counters.
 //
 // Packets are shared by reference (a flit is a pointer into its packet),
 // so serialization builds a packet table in one fixed traversal order and
@@ -57,7 +57,7 @@ func PacketState(pp **Packet, s *ckpt.State, numNodes int, payload PayloadWalk) 
 	payload(&p.Payload, s)
 }
 
-// State walks the traffic counters.
+// State walks the traffic totals.
 func (st *Stats) State(s *ckpt.State) {
 	ckpt.Int(s, &st.Injected)
 	ckpt.Int(s, &st.Delivered)
@@ -309,17 +309,19 @@ func (op *OutPort) returnsState(s *ckpt.State, now sim.Cycle, owner func() strin
 // that have arrived by it as buffered and the rest as on their links,
 // and the credits usable by it as counted and the rest as returning, and
 // a load checks each link's flits and credit returns against it. A save
-// first folds the network's local accounting into the shared Stats, so
-// per-router and per-port deltas are zero at the snapshot and only the
-// folded totals travel; it changes nothing else. A load needs
-// the network built with the donor's topology; each router's derived
-// state — its buffered count, occupancy set, arrival calendar and
-// last-grant stamps — is rebuilt from the restored VCs, and a load whose
-// credit sums break conservation (CheckCredits) fails.
+// writes the state as it stands and changes none of it: each router's
+// flit count since it was built, each output's count since the last
+// ResetStats, and then Stats. A load restarts every NI's own counters at
+// zero, keeps the loaded Stats' NI totals in rn.loaded, and lets Stats
+// derive FlitHops and FlitLinkMM from the loaded output counts, so the
+// restored network's Stats and its next save equal the donor's. A load
+// needs the network built with the donor's topology; each router's
+// derived state — its buffered count, occupancy set, arrival calendar
+// and last-grant stamps — is rebuilt from the restored VCs, and a load
+// whose credit sums break conservation (CheckCredits) fails.
 func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk) {
 	t := &pktTable{}
 	if !s.Loading() {
-		rn.fold()
 		t.idx = make(map[*Packet]int)
 		rn.forEachPacket(now, t.add)
 	}
@@ -334,6 +336,9 @@ func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk
 	for _, ni := range rn.NIs {
 		if ni == nil || s.Err() != nil {
 			continue
+		}
+		if s.Loading() {
+			ni.stats = Stats{}
 		}
 		for c := range ni.injectQ {
 			ni.injectQ[c].State(s, t.ref)
@@ -359,7 +364,6 @@ func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk
 			return
 		}
 		ckpt.Int(s, &r.flits)
-		r.flitsFolded = r.flits
 		for _, ip := range r.ins {
 			for c := range ip.vcs {
 				q := &ip.vcs[c]
@@ -397,7 +401,6 @@ func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk
 				}
 			}
 			ckpt.Int(s, &op.sent)
-			op.sentFolded = op.sent
 			if op.connected() {
 				op.returnsState(s, now, func() string { return r.Name })
 			}
@@ -406,12 +409,19 @@ func (rn *RouterNetwork) State(s *ckpt.State, now sim.Cycle, payload PayloadWalk
 			r.resync(now)
 		}
 	}
-	if s.Err() == nil {
-		rn.stats.State(s)
+	if s.Err() != nil {
+		return
 	}
+	if !s.Loading() {
+		st := rn.Stats()
+		st.State(s)
+		return
+	}
+	rn.loaded.State(s)
+	rn.loaded.FlitHops, rn.loaded.FlitLinkMM = 0, 0
 	// Each field may be in range while the credits of a link still let it
 	// send more flits than its downstream VC holds.
-	if s.Loading() && s.Err() == nil {
+	if s.Err() == nil {
 		if err := rn.CheckCredits(); err != nil {
 			s.Corrupt("%w", err)
 		}

@@ -54,7 +54,7 @@ func NewCrossbar(p CrossbarParams) *noc.RouterNetwork {
 		wire := sim.Cycle(tech.WireCycles(dist))
 		in := r.AddIn(fmt.Sprintf("t%d", node), p.BufFlits)
 		out := r.AddOut(fmt.Sprintf("t%d", node))
-		ni := noc.NewNI(node, rn.StatsRef())
+		ni := noc.NewNI(node)
 		noc.ConnectNI(ni, r, in, out, wire, wire, p.EjectBuf)
 		// The eject link carries both spoke directions' length so the area
 		// and energy models see the full in-plus-out wire per traversal.

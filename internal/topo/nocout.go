@@ -344,7 +344,7 @@ func NewNOCOut(p NOCOutParams) (*noc.RouterNetwork, NOCOutRouters) {
 				}
 				id := p.CoreNode(col, side, d)
 				t.host[id], t.in[id], t.out[id] = ri, -1, out
-				ni := noc.NewNI(id, t.rn.StatsRef())
+				ni := noc.NewNI(id)
 				noc.ConnectNIInject(ni, red[d], 1, 1)
 				noc.ConnectNIEject(ni, r, 0, 1, p.EjectBuf)
 				t.rn.NIs[id] = ni

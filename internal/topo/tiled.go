@@ -79,7 +79,7 @@ func (t *tiled) attach(ejectBuf int) *noc.RouterNetwork {
 		if t.in[node] < 0 {
 			continue
 		}
-		ni := noc.NewNI(noc.NodeID(node), t.rn.StatsRef())
+		ni := noc.NewNI(noc.NodeID(node))
 		noc.ConnectNI(ni, t.routers[ri], t.in[node], t.out[node], 1, 1, ejectBuf)
 		t.rn.NIs[node] = ni
 	}
