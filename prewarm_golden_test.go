@@ -70,10 +70,10 @@ var warmGolden = []struct {
 	sha      string
 	bytes    int64
 }{
-	{Mesh, "MapReduce-C", "d2276ebb919a3deffcec32d08c275f277ce9985f90d32f695f40ec85900efc9b", 1134454},
-	{Mesh, "Data Serving", "b417da6d4e03eb273397fd955c7c2d323a1d95fd689704b3811b9dcfd8fedf85", 1219738},
-	{NOCOut, "MapReduce-C", "84d64e0b67ed0c98da6862ff4cbe6e997428e0f449dca911e1deb4de07f630b2", 1167124},
-	{NOCOut, "Data Serving", "7afc5c636a375246a23f6a9ad6ac540d0e9a17af0236951ae3ba1209ed834bb3", 1258618},
+	{Mesh, "MapReduce-C", "cc2cd4cf866c8389f0873c544a529d9c6980a65cbc32e68a7c7962d5f0068e2b", 1134162},
+	{Mesh, "Data Serving", "148dcca1f1bb255c59ddeb88dc268ce89ec6574e875ab1cda762a8420e2068be", 1219446},
+	{NOCOut, "MapReduce-C", "12a8dcd83146633634c4911b3e6c414ca6abff106596a84ce4698c1cd646afa0", 1166856},
+	{NOCOut, "Data Serving", "f2f2c9e9ac187426f476f00c84ffa17c948f992ab2c1920e0d78f9757cd13c9a", 1258350},
 }
 
 // countingWriter counts the bytes written through it.
@@ -123,13 +123,13 @@ var formatGolden = []struct {
 	{"ideal", Ideal, "Data Serving",
 		"a439f776e28a5c85712d0f295024e384edcbe26c27485e6a5719596cca18880d", 947300},
 	{"opensys-mmpp", Mesh, "opensys:arrival=mmpp,base=web-search,rate=4,size=256,queue=64",
-		"84b9398e90dd1d645653212cd1ac813992061f1df55e3cf16ae6415bc0775f02", 918950},
+		"9e37c03c577d2679e4f248d29c647316257d52981c985dc9b9356c39db44bb60", 918882},
 	{"opensys-burst-phases", Mesh, "opensys:arrival=burst,base=data-serving,rate=0.5,size=128,queue=32,hurst=0.9,peak=1.2,phases=1.5x4000;0.5x4000",
-		"3f5a09f74511501409aca0cc696ab5127e73f792169fc802cad33970a254c31d", 927660},
+		"b6de97a0761fff4d7bb0e0a9a628c4766856cc4294c084483a330b5328995fe2", 927599},
 	{"phased", Mesh, "MapReduce-Phased",
-		"00dd5d5d33d9db277a7c563afc02b4f5ccdebc0666faa116e4ff9aa713f69205", 846606},
+		"bd02025bed9ae5d2ab8887561e27a206a37fd70830df1bea869f1766ff2fcc5a", 846538},
 	{"noc3", Mesh, "noc3",
-		"153de908e06946ba25e00beeb18fee7237a053a63aac9f2af54fbf0488db9bd3", 813766},
+		"9ac6f96b1f66e63bcf11dd7a336b8c3bf0e298887a1dd686e45c5a9bfe38614a", 813698},
 }
 
 // formatGoldenUnfused holds the hashes that differ on a host whose
@@ -141,7 +141,7 @@ var formatGolden = []struct {
 // simulator, pinned here as two exact values rather than hidden; once
 // the draw is made host-independent, one of them goes.
 var formatGoldenUnfused = map[string]string{
-	"opensys-burst-phases": "1eb03a66abab1ba5c6d99f3299540e2009abf4e7efe70ddf93f26746880cfb59",
+	"opensys-burst-phases": "47d27ef8b1dfe31d55d5afdf67390e9ad2a310a82cae98ddc8e4afc7f7f2d61b",
 }
 
 // expFused reports whether math.Exp takes its fused-multiply-add path on
