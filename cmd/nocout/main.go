@@ -397,7 +397,7 @@ func run() error {
 	}
 	if cells > 1 {
 		fmt.Println(rep.Table())
-	} else if pr, _ := rep.GetPoint(ds[0].String(), ws[0].Name(), 0); pr.Err != "" {
+	} else if pr := rep.Results[0]; pr.Err != "" {
 		fmt.Println("failed:", pr.Err)
 	} else {
 		res := pr.Result
