@@ -137,6 +137,8 @@ func TestSweepWorkloadNameCollision(t *testing.T) {
 	}
 }
 
+// TestSweepConfigureAndUnlimited checks the options that reconfigure
+// every point of a sweep: WithSeed and WithUnlimitedCores.
 func TestSweepConfigureAndUnlimited(t *testing.T) {
 	sw, err := NewExperiment(
 		WithDesigns(Mesh),
@@ -144,15 +146,11 @@ func TestSweepConfigureAndUnlimited(t *testing.T) {
 		WithCoreCounts(64),
 		WithSeed(42),
 		WithUnlimitedCores(),
-		WithConfigure(func(cfg *Config, p Point) { cfg.MemChannels = 4 * p.Cores / 64 }),
 	).Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := sw.Points[0]
-	if p.Config.MemChannels != 4 {
-		t.Fatalf("configure hook not applied: %+v", p.Config)
-	}
 	if p.Seed != 42 || p.Config.Seed != 42 {
 		t.Fatalf("seed override not applied: %+v", p)
 	}

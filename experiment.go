@@ -107,7 +107,6 @@ type Experiment struct {
 	seed         *uint64
 	unlimited    bool
 	simDomains   int
-	configure    func(*Config, Point)
 
 	// mu guards the workloads the first successful Sweep resolved and
 	// the trace spec behind each (resolveWorkloads): an Experiment opens a
@@ -225,17 +224,9 @@ func WithUnlimitedCores() Option {
 	return func(e *Experiment) { e.unlimited = true }
 }
 
-// WithConfigure installs a hook that may adjust each point's Config after
-// expansion — e.g. shaping the NOC-Out organization or scaling memory
-// channels with the core count. The hook sees the point's identity
-// (variant, workload, cores) and mutates the config in place.
-func WithConfigure(f func(cfg *Config, p Point)) Option {
-	return func(e *Experiment) { e.configure = f }
-}
-
 // Sweep expands the specification into the cartesian product of
-// variants × workloads × core counts, resolving workload names, applying
-// the configure hook, and dropping duplicate points. The workloads are
+// variants × workloads × core counts, resolving workload names and
+// dropping duplicate points. The workloads are
 // resolved by the first Sweep that succeeds; later Sweeps reuse them,
 // and so share their trace files.
 func (e *Experiment) Sweep() (Sweep, error) {
@@ -275,9 +266,6 @@ func (e *Experiment) Sweep() (Sweep, error) {
 					Design:   cfg.Design,
 					Workload: w.Name(),
 					Cores:    n,
-				}
-				if e.configure != nil {
-					e.configure(&cfg, p)
 				}
 				wl := w
 				if e.unlimited {
