@@ -171,7 +171,7 @@ func lockstepKernels(t *testing.T, cfg Config, w workload.Workload, cycles sim.C
 // one cycle; only agree flushes the twin, so its multi-cycle catch-ups
 // are held to the same snapshots. The hashed copy alone also saves
 // itself once, at cycle 500, between two agreements: a save must change
-// nothing, so the next cycle's hash and every later agreement hold it to
+// nothing, so from that cycle on its hashes and agreements hold it to
 // chips never saved there.
 func lockstep(t *testing.T, cycles sim.Cycle, ref *chip.Chip, mate func() *chip.Chip) chip.Metrics {
 	t.Helper()

@@ -2,7 +2,6 @@ package noc_test
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"nocout/internal/ckpt"
@@ -108,8 +107,8 @@ func drive(net noc.Network, rn *noc.RouterNetwork, nodes []noc.NodeID, rate floa
 // head-room bubble flow control on the torus, more than 64 ports on the
 // crossbar, static-priority trees on NOC-Out — then again on a fresh
 // network restored from a mid-run snapshot as it runs on. The restored
-// network's Stats must equal the donor's, FlitLinkMM bits included, and
-// its re-save the donor's bytes.
+// network's Stats must equal the donor's exactly, the float FlitLinkMM
+// included, and its re-save the donor's bytes.
 func TestCreditConservationOnFabrics(t *testing.T) {
 	const snapAt, restoredFor = 400, 200
 	for _, f := range []fabric64{meshFabric, torusFabric, fbflyFabric, crossbarFabric, nocoutFabric} {
@@ -141,7 +140,7 @@ func TestCreditConservationOnFabrics(t *testing.T) {
 			if err := rn2.CheckCredits(); err != nil {
 				t.Fatalf("restored at %d: %v", snapAt, err)
 			}
-			if got, want := rn2.Stats(), rn.Stats(); got != want || math.Float64bits(got.FlitLinkMM) != math.Float64bits(want.FlitLinkMM) {
+			if got, want := rn2.Stats(), rn.Stats(); got != want {
 				t.Fatalf("restored at %d: Stats %+v, donor's %+v", snapAt, got, want)
 			}
 			var again ckpt.Enc

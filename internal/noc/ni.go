@@ -235,8 +235,17 @@ func (rn *RouterNetwork) Stats() Stats {
 		}
 	}
 	for _, ni := range rn.NIs {
-		if ni != nil {
-			s.addNI(&ni.stats)
+		if ni == nil {
+			continue
+		}
+		st := &ni.stats
+		s.Injected += st.Injected
+		s.Delivered += st.Delivered
+		s.PacketHops += st.PacketHops
+		s.InjectFlits += st.InjectFlits
+		for c := 0; c < NumClasses; c++ {
+			s.LatencySum[c] += st.LatencySum[c]
+			s.Count[c] += st.Count[c]
 		}
 	}
 	return s

@@ -139,19 +139,6 @@ func (s *Stats) RecordDelivery(p *Packet) {
 	s.PacketHops += int64(p.hops)
 }
 
-// addNI adds the counters an NI keeps — every field but FlitHops and
-// FlitLinkMM, which only router outputs count.
-func (s *Stats) addNI(o *Stats) {
-	s.Injected += o.Injected
-	s.Delivered += o.Delivered
-	s.PacketHops += o.PacketHops
-	s.InjectFlits += o.InjectFlits
-	for c := 0; c < NumClasses; c++ {
-		s.LatencySum[c] += o.LatencySum[c]
-		s.Count[c] += o.Count[c]
-	}
-}
-
 // AvgLatency returns the mean end-to-end latency of class c in cycles.
 func (s *Stats) AvgLatency(c Class) float64 {
 	if s.Count[c] == 0 {

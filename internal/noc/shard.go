@@ -44,10 +44,9 @@ func (p *ShardPlan) NodeDomain(n NodeID) int {
 // BuildShardPlan classifies every link of rn under the given router-domain
 // assignment (parallel to rn.Routers, values in [0, domains)), derives NI
 // and node domains, switches cross-domain links into staged mode, and
-// extracts the lookahead. Every counter lives in the router output or NI
-// that counts it, so domains share none and need no counter set of their
-// own. The network must be fully built and not yet registered with any
-// engine.
+// extracts the lookahead. Every traffic counter lives in the router
+// output or NI that counts it, so domains share none. The network must
+// be fully built and not yet registered with any engine.
 func (rn *RouterNetwork) BuildShardPlan(routerDom []int, domains int) *ShardPlan {
 	if len(routerDom) != len(rn.Routers) {
 		panic("noc: BuildShardPlan domain assignment must cover every router")
