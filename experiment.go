@@ -226,9 +226,9 @@ func WithUnlimitedCores() Option {
 
 // Sweep expands the specification into the cartesian product of
 // variants × workloads × core counts, resolving workload names and
-// dropping duplicate points. The workloads are
-// resolved by the first Sweep that succeeds; later Sweeps reuse them,
-// and so share their trace files.
+// dropping duplicate points. The workloads are resolved by the first
+// Sweep that succeeds; later Sweeps reuse them, and so share their trace
+// files.
 func (e *Experiment) Sweep() (Sweep, error) {
 	if len(e.variants) == 0 {
 		return Sweep{}, fmt.Errorf("nocout: experiment has no variants; use WithDesigns or WithVariant")

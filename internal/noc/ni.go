@@ -218,12 +218,12 @@ func NewRouterNetwork(name string, n int) *RouterNetwork {
 func (rn *RouterNetwork) RN() *RouterNetwork { return rn }
 
 // Stats implements Network: the totals since the last ResetStats, summed
-// in one fixed order from the counters where they are counted. FlitHops
-// and FlitLinkMM come first, from the output counts in router and port
-// order: every grant counts one flit at its output, so the float
-// FlitLinkMM sum is a function of those counts alone, bit-identical
-// across kernels, domain counts and saves. The NIs' integer counters and
-// the totals a load carried are then added, which is exact in any order.
+// in one fixed order from the counters where they are counted. Starting
+// from the NI totals a load carried, it derives FlitHops and FlitLinkMM
+// from the output counts in router and port order: every grant counts
+// one flit at its output, so the float FlitLinkMM sum is a function of
+// those counts alone, bit-identical across kernels, domain counts and
+// saves. It then adds the NIs' integer counters, exact in any order.
 func (rn *RouterNetwork) Stats() Stats {
 	s := rn.loaded
 	for _, r := range rn.Routers {
