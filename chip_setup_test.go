@@ -28,7 +28,9 @@ func setupCfg(tb testing.TB, d Design, llcMB int) (Config, workload.Workload) {
 
 // TestSetupAllocsIndependentOfLLC: setup allocates per bank and per
 // agent, never per LLC line, so doubling the LLC leaves the allocation
-// count of chip.New + PrewarmCaches where it was.
+// count of chip.New + PrewarmCaches where it was. PrewarmCaches alone
+// allocates at most one object, whatever the LLC's size: its walk keeps
+// no per-line or per-bank state.
 func TestSetupAllocsIndependentOfLLC(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -38,6 +40,17 @@ func TestSetupAllocsIndependentOfLLC(t *testing.T) {
 		for i, mb := range []int{8, 16} {
 			cfg, w := setupCfg(t, d, mb)
 			allocs[i] = testing.AllocsPerRun(1, func() { chip.New(cfg, w).PrewarmCaches() })
+			// AllocsPerRun calls its function once before the measured run,
+			// so each call prewarms a chip of its own.
+			chips := []*chip.Chip{chip.New(cfg, w), chip.New(cfg, w)}
+			next := 0
+			prewarm := testing.AllocsPerRun(1, func() {
+				chips[next].PrewarmCaches()
+				next++
+			})
+			if prewarm > 1 {
+				t.Errorf("%v at %d MB: PrewarmCaches allocates %.0f objects, want at most 1", d, mb, prewarm)
+			}
 		}
 		if diff := allocs[1] - allocs[0]; diff <= -64 || diff >= 64 {
 			t.Errorf("%v: setup allocates %.0f objects at 8 MB of LLC and %.0f at 16 MB", d, allocs[0], allocs[1])
@@ -45,12 +58,22 @@ func TestSetupAllocsIndependentOfLLC(t *testing.T) {
 	}
 }
 
-// BenchmarkChipSetup times chip.New + PrewarmCaches on the 64-core Mesh
-// and NOC-Out (Data Serving, 8 MB LLC), with its allocations.
+// BenchmarkChipSetup times chip.New + PrewarmCaches on 64-core chips
+// (Data Serving, 8 MB LLC), with their allocations. Mesh, FBfly and
+// NOC-Out keep SharedNUCA's striped banks and prewarm bank by bank;
+// NOC-Out with XOR placement prewarms line by line.
 func BenchmarkChipSetup(b *testing.B) {
-	for _, d := range []Design{Mesh, NOCOut} {
-		cfg, w := setupCfg(b, d, 8)
-		b.Run(d.String(), func(b *testing.B) {
+	for _, c := range []struct {
+		d Design
+		h HierarchyID
+	}{{Mesh, SharedNUCA}, {FBfly, SharedNUCA}, {NOCOut, SharedNUCA}, {NOCOut, XORPlacement}} {
+		cfg, w := setupCfg(b, c.d, 8)
+		cfg.Hierarchy = c.h
+		name := c.d.String()
+		if c.h != SharedNUCA {
+			name += "-" + c.h.String()
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				chip.New(cfg, w).PrewarmCaches()

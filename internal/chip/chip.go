@@ -580,21 +580,88 @@ func (c *Chip) StateHash() uint64 {
 // launching measurements "from checkpoints with warmed caches" (§5.4):
 // the layout's shared instruction footprint and hot region become
 // LLC-resident, and each active core's local region is owned by its L1-D.
+//
+// The prewarmed state follows from two orders, and only from them, since
+// every cache array keeps its own LRU clock. Each bank fills in address
+// order: the instruction region's lines it homes, then the hot region's,
+// then each active core's local region, cores in index order. Each L1
+// installs its owned lines in region order. On a striped LLC, where every
+// bank owns the residue of its index modulo the bank count (SharedNUCA on
+// every organization), the shared regions are walked bank by bank, so
+// one bank's arrays stay in the host's cache through all its fills.
+// Other hierarchies walk the regions line by line and ask Home for each
+// line's bank.
 func (c *Chip) PrewarmCaches() {
 	lay := c.Workload.Layout()
-	bankOf := func(line uint64) *coherence.Bank {
-		_, bank := c.Memory.Home(line)
-		return c.Banks[bank]
+	if !c.striped() {
+		c.prewarmByLine(lay)
+		return
 	}
-
-	// The loops step by offset, not by address: an address cursor wraps
-	// past 2^64 on a region ending in the last line and never stops.
-	for _, r := range []workload.Region{lay.Instr, lay.Hot} {
-		for off := uint64(0); off < r.Size; off += 64 {
-			line := (r.Base + off) / 64
-			bankOf(line).PrewarmShared(line)
+	n := uint64(len(c.Banks))
+	for i, b := range c.Banks {
+		for _, r := range [...]workload.Region{lay.Instr, lay.Hot} {
+			for _, s := range lineSpans(r) {
+				// The span's first line of bank i, then every n-th.
+				for line := s[0] + (uint64(i)+n-s[0]%n)%n; line < s[1]; line += n {
+					b.PrewarmShared(line)
+				}
+			}
 		}
 	}
+	c.prewarmLocal(lay, true)
+}
+
+// striped reports whether every bank owns the residue of its index modulo
+// the bank count, so that a line's bank is line mod len(c.Banks). A line
+// of another residue would fail the bank's own check, so Home can name no
+// other bank.
+func (c *Chip) striped() bool {
+	n := uint64(len(c.Banks))
+	for i, b := range c.Banks {
+		if stride, phase := b.Stripe(); stride != n || phase != uint64(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// lineSpans returns r's lines as two ascending ranges [lo, hi), in the
+// order an offset walk visits them. A region whose bytes run past 2^64
+// wraps to line 0, and the second range holds its lines from there; it
+// is empty otherwise.
+func lineSpans(r workload.Region) [2][2]uint64 {
+	const lines = 1 << 58 // lines in the 64-bit address space
+	first, n := r.Base/64, r.Size/64
+	if r.Size%64 != 0 {
+		n++
+	}
+	if n <= lines-first {
+		return [2][2]uint64{{first, first + n}}
+	}
+	return [2][2]uint64{{first, lines}, {0, n - (lines - first)}}
+}
+
+// prewarmByLine is PrewarmCaches' walk on an LLC that is not striped: the
+// shared regions line by line in address order, each line's bank named by
+// Home. On a striped LLC it leaves the same state as the bank walk.
+func (c *Chip) prewarmByLine(lay workload.Layout) {
+	// This loop and prewarmLocal's step by offset, not by address: an
+	// address cursor wraps past 2^64 on a region ending in the last line
+	// and never stops.
+	for _, r := range [...]workload.Region{lay.Instr, lay.Hot} {
+		for off := uint64(0); off < r.Size; off += 64 {
+			line := (r.Base + off) / 64
+			c.homeBank(line).PrewarmShared(line)
+		}
+	}
+	c.prewarmLocal(lay, false)
+}
+
+// prewarmLocal has each active core's L1-D own its local region, core by
+// core, each region in address order. On a striped LLC a line's bank is
+// line mod the bank count; otherwise Home names it.
+func (c *Chip) prewarmLocal(lay workload.Layout, striped bool) {
+	n := uint64(len(c.Banks))
 	for i, co := range c.Cores {
 		if !co.Enabled() {
 			continue
@@ -602,9 +669,21 @@ func (c *Chip) PrewarmCaches() {
 		r := lay.Local(i)
 		for off := uint64(0); off < r.Size; off += 64 {
 			line := (r.Base + off) / 64
-			if bankOf(line).PrewarmOwned(line, i) {
+			var b *coherence.Bank
+			if striped {
+				b = c.Banks[line%n]
+			} else {
+				b = c.homeBank(line)
+			}
+			if b.PrewarmOwned(line, i) {
 				c.L1s[i].PrewarmData(line, coherence.StateM)
 			}
 		}
 	}
+}
+
+// homeBank is line's home bank, as Home names it.
+func (c *Chip) homeBank(line uint64) *coherence.Bank {
+	_, bank := c.Memory.Home(line)
+	return c.Banks[bank]
 }

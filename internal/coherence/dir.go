@@ -205,6 +205,10 @@ func (b *Bank) aline(line uint64) uint64 {
 // fullLine is the inverse of aline.
 func (b *Bank) fullLine(aline uint64) uint64 { return aline*b.stride + b.phase }
 
+// Stripe reports the bank's line compaction: it owns exactly the lines
+// with line mod stride == phase.
+func (b *Bank) Stripe() (stride, phase uint64) { return b.stride, b.phase }
+
 // Deliver is the network delivery callback for this bank.
 func (b *Bank) Deliver(m Msg) { b.inbox.Push(m) }
 
