@@ -411,9 +411,16 @@ func run() error {
 			// The per-workload power lines address report cells by plain
 			// design name; a hierarchy sweep renames its variants
 			// "design/hierarchy" and a load sweep renames workloads by
-			// derived spec, so those breakdowns live in the table instead.
-			// A failed point has no power to report.
-			if len(hs) <= 1 && len(loads) == 0 {
+			// derived spec, so with more than one cell those breakdowns
+			// live in the table instead. One cell is the report's only
+			// point, whatever its name. A failed point has no power to
+			// report.
+			switch {
+			case cells == 1:
+				if pr := rep.Results[0]; pr.Err == "" {
+					fmt.Printf("  %s NoC power (%s): %v\n", d, pr.Result.Workload, pr.Result.NoCPower)
+				}
+			case len(hs) <= 1 && len(loads) == 0:
 				for _, w := range ws {
 					if pr, _ := rep.GetPoint(d.String(), w.Name(), 0); pr.Err == "" {
 						fmt.Printf("  %s NoC power (%s): %v\n", d, w.Name(), pr.Result.NoCPower)
